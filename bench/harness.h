@@ -6,53 +6,62 @@
 #ifndef RDFALIGN_BENCH_HARNESS_H_
 #define RDFALIGN_BENCH_HARNESS_H_
 
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "service/flags.h"
+
 namespace rdfalign::bench {
 
-/// Parses `--name=value` style flags.
+/// Reads `--name=value` flags through the verb layer's tokenizer. Numbers
+/// are strict: a malformed or negative value ("--runs=abc", "--runs=-1")
+/// prints a message to stderr and exits 2, the CLI's usage-error contract,
+/// instead of silently becoming 0 or wrapping.
 class Flags {
  public:
-  Flags(int argc, char** argv) {
-    for (int i = 1; i < argc; ++i) args_.emplace_back(argv[i]);
-  }
+  Flags(int argc, char** argv) : args_(argc, argv, 1) {}
 
   double GetDouble(const std::string& name, double fallback) const {
-    std::string value;
-    return Find(name, &value) ? std::atof(value.c_str()) : fallback;
+    if (!args_.Has(name)) return fallback;
+    const std::string text = args_.GetString(name, "");
+    errno = 0;
+    char* end = nullptr;
+    const double value = std::strtod(text.c_str(), &end);
+    if (text.empty() || *end != '\0' || errno == ERANGE) {
+      Reject(name, "expects a number");
+    }
+    if (!(value >= 0)) Reject(name, "must be >= 0");
+    return value;
   }
 
   uint64_t GetInt(const std::string& name, uint64_t fallback) const {
-    std::string value;
-    return Find(name, &value)
-               ? static_cast<uint64_t>(std::atoll(value.c_str()))
-               : fallback;
+    const std::optional<long long> value =
+        args_.GetInt(name, static_cast<long long>(fallback), nullptr);
+    if (!value) Reject(name, "expects an integer");
+    if (*value < 0) Reject(name, "must be >= 0");
+    return static_cast<uint64_t>(*value);
   }
 
   std::string GetString(const std::string& name,
                         const std::string& fallback) const {
-    std::string value;
-    return Find(name, &value) ? value : fallback;
+    return args_.GetString(name, fallback);
   }
 
  private:
-  bool Find(const std::string& name, std::string* value) const {
-    std::string prefix = "--" + name + "=";
-    for (const std::string& a : args_) {
-      if (a.rfind(prefix, 0) == 0) {
-        *value = a.substr(prefix.size());
-        return true;
-      }
-    }
-    return false;
+  // Prints "rdfalign: --NAME WHAT, got 'VALUE'" (service::Args::GetInt's
+  // wording) and exits 2, the CLI's usage-error status.
+  [[noreturn]] void Reject(const std::string& name, const char* what) const {
+    std::fprintf(stderr, "rdfalign: --%s %s, got '%s'\n", name.c_str(), what,
+                 args_.GetString(name, "").c_str());
+    std::exit(2);
   }
 
-  std::vector<std::string> args_;
+  service::Args args_;
 };
 
 /// Prints the experiment banner.

@@ -54,8 +54,7 @@ void BM_Hungarian(benchmark::State& state) {
 }
 BENCHMARK(BM_Hungarian)->Arg(8)->Arg(32)->Arg(64);
 
-// range(0): EFO initial classes; range(1): 1 = incremental worklist engine,
-// 0 = legacy full-rescan engine.
+// range(0): EFO initial classes.
 void BM_RefineFixpoint(benchmark::State& state) {
   gen::EfoOptions options;
   options.initial_classes = state.range(0);
@@ -66,25 +65,17 @@ void BM_RefineFixpoint(benchmark::State& state) {
   const TripleGraph& g = cg.graph();
   std::vector<NodeId> all(g.NumNodes());
   for (NodeId i = 0; i < g.NumNodes(); ++i) all[i] = i;
-  const RefinementOptions engine{.incremental = state.range(1) != 0};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        BisimRefineFixpoint(g, LabelPartition(g), all, nullptr, engine));
+    benchmark::DoNotOptimize(BisimRefineFixpoint(g, LabelPartition(g), all));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(g.NumEdges()));
 }
-BENCHMARK(BM_RefineFixpoint)
-    ->Args({100, 0})
-    ->Args({100, 1})
-    ->Args({400, 0})
-    ->Args({400, 1})
-    ->Args({2000, 0})
-    ->Args({2000, 1});
+BENCHMARK(BM_RefineFixpoint)->Arg(100)->Arg(400)->Arg(2000);
 
-// range(0): EFO initial classes; range(1): signing threads for the
-// incremental engine. parallel_min_round is lowered so the pool engages at
-// micro-bench scale too.
+// range(0): EFO initial classes; range(1): signing threads.
+// parallel_min_round is lowered so the pool engages at micro-bench scale
+// too.
 void BM_RefineFixpointParallel(benchmark::State& state) {
   gen::EfoOptions options;
   options.initial_classes = state.range(0);

@@ -1,34 +1,29 @@
-// Phase-timed end-to-end A/B of the alignment pipeline (the ISSUE 4
-// acceptance bench).
+// Phase-timed bench of the alignment pipeline.
 //
 // At each fig16-style scale point a two-version category chain is generated,
 // both versions are stored as binary snapshots and reloaded (the zero-parse
 // production path), and then every non-refinement phase of the pipeline is
-// run twice — once on the legacy hash-map implementations kept in
-// core/pipeline_legacy.h, once on the flat dense-ID rewrite:
+// timed (best of --runs):
 //
-//   merge     : CombinedGraph::BuildLegacy (FromParts re-sort + re-index)
-//               vs CombinedGraph::Build (CSR concatenation)
+//   merge     : CombinedGraph::Build (CSR concatenation)
 //   partops   : label-keyed constructors, FromColors, Equivalent,
-//               IsFinerOrEqual, Classes — hash maps vs flat arrays
-//   overlap   : characterizing-set build + Algorithm 1 — unordered_map
-//               inverted index vs counting-sort CSR postings
-//   stats     : edge alignment + node alignment + delta — hash sets vs
-//               sort-based joins
+//               IsFinerOrEqual, Classes
+//   overlap   : characterizing-set build + Algorithm 1 (CSR postings)
+//   stats     : edge alignment + node alignment + delta (sort-based joins)
 //
-// The refinement fixpoint itself (A/B'd by refinement_bench) is timed once
-// for context. Every phase's outputs are checked identical between the two
-// implementations, and a threads sweep ({1,2,3,4,8}) re-runs the
-// shared-pool kernels at every point, requiring each count to reproduce the
-// 1-thread outputs bit for bit. The bench exits nonzero — without writing
-// JSON — on any mismatch, so the pipeline_bench_smoke ctest target and the
-// CI perf gate double as an equivalence gate. Emits BENCH_pipeline.json;
-// the checked-in copy at the repo root is the reference run.
+// The refinement fixpoint itself (see refinement_bench) is timed once for
+// context. A threads sweep ({1,2,3,4,8}) re-runs the shared-pool kernels at
+// every point, requiring each count to reproduce the 1-thread outputs bit
+// for bit. The bench exits nonzero — without writing JSON — on any
+// mismatch, so the pipeline_bench_smoke ctest target and the CI step double
+// as a determinism gate. Agreement with the hash-map implementations the
+// flat pipeline replaced is checked by tests/pipeline_equivalence_test.cc.
+// Emits BENCH_pipeline.json; the checked-in copy at the repo root is the
+// reference run.
 
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -38,7 +33,6 @@
 #include "core/delta.h"
 #include "core/hybrid.h"
 #include "core/overlap_align.h"
-#include "core/pipeline_legacy.h"
 #include "gen/category_gen.h"
 #include "store/snapshot.h"
 #include "util/timer.h"
@@ -53,29 +47,17 @@ struct PointResult {
   size_t edges = 0;
   double load_ms = 0;     // snapshot load of both versions (context)
   double refine_ms = 0;   // hybrid refinement fixpoint (context)
-  double merge_legacy_ms = 0;
-  double merge_flat_ms = 0;
-  double partops_legacy_ms = 0;
-  double partops_flat_ms = 0;
-  double overlap_legacy_ms = 0;
-  double overlap_flat_ms = 0;
-  double stats_legacy_ms = 0;
-  double stats_flat_ms = 0;
-  bool equal = true;
+  double merge_ms = 0;
+  double partops_ms = 0;
+  double overlap_ms = 0;
+  double stats_ms = 0;
   // One entry per swept thread count: best wall time of the parallel kernel
   // bundle (merge + class sides + overlap match + stats joins + delta).
   std::vector<std::pair<size_t, double>> sweep;
   bool sweep_equal = true;
 
-  double LegacyTotal() const {
-    return merge_legacy_ms + partops_legacy_ms + overlap_legacy_ms +
-           stats_legacy_ms;
-  }
-  double FlatTotal() const {
-    return merge_flat_ms + partops_flat_ms + overlap_flat_ms + stats_flat_ms;
-  }
-  double Speedup() const {
-    return FlatTotal() > 0 ? LegacyTotal() / FlatTotal() : 0.0;
+  double NonRefineTotal() const {
+    return merge_ms + partops_ms + overlap_ms + stats_ms;
   }
 };
 
@@ -132,28 +114,16 @@ bool RunPoint(double scale_point, uint64_t seed, size_t runs,
   r.edges = g1.NumEdges() + g2.NumEdges();
 
   // ---- merge ---------------------------------------------------------------
-  CombinedGraph cg;       // flat result, used by the rest of the pipeline
-  CombinedGraph cg_legacy;
-  bool ok =
-      BestOf(runs, &r.merge_legacy_ms,
-             [&] {
-               auto res = CombinedGraph::BuildLegacy(g1, g2);
-               if (!res.ok()) return false;
-               cg_legacy = std::move(res).value();
-               return true;
-             }) &&
-      BestOf(runs, &r.merge_flat_ms, [&] {
-        auto res = CombinedGraph::Build(g1, g2);
-        if (!res.ok()) return false;
-        cg = std::move(res).value();
-        return true;
-      });
+  CombinedGraph cg;
+  bool ok = BestOf(runs, &r.merge_ms, [&] {
+    auto res = CombinedGraph::Build(g1, g2);
+    if (!res.ok()) return false;
+    cg = std::move(res).value();
+    return true;
+  });
   if (!ok) return false;
-  r.equal = r.equal && LabeledGraphsEqual(cg.graph(), cg_legacy.graph()) &&
-            SpansEqual(cg.graph().OutOffsets(), cg_legacy.graph().OutOffsets()) &&
-            SpansEqual(cg.graph().InOffsets(), cg_legacy.graph().InOffsets());
 
-  // ---- refine (context; not part of the A/B total) ------------------------
+  // ---- refine (context; not part of the non-refinement total) -------------
   Partition hybrid;
   {
     WallTimer t;
@@ -162,52 +132,21 @@ bool RunPoint(double scale_point, uint64_t seed, size_t runs,
   }
 
   // ---- partition ops -------------------------------------------------------
-  Partition label_flat, trivial_flat, from_colors_flat;
-  Partition label_legacy, trivial_legacy;
-  std::vector<ColorId> legacy_renumbered;
-  size_t legacy_count = 0;
-  PartitionClasses classes_flat;
-  std::vector<std::vector<NodeId>> classes_legacy;
-  bool equivalent_flat = false, finer_flat = false;
-  bool equivalent_legacy = false, finer_legacy = false;
-  ok = BestOf(runs, &r.partops_legacy_ms,
-              [&] {
-                label_legacy = legacy::LabelPartition(cg.graph());
-                trivial_legacy = legacy::TrivialPartition(cg.graph());
-                auto [cols, cnt] =
-                    legacy::RenumberFirstOccurrence(hybrid.colors());
-                legacy_renumbered = std::move(cols);
-                legacy_count = cnt;
-                classes_legacy = legacy::PartitionClassesVectors(hybrid);
-                equivalent_legacy =
-                    legacy::PartitionEquivalent(hybrid, hybrid);
-                finer_legacy =
-                    legacy::PartitionIsFinerOrEqual(hybrid, label_legacy);
-                return true;
-              }) &&
-       BestOf(runs, &r.partops_flat_ms, [&] {
-         label_flat = LabelPartition(cg.graph());
-         trivial_flat = TrivialPartition(cg.graph());
-         from_colors_flat = Partition::FromColors(hybrid.colors());
-         classes_flat = hybrid.Classes();
-         equivalent_flat = Partition::Equivalent(hybrid, hybrid);
-         finer_flat = Partition::IsFinerOrEqual(hybrid, label_flat);
-         return true;
-       });
+  // Each timed phase assigns its outputs to variables that outlive it, so
+  // the work stays observable to the optimizer.
+  Partition label, trivial, from_colors;
+  PartitionClasses classes;
+  bool equivalent = false, finer = false;
+  ok = BestOf(runs, &r.partops_ms, [&] {
+    label = LabelPartition(cg.graph());
+    trivial = TrivialPartition(cg.graph());
+    from_colors = Partition::FromColors(hybrid.colors());
+    classes = hybrid.Classes();
+    equivalent = Partition::Equivalent(hybrid, hybrid);
+    finer = Partition::IsFinerOrEqual(hybrid, label);
+    return true;
+  });
   if (!ok) return false;
-  r.equal = r.equal && label_flat.colors() == label_legacy.colors() &&
-            trivial_flat.colors() == trivial_legacy.colors() &&
-            from_colors_flat.colors() == legacy_renumbered &&
-            from_colors_flat.NumColors() == legacy_count &&
-            equivalent_flat == equivalent_legacy &&
-            finer_flat == finer_legacy &&
-            classes_flat.size() == classes_legacy.size() &&
-            classes_flat.members.size() == hybrid.NumNodes();
-  for (size_t c = 0; r.equal && c < classes_flat.size(); ++c) {
-    std::span<const NodeId> m = classes_flat[c];
-    r.equal = std::equal(m.begin(), m.end(), classes_legacy[c].begin(),
-                         classes_legacy[c].end());
-  }
 
   // ---- overlap index + match ----------------------------------------------
   const TripleGraph& g = cg.graph();
@@ -225,87 +164,42 @@ bool RunPoint(double scale_point, uint64_t seed, size_t runs,
     return SigmaNonLiteral(g, xi, a_nodes[x], b_nodes[y]);
   };
   const double theta = 0.65;
-  BipartiteMatching h_legacy, h_flat;
-  OverlapMatchStats s_legacy, s_flat;
-  ok = BestOf(runs, &r.overlap_legacy_ms,
-              [&] {
-                // Legacy representation: per-node heap vectors, hash-map
-                // inverted index.
-                legacy::VectorCharSets a_char(a_nodes.size());
-                legacy::VectorCharSets b_char(b_nodes.size());
-                for (size_t i = 0; i < a_nodes.size(); ++i) {
-                  a_char[i] = OutColorSet(g, xi, a_nodes[i]);
-                }
-                for (size_t i = 0; i < b_nodes.size(); ++i) {
-                  b_char[i] = OutColorSet(g, xi, b_nodes[i]);
-                }
-                h_legacy = legacy::OverlapMatch(a_nodes, b_nodes, a_char,
-                                                b_char, theta, sigma, {},
-                                                &s_legacy);
-                return true;
-              }) &&
-       BestOf(runs, &r.overlap_flat_ms, [&] {
-         // The exact production streaming build (overlap_align.cc uses the
-         // same AppendOutColorSet), so the A/B cannot drift from it.
-         CharacterizingSets a_char;
-         CharacterizingSets b_char;
-         a_char.Reserve(a_nodes.size(), a_nodes.size());
-         b_char.Reserve(b_nodes.size(), b_nodes.size());
-         for (NodeId n : a_nodes) AppendOutColorSet(g, xi, n, a_char);
-         for (NodeId n : b_nodes) AppendOutColorSet(g, xi, n, b_char);
-         h_flat = OverlapMatch(a_nodes, b_nodes, a_char, b_char, theta,
-                               sigma, {}, &s_flat);
-         return true;
-       });
+  // The exact production streaming build (overlap_align.cc uses the same
+  // AppendOutColorSet), so the timing cannot drift from it.
+  auto overlap_match = [&](size_t threads, OverlapMatchStats* stats) {
+    CharacterizingSets a_char;
+    CharacterizingSets b_char;
+    a_char.Reserve(a_nodes.size(), a_nodes.size());
+    b_char.Reserve(b_nodes.size(), b_nodes.size());
+    for (NodeId n : a_nodes) AppendOutColorSet(g, xi, n, a_char);
+    for (NodeId n : b_nodes) AppendOutColorSet(g, xi, n, b_char);
+    return OverlapMatch(a_nodes, b_nodes, a_char, b_char, theta, sigma, {},
+                        stats, threads);
+  };
+  BipartiteMatching matching;
+  OverlapMatchStats match_stats;
+  ok = BestOf(runs, &r.overlap_ms, [&] {
+    matching = overlap_match(1, &match_stats);
+    return true;
+  });
   if (!ok) return false;
-  r.equal = r.equal && h_flat.edges.size() == h_legacy.edges.size() &&
-            s_flat.candidates_probed == s_legacy.candidates_probed &&
-            s_flat.overlap_checked == s_legacy.overlap_checked &&
-            s_flat.sigma_checked == s_legacy.sigma_checked &&
-            s_flat.matched == s_legacy.matched;
-  for (size_t i = 0; r.equal && i < h_flat.edges.size(); ++i) {
-    r.equal = h_flat.edges[i].a == h_legacy.edges[i].a &&
-              h_flat.edges[i].b == h_legacy.edges[i].b &&
-              h_flat.edges[i].distance == h_legacy.edges[i].distance;
-  }
 
   // ---- stats ---------------------------------------------------------------
-  EdgeAlignmentStats es_legacy, es_flat;
-  NodeAlignmentStats ns_legacy, ns_flat;
-  RdfDelta d_legacy, d_flat;
-  ok = BestOf(runs, &r.stats_legacy_ms,
-              [&] {
-                es_legacy = legacy::ComputeEdgeAlignment(cg, hybrid);
-                ns_legacy = ComputeNodeAlignment(cg, hybrid);
-                d_legacy = legacy::ComputeDelta(cg, hybrid);
-                return true;
-              }) &&
-       BestOf(runs, &r.stats_flat_ms, [&] {
-         es_flat = ComputeEdgeAlignment(cg, hybrid);
-         ns_flat = ComputeNodeAlignment(cg, hybrid);
-         d_flat = ComputeDelta(cg, hybrid);
-         return true;
-       });
+  EdgeAlignmentStats edge_stats;
+  NodeAlignmentStats node_stats;
+  RdfDelta delta;
+  ok = BestOf(runs, &r.stats_ms, [&] {
+    edge_stats = ComputeEdgeAlignment(cg, hybrid);
+    node_stats = ComputeNodeAlignment(cg, hybrid);
+    delta = ComputeDelta(cg, hybrid);
+    return true;
+  });
   if (!ok) return false;
-  auto rename_set = [](const RdfDelta& d) {
-    std::set<std::pair<NodeId, NodeId>> out;
-    for (const UriRename& u : d.renamed_uris) out.emplace(u.source, u.target);
-    return out;
-  };
-  r.equal = r.equal && es_flat.total_edges == es_legacy.total_edges &&
-            es_flat.aligned_edges == es_legacy.aligned_edges &&
-            ns_flat.aligned_classes == ns_legacy.aligned_classes &&
-            ns_flat.aligned_source_nodes == ns_legacy.aligned_source_nodes &&
-            d_flat.unchanged == d_legacy.unchanged &&
-            d_flat.added == d_legacy.added &&
-            d_flat.deleted == d_legacy.deleted &&
-            d_flat.renamed_uris.size() == d_legacy.renamed_uris.size() &&
-            rename_set(d_flat) == rename_set(d_legacy);
 
   // ---- thread sweep over the shared-pool kernels ---------------------------
   // Each thread count re-runs the parallelized bundle (merge, class sides,
-  // overlap match, stats joins, delta). threads=1 takes the legacy serial
-  // paths and is the baseline; every other count must reproduce its outputs
+  // overlap match, stats joins, delta). threads=1 takes the serial paths
+  // and is the baseline; every other count must reproduce its outputs
   // bit for bit, or sweep_equal clears and main() refuses to emit JSON.
   {
     CombinedGraph cg_base;
@@ -329,14 +223,7 @@ bool RunPoint(double scale_point, uint64_t seed, size_t runs,
         if (!res.ok()) return false;
         cg_t = std::move(res).value();
         sides_t = ComputeClassSides(cg, hybrid, t);
-        CharacterizingSets a_char;
-        CharacterizingSets b_char;
-        a_char.Reserve(a_nodes.size(), a_nodes.size());
-        b_char.Reserve(b_nodes.size(), b_nodes.size());
-        for (NodeId n : a_nodes) AppendOutColorSet(g, xi, n, a_char);
-        for (NodeId n : b_nodes) AppendOutColorSet(g, xi, n, b_char);
-        h_t = OverlapMatch(a_nodes, b_nodes, a_char, b_char, theta, sigma,
-                           {}, &s_t, t);
+        h_t = overlap_match(t, &s_t);
         es_t = ComputeEdgeAlignment(cg, hybrid, t);
         ns_t = ComputeNodeAlignment(cg, hybrid, t);
         d_t = ComputeDelta(cg, hybrid, t);
@@ -414,11 +301,8 @@ bool WriteJson(const std::string& path, const std::vector<PointResult>& points,
   std::fprintf(f, "  \"runs\": %zu,\n", runs);
   std::fprintf(f, "  \"hardware_threads\": %u,\n",
                std::thread::hardware_concurrency());
-  std::fprintf(f, "  \"provenance\": \"single-process wall clock; "
-               "hardware_threads records the recording box — like "
-               "BENCH_refinement.json and BENCH_store.json, re-record on "
-               "multi-core hardware to see parallel scaling; on a 1-core "
-               "box the threads_sweep is expected to stay flat\",\n");
+  std::fprintf(f, "  \"provenance\": \"single-process wall clock, best of "
+               "runs; hardware_threads records the recording box\",\n");
   std::fprintf(f, "  \"points\": [\n");
   for (size_t i = 0; i < points.size(); ++i) {
     const PointResult& r = points[i];
@@ -428,29 +312,19 @@ bool WriteJson(const std::string& path, const std::vector<PointResult>& points,
     std::fprintf(f, "      \"edges\": %zu,\n", r.edges);
     std::fprintf(f, "      \"load_ms\": %.2f,\n", r.load_ms);
     std::fprintf(f, "      \"refine_ms\": %.2f,\n", r.refine_ms);
-    std::fprintf(f, "      \"merge_legacy_ms\": %.2f,\n", r.merge_legacy_ms);
-    std::fprintf(f, "      \"merge_flat_ms\": %.2f,\n", r.merge_flat_ms);
-    std::fprintf(f, "      \"partops_legacy_ms\": %.2f,\n",
-                 r.partops_legacy_ms);
-    std::fprintf(f, "      \"partops_flat_ms\": %.2f,\n", r.partops_flat_ms);
-    std::fprintf(f, "      \"overlap_legacy_ms\": %.2f,\n",
-                 r.overlap_legacy_ms);
-    std::fprintf(f, "      \"overlap_flat_ms\": %.2f,\n", r.overlap_flat_ms);
-    std::fprintf(f, "      \"stats_legacy_ms\": %.2f,\n", r.stats_legacy_ms);
-    std::fprintf(f, "      \"stats_flat_ms\": %.2f,\n", r.stats_flat_ms);
-    std::fprintf(f, "      \"nonrefine_legacy_ms\": %.2f,\n",
-                 r.LegacyTotal());
-    std::fprintf(f, "      \"nonrefine_flat_ms\": %.2f,\n", r.FlatTotal());
-    std::fprintf(f, "      \"speedup\": %.2f,\n", r.Speedup());
+    std::fprintf(f, "      \"merge_ms\": %.2f,\n", r.merge_ms);
+    std::fprintf(f, "      \"partops_ms\": %.2f,\n", r.partops_ms);
+    std::fprintf(f, "      \"overlap_ms\": %.2f,\n", r.overlap_ms);
+    std::fprintf(f, "      \"stats_ms\": %.2f,\n", r.stats_ms);
+    std::fprintf(f, "      \"nonrefine_ms\": %.2f,\n", r.NonRefineTotal());
     std::fprintf(f, "      \"threads_sweep\": [");
     for (size_t s = 0; s < r.sweep.size(); ++s) {
       std::fprintf(f, "%s{\"threads\": %zu, \"ms\": %.2f}",
                    s > 0 ? ", " : "", r.sweep[s].first, r.sweep[s].second);
     }
     std::fprintf(f, "],\n");
-    std::fprintf(f, "      \"sweep_equal\": %s,\n",
+    std::fprintf(f, "      \"sweep_equal\": %s\n",
                  r.sweep_equal ? "true" : "false");
-    std::fprintf(f, "      \"equal\": %s\n", r.equal ? "true" : "false");
     std::fprintf(f, "    }%s\n", i + 1 < points.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -467,9 +341,9 @@ int main(int argc, char** argv) {
   const size_t runs = static_cast<size_t>(flags.GetInt("runs", 3));
   const std::string out = flags.GetString("out", "BENCH_pipeline.json");
 
-  bench::Banner("Alignment pipeline phase A/B",
-                "legacy hash-map glue vs flat dense-ID rewrite, per phase "
-                "(merge / partition ops / overlap index / stats)");
+  bench::Banner("Alignment pipeline phases",
+                "per-phase wall time (merge / partition ops / overlap index / "
+                "stats) + shared-pool thread sweep");
 
   const std::string tmp_prefix =
       (std::filesystem::temp_directory_path() /
@@ -486,31 +360,26 @@ int main(int argc, char** argv) {
   }
 
   bool all_equal = true;
-  bench::TablePrinter table({"nodes", "edges", "legacy(ms)", "flat(ms)",
-                             "speedup", "refine(ms)", "t1(ms)", "t8(ms)",
-                             "equal"});
+  bench::TablePrinter table({"nodes", "edges", "merge(ms)", "partops(ms)",
+                             "overlap(ms)", "stats(ms)", "refine(ms)",
+                             "t1(ms)", "t8(ms)", "identical"});
   for (const PointResult& r : points) {
     table.Row({bench::FmtInt(r.nodes), bench::FmtInt(r.edges),
-               bench::Fmt("%.1f", r.LegacyTotal()),
-               bench::Fmt("%.1f", r.FlatTotal()),
-               bench::Fmt("%.1fx", r.Speedup()),
+               bench::Fmt("%.1f", r.merge_ms),
+               bench::Fmt("%.1f", r.partops_ms),
+               bench::Fmt("%.1f", r.overlap_ms),
+               bench::Fmt("%.1f", r.stats_ms),
                bench::Fmt("%.1f", r.refine_ms),
                bench::Fmt("%.1f", r.sweep.front().second),
                bench::Fmt("%.1f", r.sweep.back().second),
-               r.equal && r.sweep_equal ? "yes" : "NO"});
-    all_equal = all_equal && r.equal && r.sweep_equal;
+               r.sweep_equal ? "yes" : "NO"});
+    all_equal = all_equal && r.sweep_equal;
   }
-  std::printf("\nper-phase (largest point): merge %.1f->%.1f, partops "
-              "%.1f->%.1f, overlap %.1f->%.1f, stats %.1f->%.1f ms\n",
-              points.back().merge_legacy_ms, points.back().merge_flat_ms,
-              points.back().partops_legacy_ms, points.back().partops_flat_ms,
-              points.back().overlap_legacy_ms, points.back().overlap_flat_ms,
-              points.back().stats_legacy_ms, points.back().stats_flat_ms);
   if (!all_equal) {
-    // The JSON is the perf record of a correct run; a diverging sweep or
-    // phase A/B must not leave one behind.
+    // The JSON is the perf record of a correct run; a diverging sweep must
+    // not leave one behind.
     std::fprintf(stderr,
-                 "FAIL: parallel/flat pipeline diverged from the reference; "
+                 "FAIL: a thread count diverged from the 1-thread kernels; "
                  "not writing %s\n",
                  out.c_str());
     return 1;

@@ -58,8 +58,11 @@ AlignmentOutcome Aligner::AlignCombined(const CombinedGraph& cg) const {
           cg, &outcome.refinement, options_.refinement);
       break;
     case AlignMethod::kOverlap: {
+      // `refinement` is the one thread setting: it drives both the
+      // overlap kernels and Propagate's weighted fixpoint.
       OverlapAlignOptions oopt = options_.overlap;
       oopt.threads = ResolveThreads(options_.refinement.threads);
+      oopt.propagate.refinement = options_.refinement;
       OverlapAlignResult r = OverlapAlign(cg, oopt);
       outcome.partition = std::move(r.xi.partition);
       outcome.weights = std::move(r.xi.weight);

@@ -40,9 +40,10 @@ std::string_view AlignMethodToString(AlignMethod method);
 /// Configuration of an Aligner.
 struct AlignerOptions {
   AlignMethod method = AlignMethod::kHybrid;
-  /// Engine selection and signing-thread count for the refinement
-  /// fixpoints (kDeblank/kHybrid/kHybridContextual; kOverlap takes the
-  /// setting from `overlap.propagate.refinement`).
+  /// Refinement tuning and thread count for every method: the refinement
+  /// fixpoints, the statistics joins, and — for kOverlap — the overlap
+  /// kernels and Propagate (AlignCombined copies it into
+  /// `overlap.propagate.refinement`, overriding what is set there).
   RefinementOptions refinement;
   /// Used when method == kOverlap.
   OverlapAlignOptions overlap;

@@ -47,7 +47,7 @@ MediationIndex::MediationIndex(const TripleGraph& g) {
   }
   // Reverse CSR: the distinct predicates of the triples in which a node
   // occurs as subject or object — the dirtiness relation of the
-  // incremental contextual engine. Built like TripleGraph's in-index: one
+  // contextual worklist engine. Built like TripleGraph's in-index: one
   // exact counting pass (two slots per triple), one fill pass, then an
   // in-place per-node sort+unique with left compaction.
   rev_offsets_.assign(n + 1, 0);
@@ -91,8 +91,8 @@ namespace {
 
 constexpr uint32_t kKeepTag = 0;
 constexpr uint32_t kRecolorTag = 1;
-// The separator is shared with the worklist engine so both engines delimit
-// the mediation section identically.
+// The separator is shared with the worklist engine so the reference step
+// and the engine delimit the mediation section identically.
 constexpr uint32_t kMediationSeparator = internal::kMediationSeparator;
 
 using SignatureMap =
@@ -157,36 +157,12 @@ Partition ContextualRefineFixpoint(const TripleGraph& g, Partition initial,
                                    const std::vector<uint8_t>& predicate_only,
                                    RefinementStats* stats,
                                    const RefinementOptions& options) {
-  RefinementStats local;
-  local.initial_classes = initial.NumColors();
-  Partition result;
-  if (options.incremental) {
-    internal::WorklistConfig config;
-    config.mediation = &mediation;
-    config.predicate_only = &predicate_only;
-    config.threads = options.threads;
-    config.parallel_min_round = options.parallel_min_round;
-    result = internal::RunWorklistFixpoint(g, initial, x, config, &local);
-    assert(Partition::IsFinerOrEqual(result, initial));
-  } else {
-    Partition current = std::move(initial);
-    const size_t hard_cap = g.NumNodes() + 2;
-    for (size_t iter = 0; iter < hard_cap; ++iter) {
-      Partition next =
-          ContextualRefineStep(g, current, x, mediation, predicate_only);
-      ++local.iterations;
-      local.dirty_per_iteration.push_back(x.size());
-      if (next.NumColors() == current.NumColors()) {
-        current = std::move(next);
-        break;
-      }
-      current = std::move(next);
-    }
-    result = std::move(current);
-  }
-  local.final_classes = result.NumColors();
-  if (stats != nullptr) *stats = std::move(local);
-  return result;
+  internal::WorklistConfig config;
+  config.mediation = &mediation;
+  config.predicate_only = &predicate_only;
+  config.threads = options.threads;
+  config.parallel_min_round = options.parallel_min_round;
+  return internal::RunWorklistFixpoint(g, initial, x, config, stats);
 }
 
 ContextualHybridInputs BuildContextualHybridInputs(const CombinedGraph& cg) {

@@ -31,7 +31,7 @@ std::vector<NodeId> PredicateOnlyUris(const TripleGraph& g);
 /// An index from predicate node to the (subject, object) pairs of the
 /// triples it mediates (CSR layout, pairs sorted), plus the reverse
 /// direction: from a node to the distinct predicates mediating it. The
-/// reverse index is the dirtiness relation of the incremental contextual
+/// reverse index is the dirtiness relation of the contextual worklist
 /// engine — when a node's color changes, exactly the predicates in
 /// MediatingPredicates() can observe the change through their mediation
 /// signatures.
@@ -61,18 +61,17 @@ class MediationIndex {
 /// One contextual refinement step: nodes in X are recolored by the usual
 /// out-neighborhood signature, and nodes in X that are predicate-only URIs
 /// additionally carry their mediation signature.
+/// The reference the contextual fixpoint engine is tested against; no
+/// production path calls it.
 Partition ContextualRefineStep(const TripleGraph& g, const Partition& p,
                                const std::vector<NodeId>& x,
                                const MediationIndex& mediation,
                                const std::vector<uint8_t>& predicate_only);
 
-/// Fixpoint of the contextual step, using the engine selected by `options`:
-/// the incremental worklist engine (default) re-signs only dirty nodes,
-/// with dirtiness following both the out-neighborhood (TripleGraph::In) and
-/// the mediation index; the legacy engine full-rescans every iteration.
-/// Both produce bit-identical partitions, and both honor
-/// RefinementOptions::threads for parallel signing of wide rounds
-/// (incremental engine only).
+/// Fixpoint of the contextual step on the worklist engine: only dirty nodes
+/// are re-signed, with dirtiness following both the out-neighborhood
+/// (TripleGraph::In) and the mediation index. RefinementOptions::threads
+/// signs wide rounds in parallel, bit-identically for every thread count.
 Partition ContextualRefineFixpoint(const TripleGraph& g, Partition initial,
                                    const std::vector<NodeId>& x,
                                    const MediationIndex& mediation,
@@ -91,8 +90,8 @@ struct ContextualHybridInputs {
 };
 
 /// Builds the inputs PredicateAwareHybridPartition refines over. Exposed so
-/// the refinement bench can A/B the contextual engines on exactly the
-/// production shape.
+/// the refinement bench and the equivalence tests run the contextual
+/// fixpoint on exactly the production shape.
 ContextualHybridInputs BuildContextualHybridInputs(const CombinedGraph& cg);
 
 /// The hybrid alignment with predicate-aware refinement: identical to

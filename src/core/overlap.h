@@ -16,9 +16,9 @@
 //
 // Storage: characterizing sets and the inverted index are CSR structures —
 // two flat arrays each — not per-node heap vectors or an unordered_map of
-// postings vectors. legacy::OverlapMatch (core/pipeline_legacy.h) keeps the
-// hash-map implementation as the A/B baseline; both produce byte-identical
-// matchings and counters.
+// postings vectors. The equivalence tests pin byte-identical matchings and
+// counters against the hash-map implementation it replaced
+// (tests/pipeline_oracle.h).
 
 #ifndef RDFALIGN_CORE_OVERLAP_H_
 #define RDFALIGN_CORE_OVERLAP_H_
@@ -109,8 +109,8 @@ struct OverlapMatchOptions {
 
 /// Statistics of one OverlapMatch run (for the ablation benches and the
 /// pipeline phase timings). The counters are deterministic and identical
-/// between the CSR and legacy implementations; the timings are not part of
-/// any equivalence contract.
+/// for every thread count and to the test oracle's; the timings are not
+/// part of any equivalence contract.
 struct OverlapMatchStats {
   size_t candidates_probed = 0;   ///< inverted-index postings touched
   size_t overlap_checked = 0;     ///< candidate pairs screened by overlap

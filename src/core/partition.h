@@ -9,8 +9,8 @@
 // Every operation on this class is an O(n) array pass over the dense
 // ColorIds: because colors_ is always densely renumbered (an invariant
 // FromColors establishes), color-keyed lookups use flat arrays indexed by
-// ColorId instead of hash maps. The reference hash-map implementations live
-// in core/pipeline_legacy.h for the A/B benches and equivalence tests.
+// ColorId instead of hash maps. The equivalence tests check them against
+// hash-map reference implementations (tests/pipeline_oracle.h).
 
 #ifndef RDFALIGN_CORE_PARTITION_H_
 #define RDFALIGN_CORE_PARTITION_H_

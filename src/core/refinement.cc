@@ -27,49 +27,18 @@ ColorId ConsSignature(SignatureMap& cons, std::vector<uint32_t>&& sig) {
 }
 
 // Shared fixpoint driver: `mask == nullptr` selects plain refinement. The
-// incremental worklist engine lives in core/worklist_engine.cc (it is
-// shared with the contextual refinement of core/context.cc).
-Partition RefineFixpointImpl(const TripleGraph& g, Partition initial,
+// worklist engine lives in core/worklist_engine.cc (it is shared with the
+// contextual refinement of core/context.cc).
+Partition RefineFixpointImpl(const TripleGraph& g, const Partition& initial,
                              const std::vector<NodeId>& x,
                              const std::vector<uint8_t>* mask,
                              const RefinementOptions& options,
                              RefinementStats* stats) {
-  RefinementStats local;
-  local.initial_classes = initial.NumColors();
-  Partition result;
-  if (options.incremental) {
-    internal::WorklistConfig config;
-    config.predicate_mask = mask;
-    config.threads = options.threads;
-    config.parallel_min_round = options.parallel_min_round;
-    result = internal::RunWorklistFixpoint(g, initial, x, config, &local);
-    assert(Partition::IsFinerOrEqual(result, initial));
-  } else {
-    Partition current = std::move(initial);
-    // A step only splits classes (the old color is part of the signature),
-    // so n steps suffice; the loop stops at the first step that splits
-    // nothing.
-    const size_t hard_cap = g.NumNodes() + 2;
-    for (size_t iter = 0; iter < hard_cap; ++iter) {
-      Partition next = mask == nullptr
-                           ? BisimRefineStep(g, current, x)
-                           : BisimRefineStepKeyed(g, current, x, *mask);
-      ++local.iterations;
-      local.dirty_per_iteration.push_back(x.size());
-      assert(Partition::IsFinerOrEqual(next, current));
-      if (next.NumColors() == current.NumColors()) {
-        // Equal class counts between a partition and its refinement imply
-        // equivalence (Definition 4's stopping rule).
-        current = std::move(next);
-        break;
-      }
-      current = std::move(next);
-    }
-    result = std::move(current);
-  }
-  local.final_classes = result.NumColors();
-  if (stats != nullptr) *stats = std::move(local);
-  return result;
+  internal::WorklistConfig config;
+  config.predicate_mask = mask;
+  config.threads = options.threads;
+  config.parallel_min_round = options.parallel_min_round;
+  return internal::RunWorklistFixpoint(g, initial, x, config, stats);
 }
 
 }  // namespace
@@ -117,8 +86,7 @@ Partition BisimRefineFixpoint(const TripleGraph& g, Partition initial,
                               const std::vector<NodeId>& x,
                               RefinementStats* stats,
                               const RefinementOptions& options) {
-  return RefineFixpointImpl(g, std::move(initial), x, nullptr, options,
-                            stats);
+  return RefineFixpointImpl(g, initial, x, nullptr, options, stats);
 }
 
 Partition BlankColors(const Partition& p, const std::vector<NodeId>& x) {
@@ -187,8 +155,7 @@ Partition BisimRefineFixpointKeyed(const TripleGraph& g, Partition initial,
                                    const std::vector<uint8_t>& predicate_mask,
                                    RefinementStats* stats,
                                    const RefinementOptions& options) {
-  return RefineFixpointImpl(g, std::move(initial), x, &predicate_mask,
-                            options, stats);
+  return RefineFixpointImpl(g, initial, x, &predicate_mask, options, stats);
 }
 
 }  // namespace rdfalign

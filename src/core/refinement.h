@@ -10,22 +10,21 @@
 // This is the paper's "derivation tree as a DAG with simple hashing": a
 // dense ColorId stands for the whole derivation tree rooted at the node.
 //
-// Two fixpoint engines are available (RefinementOptions::incremental):
+// The fixpoint driver is the dirty-node worklist engine
+// (core/worklist_engine.h). After the first pass over X, only nodes with an
+// out-neighbor whose color changed in the previous round are re-signed;
+// every other node keeps its color with zero work. Signatures are consed
+// through a 64-bit hash into a shared arena with collision verification, so
+// steady-state rounds perform no per-node heap allocation. Large rounds —
+// the first round especially, which signs all of X — can be signed by a
+// worker pool (RefinementOptions::threads) with a deterministic merge that
+// keeps the partition bit-identical across thread counts. See
+// docs/refinement.md for the invariants.
 //
-//  * The incremental worklist engine (default; core/worklist_engine.h).
-//    After the first pass over X, only nodes with an out-neighbor whose
-//    color changed in the previous round are re-signed; every other node
-//    keeps its color with zero work. Signatures are consed through a 64-bit
-//    hash into a shared arena with collision verification, so steady-state
-//    rounds perform no per-node heap allocation. Large rounds — the first
-//    round especially, which signs all of X — can be signed by a worker
-//    pool (RefinementOptions::threads) with a deterministic merge that
-//    keeps the partition bit-identical across thread counts. See
-//    docs/refinement.md for the invariants.
-//  * The legacy full-rescan engine, which re-signs all of X every
-//    iteration. It is retained for A/B comparisons (bench/refinement_bench
-//    and the randomized equivalence tests); both engines produce identical
-//    partitions.
+// The one-step functions (BisimRefineStep, BisimRefineStepKeyed) are the
+// direct transcription of Definition 3 and stay as the reference the
+// engine is tested against: iterating a step until the class count stops
+// changing yields the engine's fixpoint, bit for bit.
 
 #ifndef RDFALIGN_CORE_REFINEMENT_H_
 #define RDFALIGN_CORE_REFINEMENT_H_
@@ -37,13 +36,10 @@
 
 namespace rdfalign {
 
-/// Engine selection for the fixpoint drivers.
+/// Tuning of the fixpoint drivers.
 struct RefinementOptions {
-  /// Use the incremental worklist engine (default); false selects the
-  /// legacy full-rescan step, kept for A/B testing.
-  bool incremental = true;
-  /// Signing workers for wide refinement rounds under the incremental
-  /// engine. 1 = sequential (default); 0 = one worker per hardware thread.
+  /// Signing workers for wide refinement rounds. 1 = sequential (default);
+  /// 0 = one worker per hardware thread.
   /// Any setting yields a bit-identical partition: workers sign into
   /// thread-local arenas and a single deterministic merge conses the
   /// signatures in worklist order.
@@ -59,18 +55,16 @@ struct RefinementStats {
   size_t iterations = 0;      ///< steps executed (incl. the stabilizing one)
   size_t final_classes = 0;   ///< classes in the fixpoint partition
   size_t initial_classes = 0; ///< classes in the input partition
-  /// Nodes re-signed per iteration: the worklist sizes for the incremental
-  /// engine, |X| every iteration for the legacy engine.
+  /// Nodes re-signed per iteration: the worklist size of each round.
   std::vector<size_t> dirty_per_iteration;
   /// Total bytes of signature words built while signing nodes (counted per
   /// re-signing, including signatures deduplicated by the cons table — a
-  /// measure of signing work, not of cons-table memory). Reported by the
-  /// incremental engine only (0 under the legacy engine).
+  /// measure of signing work, not of cons-table memory).
   size_t signature_bytes = 0;
   /// Wall-clock of the first refinement round, the one that signs all of X
-  /// (incremental engine only; the parallel-signing target).
+  /// (the parallel-signing target).
   double first_round_ms = 0.0;
-  /// Resolved signing-worker count (incremental engine only; >= 1).
+  /// Resolved signing-worker count (>= 1).
   size_t threads_used = 0;
 
   /// Sum of dirty_per_iteration: total node re-signings performed.
@@ -83,12 +77,13 @@ struct RefinementStats {
 
 /// One-step refinement BisimRefine_X(λ): recolors exactly the nodes in X by
 /// signature; all other nodes keep their class. X entries must be valid node
-/// ids of `g`. This is the legacy full-rescan step.
+/// ids of `g`. The Definition 3 reference the fixpoint engine is tested
+/// against; no production path calls it.
 Partition BisimRefineStep(const TripleGraph& g, const Partition& p,
                           const std::vector<NodeId>& x);
 
 /// Fixpoint refinement BisimRefine*_X(λ) (Definition 4): applies the step
-/// until the partition stabilizes, using the engine selected by `options`.
+/// until the partition stabilizes, on the worklist engine.
 Partition BisimRefineFixpoint(const TripleGraph& g, Partition initial,
                               const std::vector<NodeId>& x,
                               RefinementStats* stats = nullptr,
@@ -121,7 +116,7 @@ Partition BisimRefineStepKeyed(const TripleGraph& g, const Partition& p,
                                const std::vector<NodeId>& x,
                                const std::vector<uint8_t>& predicate_mask);
 
-/// Fixpoint of the keyed step, using the engine selected by `options`.
+/// Fixpoint of the keyed step, on the worklist engine.
 Partition BisimRefineFixpointKeyed(const TripleGraph& g, Partition initial,
                                    const std::vector<NodeId>& x,
                                    const std::vector<uint8_t>& predicate_mask,

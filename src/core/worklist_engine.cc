@@ -13,8 +13,14 @@ Partition RunWorklistFixpoint(const TripleGraph& g, const Partition& initial,
                               RefinementStats* stats) {
   WorklistConfig resolved = config;
   resolved.threads = ResolveThreads(config.threads);
+  RefinementStats local;
+  local.initial_classes = initial.NumColors();
   WorklistEngine<TripleGraph> engine(g, initial, x, resolved);
-  return engine.Run(stats);
+  Partition result = engine.Run(&local);
+  assert(Partition::IsFinerOrEqual(result, initial));
+  local.final_classes = result.NumColors();
+  if (stats != nullptr) *stats = std::move(local);
+  return result;
 }
 
 }  // namespace internal

@@ -63,8 +63,8 @@ namespace internal {
 
 /// Separates the out-pair section of a signature from the mediation-pair
 /// section. Colors are dense and monotonically allocated, so they can never
-/// reach this value on any realistic graph; the legacy contextual step
-/// relies on the same property.
+/// reach this value on any realistic graph; the reference
+/// ContextualRefineStep relies on the same property.
 inline constexpr uint32_t kMediationSeparator = 0xfffffffe;
 
 /// What the worklist engine signs and how.
@@ -166,7 +166,7 @@ class WorklistEngine {
     }
     if (stats != nullptr) {
       // An empty worklist still counts as one (vacuous) stabilizing step,
-      // matching the legacy engine's accounting.
+      // matching the accounting of iterating the reference step.
       stats->iterations = iterations == 0 ? 1 : iterations;
       stats->signature_bytes = signature_bytes_;
       stats->first_round_ms = first_round_ms;
@@ -542,7 +542,8 @@ class WorklistEngine {
 };
 
 /// Runs the worklist fixpoint to stabilization and returns the refined
-/// partition. `x` entries must be valid node ids of `g`.
+/// partition; `stats` (optional) receives the complete telemetry of this
+/// run. `x` entries must be valid node ids of `g`.
 Partition RunWorklistFixpoint(const TripleGraph& g, const Partition& initial,
                               const std::vector<NodeId>& x,
                               const WorklistConfig& config,

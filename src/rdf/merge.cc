@@ -131,41 +131,4 @@ Result<CombinedGraph> CombinedGraph::Build(const TripleGraph& g1,
   return out;
 }
 
-Result<CombinedGraph> CombinedGraph::BuildLegacy(const TripleGraph& g1,
-                                                 const TripleGraph& g2) {
-  if (g1.dict_ptr().get() != g2.dict_ptr().get()) {
-    return Status::InvalidArgument(
-        "CombinedGraph::Build requires both graphs to share one Dictionary");
-  }
-  const NodeId n1 = static_cast<NodeId>(g1.NumNodes());
-  const NodeId n2 = static_cast<NodeId>(g2.NumNodes());
-
-  std::vector<NodeLabel> labels;
-  labels.reserve(n1 + n2);
-  labels.insert(labels.end(), g1.labels().begin(), g1.labels().end());
-  labels.insert(labels.end(), g2.labels().begin(), g2.labels().end());
-
-  std::vector<Triple> triples;
-  triples.reserve(g1.NumEdges() + g2.NumEdges());
-  triples.insert(triples.end(), g1.triples().begin(), g1.triples().end());
-  for (const Triple& t : g2.triples()) {
-    triples.push_back(Triple{t.s + n1, t.p + n1, t.o + n1});
-  }
-
-  // The union is a triple graph, not an RDF graph: skip RDF validation
-  // (label uniqueness does not hold across sides by design).
-  RDFALIGN_ASSIGN_OR_RETURN(
-      TripleGraph combined,
-      TripleGraph::FromParts(g1.dict_ptr(), std::move(labels),
-                             std::move(triples), /*validate_rdf=*/false));
-
-  CombinedGraph out;
-  out.graph_ = std::move(combined);
-  out.n1_ = n1;
-  out.n2_ = n2;
-  out.e1_ = g1.NumEdges();
-  out.e2_ = g2.NumEdges();
-  return out;
-}
-
 }  // namespace rdfalign

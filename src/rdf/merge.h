@@ -28,18 +28,12 @@ class CombinedGraph {
   /// target ids all exceed the source ids, the union's triple list and both
   /// CSR indexes are plain concatenations (with the id offset applied) —
   /// no re-sort, re-dedup, or re-index. Bit-identical to re-indexing from
-  /// scratch; BuildLegacy keeps that path for the A/B bench and tests.
+  /// scratch through TripleGraph::FromParts.
   /// `threads` > 1 runs the shifted copies as chunked positionwise
   /// transforms on the shared pool — same bytes for any thread count.
   static Result<CombinedGraph> Build(const TripleGraph& g1,
                                      const TripleGraph& g2,
                                      size_t threads = 1);
-
-  /// The pre-rewrite implementation: concatenate parts and rebuild every
-  /// index through TripleGraph::FromParts. Reference baseline for
-  /// bench/pipeline_bench.cc and the equivalence tests only.
-  static Result<CombinedGraph> BuildLegacy(const TripleGraph& g1,
-                                           const TripleGraph& g2);
 
   const TripleGraph& graph() const { return graph_; }
 

@@ -50,15 +50,14 @@ bool PlainError(ParseError* error, std::string message) {
   return false;
 }
 
-/// Aligner options from a parsed request: raw thread count (0 = all
-/// hardware threads is the engine's convention) into the refinement and
-/// overlap pipelines, exactly as the historical CLI wired it.
+/// Aligner options from a parsed request: the raw thread count (0 = all
+/// hardware threads is the engine's convention); the Aligner wires it into
+/// every phase.
 AlignerOptions MakeAlignerOptions(AlignMethod method,
                                   const CommonOptions& common) {
   AlignerOptions options;
   options.method = method;
   options.refinement.threads = common.threads;
-  options.overlap.propagate.refinement = options.refinement;
   return options;
 }
 

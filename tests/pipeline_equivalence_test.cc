@@ -1,11 +1,12 @@
-// Equivalence of the flat dense-ID pipeline against the legacy hash-map
-// implementations (core/pipeline_legacy.h) — the ISSUE 4 contract: the
+// Equivalence of the flat dense-ID pipeline against the hash-map
+// implementations it replaced (the test oracles in pipeline_oracle.h): the
 // rewrite must be a pure representation change, with bit-identical outputs.
 //
 // Covers random partitions (dense, non-contiguous, adversarially sparse
 // color ids), the label-keyed partition constructors, the merge fast path,
 // edge/delta statistics, pair enumeration, the crossover checker, and the
-// byte-identity of OverlapMatch (edges *and* counters) on seeded instances.
+// byte-identity of OverlapMatch (edges *and* counters) on seeded instances,
+// plus one generated category pair run through every phase end to end.
 
 #include <algorithm>
 #include <set>
@@ -20,12 +21,12 @@
 #include "core/edit_distance.h"
 #include "core/hybrid.h"
 #include "core/overlap_align.h"
-#include "core/pipeline_legacy.h"
 #include "gen/category_gen.h"
 #include "gen/textgen.h"
 #include "rdf/merge.h"
 #include "util/random.h"
 #include "util/string_util.h"
+#include "pipeline_oracle.h"
 
 namespace rdfalign {
 namespace {
@@ -71,7 +72,7 @@ TEST(FlatPartitionEquivalence, FromColorsMatchesLegacyOnRandomInputs) {
       std::vector<ColorId> colors = RandomColors(rng, n, style);
       Partition flat = Partition::FromColors(colors);
       auto [legacy_colors, legacy_count] =
-          legacy::RenumberFirstOccurrence(colors);
+          oracle::RenumberFirstOccurrence(colors);
       EXPECT_EQ(flat.colors(), legacy_colors)
           << "style=" << style << " trial=" << trial;
       EXPECT_EQ(flat.NumColors(), legacy_count);
@@ -85,7 +86,7 @@ TEST(FlatPartitionEquivalence, FromColorsHandlesAdversarialSentinelValues) {
   std::vector<ColorId> colors = {0xffffffffu, 0, 0xffffffffu, 0xfffffffeu, 0};
   Partition p = Partition::FromColors(colors);
   auto [legacy_colors, legacy_count] =
-      legacy::RenumberFirstOccurrence(colors);
+      oracle::RenumberFirstOccurrence(colors);
   EXPECT_EQ(p.colors(), legacy_colors);
   EXPECT_EQ(p.NumColors(), legacy_count);
   EXPECT_EQ(p.NumColors(), 3u);
@@ -115,13 +116,13 @@ TEST(FlatPartitionEquivalence, EquivalentAndFinerMatchLegacy) {
         b = Partition::FromColors(RandomColors(rng, n, 0));
         break;
     }
-    EXPECT_EQ(Partition::Equivalent(a, b), legacy::PartitionEquivalent(a, b))
+    EXPECT_EQ(Partition::Equivalent(a, b), oracle::PartitionEquivalent(a, b))
         << trial;
     EXPECT_EQ(Partition::IsFinerOrEqual(a, b),
-              legacy::PartitionIsFinerOrEqual(a, b))
+              oracle::PartitionIsFinerOrEqual(a, b))
         << trial;
     EXPECT_EQ(Partition::IsFinerOrEqual(b, a),
-              legacy::PartitionIsFinerOrEqual(b, a))
+              oracle::PartitionIsFinerOrEqual(b, a))
         << trial;
     EXPECT_TRUE(Partition::Equivalent(a, a));
     EXPECT_TRUE(Partition::IsFinerOrEqual(a, a));
@@ -135,7 +136,7 @@ TEST(FlatPartitionEquivalence, ClassesCsrMatchesLegacyVectors) {
     Partition p = Partition::FromColors(RandomColors(rng, n, trial % 3));
     PartitionClasses csr = p.Classes();
     std::vector<std::vector<NodeId>> legacy_classes =
-        legacy::PartitionClassesVectors(p);
+        oracle::PartitionClassesVectors(p);
     ASSERT_EQ(csr.size(), legacy_classes.size());
     for (size_t c = 0; c < csr.size(); ++c) {
       std::span<const NodeId> members = csr[c];
@@ -152,9 +153,9 @@ TEST(FlatPartitionEquivalence, LabelKeyedConstructorsMatchLegacy) {
     auto [g1, g2] = RandomVersionPair(seed);
     auto cg = CombinedGraph::Build(g1, g2).value();
     const TripleGraph& g = cg.graph();
-    EXPECT_EQ(LabelPartition(g).colors(), legacy::LabelPartition(g).colors());
+    EXPECT_EQ(LabelPartition(g).colors(), oracle::LabelPartition(g).colors());
     EXPECT_EQ(TrivialPartition(g).colors(),
-              legacy::TrivialPartition(g).colors());
+              oracle::TrivialPartition(g).colors());
   }
 }
 
@@ -178,9 +179,9 @@ TEST(FlatPartitionEquivalence, LabelKeyedConstructorsWithOversizedDictionary) {
   b.AddTriple(blank2, p, lit);
   TripleGraph g = std::move(b.Build(true)).value();
   ASSERT_GT(g.dict().size(), 4 * g.NumNodes() + 1024);
-  EXPECT_EQ(LabelPartition(g).colors(), legacy::LabelPartition(g).colors());
+  EXPECT_EQ(LabelPartition(g).colors(), oracle::LabelPartition(g).colors());
   EXPECT_EQ(TrivialPartition(g).colors(),
-            legacy::TrivialPartition(g).colors());
+            oracle::TrivialPartition(g).colors());
   // Blanks: one shared class under ℓ_G, singletons under λ_Trivial.
   Partition lp = LabelPartition(g);
   EXPECT_EQ(lp.ColorOf(blank1), lp.ColorOf(blank2));
@@ -190,27 +191,33 @@ TEST(FlatPartitionEquivalence, LabelKeyedConstructorsWithOversizedDictionary) {
 
 // ------------------------------------------------------------------ merge ---
 
+/// The fast merge must equal the re-indexed union element for element —
+/// triples, labels, and both CSR indexes, not just semantically.
+void ExpectMergeMatchesOracle(const TripleGraph& g1, const TripleGraph& g2,
+                              size_t threads = 1) {
+  auto fast = CombinedGraph::Build(g1, g2, threads).value();
+  TripleGraph slow = oracle::ReindexedUnion(g1, g2).value();
+  ASSERT_TRUE(LabeledGraphsEqual(fast.graph(), slow));
+  auto spans_equal = [](auto a, auto b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  };
+  EXPECT_TRUE(spans_equal(fast.graph().OutOffsets(), slow.OutOffsets()));
+  EXPECT_TRUE(spans_equal(fast.graph().OutPairs(), slow.OutPairs()));
+  EXPECT_TRUE(spans_equal(fast.graph().InOffsets(), slow.InOffsets()));
+  EXPECT_TRUE(spans_equal(fast.graph().InSubjects(), slow.InSubjects()));
+  EXPECT_EQ(fast.n1(), g1.NumNodes());
+  EXPECT_EQ(fast.n2(), g2.NumNodes());
+  EXPECT_EQ(fast.e1(), g1.NumEdges());
+  EXPECT_EQ(fast.e2(), g2.NumEdges());
+}
+
 TEST(MergeEquivalence, FastBuildIsBitIdenticalToLegacyReindex) {
   for (uint64_t seed : {1ull, 2ull, 3ull, 4ull, 5ull}) {
+    SCOPED_TRACE(seed);
     auto [g1, g2] = RandomVersionPair(seed);
-    auto fast = CombinedGraph::Build(g1, g2).value();
-    auto slow = CombinedGraph::BuildLegacy(g1, g2).value();
-    ASSERT_TRUE(LabeledGraphsEqual(fast.graph(), slow.graph())) << seed;
-    // The CSR indexes must match element for element, not just semantically.
-    auto spans_equal = [](auto a, auto b) {
-      return std::equal(a.begin(), a.end(), b.begin(), b.end());
-    };
-    EXPECT_TRUE(spans_equal(fast.graph().OutOffsets(),
-                            slow.graph().OutOffsets()));
-    EXPECT_TRUE(spans_equal(fast.graph().OutPairs(),
-                            slow.graph().OutPairs()));
-    EXPECT_TRUE(spans_equal(fast.graph().InOffsets(),
-                            slow.graph().InOffsets()));
-    EXPECT_TRUE(spans_equal(fast.graph().InSubjects(),
-                            slow.graph().InSubjects()));
-    EXPECT_EQ(fast.n1(), slow.n1());
-    EXPECT_EQ(fast.e2(), slow.e2());
+    ExpectMergeMatchesOracle(g1, g2);
     // Node lookup by label behaves the same (first match wins per side).
+    auto fast = CombinedGraph::Build(g1, g2).value();
     EXPECT_EQ(fast.graph().FindUri("not-there"), kInvalidNode);
   }
 }
@@ -222,48 +229,44 @@ TEST(MergeEquivalence, EmptySidesMerge) {
   GraphBuilder b2(dict);
   auto g1 = std::move(b1.Build(true)).value();
   auto g2 = std::move(b2.Build(true)).value();
-  auto fast = CombinedGraph::Build(g1, g2).value();
-  auto slow = CombinedGraph::BuildLegacy(g1, g2).value();
-  EXPECT_TRUE(LabeledGraphsEqual(fast.graph(), slow.graph()));
-  auto fast2 = CombinedGraph::Build(g2, g1).value();
-  auto slow2 = CombinedGraph::BuildLegacy(g2, g1).value();
-  EXPECT_TRUE(LabeledGraphsEqual(fast2.graph(), slow2.graph()));
-  EXPECT_EQ(fast2.n1(), 0u);
+  ExpectMergeMatchesOracle(g1, g2);
+  ExpectMergeMatchesOracle(g2, g1);
+  EXPECT_EQ(CombinedGraph::Build(g2, g1).value().n1(), 0u);
 }
 
 // -------------------------------------------------------------- statistics ---
+
+/// Edge-alignment statistics and the delta of `p` equal the oracle's.
+void ExpectStatsAndDeltaMatchOracle(const CombinedGraph& cg,
+                                    const Partition& p) {
+  EdgeAlignmentStats flat_stats = ComputeEdgeAlignment(cg, p);
+  EdgeAlignmentStats legacy_stats = oracle::ComputeEdgeAlignment(cg, p);
+  EXPECT_EQ(flat_stats.total_edges, legacy_stats.total_edges);
+  EXPECT_EQ(flat_stats.aligned_edges, legacy_stats.aligned_edges);
+
+  RdfDelta flat_delta = ComputeDelta(cg, p);
+  RdfDelta legacy_delta = oracle::ComputeDelta(cg, p);
+  EXPECT_EQ(flat_delta.unchanged, legacy_delta.unchanged);
+  // added/deleted preserve triple order exactly.
+  EXPECT_EQ(flat_delta.added, legacy_delta.added);
+  EXPECT_EQ(flat_delta.deleted, legacy_delta.deleted);
+  // The oracle's rename order follows unordered_map iteration; compare as
+  // sets of (source, target) node pairs.
+  auto rename_set = [](const RdfDelta& d) {
+    std::set<std::pair<NodeId, NodeId>> out;
+    for (const UriRename& r : d.renamed_uris) out.emplace(r.source, r.target);
+    return out;
+  };
+  EXPECT_EQ(rename_set(flat_delta), rename_set(legacy_delta));
+  EXPECT_EQ(flat_delta.renamed_uris.size(), legacy_delta.renamed_uris.size());
+}
 
 TEST(StatsEquivalence, EdgeAlignmentAndDeltaMatchLegacy) {
   for (uint64_t seed : {3ull, 4ull, 5ull, 6ull}) {
     auto [g1, g2] = RandomVersionPair(seed);
     auto cg = CombinedGraph::Build(g1, g2).value();
-    for (int method = 0; method < 2; ++method) {
-      Partition p = method == 0 ? TrivialPartition(cg.graph())
-                                : HybridPartition(cg);
-      EdgeAlignmentStats flat_stats = ComputeEdgeAlignment(cg, p);
-      EdgeAlignmentStats legacy_stats = legacy::ComputeEdgeAlignment(cg, p);
-      EXPECT_EQ(flat_stats.total_edges, legacy_stats.total_edges);
-      EXPECT_EQ(flat_stats.aligned_edges, legacy_stats.aligned_edges);
-
-      RdfDelta flat_delta = ComputeDelta(cg, p);
-      RdfDelta legacy_delta = legacy::ComputeDelta(cg, p);
-      EXPECT_EQ(flat_delta.unchanged, legacy_delta.unchanged);
-      // added/deleted preserve triple order exactly.
-      EXPECT_EQ(flat_delta.added, legacy_delta.added);
-      EXPECT_EQ(flat_delta.deleted, legacy_delta.deleted);
-      // The legacy rename order followed unordered_map iteration; compare
-      // as sets of (source, target) node pairs.
-      auto rename_set = [](const RdfDelta& d) {
-        std::set<std::pair<NodeId, NodeId>> out;
-        for (const UriRename& r : d.renamed_uris) {
-          out.emplace(r.source, r.target);
-        }
-        return out;
-      };
-      EXPECT_EQ(rename_set(flat_delta), rename_set(legacy_delta));
-      EXPECT_EQ(flat_delta.renamed_uris.size(),
-                legacy_delta.renamed_uris.size());
-    }
+    ExpectStatsAndDeltaMatchOracle(cg, TrivialPartition(cg.graph()));
+    ExpectStatsAndDeltaMatchOracle(cg, HybridPartition(cg));
   }
 }
 
@@ -273,7 +276,7 @@ TEST(StatsEquivalence, PairEnumerationAndCrossoverMatchLegacy) {
     auto cg = CombinedGraph::Build(g1, g2).value();
     Partition p = HybridPartition(cg);
     auto flat_pairs = EnumerateAlignedPairs(cg, p);
-    auto legacy_pairs = legacy::EnumerateAlignedPairs(cg, p);
+    auto legacy_pairs = oracle::EnumerateAlignedPairs(cg, p);
     std::set<std::pair<NodeId, NodeId>> flat_set(flat_pairs.begin(),
                                                  flat_pairs.end());
     std::set<std::pair<NodeId, NodeId>> legacy_set(legacy_pairs.begin(),
@@ -281,7 +284,7 @@ TEST(StatsEquivalence, PairEnumerationAndCrossoverMatchLegacy) {
     EXPECT_EQ(flat_set, legacy_set);
     EXPECT_EQ(flat_pairs.size(), legacy_pairs.size());
     EXPECT_EQ(HasCrossoverProperty(flat_pairs),
-              legacy::HasCrossoverProperty(flat_pairs));
+              oracle::HasCrossoverProperty(flat_pairs));
     EXPECT_TRUE(HasCrossoverProperty(flat_pairs));
     // Limit still respected, deterministically.
     auto limited = EnumerateAlignedPairs(cg, p, 5);
@@ -293,13 +296,13 @@ TEST(StatsEquivalence, PairEnumerationAndCrossoverMatchLegacy) {
 TEST(StatsEquivalence, CrossoverCheckerAgreesOnViolations) {
   std::vector<std::pair<NodeId, NodeId>> bad = {{1, 10}, {1, 11}, {2, 10}};
   EXPECT_FALSE(HasCrossoverProperty(bad));
-  EXPECT_FALSE(legacy::HasCrossoverProperty(bad));
+  EXPECT_FALSE(oracle::HasCrossoverProperty(bad));
   bad.emplace_back(2, 11);
   EXPECT_TRUE(HasCrossoverProperty(bad));
-  EXPECT_TRUE(legacy::HasCrossoverProperty(bad));
+  EXPECT_TRUE(oracle::HasCrossoverProperty(bad));
   // Duplicated pairs must not change the verdict.
   bad.push_back(bad.front());
-  EXPECT_EQ(HasCrossoverProperty(bad), legacy::HasCrossoverProperty(bad));
+  EXPECT_EQ(HasCrossoverProperty(bad), oracle::HasCrossoverProperty(bad));
 }
 
 // ------------------------------------------------------------ OverlapMatch ---
@@ -310,8 +313,8 @@ struct DualFixture {
   std::vector<NodeId> b_nodes;
   CharacterizingSets a_csr;
   CharacterizingSets b_csr;
-  legacy::VectorCharSets a_vec;
-  legacy::VectorCharSets b_vec;
+  oracle::VectorCharSets a_vec;
+  oracle::VectorCharSets b_vec;
   std::vector<std::string> a_text;
   std::vector<std::string> b_text;
 };
@@ -348,6 +351,23 @@ DualFixture MakeDualFixture(uint64_t seed, size_t n, double typo_prob) {
   return f;
 }
 
+/// Byte identity: same edges, same order, same distances, same counters.
+void ExpectMatchingsIdentical(const BipartiteMatching& flat,
+                              const OverlapMatchStats& flat_stats,
+                              const BipartiteMatching& legacy_h,
+                              const OverlapMatchStats& legacy_stats) {
+  ASSERT_EQ(flat.edges.size(), legacy_h.edges.size());
+  for (size_t i = 0; i < flat.edges.size(); ++i) {
+    EXPECT_EQ(flat.edges[i].a, legacy_h.edges[i].a) << i;
+    EXPECT_EQ(flat.edges[i].b, legacy_h.edges[i].b) << i;
+    EXPECT_EQ(flat.edges[i].distance, legacy_h.edges[i].distance) << i;
+  }
+  EXPECT_EQ(flat_stats.candidates_probed, legacy_stats.candidates_probed);
+  EXPECT_EQ(flat_stats.overlap_checked, legacy_stats.overlap_checked);
+  EXPECT_EQ(flat_stats.sigma_checked, legacy_stats.sigma_checked);
+  EXPECT_EQ(flat_stats.matched, legacy_stats.matched);
+}
+
 class OverlapMatchByteIdentity
     : public ::testing::TestWithParam<std::tuple<uint64_t, double, bool>> {};
 
@@ -366,19 +386,9 @@ TEST_P(OverlapMatchByteIdentity, EdgesAndCountersAreIdenticalToLegacy) {
                                         f.b_csr, theta, sigma, options,
                                         &flat_stats);
   BipartiteMatching legacy_h =
-      legacy::OverlapMatch(f.a_nodes, f.b_nodes, f.a_vec, f.b_vec, theta,
+      oracle::OverlapMatch(f.a_nodes, f.b_nodes, f.a_vec, f.b_vec, theta,
                            sigma, options, &legacy_stats);
-  // Byte identity: same edges, same order, same distances, same counters.
-  ASSERT_EQ(flat.edges.size(), legacy_h.edges.size());
-  for (size_t i = 0; i < flat.edges.size(); ++i) {
-    EXPECT_EQ(flat.edges[i].a, legacy_h.edges[i].a) << i;
-    EXPECT_EQ(flat.edges[i].b, legacy_h.edges[i].b) << i;
-    EXPECT_EQ(flat.edges[i].distance, legacy_h.edges[i].distance) << i;
-  }
-  EXPECT_EQ(flat_stats.candidates_probed, legacy_stats.candidates_probed);
-  EXPECT_EQ(flat_stats.overlap_checked, legacy_stats.overlap_checked);
-  EXPECT_EQ(flat_stats.sigma_checked, legacy_stats.sigma_checked);
-  EXPECT_EQ(flat_stats.matched, legacy_stats.matched);
+  ExpectMatchingsIdentical(flat, flat_stats, legacy_h, legacy_stats);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -392,11 +402,93 @@ TEST(OverlapMatchByteIdentityTest, EmptyAndDegenerateInputs) {
   auto zero = [](size_t, size_t) { return 0.0; };
   OverlapMatchStats s1, s2;
   auto e1 = OverlapMatch({}, f.b_nodes, {}, f.b_csr, 0.5, zero, {}, &s1);
-  auto e2 = legacy::OverlapMatch({}, f.b_nodes, {}, f.b_vec, 0.5, zero, {},
+  auto e2 = oracle::OverlapMatch({}, f.b_nodes, {}, f.b_vec, 0.5, zero, {},
                                  &s2);
   EXPECT_TRUE(e1.Empty());
   EXPECT_TRUE(e2.Empty());
   EXPECT_EQ(s1.candidates_probed, s2.candidates_probed);
+}
+
+// ------------------------------------------------- generated, every phase ---
+
+// One fig16-size category pair (scale 1) run through every non-refinement
+// phase — merge, partition ops on the hybrid partition, overlap match over
+// the unaligned non-literals, statistics and delta — each checked against
+// the oracle. It is above the kernels' 1 << 15 parallel floor, so the
+// merge is also checked with the pool engaged.
+TEST(GeneratedPipelineEquivalence, CategoryPairEveryPhase) {
+  gen::CategoryChain chain = gen::CategoryChain::Generate(
+      gen::CategoryOptions::FromScale(1.0, /*versions=*/2, /*seed=*/5));
+  const TripleGraph& g1 = chain.Version(0);
+  const TripleGraph& g2 = chain.Version(1);
+  ExpectMergeMatchesOracle(g1, g2);
+  ExpectMergeMatchesOracle(g1, g2, /*threads=*/4);
+  auto cg = CombinedGraph::Build(g1, g2).value();
+  const TripleGraph& g = cg.graph();
+
+  // Partition ops.
+  const Partition hybrid = HybridPartition(cg);
+  const Partition label = LabelPartition(g);
+  EXPECT_EQ(label.colors(), oracle::LabelPartition(g).colors());
+  auto [renumbered, count] = oracle::RenumberFirstOccurrence(hybrid.colors());
+  EXPECT_EQ(Partition::FromColors(hybrid.colors()).colors(), renumbered);
+  EXPECT_EQ(hybrid.NumColors(), count);
+  PartitionClasses classes = hybrid.Classes();
+  std::vector<std::vector<NodeId>> oracle_classes =
+      oracle::PartitionClassesVectors(hybrid);
+  ASSERT_EQ(classes.size(), oracle_classes.size());
+  for (size_t c = 0; c < classes.size(); ++c) {
+    std::span<const NodeId> members = classes[c];
+    ASSERT_TRUE(std::equal(members.begin(), members.end(),
+                           oracle_classes[c].begin(), oracle_classes[c].end()))
+        << "class " << c;
+  }
+  EXPECT_TRUE(oracle::PartitionEquivalent(hybrid, hybrid));
+  EXPECT_EQ(Partition::IsFinerOrEqual(hybrid, label),
+            oracle::PartitionIsFinerOrEqual(hybrid, label));
+  EXPECT_EQ(Partition::IsFinerOrEqual(label, hybrid),
+            oracle::PartitionIsFinerOrEqual(label, hybrid));
+
+  // Overlap match over the non-literals the trivial partition leaves
+  // unaligned (the hybrid one re-aligns every non-literal of this chain,
+  // which would leave the match nothing to do).
+  const Partition trivial = TrivialPartition(g);
+  EXPECT_EQ(trivial.colors(), oracle::TrivialPartition(g).colors());
+  WeightedPartition xi = MakeZeroWeighted(trivial);
+  std::vector<NodeId> a_nodes, b_nodes;
+  std::vector<ClassSides> sides = ComputeClassSides(cg, trivial);
+  for (NodeId n = 0; n < g.NumNodes(); ++n) {
+    if (g.IsLiteral(n) || sides[trivial.ColorOf(n)] == ClassSides::kBoth) {
+      continue;
+    }
+    (cg.InSource(n) ? a_nodes : b_nodes).push_back(n);
+  }
+  ASSERT_FALSE(a_nodes.empty());
+  ASSERT_FALSE(b_nodes.empty());
+  CharacterizingSets a_csr, b_csr;
+  oracle::VectorCharSets a_vec, b_vec;
+  for (NodeId n : a_nodes) {
+    AppendOutColorSet(g, xi, n, a_csr);
+    a_vec.push_back(OutColorSet(g, xi, n));
+  }
+  for (NodeId n : b_nodes) {
+    AppendOutColorSet(g, xi, n, b_csr);
+    b_vec.push_back(OutColorSet(g, xi, n));
+  }
+  auto sigma = [&](size_t x, size_t y) {
+    return SigmaNonLiteral(g, xi, a_nodes[x], b_nodes[y]);
+  };
+  OverlapMatchStats flat_stats, oracle_stats;
+  BipartiteMatching flat = OverlapMatch(a_nodes, b_nodes, a_csr, b_csr, 0.65,
+                                        sigma, {}, &flat_stats);
+  BipartiteMatching oracle_h = oracle::OverlapMatch(
+      a_nodes, b_nodes, a_vec, b_vec, 0.65, sigma, {}, &oracle_stats);
+  ExpectMatchingsIdentical(flat, flat_stats, oracle_h, oracle_stats);
+  EXPECT_GT(flat_stats.matched, 0u);
+
+  // Statistics and delta.
+  ExpectStatsAndDeltaMatchOracle(cg, trivial);
+  ExpectStatsAndDeltaMatchOracle(cg, hybrid);
 }
 
 // The full overlap alignment (word interning through Dictionary, streamed

@@ -1,4 +1,4 @@
-#include "core/pipeline_legacy.h"
+#include "pipeline_oracle.h"
 
 #include <algorithm>
 #include <cmath>
@@ -10,7 +10,7 @@
 
 #include "util/hash.h"
 
-namespace rdfalign::legacy {
+namespace rdfalign::oracle {
 
 namespace {
 
@@ -85,6 +85,26 @@ std::vector<std::vector<NodeId>> PartitionClassesVectors(const Partition& p) {
     out[p.ColorOf(i)].push_back(i);
   }
   return out;
+}
+
+Result<TripleGraph> ReindexedUnion(const TripleGraph& g1,
+                                   const TripleGraph& g2) {
+  const NodeId n1 = static_cast<NodeId>(g1.NumNodes());
+  std::vector<NodeLabel> labels;
+  labels.reserve(g1.NumNodes() + g2.NumNodes());
+  labels.insert(labels.end(), g1.labels().begin(), g1.labels().end());
+  labels.insert(labels.end(), g2.labels().begin(), g2.labels().end());
+
+  std::vector<Triple> triples;
+  triples.reserve(g1.NumEdges() + g2.NumEdges());
+  triples.insert(triples.end(), g1.triples().begin(), g1.triples().end());
+  for (const Triple& t : g2.triples()) {
+    triples.push_back(Triple{t.s + n1, t.p + n1, t.o + n1});
+  }
+  // The union is a triple graph, not an RDF graph: skip RDF validation
+  // (label uniqueness does not hold across sides by design).
+  return TripleGraph::FromParts(g1.dict_ptr(), std::move(labels),
+                                std::move(triples), /*validate_rdf=*/false);
 }
 
 Partition LabelPartition(const TripleGraph& g) {
@@ -350,4 +370,4 @@ BipartiteMatching OverlapMatch(
   return h;
 }
 
-}  // namespace rdfalign::legacy
+}  // namespace rdfalign::oracle

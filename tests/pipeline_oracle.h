@@ -1,19 +1,15 @@
-// Reference (pre-flat-rewrite) implementations of the alignment pipeline's
-// glue: hash-map/tree-based Partition ops, edge/delta statistics, pair
+// Test-only oracles for the alignment pipeline's glue: the hash-map/
+// tree-based implementations that the flat dense-ID rewrite replaced —
+// Partition ops, the union of two versions, edge/delta statistics, pair
 // enumeration, and the unordered-map inverted index of Algorithm 1.
 //
-// These are the exact algorithms the dense-ID rewrite replaced. They are
-// kept — like RefinementOptions{.incremental=false} keeps the full-rescan
-// refinement engine — for two purposes:
-//   * bench/pipeline_bench.cc A/Bs each phase against them and refuses to
-//     emit BENCH_pipeline.json unless the outputs are identical;
-//   * tests/pipeline_equivalence_test.cc uses them as oracles on random,
-//     non-contiguous, and adversarial inputs.
-// They are NOT on any production path; do not "optimize" them — their value
-// is being a faithful copy of the old semantics.
+// tests/pipeline_equivalence_test.cc checks the production code against
+// them on random, non-contiguous, adversarial, and generated inputs. Do
+// not "optimize" them: their value is being a faithful, obviously correct
+// copy of the old semantics.
 
-#ifndef RDFALIGN_CORE_PIPELINE_LEGACY_H_
-#define RDFALIGN_CORE_PIPELINE_LEGACY_H_
+#ifndef RDFALIGN_TESTS_PIPELINE_ORACLE_H_
+#define RDFALIGN_TESTS_PIPELINE_ORACLE_H_
 
 #include <cstdint>
 #include <functional>
@@ -26,8 +22,9 @@
 #include "core/overlap.h"
 #include "core/partition.h"
 #include "rdf/merge.h"
+#include "util/result.h"
 
-namespace rdfalign::legacy {
+namespace rdfalign::oracle {
 
 /// Per-node characterizing sets as the pre-rewrite per-node heap vectors.
 using VectorCharSets = std::vector<std::vector<uint64_t>>;
@@ -45,6 +42,12 @@ bool PartitionIsFinerOrEqual(const Partition& fine, const Partition& coarse);
 
 /// Per-class member vectors (the old Partition::Classes shape).
 std::vector<std::vector<NodeId>> PartitionClassesVectors(const Partition& p);
+
+/// The union G1 ⊎ G2 the slow way: concatenate the parts and rebuild
+/// every index through TripleGraph::FromParts (the old
+/// CombinedGraph::Build). Target ids are shifted by g1.NumNodes().
+Result<TripleGraph> ReindexedUnion(const TripleGraph& g1,
+                                   const TripleGraph& g2);
 
 /// The old hash-keyed label partitions.
 Partition LabelPartition(const TripleGraph& g);
@@ -75,6 +78,6 @@ BipartiteMatching OverlapMatch(
     const OverlapMatchOptions& options = {},
     OverlapMatchStats* stats = nullptr);
 
-}  // namespace rdfalign::legacy
+}  // namespace rdfalign::oracle
 
-#endif  // RDFALIGN_CORE_PIPELINE_LEGACY_H_
+#endif  // RDFALIGN_TESTS_PIPELINE_ORACLE_H_
