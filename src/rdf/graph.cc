@@ -146,7 +146,6 @@ Result<TripleGraph> TripleGraph::FromParts(std::shared_ptr<Dictionary> dict,
   ParallelSort(triples, threads);
   triples.erase(std::unique(triples.begin(), triples.end()), triples.end());
   g.BuildIndexes(std::move(triples), threads);
-  g.BuildLabelMap();
   if (validate_rdf) {
     RDFALIGN_RETURN_IF_ERROR(g.ValidateRdf());
   }
@@ -166,7 +165,6 @@ TripleGraph TripleGraph::FromIndexedParts(
   g.out_pairs_ = std::move(out_pairs);
   g.in_offsets_ = std::move(in_offsets);
   g.in_subjects_ = std::move(in_subjects);
-  g.BuildLabelMap();
   return g;
 }
 
@@ -263,18 +261,6 @@ void TripleGraph::BuildIndexes(std::vector<Triple> triples, size_t threads) {
   in_subjects_ = SharedArray<NodeId>(std::move(in_subjects));
 }
 
-void TripleGraph::BuildLabelMap() {
-  const size_t n = labels_.size();
-  node_by_label_.clear();
-  node_by_label_.reserve(n);
-  for (NodeId i = 0; i < n; ++i) {
-    // Later nodes do not overwrite earlier ones; for unique-label graphs
-    // there is no collision anyway, and for combined graphs lookup by label
-    // is not meaningful (we keep the first, i.e. the source-graph node).
-    node_by_label_.emplace(LabelKey(labels_[i].kind, labels_[i].lex), i);
-  }
-}
-
 Status TripleGraph::ValidateRdf() const {
   for (const Triple& t : triples_) {
     if (IsLiteral(t.s)) {
@@ -294,25 +280,41 @@ Status TripleGraph::ValidateRdf() const {
   return Status::OK();
 }
 
-NodeId TripleGraph::FindUri(std::string_view uri) const {
-  LexId lex = dict_->Find(uri);
+NodeId TripleGraph::FindNode(TermKind kind, std::string_view lexical) const {
+  const LexId lex = dict_->Find(lexical);
   if (lex == kInvalidLex) return kInvalidNode;
-  auto it = node_by_label_.find(LabelKey(TermKind::kUri, lex));
-  return it == node_by_label_.end() ? kInvalidNode : it->second;
+  auto key_of = [this](NodeId i) {
+    return LabelKey(labels_[i].kind, labels_[i].lex);
+  };
+  LabelIndex& index = *label_index_;
+  std::call_once(index.built, [&] {
+    // Ascending insertion keeps the first node of a repeated label; for
+    // unique-label graphs there is no repeat, and in a combined graph the
+    // source-side node wins.
+    index.nodes.Reserve(labels_.size(),
+                        [&](NodeId i) { return Mix64(key_of(i)); });
+    for (NodeId i = 0; i < labels_.size(); ++i) {
+      const uint64_t key = key_of(i);
+      index.nodes.FindOrInsert(
+          Mix64(key), [&](NodeId j) { return key_of(j) == key; },
+          [i] { return i; });
+    }
+  });
+  const uint64_t key = LabelKey(kind, lex);
+  return index.nodes.Find(Mix64(key),
+                          [&](NodeId j) { return key_of(j) == key; });
+}
+
+NodeId TripleGraph::FindUri(std::string_view uri) const {
+  return FindNode(TermKind::kUri, uri);
 }
 
 NodeId TripleGraph::FindLiteral(std::string_view value) const {
-  LexId lex = dict_->Find(value);
-  if (lex == kInvalidLex) return kInvalidNode;
-  auto it = node_by_label_.find(LabelKey(TermKind::kLiteral, lex));
-  return it == node_by_label_.end() ? kInvalidNode : it->second;
+  return FindNode(TermKind::kLiteral, value);
 }
 
 NodeId TripleGraph::FindBlank(std::string_view local_name) const {
-  LexId lex = dict_->Find(local_name);
-  if (lex == kInvalidLex) return kInvalidNode;
-  auto it = node_by_label_.find(LabelKey(TermKind::kBlank, lex));
-  return it == node_by_label_.end() ? kInvalidNode : it->second;
+  return FindNode(TermKind::kBlank, local_name);
 }
 
 size_t TripleGraph::CountOfKind(TermKind kind) const {

@@ -10,11 +10,17 @@
 // Storage: the triple list and the CSR indexes are SharedArrays — normally
 // owned vectors, but the snapshot store (src/store) can hand them in as
 // zero-copy views into a pinned load buffer or file mapping.
+//
+// Lookup by label (FindUri / FindLiteral / FindBlank) goes through a flat
+// node-by-label table that is built on the first lookup, not when the
+// graph is assembled: loading, rebinding and merging never pay for it, and
+// no alignment path asks for it.
 
 #ifndef RDFALIGN_RDF_GRAPH_H_
 #define RDFALIGN_RDF_GRAPH_H_
 
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <string_view>
@@ -23,16 +29,22 @@
 
 #include "rdf/dictionary.h"
 #include "rdf/term.h"
+#include "util/flat_id_table.h"
 #include "util/result.h"
 #include "util/shared_array.h"
 #include "util/status.h"
 
 namespace rdfalign {
 
+static_assert(FlatIdTable::kEmpty == kInvalidNode,
+              "a FlatIdTable miss must read as kInvalidNode");
+
 /// An immutable triple graph with a CSR index of outbound neighborhoods.
 class TripleGraph {
  public:
-  TripleGraph() : dict_(std::make_shared<Dictionary>()) {}
+  TripleGraph()
+      : dict_(std::make_shared<Dictionary>()),
+        label_index_(std::make_shared<LabelIndex>()) {}
 
   /// Builds a graph from parts. Does NOT deduplicate nodes (callers such as
   /// the disjoint-union constructor rely on that). Sorts and deduplicates
@@ -49,8 +61,8 @@ class TripleGraph {
   /// Assembles a graph from *pre-indexed* parts: the triple list must be
   /// sorted and deduplicated and the two CSR indexes must be exactly what
   /// BuildIndexes() would produce for it. No sorting, index construction,
-  /// or validation happens — only the label lookup map is rebuilt. This is
-  /// the snapshot store's zero-parse load path; the loader is responsible
+  /// or validation happens. This is the snapshot store's zero-parse load
+  /// path (and the rebind and merge path); the loader is responsible
   /// for having validated the arrays (see store/snapshot.cc). Passing
   /// inconsistent arrays is undefined behavior.
   static TripleGraph FromIndexedParts(std::shared_ptr<Dictionary> dict,
@@ -133,7 +145,9 @@ class TripleGraph {
   const std::shared_ptr<Dictionary>& dict_ptr() const { return dict_; }
 
   /// Node lookup by label; kInvalidNode when absent. Unique-label graphs
-  /// (built via GraphBuilder) have at most one match.
+  /// (built via GraphBuilder) have at most one match; otherwise the lowest
+  /// node id wins (for a combined graph, the source-side node). The first
+  /// call builds the lookup table; concurrent const callers are safe.
   NodeId FindUri(std::string_view uri) const;
   NodeId FindLiteral(std::string_view value) const;
   /// Blank lookup is by *local* name, a per-graph convenience.
@@ -158,11 +172,17 @@ class TripleGraph {
   // deduplicated).
   SharedArray<uint64_t> in_offsets_;  // size NumNodes()+1
   SharedArray<NodeId> in_subjects_;   // size <= 2 * NumEdges()
-  // Label -> node maps for lookup (kind-tagged).
-  std::unordered_map<uint64_t, NodeId> node_by_label_;
+  // Label -> lowest node id, built by the first Find* call. Held by
+  // shared_ptr so the graph stays movable (copies share it; their labels
+  // are equal).
+  struct LabelIndex {
+    std::once_flag built;
+    FlatIdTable nodes;
+  };
+  std::shared_ptr<LabelIndex> label_index_;
 
   void BuildIndexes(std::vector<Triple> triples, size_t threads = 1);
-  void BuildLabelMap();
+  NodeId FindNode(TermKind kind, std::string_view lexical) const;
   Status ValidateRdf() const;
   static uint64_t LabelKey(TermKind kind, LexId lex);
 };

@@ -1,6 +1,7 @@
 #include "service/graph_source.h"
 
 #include <cstring>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -28,19 +29,21 @@ uint64_t LoadedGraphBytes(const TripleGraph& g) {
   for (LexId id = 0; id < dict.size(); ++id) {
     term_bytes += dict.Get(id).size();
   }
-  // Payload arrays are exact; the dictionary index and the label lookup
-  // map are estimated at a fixed per-entry overhead so the accounting
-  // stays a pure function of the graph's content.
-  constexpr uint64_t kPerTermOverhead = 48;   // view + hash index entry
-  constexpr uint64_t kPerNodeOverhead = 24;   // label lookup map entry
+  // Payload arrays are exact; the dictionary's per-term columns and hash
+  // index are charged at a fixed per-term overhead so the accounting stays
+  // a pure function of the graph's content. Index slots run at load factor
+  // 3/8..3/4, so two four-byte slots per term is the midpoint. No node
+  // lookup map is charged: it is built only on a label lookup, which no
+  // service path performs.
+  constexpr uint64_t kPerTermOverhead =
+      sizeof(std::string_view) + sizeof(uint64_t) + 2 * sizeof(LexId);
   return g.labels().size() * sizeof(NodeLabel) +
          g.triples().size() * sizeof(Triple) +
          g.OutOffsets().size() * sizeof(uint64_t) +
          g.OutPairs().size() * sizeof(PredicateObject) +
          g.InOffsets().size() * sizeof(uint64_t) +
          g.InSubjects().size() * sizeof(NodeId) + term_bytes +
-         dict.size() * kPerTermOverhead +
-         g.NumNodes() * kPerNodeOverhead;
+         dict.size() * kPerTermOverhead;
 }
 
 Result<LoadedGraphRef> LoadGraphFile(const std::string& path,
@@ -94,12 +97,21 @@ TripleGraph RebindGraph(const LoadedGraphRef& src,
 
   // Intern in ascending source-id order. A freshly loaded graph's
   // dictionary holds exactly its referenced terms in load order, so this
-  // reproduces the LexId numbering of loading straight into `dict`.
+  // reproduces the LexId numbering of loading straight into `dict`. Each
+  // term costs one probe with the hash its source dictionary cached when
+  // the graph was loaded; no term is hashed again.
   std::vector<uint8_t> used(src_dict.size(), 0);
-  for (const NodeLabel& l : g.labels()) used[l.lex] = 1;
+  size_t num_used = 0;
+  for (const NodeLabel& l : g.labels()) {
+    num_used += used[l.lex] == 0;
+    used[l.lex] = 1;
+  }
+  dict->Reserve(dict->size() + num_used);
   std::vector<LexId> remap(src_dict.size(), kInvalidLex);
   for (LexId id = 0; id < src_dict.size(); ++id) {
-    if (used[id]) remap[id] = dict->InternPinned(src_dict.Get(id));
+    if (used[id]) {
+      remap[id] = dict->InternPinned(src_dict.Get(id), src_dict.HashOf(id));
+    }
   }
 
   std::vector<NodeLabel> labels(g.NumNodes());

@@ -95,7 +95,8 @@ uint64_t LoadedGraphBytes(const TripleGraph& g);
 
 /// Rebinds `src`'s graph into `dict`: terms are interned (as pinned
 /// views; `src` itself is pinned into `dict` as the arena) in ascending
-/// source-LexId order, the label column is rewritten, and the triple /
+/// source-LexId order, each with the hash its source dictionary cached,
+/// the label column is rewritten, and the triple /
 /// CSR arrays are adopted as zero-copy views kept alive by `src`. The
 /// result is content-identical to the source graph and safe to use after
 /// the source is evicted from any cache.

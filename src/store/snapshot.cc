@@ -576,6 +576,7 @@ Result<TripleGraph> LoadFromRaw(const RawSnapshot& raw,
   if (dict == nullptr) dict = std::make_shared<Dictionary>();
   dict->PinArena(raw.pin);
   const size_t dict_before = dict->size();
+  dict->Reserve(dict_before + t);
   std::vector<LexId> remap(t);
   bool identity = true;
   if (fc) {

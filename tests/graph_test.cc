@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
 #include <set>
 #include <string>
+#include <string_view>
+#include <unordered_map>
+#include <vector>
 
 #include "rdf/dictionary.h"
 
@@ -36,6 +40,109 @@ TEST(DictionaryTest, ManyStringsStayStable) {
   for (int i = 0; i < 1000; ++i) {
     EXPECT_EQ(d.Get(ids[i]), "s" + std::to_string(i));
   }
+}
+
+// Terms whose hashes agree in their low 16 bits: they share a home slot
+// at every index capacity up to 65536, so each probes past the others.
+std::vector<std::string> SlotCollidingTerms(size_t count) {
+  std::vector<std::string> out;
+  const uint64_t home = Dictionary::Hash("") & 0xffff;
+  for (uint64_t i = 0; out.size() < count; ++i) {
+    std::string s = "collide-" + std::to_string(i);
+    if ((Dictionary::Hash(s) & 0xffff) == home) out.push_back(std::move(s));
+  }
+  return out;
+}
+
+// A seeded random mix of Intern, InternPinned (with and without a hash),
+// Find and Reserve against a std::unordered_map reference model, over a
+// term pool that holds the empty string and a group of slot-colliding
+// terms, large enough to cross many index growths.
+TEST(DictionaryTest, MatchesReferenceModelAcrossRehashes) {
+  std::mt19937_64 rng(20261017);
+  // The pool backs the pinned views, so it is built once and never
+  // touched again, and it outlives the dictionary.
+  std::vector<std::string> pool = SlotCollidingTerms(8);
+  pool.push_back("");
+  const size_t num_special = pool.size();  // drawn a quarter of the time
+  for (int i = 0; i < 4000; ++i) {
+    std::string s = (rng() % 2 == 0) ? "http://example.org/" : "";
+    const size_t len = rng() % 24;
+    for (size_t k = 0; k < len; ++k) {
+      s.push_back(static_cast<char>('a' + rng() % 6));
+    }
+    pool.push_back(std::move(s));
+  }
+
+  Dictionary dict;
+  std::unordered_map<std::string_view, LexId> model;
+  std::vector<std::string_view> first_view;  // reference id -> view at intern
+  size_t reserves = 0;
+  for (int step = 0; step < 20000; ++step) {
+    const std::string& term =
+        pool[rng() % (rng() % 4 == 0 ? num_special : pool.size())];
+    LexId got = kInvalidLex;
+    switch (rng() % 5) {
+      case 0:
+        got = dict.Intern(term);
+        break;
+      case 1:
+        got = dict.InternPinned(term);
+        break;
+      case 2:
+        got = dict.InternPinned(term, Dictionary::Hash(term));
+        break;
+      case 3: {
+        auto it = model.find(term);
+        ASSERT_EQ(dict.Find(term), it == model.end() ? kInvalidLex : it->second)
+            << "step " << step;
+        continue;
+      }
+      default:
+        if (rng() % 64 == 0) {
+          dict.Reserve(dict.size() + rng() % 512);
+          ++reserves;
+        }
+        continue;
+    }
+    auto [it, inserted] =
+        model.emplace(term, static_cast<LexId>(first_view.size()));
+    if (inserted) first_view.push_back(dict.Get(got));
+    ASSERT_EQ(got, it->second) << "step " << step << " term '" << term << "'";
+  }
+
+  // Ids are dense and first-come; bytes and views survive every growth;
+  // each cached hash is the hash of the stored bytes.
+  ASSERT_EQ(dict.size(), first_view.size());
+  ASSERT_GT(dict.size(), 2048u);  // crossed the 16 .. 4096-slot growths
+  EXPECT_GT(reserves, 0u);
+  for (const auto& [term, id] : model) {
+    EXPECT_EQ(dict.Get(id), term);
+    EXPECT_EQ(dict.Get(id).data(), first_view[id].data()) << "id " << id;
+    EXPECT_EQ(dict.HashOf(id), Dictionary::Hash(dict.Get(id)));
+    EXPECT_EQ(dict.Find(term), id);
+  }
+  EXPECT_NE(model.find(""), model.end());
+  for (const std::string& term : SlotCollidingTerms(8)) {
+    EXPECT_NE(dict.Find(term), kInvalidLex) << term;
+  }
+}
+
+// A full 64-bit hash match never stands in for byte equality. Real term
+// hashes do not collide in any practical pool, so this forges one by
+// handing a second term the first term's hash.
+TEST(DictionaryTest, EqualHashesStillCompareBytes) {
+  const std::string a = "http://example.org/a";
+  const std::string b = "http://example.org/b";
+  const uint64_t h = Dictionary::Hash(a);
+  Dictionary dict;
+  const LexId ia = dict.InternPinned(a, h);
+  const LexId ib = dict.InternPinned(b, h);
+  EXPECT_NE(ia, ib);
+  EXPECT_EQ(dict.InternPinned(a, h), ia);
+  EXPECT_EQ(dict.InternPinned(b, h), ib);
+  EXPECT_EQ(dict.size(), 2u);
+  EXPECT_EQ(dict.Get(ib), b);
 }
 
 TEST(GraphBuilderTest, DeduplicatesUrisAndLiterals) {

@@ -2,7 +2,9 @@
 // against LoadedGraphBytes, refcounted eviction under in-flight requests,
 // content-fingerprint keying across distinct paths, and (in the
 // *Parallel* suite, which runs in the CI TSan lane) concurrent hammering
-// at {1,2,4,8} threads.
+// at {1,2,4,8} threads. Also the RebindGraph numbering contract, and
+// (LazyLabelMapTest, also in the TSan lane) threads racing the first label
+// lookup on a shared cached or combined graph.
 
 #include "service/snapshot_cache.h"
 
@@ -11,11 +13,14 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "parser/ntriples_parser.h"
 #include "rdf/graph.h"
+#include "rdf/merge.h"
 #include "service/graph_source.h"
 #include "store/delta.h"
 #include "store/snapshot.h"
@@ -289,6 +294,164 @@ TEST(SnapshotCacheTest, ClearDropsEverythingButKeepsHeldRefs) {
   EXPECT_FALSE(again->cache_hit);
 
   std::remove(a.c_str());
+}
+
+// Loads one graph file into a caller-supplied shared dictionary.
+using SharedLoad = std::function<Result<TripleGraph>(
+    const std::string&, std::shared_ptr<Dictionary>)>;
+
+// graph_source.h's contract: rebinding two separately loaded graphs into
+// one dictionary numbers every term exactly as loading both files straight
+// into that dictionary would.
+void ExpectRebindMatchesSharedLoad(const std::string& a, const std::string& b,
+                                   const SharedLoad& load) {
+  auto shared = std::make_shared<Dictionary>();
+  Result<TripleGraph> ga = load(a, shared);
+  ASSERT_TRUE(ga.ok()) << ga.status().ToString();
+  Result<TripleGraph> gb = load(b, shared);
+  ASSERT_TRUE(gb.ok()) << gb.status().ToString();
+
+  DirectGraphSource direct;
+  Result<AcquiredGraph> la = direct.Acquire(a, CommonOptions(), false);
+  ASSERT_TRUE(la.ok()) << la.status().ToString();
+  Result<AcquiredGraph> lb = direct.Acquire(b, CommonOptions(), false);
+  ASSERT_TRUE(lb.ok()) << lb.status().ToString();
+  auto dict = std::make_shared<Dictionary>();
+  const TripleGraph ra = RebindGraph(la->loaded, dict);
+  const TripleGraph rb = RebindGraph(lb->loaded, dict);
+
+  ASSERT_EQ(dict->size(), shared->size());
+  for (LexId id = 0; id < dict->size(); ++id) {
+    ASSERT_EQ(dict->Get(id), shared->Get(id)) << "term " << id;
+  }
+  for (const auto& [rebound, loaded] :
+       {std::pair<const TripleGraph*, const TripleGraph*>{&ra, &*ga},
+        {&rb, &*gb}}) {
+    ASSERT_EQ(rebound->NumNodes(), loaded->NumNodes());
+    for (NodeId n = 0; n < rebound->NumNodes(); ++n) {
+      ASSERT_EQ(rebound->LexicalId(n), loaded->LexicalId(n)) << "node " << n;
+      ASSERT_EQ(rebound->KindOf(n), loaded->KindOf(n)) << "node " << n;
+    }
+    EXPECT_EQ(GraphsBitDiffer(*rebound, *loaded), nullptr);
+  }
+}
+
+Result<TripleGraph> LoadSnapshotShared(const std::string& path,
+                                       std::shared_ptr<Dictionary> dict) {
+  return store::LoadSnapshot(path, std::move(dict));
+}
+
+std::string DataPath(const std::string& name) {
+  return std::string(RDFALIGN_SOURCE_DIR) + "/tests/data/" + name;
+}
+
+TEST(RebindNumberingTest, V2SnapshotPair) {
+  const std::string dir = TestScratchDir();
+  auto [g1, g2] = rdfalign::testing::RandomEvolvingPair(7);
+  const std::string a = dir + "_a.snap";
+  const std::string b = dir + "_b.snap";
+  ASSERT_TRUE(store::WriteSnapshot(g1, a).ok());
+  ASSERT_TRUE(store::WriteSnapshot(g2, b).ok());
+  ExpectRebindMatchesSharedLoad(a, b, LoadSnapshotShared);
+  std::remove(a.c_str());
+  std::remove(b.c_str());
+}
+
+TEST(RebindNumberingTest, CommittedV1Fixtures) {
+  ExpectRebindMatchesSharedLoad(DataPath("fixture_base_v1.snap"),
+                                DataPath("fixture_next_v1.snap"),
+                                LoadSnapshotShared);
+}
+
+TEST(RebindNumberingTest, NTriplesPair) {
+  ExpectRebindMatchesSharedLoad(
+      DataPath("fixture_base.nt"), DataPath("fixture_next.nt"),
+      [](const std::string& path, std::shared_ptr<Dictionary> dict) {
+        return ParseNTriplesFile(path, std::move(dict));
+      });
+}
+
+// Races `threads` first lookups on `g`, which no one has queried yet:
+// every thread asks for every node's lexical form under all three kinds
+// (plus a term that was never interned), in its own rotation of the
+// order, and every answer must be what the eager map gave — the lowest
+// node with that kind and term, else kInvalidNode.
+void ExpectConcurrentFirstLookupsAgree(const TripleGraph& g) {
+  struct Query {
+    TermKind kind;
+    std::string lexical;
+    NodeId want;
+  };
+  std::vector<Query> queries;
+  for (NodeId n = 0; n < g.NumNodes(); ++n) {
+    for (TermKind kind :
+         {TermKind::kUri, TermKind::kLiteral, TermKind::kBlank}) {
+      NodeId want = kInvalidNode;
+      for (NodeId m = 0; m < g.NumNodes() && want == kInvalidNode; ++m) {
+        if (g.KindOf(m) == kind && g.LexicalId(m) == g.LexicalId(n)) want = m;
+      }
+      queries.push_back({kind, std::string(g.Lexical(n)), want});
+    }
+  }
+  for (TermKind kind :
+       {TermKind::kUri, TermKind::kLiteral, TermKind::kBlank}) {
+    queries.push_back({kind, "never interned", kInvalidNode});
+  }
+
+  constexpr size_t kThreads = 4;
+  std::atomic<size_t> ready{0};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) {
+      }
+      for (size_t i = 0; i < queries.size(); ++i) {
+        const Query& q = queries[(i + t * queries.size() / kThreads) %
+                                 queries.size()];
+        NodeId got = kInvalidNode;
+        switch (q.kind) {
+          case TermKind::kUri:
+            got = g.FindUri(q.lexical);
+            break;
+          case TermKind::kLiteral:
+            got = g.FindLiteral(q.lexical);
+            break;
+          case TermKind::kBlank:
+            got = g.FindBlank(q.lexical);
+            break;
+        }
+        if (got != q.want) mismatches.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
+TEST(LazyLabelMapTest, ConcurrentFirstLookupOnCachedGraph) {
+  const std::string dir = TestScratchDir();
+  const std::string a = WriteGraphSnapshot(dir, 3, 80);
+  SnapshotCache cache;
+  Result<AcquiredGraph> got = cache.Acquire(a, CommonOptions(), false);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ExpectConcurrentFirstLookupsAgree(got->loaded->graph);
+  std::remove(a.c_str());
+}
+
+TEST(LazyLabelMapTest, ConcurrentFirstLookupOnCombinedGraph) {
+  // Both sides of an evolving pair share most labels, so the combined
+  // graph repeats them and the source-side node must win.
+  auto [g1, g2] = rdfalign::testing::RandomEvolvingPair(11);
+  const CombinedGraph combined = rdfalign::testing::Combine(g1, g2);
+  size_t repeated = 0;
+  for (NodeId n = combined.n1(); n < combined.graph().NumNodes(); ++n) {
+    repeated += combined.graph().IsUri(n) &&
+                g1.FindUri(combined.graph().Lexical(n)) != kInvalidNode;
+  }
+  ASSERT_GT(repeated, 0u);
+  ExpectConcurrentFirstLookupsAgree(combined.graph());
 }
 
 // Runs in the TSan CI lane (filter *Parallel*): hammer one cache from
