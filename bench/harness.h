@@ -6,7 +6,6 @@
 #ifndef RDFALIGN_BENCH_HARNESS_H_
 #define RDFALIGN_BENCH_HARNESS_H_
 
-#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -27,16 +26,11 @@ class Flags {
   Flags(int argc, char** argv) : args_(argc, argv, 1) {}
 
   double GetDouble(const std::string& name, double fallback) const {
-    if (!args_.Has(name)) return fallback;
-    const std::string text = args_.GetString(name, "");
-    errno = 0;
-    char* end = nullptr;
-    const double value = std::strtod(text.c_str(), &end);
-    if (text.empty() || *end != '\0' || errno == ERANGE) {
-      Reject(name, "expects a number");
-    }
-    if (!(value >= 0)) Reject(name, "must be >= 0");
-    return value;
+    const std::optional<double> value =
+        args_.GetDouble(name, fallback, nullptr);
+    if (!value) Reject(name, "expects a number");
+    if (!(*value >= 0)) Reject(name, "must be >= 0");
+    return *value;
   }
 
   uint64_t GetInt(const std::string& name, uint64_t fallback) const {

@@ -167,7 +167,7 @@ bool RunPoint(double scale_point, size_t clients, size_t requests,
   char scale_flag[64];
   std::snprintf(scale_flag, sizeof(scale_flag), "--scale=%g", scale_point);
   if (service::ExecuteVerb({"gen", prefix, scale_flag, "--versions=2"},
-                           &direct, false)
+                           &direct)
           .exit_code != 0) {
     return false;
   }
@@ -176,7 +176,7 @@ bool RunPoint(double scale_point, size_t clients, size_t requests,
   for (int i = 1; i <= 2; ++i) {
     const std::string nt = prefix + std::to_string(i) + ".nt";
     const std::string snap = prefix + std::to_string(i) + ".snap";
-    if (service::ExecuteVerb({"build", nt, snap}, &direct, false)
+    if (service::ExecuteVerb({"build", nt, snap}, &direct)
             .exit_code != 0) {
       return false;
     }

@@ -95,8 +95,8 @@ Result<int> ConnectOnce(const std::string& resolved, const std::string& host,
 }  // namespace
 
 bool IsIdempotentVerb(const std::string& verb) {
-  return verb == "info" || verb == "align" || verb == "cache" ||
-         verb == "stats";
+  const VerbSpec* spec = FindVerb(verb);
+  return spec != nullptr && spec->idempotent;
 }
 
 int RetryBackoffMs(int base_ms, int attempt) {

@@ -66,7 +66,7 @@ class Client {
   Result<ClientResponse> CallWithPayload(
       const std::vector<std::string>& tokens, const std::string& payload);
 
-  /// Call for idempotent verbs only (info, align, cache, stats): a
+  /// Call for idempotent verbs only (see IsIdempotentVerb): a
   /// transport failure reconnects to the same endpoint and re-sends the
   /// request, up to options.retries times with jittered backoff. Never
   /// use for verbs with side effects — a retry could apply them twice.
@@ -91,7 +91,8 @@ class Client {
 };
 
 /// True when `verb` (the first forwarded token) is read-only and safe to
-/// auto-retry through CallIdempotent.
+/// auto-retry through CallIdempotent: its verb-table row says so
+/// (VerbSpec::idempotent in service/verbs.h).
 bool IsIdempotentVerb(const std::string& verb);
 
 /// Jittered exponential backoff: a uniformly random delay in

@@ -6,9 +6,6 @@
 
 namespace rdfalign::service {
 
-const char* const kCommonFlagNames[4] = {"threads", "mmap", "json",
-                                         "no-verify-checksums"};
-
 Args::Args(int argc, char** argv, int start) {
   std::vector<std::string> tokens;
   for (int i = start; i < argc; ++i) tokens.emplace_back(argv[i]);
@@ -56,9 +53,22 @@ std::optional<long long> Args::GetInt(const std::string& name,
   return value;
 }
 
-double Args::GetDouble(const std::string& name, double fallback) const {
+std::optional<double> Args::GetDouble(const std::string& name,
+                                      double fallback,
+                                      std::string* error) const {
   auto it = flags_.find(name);
-  return it == flags_.end() ? fallback : std::atof(it->second.c_str());
+  if (it == flags_.end()) return fallback;
+  errno = 0;
+  char* end = nullptr;
+  const double value = std::strtod(it->second.c_str(), &end);
+  if (it->second.empty() || *end != '\0' || errno == ERANGE) {
+    if (error) {
+      *error = "rdfalign: --" + name + " expects a number, got '" +
+               it->second + "'";
+    }
+    return std::nullopt;
+  }
+  return value;
 }
 
 bool Args::OnlyKnown(std::initializer_list<const char*> known,

@@ -44,7 +44,11 @@ class Args {
   std::optional<long long> GetInt(const std::string& name, long long fallback,
                                   std::string* error) const;
 
-  double GetDouble(const std::string& name, double fallback) const;
+  /// Strict like GetInt: "--scale=0.01junk" and "--scale=abc" are
+  /// reported into `error` ("rdfalign: --scale expects a number, got
+  /// 'abc'") and become nullopt.
+  std::optional<double> GetDouble(const std::string& name, double fallback,
+                                  std::string* error) const;
 
   /// Flags this command does not understand -> usage error (message into
   /// `error`, caller prints usage and exits 2).
@@ -60,8 +64,8 @@ class Args {
 
 /// The options shared by every verb, consolidated out of the former
 /// per-subcommand flag plumbing. `json` selects which renderer the
-/// dispatcher uses; the Run* implementations themselves never read it,
-/// so a response can always be re-rendered either way.
+/// dispatcher uses; of the Run* implementations only RunInfo reads it
+/// (the content fingerprint is computed only for the JSON report).
 struct CommonOptions {
   size_t threads = 1;           ///< 0 = all hardware threads
   bool use_mmap = false;        ///< map snapshots instead of buffering
@@ -80,10 +84,6 @@ struct CommonOptions {
 /// in `error`.
 bool ParseCommonFlags(const Args& args, const char* cmd, CommonOptions* out,
                       std::string* error);
-
-/// The common flag names, for OnlyKnown lists:
-/// {"threads", "mmap", "json", "no-verify-checksums"}.
-extern const char* const kCommonFlagNames[4];
 
 }  // namespace rdfalign::service
 

@@ -4,25 +4,93 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "util/string_util.h"
+
 namespace rdfalign::service {
 
-void JsonBuf::Appendf(const char* format, ...) {
-  va_list ap;
-  va_start(ap, format);
-  va_list ap2;
-  va_copy(ap2, ap);
-  const int n = std::vsnprintf(nullptr, 0, format, ap);
-  va_end(ap);
-  if (n > 0) {
-    const size_t old = out_.size();
-    out_.resize(old + static_cast<size_t>(n) + 1);
-    std::vsnprintf(out_.data() + old, static_cast<size_t>(n) + 1, format, ap2);
-    out_.resize(old + static_cast<size_t>(n));
-  }
-  va_end(ap2);
+JsonBuf& JsonBuf::Str(const char* key, std::string_view value) {
+  Key(key);
+  out_ += '"';
+  out_ += JsonEscape(value);
+  out_ += '"';
+  return *this;
 }
 
-std::string JsonEscape(const std::string& s) {
+JsonBuf& JsonBuf::Bool(const char* key, bool value) {
+  Key(key);
+  out_ += value ? "true" : "false";
+  return *this;
+}
+
+JsonBuf& JsonBuf::Num(const char* key, double value, int decimals) {
+  Key(key);
+  StrAppendf(&out_, "%.*f", decimals, value);
+  return *this;
+}
+
+JsonBuf& JsonBuf::Hex(const char* key, uint64_t value) {
+  Key(key);
+  StrAppendf(&out_, "\"%016llx\"", static_cast<unsigned long long>(value));
+  return *this;
+}
+
+JsonBuf& JsonBuf::Object(const char* key) {
+  Key(key);
+  out_ += '{';
+  levels_.push_back({Scope::kInline, true});
+  return *this;
+}
+
+JsonBuf& JsonBuf::Array(const char* key) {
+  Key(key);
+  out_ += '[';
+  levels_.push_back({Scope::kArray, true});
+  return *this;
+}
+
+JsonBuf& JsonBuf::Item() {
+  Next();
+  out_ += '{';
+  levels_.push_back({Scope::kInline, true});
+  return *this;
+}
+
+JsonBuf& JsonBuf::End() {
+  out_ += levels_.back().scope == Scope::kArray ? "\n  ]" : "}";
+  levels_.pop_back();
+  return *this;
+}
+
+std::string JsonBuf::Take() {
+  while (levels_.size() > 1) End();
+  out_ += "\n}\n";
+  return std::move(out_);
+}
+
+void JsonBuf::Next() {
+  Level& level = levels_.back();
+  switch (level.scope) {
+    case Scope::kTop:
+      out_ += level.empty ? "\n  " : ",\n  ";
+      break;
+    case Scope::kInline:
+      if (!level.empty) out_ += ", ";
+      break;
+    case Scope::kArray:
+      out_ += level.empty ? "\n    " : ",\n    ";
+      break;
+  }
+  level.empty = false;
+}
+
+void JsonBuf::Key(const char* key) {
+  Next();
+  out_ += '"';
+  out_ += key;
+  out_ += "\": ";
+}
+
+std::string JsonEscape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
   for (unsigned char c : s) {

@@ -1,14 +1,20 @@
 #include "service/metrics.h"
 
 #include "service/json.h"
+#include "util/string_util.h"
 #include "util/stats.h"
 
 namespace rdfalign::service {
 
 void ServerMetrics::Record(const std::string& verb, bool error,
                            double latency_ms) {
+  // Names outside the verb table share one row, so a client sending
+  // arbitrary verbs cannot grow the map (and every `stats` body).
+  const std::string row = verb.empty()                ? "(empty)"
+                          : FindVerb(verb) == nullptr ? "(unknown)"
+                                                      : verb;
   std::lock_guard<std::mutex> lock(mu_);
-  VerbStats& s = verbs_[verb.empty() ? "(empty)" : verb];
+  VerbStats& s = verbs_[row];
   ++s.requests;
   if (error) ++s.errors;
   if (latency_ms > s.max_ms) s.max_ms = latency_ms;
@@ -49,63 +55,61 @@ ServerMetrics::Snapshot ServerMetrics::Take() const {
 namespace {
 
 std::string StatsToJson(const ServerMetrics::Snapshot& s) {
-  JsonBuf b;
-  b.Appendf("{\n");
-  b.Appendf("  \"total_requests\": %llu,\n",
-            (unsigned long long)s.total_requests);
-  b.Appendf("  \"total_errors\": %llu,\n",
-            (unsigned long long)s.total_errors);
   const TransportCounters& t = s.transport;
-  b.Appendf(
-      "  \"transport\": {\"accept_retries\": %llu, \"load_shed\": %llu, "
-      "\"io_timeouts\": %llu, \"protocol_errors\": %llu, "
-      "\"sessions_parked\": %llu, \"sessions_resumed\": %llu, "
-      "\"sessions_expired\": %llu},\n",
-      (unsigned long long)t.accept_retries, (unsigned long long)t.load_shed,
-      (unsigned long long)t.io_timeouts,
-      (unsigned long long)t.protocol_errors,
-      (unsigned long long)t.sessions_parked,
-      (unsigned long long)t.sessions_resumed,
-      (unsigned long long)t.sessions_expired);
-  b.Appendf("  \"verbs\": [\n");
-  for (size_t i = 0; i < s.verbs.size(); ++i) {
-    const auto& v = s.verbs[i];
-    b.Appendf(
-        "    {\"verb\": \"%s\", \"requests\": %llu, \"errors\": %llu, "
-        "\"samples\": %zu, \"p50_ms\": %.3f, \"p95_ms\": %.3f, "
-        "\"p99_ms\": %.3f, \"max_ms\": %.3f}%s\n",
-        JsonEscape(v.verb).c_str(), (unsigned long long)v.requests,
-        (unsigned long long)v.errors, v.samples, v.p50_ms, v.p95_ms,
-        v.p99_ms, v.max_ms, i + 1 < s.verbs.size() ? "," : "");
+  JsonBuf b;
+  b.Int("total_requests", s.total_requests)
+      .Int("total_errors", s.total_errors)
+      .Object("transport")
+      .Int("accept_retries", t.accept_retries)
+      .Int("load_shed", t.load_shed)
+      .Int("io_timeouts", t.io_timeouts)
+      .Int("protocol_errors", t.protocol_errors)
+      .Int("sessions_parked", t.sessions_parked)
+      .Int("sessions_resumed", t.sessions_resumed)
+      .Int("sessions_expired", t.sessions_expired)
+      .End()
+      .Array("verbs");
+  for (const auto& v : s.verbs) {
+    b.Item()
+        .Str("verb", v.verb)
+        .Int("requests", v.requests)
+        .Int("errors", v.errors)
+        .Int("samples", v.samples)
+        .Num("p50_ms", v.p50_ms, 3)
+        .Num("p95_ms", v.p95_ms, 3)
+        .Num("p99_ms", v.p99_ms, 3)
+        .Num("max_ms", v.max_ms, 3)
+        .End();
   }
-  b.Appendf("  ]\n}\n");
   return b.Take();
 }
 
 std::string StatsToText(const ServerMetrics::Snapshot& s) {
-  JsonBuf b;
-  b.Appendf("rdfalignd stats: %llu requests, %llu errors\n",
-            (unsigned long long)s.total_requests,
-            (unsigned long long)s.total_errors);
+  std::string out;
+  StrAppendf(&out, "rdfalignd stats: %llu requests, %llu errors\n",
+             (unsigned long long)s.total_requests,
+             (unsigned long long)s.total_errors);
   const TransportCounters& t = s.transport;
-  b.Appendf(
-      "  transport accept_retries=%llu load_shed=%llu io_timeouts=%llu "
-      "protocol_errors=%llu parked=%llu resumed=%llu expired=%llu\n",
-      (unsigned long long)t.accept_retries, (unsigned long long)t.load_shed,
-      (unsigned long long)t.io_timeouts,
-      (unsigned long long)t.protocol_errors,
-      (unsigned long long)t.sessions_parked,
-      (unsigned long long)t.sessions_resumed,
-      (unsigned long long)t.sessions_expired);
+  StrAppendf(&out,
+             "  transport accept_retries=%llu load_shed=%llu "
+             "io_timeouts=%llu protocol_errors=%llu parked=%llu "
+             "resumed=%llu expired=%llu\n",
+             (unsigned long long)t.accept_retries,
+             (unsigned long long)t.load_shed,
+             (unsigned long long)t.io_timeouts,
+             (unsigned long long)t.protocol_errors,
+             (unsigned long long)t.sessions_parked,
+             (unsigned long long)t.sessions_resumed,
+             (unsigned long long)t.sessions_expired);
   for (const auto& v : s.verbs) {
-    b.Appendf(
-        "  %-8s requests=%-6llu errors=%-4llu p50=%.3fms p95=%.3fms "
-        "p99=%.3fms max=%.3fms\n",
-        v.verb.c_str(), (unsigned long long)v.requests,
-        (unsigned long long)v.errors, v.p50_ms, v.p95_ms, v.p99_ms,
-        v.max_ms);
+    StrAppendf(&out,
+               "  %-8s requests=%-6llu errors=%-4llu p50=%.3fms p95=%.3fms "
+               "p99=%.3fms max=%.3fms\n",
+               v.verb.c_str(), (unsigned long long)v.requests,
+               (unsigned long long)v.errors, v.p50_ms, v.p95_ms, v.p99_ms,
+               v.max_ms);
   }
-  return b.Take();
+  return out;
 }
 
 }  // namespace
@@ -113,15 +117,9 @@ std::string StatsToText(const ServerMetrics::Snapshot& s) {
 VerbResult HandleStatsVerb(const std::vector<std::string>& tokens,
                            const ServerMetrics& metrics) {
   VerbResult result;
-  result.verb = "stats";
+  result.verb = tokens[0];
   const Args args(std::vector<std::string>(tokens.begin() + 1, tokens.end()));
-  std::string message;
-  if (!args.positional().empty() || !args.OnlyKnown({"json"}, &message)) {
-    result.exit_code = 2;
-    result.usage_error = true;
-    result.error = message;
-    return result;
-  }
+  if (!CheckVerbArgs(*FindVerb(tokens[0]), args, &result)) return result;
   const ServerMetrics::Snapshot snapshot = metrics.Take();
   result.output =
       args.Has("json") ? StatsToJson(snapshot) : StatsToText(snapshot);

@@ -40,7 +40,9 @@ class ServerMetrics {
   /// overwritten (the counters keep counting).
   static constexpr size_t kMaxSamples = 16384;
 
-  /// Records one finished request. Thread-safe.
+  /// Records one finished request under its verb's row; names outside
+  /// the verb table (FindVerb) share one "(unknown)" row, an empty
+  /// request the "(empty)" row. Thread-safe.
   void Record(const std::string& verb, bool error, double latency_ms);
 
   /// Bumps one transport counter, e.g.
@@ -81,8 +83,9 @@ class ServerMetrics {
   TransportCounters transport_;
 };
 
-/// The `stats` admin verb: `stats [--json]`. Handled by the server before
-/// verb dispatch (it needs the daemon's metrics, which no GraphSource
+/// The `stats` admin verb: `stats [--json]` (tokens[0] names its
+/// VerbScope::kDaemonStats row). Routed here by the server instead of
+/// ExecuteVerb (it needs the daemon's metrics, which no GraphSource
 /// carries); the one-shot CLI reports it as daemon-only.
 VerbResult HandleStatsVerb(const std::vector<std::string>& tokens,
                            const ServerMetrics& metrics);

@@ -24,17 +24,13 @@ namespace {
 /// own frame so it stays byte-identical to the CLI rendering.
 std::string BuildEnvelope(const VerbResult& r) {
   JsonBuf b;
-  b.Appendf("{\n");
-  b.Appendf("  \"ok\": %s,\n", r.exit_code == 0 ? "true" : "false");
-  b.Appendf("  \"verb\": \"%s\",\n", JsonEscape(r.verb).c_str());
-  b.Appendf("  \"exit_code\": %d,\n", r.exit_code);
-  b.Appendf("  \"usage_error\": %s,\n", r.usage_error ? "true" : "false");
-  b.Appendf("  \"cache_hits\": %llu,\n", (unsigned long long)r.cache_hits);
-  b.Appendf("  \"cache_misses\": %llu", (unsigned long long)r.cache_misses);
-  if (!r.error.empty()) {
-    b.Appendf(",\n  \"error\": \"%s\"", JsonEscape(r.error).c_str());
-  }
-  b.Appendf("\n}\n");
+  b.Bool("ok", r.exit_code == 0)
+      .Str("verb", r.verb)
+      .Int("exit_code", r.exit_code)
+      .Bool("usage_error", r.usage_error)
+      .Int("cache_hits", r.cache_hits)
+      .Int("cache_misses", r.cache_misses);
+  if (!r.error.empty()) b.Str("error", r.error);
   return b.Take();
 }
 
@@ -206,7 +202,9 @@ void Server::ServeConnection(int fd) {
     ReapExpiredSessions();
     WallTimer timer;
     VerbResult result;
-    if (!tokens.empty() && tokens[0] == "stream") {
+    const VerbSpec* spec = tokens.empty() ? nullptr : FindVerb(tokens[0]);
+    const VerbScope scope = spec ? spec->scope : VerbScope::kAnywhere;
+    if (scope == VerbScope::kDaemonStream) {
       // `stream push` is the one request that carries a payload: ONE
       // extra frame holding the binary update fragment.
       std::string fragment;
@@ -228,13 +226,13 @@ void Server::ServeConnection(int fd) {
           result.exit_code == 0) {
         metrics_.Bump(&TransportCounters::sessions_resumed);
       }
-    } else if (!tokens.empty() && tokens[0] == "stats") {
+    } else if (scope == VerbScope::kDaemonStats) {
       result = HandleStatsVerb(tokens, metrics_);
     } else {
-      result = ExecuteVerb(tokens, &cache_, false);
+      result = ExecuteVerb(tokens, &cache_);
     }
-    metrics_.Record(tokens.empty() ? "(empty)" : tokens[0],
-                    result.exit_code != 0, timer.ElapsedMillis());
+    metrics_.Record(tokens.empty() ? "" : tokens[0], result.exit_code != 0,
+                    timer.ElapsedMillis());
     Status sent = WriteFrame(fd, BuildEnvelope(result), timeout);
     if (sent.ok()) sent = WriteFrame(fd, result.output, timeout);
     if (!sent.ok()) {

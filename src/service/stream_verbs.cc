@@ -7,6 +7,7 @@
 #include "service/json.h"
 #include "service/session_registry.h"
 #include "store/update_fragment.h"
+#include "util/string_util.h"
 
 namespace rdfalign::service {
 
@@ -37,179 +38,209 @@ VerbResult UsageFailure(std::string message) {
   return result;
 }
 
-void AppendPairsJson(JsonBuf* b, const char* key,
-                     const std::vector<stream::LabeledPair>& pairs,
-                     bool trailing_comma) {
-  b->Appendf("  \"%s\": [\n", key);
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    const stream::LabeledPair& p = pairs[i];
-    b->Appendf(
-        "    {\"src\": \"%s\", \"src_kind\": \"%s\", \"tgt\": \"%s\", "
-        "\"tgt_kind\": \"%s\"}%s\n",
-        JsonEscape(p.src_lex).c_str(),
-        std::string(TermKindToString(p.src_kind)).c_str(),
-        JsonEscape(p.tgt_lex).c_str(),
-        std::string(TermKindToString(p.tgt_kind)).c_str(),
-        i + 1 < pairs.size() ? "," : "");
+void PairsJson(JsonBuf& b, const char* key,
+               const std::vector<stream::LabeledPair>& pairs) {
+  b.Array(key);
+  for (const stream::LabeledPair& p : pairs) {
+    b.Item()
+        .Str("src", p.src_lex)
+        .Str("src_kind", TermKindToString(p.src_kind))
+        .Str("tgt", p.tgt_lex)
+        .Str("tgt_kind", TermKindToString(p.tgt_kind))
+        .End();
   }
-  b->Appendf("  ]%s\n", trailing_comma ? "," : "");
+  b.End();
 }
 
-void AppendPairsText(JsonBuf* b, char sign,
-                     const std::vector<stream::LabeledPair>& pairs) {
+void PairsText(std::string* out, char sign,
+               const std::vector<stream::LabeledPair>& pairs) {
   for (const stream::LabeledPair& p : pairs) {
-    b->Appendf("  %c %s ~ %s\n", sign, p.src_lex.c_str(), p.tgt_lex.c_str());
+    StrAppendf(out, "  %c %s ~ %s\n", sign, p.src_lex.c_str(),
+               p.tgt_lex.c_str());
   }
 }
 
 std::string OpenToJson(const StreamSession& s) {
   const stream::StreamAligner& a = *s.aligner;
-  JsonBuf b;
-  b.Appendf("{\n");
-  b.Appendf("  \"stream\": \"open\",\n");
-  b.Appendf("  \"session\": \"%s\",\n", JsonEscape(s.token).c_str());
-  b.Appendf("  \"source\": \"%s\",\n", JsonEscape(s.source_path).c_str());
-  b.Appendf("  \"target\": \"%s\",\n", JsonEscape(s.target_path).c_str());
-  b.Appendf("  \"method\": \"%s\",\n",
-            std::string(AlignMethodToString(s.method)).c_str());
-  b.Appendf("  \"threads\": %zu,\n", a.options().threads);
-  b.Appendf("  \"source_nodes\": %u,\n", a.graph().n1());
-  b.Appendf("  \"live_nodes\": %zu,\n", a.graph().NumLiveNodes());
-  b.Appendf("  \"target_triples\": %zu,\n", a.graph().NumTargetTriples());
-  b.Appendf("  \"iterations\": %zu,\n", a.open_stats().iterations);
-  b.Appendf("  \"classes\": %zu,\n", a.open_stats().final_classes);
-  b.Appendf("  \"pairs\": %zu\n", a.CurrentPairs().size());
-  b.Appendf("}\n");
-  return b.Take();
+  return JsonBuf()
+      .Str("stream", "open")
+      .Str("session", s.token)
+      .Str("source", s.source_path)
+      .Str("target", s.target_path)
+      .Str("method", AlignMethodToString(s.method))
+      .Int("threads", a.options().threads)
+      .Int("source_nodes", a.graph().n1())
+      .Int("live_nodes", a.graph().NumLiveNodes())
+      .Int("target_triples", a.graph().NumTargetTriples())
+      .Int("iterations", a.open_stats().iterations)
+      .Int("classes", a.open_stats().final_classes)
+      .Int("pairs", a.CurrentPairs().size())
+      .Take();
 }
 
 std::string OpenToText(const StreamSession& s) {
   const stream::StreamAligner& a = *s.aligner;
-  JsonBuf b;
-  b.Appendf(
-      "stream open %s ~ %s (%s): %u source nodes, %zu live nodes, "
-      "%zu target triples\n",
-      s.source_path.c_str(), s.target_path.c_str(),
-      std::string(AlignMethodToString(s.method)).c_str(), a.graph().n1(),
-      a.graph().NumLiveNodes(), a.graph().NumTargetTriples());
-  b.Appendf("  initial fixpoint: %zu iterations, %zu classes, %zu pairs\n",
-            a.open_stats().iterations, a.open_stats().final_classes,
-            a.CurrentPairs().size());
-  b.Appendf("  session: %s\n", s.token.c_str());
-  return b.Take();
+  std::string out;
+  StrAppendf(&out,
+             "stream open %s ~ %s (%s): %u source nodes, %zu live nodes, "
+             "%zu target triples\n",
+             s.source_path.c_str(), s.target_path.c_str(),
+             std::string(AlignMethodToString(s.method)).c_str(),
+             a.graph().n1(), a.graph().NumLiveNodes(),
+             a.graph().NumTargetTriples());
+  StrAppendf(&out,
+             "  initial fixpoint: %zu iterations, %zu classes, %zu pairs\n",
+             a.open_stats().iterations, a.open_stats().final_classes,
+             a.CurrentPairs().size());
+  StrAppendf(&out, "  session: %s\n", s.token.c_str());
+  return out;
 }
 
 std::string ResumeToJson(const StreamSession& s) {
-  JsonBuf b;
-  b.Appendf("{\n");
-  b.Appendf("  \"stream\": \"resume\",\n");
-  b.Appendf("  \"session\": \"%s\",\n", JsonEscape(s.token).c_str());
-  b.Appendf("  \"source\": \"%s\",\n", JsonEscape(s.source_path).c_str());
-  b.Appendf("  \"target\": \"%s\",\n", JsonEscape(s.target_path).c_str());
-  b.Appendf("  \"fragments\": %llu,\n", (unsigned long long)s.fragments);
-  b.Appendf("  \"last_sequence\": %llu\n", (unsigned long long)s.last_seq);
-  b.Appendf("}\n");
-  return b.Take();
+  return JsonBuf()
+      .Str("stream", "resume")
+      .Str("session", s.token)
+      .Str("source", s.source_path)
+      .Str("target", s.target_path)
+      .Int("fragments", s.fragments)
+      .Int("last_sequence", s.last_seq)
+      .Take();
 }
 
 std::string ResumeToText(const StreamSession& s) {
-  JsonBuf b;
-  b.Appendf(
-      "stream resumed %s ~ %s: %llu fragments applied, last sequence %llu\n",
-      s.source_path.c_str(), s.target_path.c_str(),
-      (unsigned long long)s.fragments, (unsigned long long)s.last_seq);
-  return b.Take();
+  std::string out;
+  StrAppendf(&out,
+             "stream resumed %s ~ %s: %llu fragments applied, last sequence "
+             "%llu\n",
+             s.source_path.c_str(), s.target_path.c_str(),
+             (unsigned long long)s.fragments, (unsigned long long)s.last_seq);
+  return out;
 }
 
 std::string PushToJson(const stream::StreamBatchResult& r) {
   JsonBuf b;
-  b.Appendf("{\n");
-  b.Appendf("  \"stream\": \"push\",\n");
-  b.Appendf("  \"sequence\": %llu,\n", (unsigned long long)r.sequence);
-  b.Appendf("  \"applied_adds\": %zu,\n", r.applied_adds);
-  b.Appendf("  \"ignored_adds\": %zu,\n", r.ignored_adds);
-  b.Appendf("  \"applied_removes\": %zu,\n", r.applied_removes);
-  b.Appendf("  \"ignored_removes\": %zu,\n", r.ignored_removes);
-  b.Appendf("  \"new_nodes\": %zu,\n", r.new_nodes);
-  b.Appendf("  \"removed_nodes\": %zu,\n", r.removed_nodes);
-  b.Appendf("  \"refined\": %s,\n", r.refined ? "true" : "false");
-  b.Appendf("  \"iterations\": %zu,\n", r.iterations);
-  b.Appendf("  \"dirty_total\": %zu,\n", r.dirty_total);
-  AppendPairsJson(&b, "removed_pairs", r.removed_pairs, true);
-  AppendPairsJson(&b, "added_pairs", r.added_pairs, true);
-  b.Appendf("  \"apply_ms\": %.3f,\n", r.apply_ms);
-  b.Appendf("  \"refine_ms\": %.3f,\n", r.refine_ms);
-  b.Appendf("  \"delta_ms\": %.3f\n", r.delta_ms);
-  b.Appendf("}\n");
-  return b.Take();
+  b.Str("stream", "push")
+      .Int("sequence", r.sequence)
+      .Int("applied_adds", r.applied_adds)
+      .Int("ignored_adds", r.ignored_adds)
+      .Int("applied_removes", r.applied_removes)
+      .Int("ignored_removes", r.ignored_removes)
+      .Int("new_nodes", r.new_nodes)
+      .Int("removed_nodes", r.removed_nodes)
+      .Bool("refined", r.refined)
+      .Int("iterations", r.iterations)
+      .Int("dirty_total", r.dirty_total);
+  PairsJson(b, "removed_pairs", r.removed_pairs);
+  PairsJson(b, "added_pairs", r.added_pairs);
+  return b.Num("apply_ms", r.apply_ms, 3)
+      .Num("refine_ms", r.refine_ms, 3)
+      .Num("delta_ms", r.delta_ms, 3)
+      .Take();
 }
 
 std::string PushToText(const stream::StreamBatchResult& r) {
-  JsonBuf b;
-  b.Appendf(
-      "applied update #%llu: +%zu -%zu triples (%zu ignored), "
-      "+%zu -%zu nodes\n",
-      (unsigned long long)r.sequence, r.applied_adds, r.applied_removes,
-      r.ignored_adds + r.ignored_removes, r.new_nodes, r.removed_nodes);
+  std::string out;
+  StrAppendf(&out,
+             "applied update #%llu: +%zu -%zu triples (%zu ignored), "
+             "+%zu -%zu nodes\n",
+             (unsigned long long)r.sequence, r.applied_adds,
+             r.applied_removes, r.ignored_adds + r.ignored_removes,
+             r.new_nodes, r.removed_nodes);
   if (r.refined) {
-    b.Appendf("  refined: %zu iterations, %zu re-signings\n", r.iterations,
-              r.dirty_total);
+    StrAppendf(&out, "  refined: %zu iterations, %zu re-signings\n",
+               r.iterations, r.dirty_total);
   } else {
-    b.Appendf("  refined: no (no blank class affected)\n");
+    StrAppendf(&out, "  refined: no (no blank class affected)\n");
   }
-  b.Appendf("  alignment delta: -%zu +%zu pairs\n", r.removed_pairs.size(),
-            r.added_pairs.size());
-  AppendPairsText(&b, '-', r.removed_pairs);
-  AppendPairsText(&b, '+', r.added_pairs);
-  return b.Take();
+  StrAppendf(&out, "  alignment delta: -%zu +%zu pairs\n",
+             r.removed_pairs.size(), r.added_pairs.size());
+  PairsText(&out, '-', r.removed_pairs);
+  PairsText(&out, '+', r.added_pairs);
+  return out;
 }
 
 std::string CheckToJson(const stream::StreamCheckResult& r) {
-  JsonBuf b;
-  b.Appendf("{\n");
-  b.Appendf("  \"stream\": \"check\",\n");
-  b.Appendf("  \"equivalent\": true,\n");
-  b.Appendf("  \"live_nodes\": %zu,\n", r.live_nodes);
-  b.Appendf("  \"classes\": %zu\n", r.classes);
-  b.Appendf("}\n");
-  return b.Take();
+  return JsonBuf()
+      .Str("stream", "check")
+      .Bool("equivalent", true)
+      .Int("live_nodes", r.live_nodes)
+      .Int("classes", r.classes)
+      .Take();
+}
+
+std::string CheckToText(const stream::StreamCheckResult& r) {
+  std::string out;
+  StrAppendf(&out,
+             "stream check: equivalent to the batch alignment "
+             "(%zu live nodes, %zu classes)\n",
+             r.live_nodes, r.classes);
+  return out;
 }
 
 std::string StatsToJson(const StreamSession& s) {
   const stream::StreamAligner& a = *s.aligner;
-  JsonBuf b;
-  b.Appendf("{\n");
-  b.Appendf("  \"stream\": \"stats\",\n");
-  b.Appendf("  \"source\": \"%s\",\n", JsonEscape(s.source_path).c_str());
-  b.Appendf("  \"target\": \"%s\",\n", JsonEscape(s.target_path).c_str());
-  b.Appendf("  \"method\": \"%s\",\n",
-            std::string(AlignMethodToString(s.method)).c_str());
-  b.Appendf("  \"fragments\": %llu,\n", (unsigned long long)s.fragments);
-  b.Appendf("  \"live_nodes\": %zu,\n", a.graph().NumLiveNodes());
-  b.Appendf("  \"target_triples\": %zu,\n", a.graph().NumTargetTriples());
-  b.Appendf("  \"colors_allocated\": %zu,\n", a.NumColorsAllocated());
-  b.Appendf("  \"pairs_added_total\": %llu,\n",
-            (unsigned long long)s.pairs_added_total);
-  b.Appendf("  \"pairs_removed_total\": %llu\n",
-            (unsigned long long)s.pairs_removed_total);
-  b.Appendf("}\n");
-  return b.Take();
+  return JsonBuf()
+      .Str("stream", "stats")
+      .Str("source", s.source_path)
+      .Str("target", s.target_path)
+      .Str("method", AlignMethodToString(s.method))
+      .Int("fragments", s.fragments)
+      .Int("live_nodes", a.graph().NumLiveNodes())
+      .Int("target_triples", a.graph().NumTargetTriples())
+      .Int("colors_allocated", a.NumColorsAllocated())
+      .Int("pairs_added_total", s.pairs_added_total)
+      .Int("pairs_removed_total", s.pairs_removed_total)
+      .Take();
 }
 
 std::string StatsToText(const StreamSession& s) {
   const stream::StreamAligner& a = *s.aligner;
-  JsonBuf b;
-  b.Appendf(
-      "stream session %s ~ %s (%s): %llu fragments, %zu live nodes, "
-      "%zu target triples\n",
-      s.source_path.c_str(), s.target_path.c_str(),
-      std::string(AlignMethodToString(s.method)).c_str(),
-      (unsigned long long)s.fragments, a.graph().NumLiveNodes(),
-      a.graph().NumTargetTriples());
-  b.Appendf("  pair deltas emitted: +%llu -%llu\n",
-            (unsigned long long)s.pairs_added_total,
-            (unsigned long long)s.pairs_removed_total);
-  return b.Take();
+  std::string out;
+  StrAppendf(&out,
+             "stream session %s ~ %s (%s): %llu fragments, %zu live nodes, "
+             "%zu target triples\n",
+             s.source_path.c_str(), s.target_path.c_str(),
+             std::string(AlignMethodToString(s.method)).c_str(),
+             (unsigned long long)s.fragments, a.graph().NumLiveNodes(),
+             a.graph().NumTargetTriples());
+  StrAppendf(&out, "  pair deltas emitted: +%llu -%llu\n",
+             (unsigned long long)s.pairs_added_total,
+             (unsigned long long)s.pairs_removed_total);
+  return out;
+}
+
+std::string CloseToJson(const StreamSession& s) {
+  return JsonBuf()
+      .Str("stream", "close")
+      .Int("fragments", s.fragments)
+      .Int("pairs_added_total", s.pairs_added_total)
+      .Int("pairs_removed_total", s.pairs_removed_total)
+      .Take();
+}
+
+std::string CloseToText(const StreamSession& s) {
+  std::string out;
+  StrAppendf(&out, "stream closed after %llu fragments (+%llu -%llu pairs)\n",
+             (unsigned long long)s.fragments,
+             (unsigned long long)s.pairs_added_total,
+             (unsigned long long)s.pairs_removed_total);
+  return out;
+}
+
+/// Acquires `path_a` and `path_b` (possibly cache-resident) and rebinds
+/// both into one fresh dictionary — RunAlign's recipe for one label
+/// space — counting each cache hit or miss into `result`.
+Status AcquirePair(GraphSource* source, const std::string& path_a,
+                   const std::string& path_b, const CommonOptions& common,
+                   TripleGraph* a, TripleGraph* b, VerbResult* result) {
+  auto dict = std::make_shared<Dictionary>();
+  for (const auto& [path, out] : {std::pair{&path_a, a}, {&path_b, b}}) {
+    RDFALIGN_ASSIGN_OR_RETURN(AcquiredGraph g,
+                              source->Acquire(*path, common, false));
+    ++(g.cache_hit ? result->cache_hits : result->cache_misses);
+    *out = RebindGraph(g.loaded, dict);
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -257,24 +288,10 @@ VerbResult HandleStreamVerb(const std::vector<std::string>& tokens,
       return PlainFailure(2, message);
     }
 
-    // Both versions into one label space, exactly like RunAlign: acquire
-    // (possibly cache-resident) and rebind into a fresh shared dictionary.
-    auto dict = std::make_shared<Dictionary>();
-    auto acquire = [&](const std::string& path,
-                       TripleGraph* out) -> Status {
-      Result<AcquiredGraph> g = source->Acquire(path, sess->common, false);
-      RDFALIGN_RETURN_IF_ERROR(g.status());
-      if (g->cache_hit) {
-        ++result.cache_hits;
-      } else {
-        ++result.cache_misses;
-      }
-      *out = RebindGraph(g->loaded, dict);
-      return Status::OK();
-    };
     TripleGraph src, tgt;
-    Status st = acquire(sess->source_path, &src);
-    if (st.ok()) st = acquire(sess->target_path, &tgt);
+    const Status st = AcquirePair(source, sess->source_path,
+                                  sess->target_path, sess->common, &src,
+                                  &tgt, &result);
     if (!st.ok()) {
       return PlainFailure(1, "rdfalign stream: " + st.ToString());
     }
@@ -391,22 +408,10 @@ VerbResult HandleStreamVerb(const std::vector<std::string>& tokens,
     if (!ParseCommonFlags(args, "stream", &common, &message)) {
       return PlainFailure(2, message);
     }
-    auto dict = std::make_shared<Dictionary>();
-    auto acquire = [&](const std::string& path,
-                       TripleGraph* out) -> Status {
-      Result<AcquiredGraph> g = source->Acquire(path, common, false);
-      RDFALIGN_RETURN_IF_ERROR(g.status());
-      if (g->cache_hit) {
-        ++result.cache_hits;
-      } else {
-        ++result.cache_misses;
-      }
-      *out = RebindGraph(g->loaded, dict);
-      return Status::OK();
-    };
     TripleGraph src, fin;
-    Status st = acquire(sess.source_path, &src);
-    if (st.ok()) st = acquire(args.positional()[0], &fin);
+    const Status st = AcquirePair(source, sess.source_path,
+                                  args.positional()[0], common, &src, &fin,
+                                  &result);
     if (!st.ok()) {
       return PlainFailure(1, "rdfalign stream: " + st.ToString());
     }
@@ -416,16 +421,7 @@ VerbResult HandleStreamVerb(const std::vector<std::string>& tokens,
       return PlainFailure(1,
                           "rdfalign stream: " + check.status().ToString());
     }
-    if (common.json) {
-      result.output = CheckToJson(*check);
-    } else {
-      JsonBuf b;
-      b.Appendf(
-          "stream check: equivalent to the batch alignment "
-          "(%zu live nodes, %zu classes)\n",
-          check->live_nodes, check->classes);
-      result.output = b.Take();
-    }
+    result.output = common.json ? CheckToJson(*check) : CheckToText(*check);
     return result;
   }
 
@@ -441,26 +437,7 @@ VerbResult HandleStreamVerb(const std::vector<std::string>& tokens,
     if (!args.positional().empty() || !args.OnlyKnown({"json"}, &message)) {
       return UsageFailure(message);
     }
-    if (args.Has("json")) {
-      JsonBuf b;
-      b.Appendf("{\n");
-      b.Appendf("  \"stream\": \"close\",\n");
-      b.Appendf("  \"fragments\": %llu,\n",
-                (unsigned long long)sess.fragments);
-      b.Appendf("  \"pairs_added_total\": %llu,\n",
-                (unsigned long long)sess.pairs_added_total);
-      b.Appendf("  \"pairs_removed_total\": %llu\n",
-                (unsigned long long)sess.pairs_removed_total);
-      b.Appendf("}\n");
-      result.output = b.Take();
-    } else {
-      JsonBuf b;
-      b.Appendf("stream closed after %llu fragments (+%llu -%llu pairs)\n",
-                (unsigned long long)sess.fragments,
-                (unsigned long long)sess.pairs_added_total,
-                (unsigned long long)sess.pairs_removed_total);
-      result.output = b.Take();
-    }
+    result.output = args.Has("json") ? CloseToJson(sess) : CloseToText(sess);
     session->reset();
     return result;
   }

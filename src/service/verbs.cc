@@ -1,5 +1,6 @@
 #include "service/verbs.h"
 
+#include <cstdint>
 #include <filesystem>
 #include <utility>
 
@@ -11,6 +12,7 @@
 #include "rdf/merge.h"
 #include "service/json.h"
 #include "store/update_fragment.h"
+#include "util/string_util.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -21,33 +23,6 @@ namespace {
 bool HasSuffix(const std::string& s, const char* suffix) {
   const size_t n = std::char_traits<char>::length(suffix);
   return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
-}
-
-Result<AlignMethod> ParseMethod(const std::string& name) {
-  if (name == "trivial") return AlignMethod::kTrivial;
-  if (name == "deblank") return AlignMethod::kDeblank;
-  if (name == "hybrid") return AlignMethod::kHybrid;
-  if (name == "hybrid-contextual") return AlignMethod::kHybridContextual;
-  if (name == "overlap") return AlignMethod::kOverlap;
-  return Status::InvalidArgument("unknown alignment method: " + name);
-}
-
-/// Fills the usage/message fields for a failed OnlyKnown / positional
-/// check (both present as usage errors, message first when set).
-bool UsageError(ParseError* error, std::string message = "") {
-  if (error) {
-    error->usage = true;
-    error->message = std::move(message);
-  }
-  return false;
-}
-
-bool PlainError(ParseError* error, std::string message) {
-  if (error) {
-    error->usage = false;
-    error->message = std::move(message);
-  }
-  return false;
 }
 
 /// Aligner options from a parsed request: the raw thread count (0 = all
@@ -69,30 +44,49 @@ void CountAcquire(const AcquiredGraph& g, uint64_t* hits, uint64_t* misses) {
   }
 }
 
+/// The `"a": {"path": ..., "kind": ..., "nodes": N, "triples": N` head of
+/// an input-graph object; the caller adds any further fields and End()s.
+JsonBuf& GraphObject(JsonBuf& b, const char* key, const std::string& path,
+                     const std::string& kind, size_t nodes, size_t triples) {
+  return b.Object(key)
+      .Str("path", path)
+      .Str("kind", kind)
+      .Int("nodes", nodes)
+      .Int("triples", triples);
+}
+
+/// One `{"name": ..., "offset": ..., "bytes": ..., "checksum": ...}` line
+/// per section of a store file.
+template <typename Section, typename NameFn>
+void SectionsJson(JsonBuf& b, const std::vector<Section>& sections,
+                  NameFn name) {
+  b.Array("sections");
+  for (const Section& s : sections) {
+    b.Item()
+        .Str("name", name(s.id))
+        .Int("offset", s.offset)
+        .Int("bytes", s.size)
+        .Hex("checksum", s.checksum)
+        .End();
+  }
+  b.End();
+}
+
+template <typename Section, typename NameFn>
+void SectionsText(std::string* out, const std::vector<Section>& sections,
+                  NameFn name, int width) {
+  StrAppendf(out, "  sections:\n");
+  for (const Section& s : sections) {
+    StrAppendf(out, "    %-*s offset=%-10llu bytes=%-10llu checksum=%016llx\n",
+               width, std::string(name(s.id)).c_str(),
+               (unsigned long long)s.offset, (unsigned long long)s.size,
+               (unsigned long long)s.checksum);
+  }
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------- build
-
-bool ParseBuildRequest(const Args& args, BuildRequest* req,
-                       ParseError* error) {
-  if (args.positional().size() != 2) return UsageError(error);
-  std::string message;
-  if (!args.OnlyKnown({"format", "threads", "json", "no-dict-compress"},
-                      &message)) {
-    return UsageError(error, message);
-  }
-  req->input = args.positional()[0];
-  req->output = args.positional()[1];
-  req->format = args.GetString("format", "auto");
-  if (!ParseCommonFlags(args, "build", &req->common, &message)) {
-    return PlainError(error, message);
-  }
-  if (req->format != "auto" && req->format != "ntriples" &&
-      req->format != "turtle") {
-    return PlainError(error, "rdfalign: unknown --format=" + req->format);
-  }
-  return true;
-}
 
 Status RunBuild(const BuildRequest& req, BuildResponse* resp) {
   const size_t workers = ResolveThreads(req.common.threads);
@@ -120,44 +114,27 @@ Status RunBuild(const BuildRequest& req, BuildResponse* resp) {
 }
 
 std::string BuildToJson(const BuildResponse& r) {
-  JsonBuf b;
-  b.Appendf("{\n");
-  b.Appendf("  \"output\": \"%s\",\n", r.output.c_str());
-  b.Appendf("  \"nodes\": %zu,\n", r.nodes);
-  b.Appendf("  \"triples\": %zu,\n", r.triples);
-  b.Appendf("  \"threads\": %zu,\n", r.threads);
-  b.Appendf("  \"parse_ms\": %.2f,\n", r.parse_ms);
-  b.Appendf("  \"write_ms\": %.2f\n", r.write_ms);
-  b.Appendf("}\n");
-  return b.Take();
+  return JsonBuf()
+      .Str("output", r.output)
+      .Int("nodes", r.nodes)
+      .Int("triples", r.triples)
+      .Int("threads", r.threads)
+      .Num("parse_ms", r.parse_ms, 2)
+      .Num("write_ms", r.write_ms, 2)
+      .Take();
 }
 
 std::string BuildToText(const BuildResponse& r) {
-  JsonBuf b;
-  b.Appendf(
-      "built %s: %zu nodes, %zu triples (parse %.1f ms, "
-      "write %.1f ms, %zu threads)\n",
-      r.output.c_str(), r.nodes, r.triples, r.parse_ms, r.write_ms,
-      r.threads);
-  return b.Take();
+  std::string out;
+  StrAppendf(&out,
+             "built %s: %zu nodes, %zu triples (parse %.1f ms, "
+             "write %.1f ms, %zu threads)\n",
+             r.output.c_str(), r.nodes, r.triples, r.parse_ms, r.write_ms,
+             r.threads);
+  return out;
 }
 
 // ----------------------------------------------------------------- info
-
-bool ParseInfoRequest(const Args& args, InfoRequest* req, ParseError* error) {
-  if (args.positional().size() != 1) return UsageError(error);
-  std::string message;
-  if (!args.OnlyKnown({"json", "threads", "mmap", "no-verify-checksums"},
-                      &message)) {
-    return UsageError(error, message);
-  }
-  req->path = args.positional()[0];
-  if (!ParseCommonFlags(args, "info", &req->common, &message)) {
-    return PlainError(error, message);
-  }
-  req->with_fingerprint = req->common.json;
-  return true;
-}
 
 Status RunInfo(const InfoRequest& req, InfoResponse* resp) {
   resp->path = req.path;
@@ -172,7 +149,7 @@ Status RunInfo(const InfoRequest& req, InfoResponse* resp) {
     resp->kind = "archive";
     RDFALIGN_ASSIGN_OR_RETURN(resp->archive,
                               store::ReadArchiveInfo(req.path));
-    if (req.with_fingerprint && resp->archive.num_versions > 0) {
+    if (req.common.json && resp->archive.num_versions > 0) {
       RDFALIGN_ASSIGN_OR_RETURN(resp->fingerprint,
                                 store::ArchiveBaseFingerprint(req.path));
       resp->has_fingerprint = true;
@@ -198,7 +175,7 @@ Status RunInfo(const InfoRequest& req, InfoResponse* resp) {
   resp->kind = "snapshot";
   RDFALIGN_ASSIGN_OR_RETURN(resp->snapshot,
                             store::ReadSnapshotInfo(req.path));
-  if (req.with_fingerprint) {
+  if (req.common.json) {
     // The fingerprint is a property of the graph content, so the graph is
     // actually loaded — through the daemon's cache this is the resident
     // fast path, in the CLI a one-shot load.
@@ -213,221 +190,118 @@ Status RunInfo(const InfoRequest& req, InfoResponse* resp) {
 
 std::string InfoToJson(const InfoResponse& r) {
   JsonBuf b;
+  b.Str("path", r.path);
   if (r.kind == "delta") {
-    const auto& info = r.delta;
-    b.Appendf("{\n");
-    b.Appendf("  \"path\": \"%s\",\n", r.path.c_str());
-    b.Appendf("  \"kind\": \"delta\",\n");
-    b.Appendf("  \"version\": %u,\n", info.version);
-    b.Appendf(
-        "  \"base\": {\"nodes\": %llu, \"triples\": %llu, "
-        "\"terms\": %llu, \"fingerprint\": \"%016llx\"},\n",
-        (unsigned long long)info.base_nodes,
-        (unsigned long long)info.base_triples,
-        (unsigned long long)info.base_terms,
-        (unsigned long long)info.base_fingerprint);
-    b.Appendf(
-        "  \"next\": {\"nodes\": %llu, \"triples\": %llu, "
-        "\"terms\": %llu, \"new_terms\": %llu},\n",
-        (unsigned long long)info.next_nodes,
-        (unsigned long long)info.next_triples,
-        (unsigned long long)info.next_terms,
-        (unsigned long long)info.num_new_terms);
-    b.Appendf("  \"file_bytes\": %llu,\n",
-              (unsigned long long)info.file_size);
-    b.Appendf("  \"sections\": [\n");
-    for (size_t i = 0; i < info.sections.size(); ++i) {
-      const auto& s = info.sections[i];
-      b.Appendf(
-          "    {\"name\": \"%s\", \"offset\": %llu, \"bytes\": %llu, "
-          "\"checksum\": \"%016llx\"}%s\n",
-          std::string(store::DeltaSectionName(s.id)).c_str(),
-          (unsigned long long)s.offset, (unsigned long long)s.size,
-          (unsigned long long)s.checksum,
-          i + 1 < info.sections.size() ? "," : "");
-    }
-    b.Appendf("  ]\n}\n");
-    return b.Take();
+    const store::DeltaInfo& info = r.delta;
+    b.Str("kind", r.kind).Int("version", info.version);
+    b.Object("base")
+        .Int("nodes", info.base_nodes)
+        .Int("triples", info.base_triples)
+        .Int("terms", info.base_terms)
+        .Hex("fingerprint", info.base_fingerprint)
+        .End();
+    b.Object("next")
+        .Int("nodes", info.next_nodes)
+        .Int("triples", info.next_triples)
+        .Int("terms", info.next_terms)
+        .Int("new_terms", info.num_new_terms)
+        .End();
+    b.Int("file_bytes", info.file_size);
+    SectionsJson(b, info.sections, store::DeltaSectionName);
+  } else if (r.kind == "archive") {
+    const store::ArchiveInfo& info = r.archive;
+    b.Str("kind", r.kind)
+        .Int("version", info.version)
+        .Int("versions", info.num_versions);
+    if (r.has_fingerprint) b.Hex("base_fingerprint", r.fingerprint);
+    b.Int("file_bytes", info.file_size);
+    SectionsJson(b, info.sections, store::ArchiveSectionName);
+  } else if (r.kind == "update") {
+    const UpdateFragmentSummary& info = r.update;
+    b.Str("kind", r.kind)
+        .Int("sequence", info.sequence)
+        .Int("refs", info.refs)
+        .Int("new_nodes", info.new_nodes)
+        .Int("removed_nodes", info.removed_nodes)
+        .Int("removed_triples", info.removed_triples)
+        .Int("added_triples", info.added_triples)
+        .Int("file_bytes", info.file_bytes);
+  } else {
+    // The snapshot report predates `kind` and stays without it.
+    const store::SnapshotInfo& info = r.snapshot;
+    b.Int("version", info.version)
+        .Int("nodes", info.num_nodes)
+        .Int("triples", info.num_triples)
+        .Int("terms", info.num_terms);
+    if (r.has_fingerprint) b.Hex("fingerprint", r.fingerprint);
+    b.Int("file_bytes", info.file_size);
+    SectionsJson(b, info.sections, store::SectionName);
   }
-  if (r.kind == "archive") {
-    const auto& info = r.archive;
-    b.Appendf("{\n");
-    b.Appendf("  \"path\": \"%s\",\n", r.path.c_str());
-    b.Appendf("  \"kind\": \"archive\",\n");
-    b.Appendf("  \"version\": %u,\n", info.version);
-    b.Appendf("  \"versions\": %llu,\n",
-              (unsigned long long)info.num_versions);
-    if (r.has_fingerprint) {
-      b.Appendf("  \"base_fingerprint\": \"%016llx\",\n",
-                (unsigned long long)r.fingerprint);
-    }
-    b.Appendf("  \"file_bytes\": %llu,\n",
-              (unsigned long long)info.file_size);
-    b.Appendf("  \"sections\": [\n");
-    for (size_t i = 0; i < info.sections.size(); ++i) {
-      const auto& s = info.sections[i];
-      b.Appendf(
-          "    {\"name\": \"%s\", \"offset\": %llu, \"bytes\": %llu, "
-          "\"checksum\": \"%016llx\"}%s\n",
-          std::string(store::ArchiveSectionName(s.id)).c_str(),
-          (unsigned long long)s.offset, (unsigned long long)s.size,
-          (unsigned long long)s.checksum,
-          i + 1 < info.sections.size() ? "," : "");
-    }
-    b.Appendf("  ]\n}\n");
-    return b.Take();
-  }
-  if (r.kind == "update") {
-    const auto& info = r.update;
-    b.Appendf("{\n");
-    b.Appendf("  \"path\": \"%s\",\n", r.path.c_str());
-    b.Appendf("  \"kind\": \"update\",\n");
-    b.Appendf("  \"sequence\": %llu,\n", (unsigned long long)info.sequence);
-    b.Appendf("  \"refs\": %zu,\n", info.refs);
-    b.Appendf("  \"new_nodes\": %zu,\n", info.new_nodes);
-    b.Appendf("  \"removed_nodes\": %zu,\n", info.removed_nodes);
-    b.Appendf("  \"removed_triples\": %zu,\n", info.removed_triples);
-    b.Appendf("  \"added_triples\": %zu,\n", info.added_triples);
-    b.Appendf("  \"file_bytes\": %llu\n",
-              (unsigned long long)info.file_bytes);
-    b.Appendf("}\n");
-    return b.Take();
-  }
-  const auto& info = r.snapshot;
-  b.Appendf("{\n");
-  b.Appendf("  \"path\": \"%s\",\n", r.path.c_str());
-  b.Appendf("  \"version\": %u,\n", info.version);
-  b.Appendf("  \"nodes\": %llu,\n", (unsigned long long)info.num_nodes);
-  b.Appendf("  \"triples\": %llu,\n", (unsigned long long)info.num_triples);
-  b.Appendf("  \"terms\": %llu,\n", (unsigned long long)info.num_terms);
-  if (r.has_fingerprint) {
-    b.Appendf("  \"fingerprint\": \"%016llx\",\n",
-              (unsigned long long)r.fingerprint);
-  }
-  b.Appendf("  \"file_bytes\": %llu,\n", (unsigned long long)info.file_size);
-  b.Appendf("  \"sections\": [\n");
-  for (size_t i = 0; i < info.sections.size(); ++i) {
-    const auto& s = info.sections[i];
-    b.Appendf(
-        "    {\"name\": \"%s\", \"offset\": %llu, \"bytes\": %llu, "
-        "\"checksum\": \"%016llx\"}%s\n",
-        std::string(store::SectionName(s.id)).c_str(),
-        (unsigned long long)s.offset, (unsigned long long)s.size,
-        (unsigned long long)s.checksum,
-        i + 1 < info.sections.size() ? "," : "");
-  }
-  b.Appendf("  ]\n}\n");
   return b.Take();
 }
 
 std::string InfoToText(const InfoResponse& r) {
-  JsonBuf b;
+  std::string out;
   if (r.kind == "delta") {
-    const auto& info = r.delta;
-    b.Appendf("rdfalign delta %s\n", r.path.c_str());
-    b.Appendf("  format version : %u\n", info.version);
-    b.Appendf("  base           : %llu nodes, %llu triples, %llu terms\n",
-              (unsigned long long)info.base_nodes,
-              (unsigned long long)info.base_triples,
-              (unsigned long long)info.base_terms);
-    b.Appendf("  base fingerprint: %016llx\n",
-              (unsigned long long)info.base_fingerprint);
-    b.Appendf(
-        "  next           : %llu nodes, %llu triples, %llu terms "
-        "(%llu new)\n",
-        (unsigned long long)info.next_nodes,
-        (unsigned long long)info.next_triples,
-        (unsigned long long)info.next_terms,
-        (unsigned long long)info.num_new_terms);
-    b.Appendf("  file size      : %llu bytes\n",
-              (unsigned long long)info.file_size);
-    b.Appendf("  sections:\n");
-    for (const auto& s : info.sections) {
-      b.Appendf(
-          "    %-16s offset=%-10llu bytes=%-10llu checksum=%016llx\n",
-          std::string(store::DeltaSectionName(s.id)).c_str(),
-          (unsigned long long)s.offset, (unsigned long long)s.size,
-          (unsigned long long)s.checksum);
-    }
-    return b.Take();
+    const store::DeltaInfo& info = r.delta;
+    StrAppendf(&out, "rdfalign delta %s\n", r.path.c_str());
+    StrAppendf(&out, "  format version : %u\n", info.version);
+    StrAppendf(&out,
+               "  base           : %llu nodes, %llu triples, %llu terms\n",
+               (unsigned long long)info.base_nodes,
+               (unsigned long long)info.base_triples,
+               (unsigned long long)info.base_terms);
+    StrAppendf(&out, "  base fingerprint: %016llx\n",
+               (unsigned long long)info.base_fingerprint);
+    StrAppendf(&out,
+               "  next           : %llu nodes, %llu triples, %llu terms "
+               "(%llu new)\n",
+               (unsigned long long)info.next_nodes,
+               (unsigned long long)info.next_triples,
+               (unsigned long long)info.next_terms,
+               (unsigned long long)info.num_new_terms);
+    StrAppendf(&out, "  file size      : %llu bytes\n",
+               (unsigned long long)info.file_size);
+    SectionsText(&out, info.sections, store::DeltaSectionName, 16);
+  } else if (r.kind == "archive") {
+    const store::ArchiveInfo& info = r.archive;
+    StrAppendf(&out, "rdfalign archive %s\n", r.path.c_str());
+    StrAppendf(&out, "  format version : %u\n", info.version);
+    StrAppendf(&out, "  versions       : %llu\n",
+               (unsigned long long)info.num_versions);
+    StrAppendf(&out, "  file size      : %llu bytes\n",
+               (unsigned long long)info.file_size);
+    SectionsText(&out, info.sections, store::ArchiveSectionName, 13);
+  } else if (r.kind == "update") {
+    const UpdateFragmentSummary& info = r.update;
+    StrAppendf(&out, "rdfalign update fragment %s\n", r.path.c_str());
+    StrAppendf(&out, "  sequence       : %llu\n",
+               (unsigned long long)info.sequence);
+    StrAppendf(&out, "  node refs      : %zu (%zu new)\n", info.refs,
+               info.new_nodes);
+    StrAppendf(&out, "  removed        : %zu triples, %zu nodes\n",
+               info.removed_triples, info.removed_nodes);
+    StrAppendf(&out, "  added          : %zu triples\n", info.added_triples);
+    StrAppendf(&out, "  file size      : %llu bytes\n",
+               (unsigned long long)info.file_bytes);
+  } else {
+    const store::SnapshotInfo& info = r.snapshot;
+    StrAppendf(&out, "rdfalign snapshot %s\n", r.path.c_str());
+    StrAppendf(&out, "  format version : %u\n", info.version);
+    StrAppendf(&out, "  nodes          : %llu\n",
+               (unsigned long long)info.num_nodes);
+    StrAppendf(&out, "  triples        : %llu\n",
+               (unsigned long long)info.num_triples);
+    StrAppendf(&out, "  dictionary     : %llu terms\n",
+               (unsigned long long)info.num_terms);
+    StrAppendf(&out, "  file size      : %llu bytes\n",
+               (unsigned long long)info.file_size);
+    SectionsText(&out, info.sections, store::SectionName, 12);
   }
-  if (r.kind == "archive") {
-    const auto& info = r.archive;
-    b.Appendf("rdfalign archive %s\n", r.path.c_str());
-    b.Appendf("  format version : %u\n", info.version);
-    b.Appendf("  versions       : %llu\n",
-              (unsigned long long)info.num_versions);
-    b.Appendf("  file size      : %llu bytes\n",
-              (unsigned long long)info.file_size);
-    b.Appendf("  sections:\n");
-    for (const auto& s : info.sections) {
-      b.Appendf(
-          "    %-13s offset=%-10llu bytes=%-10llu checksum=%016llx\n",
-          std::string(store::ArchiveSectionName(s.id)).c_str(),
-          (unsigned long long)s.offset, (unsigned long long)s.size,
-          (unsigned long long)s.checksum);
-    }
-    return b.Take();
-  }
-  if (r.kind == "update") {
-    const auto& info = r.update;
-    b.Appendf("rdfalign update fragment %s\n", r.path.c_str());
-    b.Appendf("  sequence       : %llu\n",
-              (unsigned long long)info.sequence);
-    b.Appendf("  node refs      : %zu (%zu new)\n", info.refs,
-              info.new_nodes);
-    b.Appendf("  removed        : %zu triples, %zu nodes\n",
-              info.removed_triples, info.removed_nodes);
-    b.Appendf("  added          : %zu triples\n", info.added_triples);
-    b.Appendf("  file size      : %llu bytes\n",
-              (unsigned long long)info.file_bytes);
-    return b.Take();
-  }
-  const auto& info = r.snapshot;
-  b.Appendf("rdfalign snapshot %s\n", r.path.c_str());
-  b.Appendf("  format version : %u\n", info.version);
-  b.Appendf("  nodes          : %llu\n", (unsigned long long)info.num_nodes);
-  b.Appendf("  triples        : %llu\n",
-            (unsigned long long)info.num_triples);
-  b.Appendf("  dictionary     : %llu terms\n",
-            (unsigned long long)info.num_terms);
-  b.Appendf("  file size      : %llu bytes\n",
-            (unsigned long long)info.file_size);
-  b.Appendf("  sections:\n");
-  for (const auto& s : info.sections) {
-    b.Appendf(
-        "    %-12s offset=%-10llu bytes=%-10llu checksum=%016llx\n",
-        std::string(store::SectionName(s.id)).c_str(),
-        (unsigned long long)s.offset, (unsigned long long)s.size,
-        (unsigned long long)s.checksum);
-  }
-  return b.Take();
+  return out;
 }
 
 // ---------------------------------------------------------------- align
-
-bool ParseAlignRequest(const Args& args, AlignRequest* req,
-                       ParseError* error) {
-  if (args.positional().size() != 2) return UsageError(error);
-  std::string message;
-  if (!args.OnlyKnown(
-          {"method", "threads", "mmap", "json", "no-verify-checksums"},
-          &message)) {
-    return UsageError(error, message);
-  }
-  req->path_a = args.positional()[0];
-  req->path_b = args.positional()[1];
-  auto method = ParseMethod(args.GetString("method", "hybrid"));
-  if (!method.ok()) {
-    return PlainError(error,
-                      "rdfalign align: " + method.status().ToString());
-  }
-  req->method = *method;
-  if (!ParseCommonFlags(args, "align", &req->common, &message)) {
-    return PlainError(error, message);
-  }
-  return true;
-}
 
 Status RunAlign(const AlignRequest& req, AlignResponse* resp) {
   const AlignerOptions options = MakeAlignerOptions(req.method, req.common);
@@ -473,98 +347,69 @@ Status RunAlign(const AlignRequest& req, AlignResponse* resp) {
 
 std::string AlignToJson(const AlignResponse& r) {
   JsonBuf b;
-  b.Appendf("{\n");
-  b.Appendf("  \"method\": \"%s\",\n",
-            std::string(AlignMethodToString(r.method)).c_str());
-  b.Appendf("  \"threads\": %zu,\n", r.threads);
-  b.Appendf(
-      "  \"a\": {\"path\": \"%s\", \"kind\": \"%s\", "
-      "\"nodes\": %zu, \"triples\": %zu, \"load_ms\": %.2f},\n",
-      r.path_a.c_str(), r.kind_a.c_str(), r.nodes_a, r.triples_a,
-      r.load_a_ms);
-  b.Appendf(
-      "  \"b\": {\"path\": \"%s\", \"kind\": \"%s\", "
-      "\"nodes\": %zu, \"triples\": %zu, \"load_ms\": %.2f},\n",
-      r.path_b.c_str(), r.kind_b.c_str(), r.nodes_b, r.triples_b,
-      r.load_b_ms);
-  b.Appendf("  \"align_seconds\": %.4f,\n", r.seconds);
-  b.Appendf(
-      "  \"phases\": {\"merge_ms\": %.2f, \"refine_ms\": %.2f, "
-      "\"enrich_ms\": %.2f, \"overlap_index_ms\": %.2f, "
-      "\"match_ms\": %.2f, \"stats_ms\": %.2f},\n",
-      r.phases.merge_ms, r.phases.refine_ms, r.phases.enrich_ms,
-      r.phases.overlap_index_ms, r.phases.match_ms, r.phases.stats_ms);
-  b.Appendf("  \"aligned_edge_ratio\": %.6f,\n", r.edge_stats.Ratio());
-  b.Appendf("  \"aligned_edges\": %zu,\n", r.edge_stats.aligned_edges);
-  b.Appendf("  \"total_edges\": %zu,\n", r.edge_stats.total_edges);
-  b.Appendf("  \"aligned_classes\": %zu,\n", r.node_stats.aligned_classes);
-  b.Appendf("  \"unaligned_source_nodes\": %zu,\n",
-            r.node_stats.unaligned_source_nodes);
-  b.Appendf("  \"unaligned_target_nodes\": %zu,\n",
-            r.node_stats.unaligned_target_nodes);
-  b.Appendf("  \"refinement_iterations\": %zu,\n", r.refinement.iterations);
-  b.Appendf("  \"final_classes\": %zu\n", r.refinement.final_classes);
-  b.Appendf("}\n");
-  return b.Take();
+  b.Str("method", AlignMethodToString(r.method)).Int("threads", r.threads);
+  GraphObject(b, "a", r.path_a, r.kind_a, r.nodes_a, r.triples_a)
+      .Num("load_ms", r.load_a_ms, 2)
+      .End();
+  GraphObject(b, "b", r.path_b, r.kind_b, r.nodes_b, r.triples_b)
+      .Num("load_ms", r.load_b_ms, 2)
+      .End();
+  b.Num("align_seconds", r.seconds, 4);
+  b.Object("phases")
+      .Num("merge_ms", r.phases.merge_ms, 2)
+      .Num("refine_ms", r.phases.refine_ms, 2)
+      .Num("enrich_ms", r.phases.enrich_ms, 2)
+      .Num("overlap_index_ms", r.phases.overlap_index_ms, 2)
+      .Num("match_ms", r.phases.match_ms, 2)
+      .Num("stats_ms", r.phases.stats_ms, 2)
+      .End();
+  return b.Num("aligned_edge_ratio", r.edge_stats.Ratio(), 6)
+      .Int("aligned_edges", r.edge_stats.aligned_edges)
+      .Int("total_edges", r.edge_stats.total_edges)
+      .Int("aligned_classes", r.node_stats.aligned_classes)
+      .Int("unaligned_source_nodes", r.node_stats.unaligned_source_nodes)
+      .Int("unaligned_target_nodes", r.node_stats.unaligned_target_nodes)
+      .Int("refinement_iterations", r.refinement.iterations)
+      .Int("final_classes", r.refinement.final_classes)
+      .Take();
 }
 
 std::string AlignToText(const AlignResponse& r) {
-  JsonBuf b;
-  b.Appendf("alignment report (%s)\n",
-            std::string(AlignMethodToString(r.method)).c_str());
-  b.Appendf("  a: %s [%s] %zu nodes, %zu triples, loaded in %.1f ms\n",
-            r.path_a.c_str(), r.kind_a.c_str(), r.nodes_a, r.triples_a,
-            r.load_a_ms);
-  b.Appendf("  b: %s [%s] %zu nodes, %zu triples, loaded in %.1f ms\n",
-            r.path_b.c_str(), r.kind_b.c_str(), r.nodes_b, r.triples_b,
-            r.load_b_ms);
-  b.Appendf("  threads            : %zu\n", r.threads);
-  b.Appendf("  align time         : %.3f s\n", r.seconds);
-  b.Appendf(
-      "  phases (ms)        : merge %.1f, refine %.1f, enrich %.1f,"
-      " index %.1f, match %.1f, stats %.1f\n",
-      r.phases.merge_ms, r.phases.refine_ms, r.phases.enrich_ms,
-      r.phases.overlap_index_ms, r.phases.match_ms, r.phases.stats_ms);
-  b.Appendf("  aligned edge ratio : %.4f (%zu / %zu)\n",
-            r.edge_stats.Ratio(), r.edge_stats.aligned_edges,
-            r.edge_stats.total_edges);
-  b.Appendf("  aligned classes    : %zu\n", r.node_stats.aligned_classes);
-  b.Appendf("  aligned nodes      : %zu source, %zu target\n",
-            r.node_stats.aligned_source_nodes,
-            r.node_stats.aligned_target_nodes);
-  b.Appendf("  unaligned nodes    : %zu source, %zu target\n",
-            r.node_stats.unaligned_source_nodes,
-            r.node_stats.unaligned_target_nodes);
+  std::string out;
+  StrAppendf(&out, "alignment report (%s)\n",
+             std::string(AlignMethodToString(r.method)).c_str());
+  StrAppendf(&out, "  a: %s [%s] %zu nodes, %zu triples, loaded in %.1f ms\n",
+             r.path_a.c_str(), r.kind_a.c_str(), r.nodes_a, r.triples_a,
+             r.load_a_ms);
+  StrAppendf(&out, "  b: %s [%s] %zu nodes, %zu triples, loaded in %.1f ms\n",
+             r.path_b.c_str(), r.kind_b.c_str(), r.nodes_b, r.triples_b,
+             r.load_b_ms);
+  StrAppendf(&out, "  threads            : %zu\n", r.threads);
+  StrAppendf(&out, "  align time         : %.3f s\n", r.seconds);
+  StrAppendf(&out,
+             "  phases (ms)        : merge %.1f, refine %.1f, enrich %.1f,"
+             " index %.1f, match %.1f, stats %.1f\n",
+             r.phases.merge_ms, r.phases.refine_ms, r.phases.enrich_ms,
+             r.phases.overlap_index_ms, r.phases.match_ms, r.phases.stats_ms);
+  StrAppendf(&out, "  aligned edge ratio : %.4f (%zu / %zu)\n",
+             r.edge_stats.Ratio(), r.edge_stats.aligned_edges,
+             r.edge_stats.total_edges);
+  StrAppendf(&out, "  aligned classes    : %zu\n",
+             r.node_stats.aligned_classes);
+  StrAppendf(&out, "  aligned nodes      : %zu source, %zu target\n",
+             r.node_stats.aligned_source_nodes,
+             r.node_stats.aligned_target_nodes);
+  StrAppendf(&out, "  unaligned nodes    : %zu source, %zu target\n",
+             r.node_stats.unaligned_source_nodes,
+             r.node_stats.unaligned_target_nodes);
   if (r.refinement.iterations > 0) {
-    b.Appendf("  refinement         : %zu iterations, %zu classes\n",
-              r.refinement.iterations, r.refinement.final_classes);
+    StrAppendf(&out, "  refinement         : %zu iterations, %zu classes\n",
+               r.refinement.iterations, r.refinement.final_classes);
   }
-  return b.Take();
+  return out;
 }
 
 // ----------------------------------------------------------------- diff
-
-bool ParseDiffRequest(const Args& args, DiffRequest* req, ParseError* error) {
-  if (args.positional().size() != 3) return UsageError(error);
-  std::string message;
-  if (!args.OnlyKnown({"method", "threads", "mmap", "json",
-                       "no-verify-checksums", "no-dict-compress"},
-                      &message)) {
-    return UsageError(error, message);
-  }
-  req->path_base = args.positional()[0];
-  req->path_next = args.positional()[1];
-  req->path_out = args.positional()[2];
-  auto method = ParseMethod(args.GetString("method", "hybrid"));
-  if (!method.ok()) {
-    return PlainError(error, "rdfalign diff: " + method.status().ToString());
-  }
-  req->method = *method;
-  if (!ParseCommonFlags(args, "diff", &req->common, &message)) {
-    return PlainError(error, message);
-  }
-  return true;
-}
 
 Status RunDiff(const DiffRequest& req, DiffResponse* resp) {
   const AlignerOptions options = MakeAlignerOptions(req.method, req.common);
@@ -612,84 +457,52 @@ Status RunDiff(const DiffRequest& req, DiffResponse* resp) {
 
 std::string DiffToJson(const DiffResponse& r) {
   JsonBuf b;
-  b.Appendf("{\n");
-  b.Appendf("  \"method\": \"%s\",\n",
-            std::string(AlignMethodToString(r.method)).c_str());
-  b.Appendf("  \"threads\": %zu,\n", r.threads);
-  b.Appendf(
-      "  \"base\": {\"path\": \"%s\", \"kind\": \"%s\", "
-      "\"nodes\": %zu, \"triples\": %zu},\n",
-      r.path_base.c_str(), r.kind_base.c_str(), r.nodes_base,
-      r.triples_base);
-  b.Appendf(
-      "  \"next\": {\"path\": \"%s\", \"kind\": \"%s\", "
-      "\"nodes\": %zu, \"triples\": %zu},\n",
-      r.path_next.c_str(), r.kind_next.c_str(), r.nodes_next,
-      r.triples_next);
-  b.Appendf("  \"delta\": \"%s\",\n", r.path_out.c_str());
-  b.Appendf("  \"kept_triples\": %llu,\n",
-            (unsigned long long)r.stats.kept_triples);
-  b.Appendf("  \"removed_triples\": %llu,\n",
-            (unsigned long long)r.stats.removed_triples);
-  b.Appendf("  \"added_triples\": %llu,\n",
-            (unsigned long long)r.stats.added_triples);
-  b.Appendf("  \"new_terms\": %llu,\n",
-            (unsigned long long)r.stats.new_terms);
-  b.Appendf("  \"mapped_nodes\": %llu,\n",
-            (unsigned long long)r.stats.mapped_nodes);
-  b.Appendf("  \"kept_runs\": %llu,\n",
-            (unsigned long long)r.stats.kept_runs);
-  b.Appendf("  \"delta_bytes\": %llu,\n",
-            (unsigned long long)r.stats.file_bytes);
-  b.Appendf("  \"align_ms\": %.2f,\n", r.align_ms);
-  b.Appendf("  \"write_ms\": %.2f\n", r.write_ms);
-  b.Appendf("}\n");
-  return b.Take();
+  b.Str("method", AlignMethodToString(r.method)).Int("threads", r.threads);
+  GraphObject(b, "base", r.path_base, r.kind_base, r.nodes_base,
+              r.triples_base)
+      .End();
+  GraphObject(b, "next", r.path_next, r.kind_next, r.nodes_next,
+              r.triples_next)
+      .End();
+  return b.Str("delta", r.path_out)
+      .Int("kept_triples", r.stats.kept_triples)
+      .Int("removed_triples", r.stats.removed_triples)
+      .Int("added_triples", r.stats.added_triples)
+      .Int("new_terms", r.stats.new_terms)
+      .Int("mapped_nodes", r.stats.mapped_nodes)
+      .Int("kept_runs", r.stats.kept_runs)
+      .Int("delta_bytes", r.stats.file_bytes)
+      .Num("align_ms", r.align_ms, 2)
+      .Num("write_ms", r.write_ms, 2)
+      .Take();
 }
 
 std::string DiffToText(const DiffResponse& r) {
-  JsonBuf b;
-  b.Appendf("wrote delta %s (%llu bytes)\n", r.path_out.c_str(),
-            (unsigned long long)r.stats.file_bytes);
-  b.Appendf("  base            : %s [%s] %zu nodes, %zu triples\n",
-            r.path_base.c_str(), r.kind_base.c_str(), r.nodes_base,
-            r.triples_base);
-  b.Appendf("  next            : %s [%s] %zu nodes, %zu triples\n",
-            r.path_next.c_str(), r.kind_next.c_str(), r.nodes_next,
-            r.triples_next);
-  b.Appendf(
-      "  change          : ~%llu kept (+%llu -%llu), "
-      "%llu new terms\n",
-      (unsigned long long)r.stats.kept_triples,
-      (unsigned long long)r.stats.added_triples,
-      (unsigned long long)r.stats.removed_triples,
-      (unsigned long long)r.stats.new_terms);
-  b.Appendf("  mapped nodes    : %llu / %zu (%llu kept runs)\n",
-            (unsigned long long)r.stats.mapped_nodes, r.nodes_next,
-            (unsigned long long)r.stats.kept_runs);
-  b.Appendf("  align %.1f ms, write %.1f ms\n", r.align_ms, r.write_ms);
-  return b.Take();
+  std::string out;
+  StrAppendf(&out, "wrote delta %s (%llu bytes)\n", r.path_out.c_str(),
+             (unsigned long long)r.stats.file_bytes);
+  StrAppendf(&out, "  base            : %s [%s] %zu nodes, %zu triples\n",
+             r.path_base.c_str(), r.kind_base.c_str(), r.nodes_base,
+             r.triples_base);
+  StrAppendf(&out, "  next            : %s [%s] %zu nodes, %zu triples\n",
+             r.path_next.c_str(), r.kind_next.c_str(), r.nodes_next,
+             r.triples_next);
+  StrAppendf(&out,
+             "  change          : ~%llu kept (+%llu -%llu), "
+             "%llu new terms\n",
+             (unsigned long long)r.stats.kept_triples,
+             (unsigned long long)r.stats.added_triples,
+             (unsigned long long)r.stats.removed_triples,
+             (unsigned long long)r.stats.new_terms);
+  StrAppendf(&out, "  mapped nodes    : %llu / %zu (%llu kept runs)\n",
+             (unsigned long long)r.stats.mapped_nodes, r.nodes_next,
+             (unsigned long long)r.stats.kept_runs);
+  StrAppendf(&out, "  align %.1f ms, write %.1f ms\n", r.align_ms,
+             r.write_ms);
+  return out;
 }
 
 // ---------------------------------------------------------------- patch
-
-bool ParsePatchRequest(const Args& args, PatchRequest* req,
-                       ParseError* error) {
-  if (args.positional().size() != 3) return UsageError(error);
-  std::string message;
-  if (!args.OnlyKnown({"threads", "mmap", "json", "no-verify-checksums",
-                       "no-dict-compress"},
-                      &message)) {
-    return UsageError(error, message);
-  }
-  req->path_base = args.positional()[0];
-  req->path_delta = args.positional()[1];
-  req->path_out = args.positional()[2];
-  if (!ParseCommonFlags(args, "patch", &req->common, &message)) {
-    return PlainError(error, message);
-  }
-  return true;
-}
 
 Status RunPatch(const PatchRequest& req, PatchResponse* resp) {
   const size_t workers = ResolveThreads(req.common.threads);
@@ -730,69 +543,38 @@ Status RunPatch(const PatchRequest& req, PatchResponse* resp) {
 
 std::string PatchToJson(const PatchResponse& r) {
   JsonBuf b;
-  b.Appendf("{\n");
-  b.Appendf("  \"threads\": %zu,\n", r.threads);
-  b.Appendf(
-      "  \"base\": {\"path\": \"%s\", \"kind\": \"%s\", "
-      "\"nodes\": %zu, \"triples\": %zu},\n",
-      r.path_base.c_str(), r.kind_base.c_str(), r.nodes_base,
-      r.triples_base);
-  b.Appendf("  \"delta\": \"%s\",\n", r.path_delta.c_str());
-  b.Appendf("  \"out\": \"%s\",\n", r.path_out.c_str());
-  b.Appendf("  \"nodes\": %zu,\n", r.nodes);
-  b.Appendf("  \"triples\": %zu,\n", r.triples);
-  b.Appendf("  \"kept_triples\": %llu,\n",
-            (unsigned long long)r.stats.kept_triples);
-  b.Appendf("  \"removed_triples\": %llu,\n",
-            (unsigned long long)r.stats.removed_triples);
-  b.Appendf("  \"added_triples\": %llu,\n",
-            (unsigned long long)r.stats.added_triples);
-  b.Appendf("  \"load_ms\": %.2f,\n", r.load_ms);
-  b.Appendf("  \"apply_ms\": %.2f,\n", r.apply_ms);
-  b.Appendf("  \"write_ms\": %.2f\n", r.write_ms);
-  b.Appendf("}\n");
-  return b.Take();
+  b.Int("threads", r.threads);
+  GraphObject(b, "base", r.path_base, r.kind_base, r.nodes_base,
+              r.triples_base)
+      .End();
+  return b.Str("delta", r.path_delta)
+      .Str("out", r.path_out)
+      .Int("nodes", r.nodes)
+      .Int("triples", r.triples)
+      .Int("kept_triples", r.stats.kept_triples)
+      .Int("removed_triples", r.stats.removed_triples)
+      .Int("added_triples", r.stats.added_triples)
+      .Num("load_ms", r.load_ms, 2)
+      .Num("apply_ms", r.apply_ms, 2)
+      .Num("write_ms", r.write_ms, 2)
+      .Take();
 }
 
 std::string PatchToText(const PatchResponse& r) {
-  JsonBuf b;
-  b.Appendf(
-      "patched %s + %s -> %s: %zu nodes, %zu triples "
-      "(~%llu kept +%llu -%llu)\n",
-      r.path_base.c_str(), r.path_delta.c_str(), r.path_out.c_str(),
-      r.nodes, r.triples, (unsigned long long)r.stats.kept_triples,
-      (unsigned long long)r.stats.added_triples,
-      (unsigned long long)r.stats.removed_triples);
-  b.Appendf("  load %.1f ms, apply %.1f ms, write %.1f ms\n", r.load_ms,
-            r.apply_ms, r.write_ms);
-  return b.Take();
+  std::string out;
+  StrAppendf(&out,
+             "patched %s + %s -> %s: %zu nodes, %zu triples "
+             "(~%llu kept +%llu -%llu)\n",
+             r.path_base.c_str(), r.path_delta.c_str(), r.path_out.c_str(),
+             r.nodes, r.triples, (unsigned long long)r.stats.kept_triples,
+             (unsigned long long)r.stats.added_triples,
+             (unsigned long long)r.stats.removed_triples);
+  StrAppendf(&out, "  load %.1f ms, apply %.1f ms, write %.1f ms\n",
+             r.load_ms, r.apply_ms, r.write_ms);
+  return out;
 }
 
 // -------------------------------------------------------------- archive
-
-bool ParseArchiveRequest(const Args& args, ArchiveRequest* req,
-                         ParseError* error) {
-  if (args.positional().size() < 2) return UsageError(error);
-  std::string message;
-  if (!args.OnlyKnown({"method", "threads", "mmap", "json",
-                       "no-verify-checksums", "no-dict-compress"},
-                      &message)) {
-    return UsageError(error, message);
-  }
-  req->path_out = args.positional()[0];
-  req->versions.assign(args.positional().begin() + 1,
-                       args.positional().end());
-  auto method = ParseMethod(args.GetString("method", "hybrid"));
-  if (!method.ok()) {
-    return PlainError(error,
-                      "rdfalign archive: " + method.status().ToString());
-  }
-  req->method = *method;
-  if (!ParseCommonFlags(args, "archive", &req->common, &message)) {
-    return PlainError(error, message);
-  }
-  return true;
-}
 
 Status RunArchive(const ArchiveRequest& req, ArchiveResponse* resp) {
   const AlignerOptions options = MakeAlignerOptions(req.method, req.common);
@@ -824,78 +606,43 @@ Status RunArchive(const ArchiveRequest& req, ArchiveResponse* resp) {
 }
 
 std::string ArchiveToJson(const ArchiveResponse& r) {
-  JsonBuf b;
-  b.Appendf("{\n");
-  b.Appendf("  \"archive\": \"%s\",\n", r.path_out.c_str());
-  b.Appendf("  \"method\": \"%s\",\n",
-            std::string(AlignMethodToString(r.method)).c_str());
-  b.Appendf("  \"threads\": %zu,\n", r.threads);
-  b.Appendf("  \"versions\": %zu,\n", r.stats.versions);
-  b.Appendf("  \"entities\": %zu,\n", r.stats.entities);
-  b.Appendf("  \"distinct_triples\": %zu,\n", r.stats.distinct_triples);
-  b.Appendf("  \"interval_records\": %zu,\n", r.stats.interval_records);
-  b.Appendf("  \"triple_version_pairs\": %zu,\n",
-            r.stats.triple_version_pairs);
-  b.Appendf("  \"compression_ratio\": %.4f,\n", r.stats.CompressionRatio());
-  b.Appendf("  \"file_bytes\": %llu,\n",
-            (unsigned long long)r.save_stats.file_bytes);
-  b.Appendf("  \"base_bytes\": %llu,\n",
-            (unsigned long long)r.save_stats.base_bytes);
-  b.Appendf("  \"delta_bytes\": %llu,\n",
-            (unsigned long long)r.save_stats.delta_bytes);
-  b.Appendf("  \"append_ms\": %.2f,\n", r.append_ms);
-  b.Appendf("  \"save_ms\": %.2f\n", r.save_ms);
-  b.Appendf("}\n");
-  return b.Take();
+  return JsonBuf()
+      .Str("archive", r.path_out)
+      .Str("method", AlignMethodToString(r.method))
+      .Int("threads", r.threads)
+      .Int("versions", r.stats.versions)
+      .Int("entities", r.stats.entities)
+      .Int("distinct_triples", r.stats.distinct_triples)
+      .Int("interval_records", r.stats.interval_records)
+      .Int("triple_version_pairs", r.stats.triple_version_pairs)
+      .Num("compression_ratio", r.stats.CompressionRatio(), 4)
+      .Int("file_bytes", r.save_stats.file_bytes)
+      .Int("base_bytes", r.save_stats.base_bytes)
+      .Int("delta_bytes", r.save_stats.delta_bytes)
+      .Num("append_ms", r.append_ms, 2)
+      .Num("save_ms", r.save_ms, 2)
+      .Take();
 }
 
 std::string ArchiveToText(const ArchiveResponse& r) {
-  JsonBuf b;
-  b.Appendf("archived %zu versions -> %s (%llu bytes)\n", r.stats.versions,
-            r.path_out.c_str(),
-            (unsigned long long)r.save_stats.file_bytes);
-  b.Appendf("  entities            : %zu\n", r.stats.entities);
-  b.Appendf("  interval records    : %zu (distinct triples %zu)\n",
-            r.stats.interval_records, r.stats.distinct_triples);
-  b.Appendf("  compression ratio   : %.2fx (%zu triple-version pairs)\n",
-            r.stats.CompressionRatio(), r.stats.triple_version_pairs);
-  b.Appendf("  base %llu bytes + deltas %llu bytes\n",
-            (unsigned long long)r.save_stats.base_bytes,
-            (unsigned long long)r.save_stats.delta_bytes);
-  b.Appendf("  append %.1f ms, save %.1f ms\n", r.append_ms, r.save_ms);
-  return b.Take();
+  std::string out;
+  StrAppendf(&out, "archived %zu versions -> %s (%llu bytes)\n",
+             r.stats.versions, r.path_out.c_str(),
+             (unsigned long long)r.save_stats.file_bytes);
+  StrAppendf(&out, "  entities            : %zu\n", r.stats.entities);
+  StrAppendf(&out, "  interval records    : %zu (distinct triples %zu)\n",
+             r.stats.interval_records, r.stats.distinct_triples);
+  StrAppendf(&out, "  compression ratio   : %.2fx (%zu triple-version pairs)\n",
+             r.stats.CompressionRatio(), r.stats.triple_version_pairs);
+  StrAppendf(&out, "  base %llu bytes + deltas %llu bytes\n",
+             (unsigned long long)r.save_stats.base_bytes,
+             (unsigned long long)r.save_stats.delta_bytes);
+  StrAppendf(&out, "  append %.1f ms, save %.1f ms\n", r.append_ms,
+             r.save_ms);
+  return out;
 }
 
 // ------------------------------------------------------------------ gen
-
-bool ParseGenRequest(const Args& args, GenRequest* req, ParseError* error) {
-  if (args.positional().size() != 1) return UsageError(error);
-  std::string message;
-  if (!args.OnlyKnown({"scale", "versions", "seed", "json"}, &message)) {
-    return UsageError(error, message);
-  }
-  req->prefix = args.positional()[0];
-  const std::optional<long long> versions =
-      args.GetInt("versions", 2, &message);
-  if (!versions) return PlainError(error, message);
-  if (*versions < 1 || *versions > 1000) {
-    return PlainError(error,
-                      "rdfalign gen: --versions must be in [1, 1000]");
-  }
-  req->versions = *versions;
-  req->scale = args.GetDouble("scale", 1.0);
-  if (!(req->scale > 0.0) || req->scale > 1e6) {
-    return PlainError(error, "rdfalign gen: --scale must be in (0, 1e6]");
-  }
-  const std::optional<long long> seed = args.GetInt("seed", 5, &message);
-  if (!seed) return PlainError(error, message);
-  if (*seed < 0) {
-    return PlainError(error, "rdfalign gen: --seed must be >= 0");
-  }
-  req->seed = *seed;
-  req->common.json = args.Has("json");
-  return true;
-}
 
 Status RunGen(const GenRequest& req, GenResponse* resp) {
   resp->prefix = req.prefix;
@@ -914,47 +661,27 @@ Status RunGen(const GenRequest& req, GenResponse* resp) {
 
 std::string GenToJson(const GenResponse& r) {
   JsonBuf b;
-  b.Appendf("{\n");
-  b.Appendf("  \"prefix\": \"%s\",\n", r.prefix.c_str());
-  b.Appendf("  \"versions\": %zu,\n", r.files.size());
-  b.Appendf("  \"files\": [\n");
-  for (size_t i = 0; i < r.files.size(); ++i) {
-    const GenFileInfo& f = r.files[i];
-    b.Appendf("    {\"path\": \"%s\", \"nodes\": %zu, \"triples\": %zu}%s\n",
-              f.path.c_str(), f.nodes, f.triples,
-              i + 1 < r.files.size() ? "," : "");
+  b.Str("prefix", r.prefix).Int("versions", r.files.size()).Array("files");
+  for (const GenFileInfo& f : r.files) {
+    b.Item()
+        .Str("path", f.path)
+        .Int("nodes", f.nodes)
+        .Int("triples", f.triples)
+        .End();
   }
-  b.Appendf("  ]\n}\n");
   return b.Take();
 }
 
 std::string GenToText(const GenResponse& r) {
-  JsonBuf b;
+  std::string out;
   for (const GenFileInfo& f : r.files) {
-    b.Appendf("wrote %s: %zu nodes, %zu triples\n", f.path.c_str(), f.nodes,
-              f.triples);
+    StrAppendf(&out, "wrote %s: %zu nodes, %zu triples\n", f.path.c_str(),
+               f.nodes, f.triples);
   }
-  return b.Take();
+  return out;
 }
 
 // ---------------------------------------------------------------- cache
-
-bool ParseCacheRequest(const Args& args, CacheRequest* req,
-                       ParseError* error) {
-  if (args.positional().size() != 1) return UsageError(error);
-  std::string message;
-  if (!args.OnlyKnown({"json"}, &message)) {
-    return UsageError(error, message);
-  }
-  req->action = args.positional()[0];
-  if (req->action != "stats" && req->action != "clear") {
-    return PlainError(error, "rdfalign cache: unknown action '" +
-                                 req->action +
-                                 "' (expected stats or clear)");
-  }
-  req->common.json = args.Has("json");
-  return true;
-}
 
 Status RunCache(const CacheRequest& req, CacheResponse* resp) {
   resp->action = req.action;
@@ -975,96 +702,63 @@ Status RunCache(const CacheRequest& req, CacheResponse* resp) {
 
 std::string CacheToJson(const CacheResponse& r) {
   JsonBuf b;
-  b.Appendf("{\n");
-  b.Appendf("  \"action\": \"%s\",\n", r.action.c_str());
-  if (r.action == "clear") {
-    b.Appendf("  \"dropped_entries\": %llu,\n",
-              (unsigned long long)r.dropped_entries);
-  }
-  b.Appendf("  \"capacity_bytes\": %llu,\n",
-            (unsigned long long)r.stats.capacity_bytes);
-  b.Appendf("  \"resident_bytes\": %llu,\n",
-            (unsigned long long)r.stats.resident_bytes);
-  b.Appendf("  \"entries\": %llu,\n", (unsigned long long)r.stats.entries);
-  b.Appendf("  \"hits\": %llu,\n", (unsigned long long)r.stats.hits);
-  b.Appendf("  \"misses\": %llu,\n", (unsigned long long)r.stats.misses);
-  b.Appendf("  \"evictions\": %llu,\n",
-            (unsigned long long)r.stats.evictions);
-  b.Appendf("  \"duplicate_loads\": %llu%s\n",
-            (unsigned long long)r.stats.duplicate_loads,
-            r.action == "stats" ? "," : "");
+  b.Str("action", r.action);
+  if (r.action == "clear") b.Int("dropped_entries", r.dropped_entries);
+  b.Int("capacity_bytes", r.stats.capacity_bytes)
+      .Int("resident_bytes", r.stats.resident_bytes)
+      .Int("entries", r.stats.entries)
+      .Int("hits", r.stats.hits)
+      .Int("misses", r.stats.misses)
+      .Int("evictions", r.stats.evictions)
+      .Int("duplicate_loads", r.stats.duplicate_loads);
   if (r.action == "stats") {
-    b.Appendf("  \"cached\": [\n");
-    for (size_t i = 0; i < r.entries.size(); ++i) {
-      const SnapshotCacheEntryInfo& e = r.entries[i];
-      b.Appendf(
-          "    {\"fingerprint\": \"%016llx\", \"bytes\": %llu, "
-          "\"refs\": %llu, \"nodes\": %llu, \"triples\": %llu, "
-          "\"path\": \"%s\"}%s\n",
-          (unsigned long long)e.fingerprint,
-          (unsigned long long)e.resident_bytes,
-          (unsigned long long)e.external_refs, (unsigned long long)e.nodes,
-          (unsigned long long)e.triples, e.path.c_str(),
-          i + 1 < r.entries.size() ? "," : "");
+    b.Array("cached");
+    for (const SnapshotCacheEntryInfo& e : r.entries) {
+      b.Item()
+          .Hex("fingerprint", e.fingerprint)
+          .Int("bytes", e.resident_bytes)
+          .Int("refs", e.external_refs)
+          .Int("nodes", e.nodes)
+          .Int("triples", e.triples)
+          .Str("path", e.path)
+          .End();
     }
-    b.Appendf("  ]\n");
   }
-  b.Appendf("}\n");
   return b.Take();
 }
 
 std::string CacheToText(const CacheResponse& r) {
-  JsonBuf b;
+  std::string out;
   if (r.action == "clear") {
-    b.Appendf("cleared snapshot cache: dropped %llu entries\n",
-              (unsigned long long)r.dropped_entries);
-    return b.Take();
+    StrAppendf(&out, "cleared snapshot cache: dropped %llu entries\n",
+               (unsigned long long)r.dropped_entries);
+    return out;
   }
-  b.Appendf("snapshot cache: %llu entries, %llu / %llu bytes\n",
-            (unsigned long long)r.stats.entries,
-            (unsigned long long)r.stats.resident_bytes,
-            (unsigned long long)r.stats.capacity_bytes);
-  b.Appendf("  hits %llu, misses %llu, evictions %llu, duplicate loads %llu\n",
-            (unsigned long long)r.stats.hits,
-            (unsigned long long)r.stats.misses,
-            (unsigned long long)r.stats.evictions,
-            (unsigned long long)r.stats.duplicate_loads);
+  StrAppendf(&out, "snapshot cache: %llu entries, %llu / %llu bytes\n",
+             (unsigned long long)r.stats.entries,
+             (unsigned long long)r.stats.resident_bytes,
+             (unsigned long long)r.stats.capacity_bytes);
+  StrAppendf(&out,
+             "  hits %llu, misses %llu, evictions %llu, duplicate loads "
+             "%llu\n",
+             (unsigned long long)r.stats.hits,
+             (unsigned long long)r.stats.misses,
+             (unsigned long long)r.stats.evictions,
+             (unsigned long long)r.stats.duplicate_loads);
   for (const SnapshotCacheEntryInfo& e : r.entries) {
-    b.Appendf("  %016llx  %llu bytes  refs=%llu  %llu nodes, %llu triples  %s\n",
-              (unsigned long long)e.fingerprint,
-              (unsigned long long)e.resident_bytes,
-              (unsigned long long)e.external_refs,
-              (unsigned long long)e.nodes, (unsigned long long)e.triples,
-              e.path.c_str());
+    StrAppendf(&out,
+               "  %016llx  %llu bytes  refs=%llu  %llu nodes, %llu triples  "
+               "%s\n",
+               (unsigned long long)e.fingerprint,
+               (unsigned long long)e.resident_bytes,
+               (unsigned long long)e.external_refs,
+               (unsigned long long)e.nodes, (unsigned long long)e.triples,
+               e.path.c_str());
   }
-  return b.Take();
+  return out;
 }
 
 // -------------------------------------------------------------- updates
-
-bool ParseUpdatesRequest(const Args& args, UpdatesRequest* req,
-                         ParseError* error) {
-  if (args.positional().size() != 3) return UsageError(error);
-  std::string message;
-  if (!args.OnlyKnown({"seq", "threads", "mmap", "json",
-                       "no-verify-checksums", "no-dict-compress"},
-                      &message)) {
-    return UsageError(error, message);
-  }
-  req->path_base = args.positional()[0];
-  req->path_next = args.positional()[1];
-  req->path_out = args.positional()[2];
-  const std::optional<long long> seq = args.GetInt("seq", 1, &message);
-  if (!seq) return PlainError(error, message);
-  if (*seq < 0) {
-    return PlainError(error, "rdfalign updates: --seq must be >= 0");
-  }
-  req->sequence = *seq;
-  if (!ParseCommonFlags(args, "updates", &req->common, &message)) {
-    return PlainError(error, message);
-  }
-  return true;
-}
 
 Status RunUpdates(const UpdatesRequest& req, UpdatesResponse* resp) {
   resp->path_base = req.path_base;
@@ -1117,58 +811,293 @@ Status RunUpdates(const UpdatesRequest& req, UpdatesResponse* resp) {
 
 std::string UpdatesToJson(const UpdatesResponse& r) {
   JsonBuf b;
-  b.Appendf("{\n");
-  b.Appendf(
-      "  \"base\": {\"path\": \"%s\", \"kind\": \"%s\", "
-      "\"nodes\": %zu, \"triples\": %zu},\n",
-      r.path_base.c_str(), r.kind_base.c_str(), r.nodes_base,
-      r.triples_base);
-  b.Appendf(
-      "  \"next\": {\"path\": \"%s\", \"kind\": \"%s\", "
-      "\"nodes\": %zu, \"triples\": %zu},\n",
-      r.path_next.c_str(), r.kind_next.c_str(), r.nodes_next,
-      r.triples_next);
-  b.Appendf("  \"fragment\": \"%s\",\n", r.path_out.c_str());
-  b.Appendf("  \"sequence\": %llu,\n", (unsigned long long)r.sequence);
-  b.Appendf("  \"refs\": %llu,\n", (unsigned long long)r.refs);
-  b.Appendf("  \"new_nodes\": %llu,\n", (unsigned long long)r.new_nodes);
-  b.Appendf("  \"removed_nodes\": %llu,\n",
-            (unsigned long long)r.removed_nodes);
-  b.Appendf("  \"removed_triples\": %llu,\n",
-            (unsigned long long)r.removed_triples);
-  b.Appendf("  \"added_triples\": %llu,\n",
-            (unsigned long long)r.added_triples);
-  b.Appendf("  \"fragment_bytes\": %llu,\n",
-            (unsigned long long)r.file_bytes);
-  b.Appendf("  \"build_ms\": %.2f,\n", r.build_ms);
-  b.Appendf("  \"write_ms\": %.2f\n", r.write_ms);
-  b.Appendf("}\n");
-  return b.Take();
+  GraphObject(b, "base", r.path_base, r.kind_base, r.nodes_base,
+              r.triples_base)
+      .End();
+  GraphObject(b, "next", r.path_next, r.kind_next, r.nodes_next,
+              r.triples_next)
+      .End();
+  return b.Str("fragment", r.path_out)
+      .Int("sequence", r.sequence)
+      .Int("refs", r.refs)
+      .Int("new_nodes", r.new_nodes)
+      .Int("removed_nodes", r.removed_nodes)
+      .Int("removed_triples", r.removed_triples)
+      .Int("added_triples", r.added_triples)
+      .Int("fragment_bytes", r.file_bytes)
+      .Num("build_ms", r.build_ms, 2)
+      .Num("write_ms", r.write_ms, 2)
+      .Take();
 }
 
 std::string UpdatesToText(const UpdatesResponse& r) {
-  JsonBuf b;
-  b.Appendf("wrote update fragment %s (%llu bytes, seq %llu)\n",
-            r.path_out.c_str(), (unsigned long long)r.file_bytes,
-            (unsigned long long)r.sequence);
-  b.Appendf("  base            : %s [%s] %zu nodes, %zu triples\n",
-            r.path_base.c_str(), r.kind_base.c_str(), r.nodes_base,
-            r.triples_base);
-  b.Appendf("  next            : %s [%s] %zu nodes, %zu triples\n",
-            r.path_next.c_str(), r.kind_next.c_str(), r.nodes_next,
-            r.triples_next);
-  b.Appendf("  change          : +%llu -%llu triples, +%llu -%llu nodes"
-            " (%llu refs)\n",
-            (unsigned long long)r.added_triples,
-            (unsigned long long)r.removed_triples,
-            (unsigned long long)r.new_nodes,
-            (unsigned long long)r.removed_nodes,
-            (unsigned long long)r.refs);
-  b.Appendf("  build %.1f ms, write %.1f ms\n", r.build_ms, r.write_ms);
-  return b.Take();
+  std::string out;
+  StrAppendf(&out, "wrote update fragment %s (%llu bytes, seq %llu)\n",
+             r.path_out.c_str(), (unsigned long long)r.file_bytes,
+             (unsigned long long)r.sequence);
+  StrAppendf(&out, "  base            : %s [%s] %zu nodes, %zu triples\n",
+             r.path_base.c_str(), r.kind_base.c_str(), r.nodes_base,
+             r.triples_base);
+  StrAppendf(&out, "  next            : %s [%s] %zu nodes, %zu triples\n",
+             r.path_next.c_str(), r.kind_next.c_str(), r.nodes_next,
+             r.triples_next);
+  StrAppendf(&out,
+             "  change          : +%llu -%llu triples, +%llu -%llu nodes"
+             " (%llu refs)\n",
+             (unsigned long long)r.added_triples,
+             (unsigned long long)r.removed_triples,
+             (unsigned long long)r.new_nodes,
+             (unsigned long long)r.removed_nodes,
+             (unsigned long long)r.refs);
+  StrAppendf(&out, "  build %.1f ms, write %.1f ms\n", r.build_ms,
+             r.write_ms);
+  return out;
 }
 
 // ------------------------------------------------------------- dispatch
+
+/// One decoded command line: the positionals, the common flags, and the
+/// values the row's hook parsed (each verb reads only its own).
+struct VerbCall {
+  const char* verb;
+  const std::vector<std::string>& positional;
+  CommonOptions common;
+  GraphSource* source;
+  AlignMethod method = AlignMethod::kHybrid;  ///< --method
+  std::string format = "auto";                ///< build --format
+  long long versions = 2;                     ///< gen --versions
+  double scale = 1.0;                         ///< gen --scale
+  long long seed = 5;                         ///< gen --seed
+  long long sequence = 1;                     ///< updates --seq
+};
+
+namespace {
+
+// ---- hooks: each verb's own flags, with the exact legacy messages.
+
+bool MethodHook(const Args& args, VerbCall* call, std::string* error) {
+  const std::string name = args.GetString("method", "hybrid");
+  for (AlignMethod method :
+       {AlignMethod::kTrivial, AlignMethod::kDeblank, AlignMethod::kHybrid,
+        AlignMethod::kHybridContextual, AlignMethod::kOverlap}) {
+    if (name == AlignMethodToString(method)) {
+      call->method = method;
+      return true;
+    }
+  }
+  *error = std::string("rdfalign ") + call->verb + ": " +
+           Status::InvalidArgument("unknown alignment method: " + name)
+               .ToString();
+  return false;
+}
+
+bool FormatHook(const Args& args, VerbCall* call, std::string* error) {
+  call->format = args.GetString("format", "auto");
+  if (call->format == "auto" || call->format == "ntriples" ||
+      call->format == "turtle") {
+    return true;
+  }
+  *error = "rdfalign: unknown --format=" + call->format;
+  return false;
+}
+
+bool GenHook(const Args& args, VerbCall* call, std::string* error) {
+  const std::optional<long long> versions = args.GetInt("versions", 2, error);
+  if (!versions) return false;
+  if (*versions < 1 || *versions > 1000) {
+    *error = "rdfalign gen: --versions must be in [1, 1000]";
+    return false;
+  }
+  const std::optional<double> scale = args.GetDouble("scale", 1.0, error);
+  if (!scale) return false;
+  if (!(*scale > 0.0) || *scale > 1e6) {
+    *error = "rdfalign gen: --scale must be in (0, 1e6]";
+    return false;
+  }
+  const std::optional<long long> seed = args.GetInt("seed", 5, error);
+  if (!seed) return false;
+  if (*seed < 0) {
+    *error = "rdfalign gen: --seed must be >= 0";
+    return false;
+  }
+  call->versions = *versions;
+  call->scale = *scale;
+  call->seed = *seed;
+  return true;
+}
+
+bool CacheHook(const Args& args, VerbCall*, std::string* error) {
+  const std::string& action = args.positional()[0];
+  if (action == "stats" || action == "clear") return true;
+  *error = "rdfalign cache: unknown action '" + action +
+           "' (expected stats or clear)";
+  return false;
+}
+
+bool SeqHook(const Args& args, VerbCall* call, std::string* error) {
+  const std::optional<long long> seq = args.GetInt("seq", 1, error);
+  if (!seq) return false;
+  if (*seq < 0) {
+    *error = "rdfalign updates: --seq must be >= 0";
+    return false;
+  }
+  call->sequence = *seq;
+  return true;
+}
+
+// ---- runs: build the request, run, render.
+
+/// Renders `resp` as the call asked (only on success) and hands its cache
+/// counters to the verb result.
+template <typename Response>
+Status Finish(const VerbCall& call, const Status& st, const Response& resp,
+              std::string (*to_json)(const Response&),
+              std::string (*to_text)(const Response&), VerbResult* result) {
+  if constexpr (requires { resp.cache_hits; }) {
+    result->cache_hits = resp.cache_hits;
+    result->cache_misses = resp.cache_misses;
+  }
+  if (st.ok()) {
+    result->output = call.common.json ? to_json(resp) : to_text(resp);
+  }
+  return st;
+}
+
+Status BuildVerb(const VerbCall& c, VerbResult* result) {
+  BuildResponse resp;
+  const Status st = RunBuild(
+      {c.positional[0], c.positional[1], c.format, c.common}, &resp);
+  return Finish(c, st, resp, BuildToJson, BuildToText, result);
+}
+
+Status InfoVerb(const VerbCall& c, VerbResult* result) {
+  InfoResponse resp;
+  const Status st = RunInfo({c.positional[0], c.common, c.source}, &resp);
+  return Finish(c, st, resp, InfoToJson, InfoToText, result);
+}
+
+Status AlignVerb(const VerbCall& c, VerbResult* result) {
+  AlignResponse resp;
+  const Status st = RunAlign(
+      {c.positional[0], c.positional[1], c.method, c.common, c.source},
+      &resp);
+  return Finish(c, st, resp, AlignToJson, AlignToText, result);
+}
+
+Status DiffVerb(const VerbCall& c, VerbResult* result) {
+  DiffResponse resp;
+  const Status st = RunDiff({c.positional[0], c.positional[1],
+                             c.positional[2], c.method, c.common, c.source},
+                            &resp);
+  return Finish(c, st, resp, DiffToJson, DiffToText, result);
+}
+
+Status PatchVerb(const VerbCall& c, VerbResult* result) {
+  PatchResponse resp;
+  const Status st = RunPatch(
+      {c.positional[0], c.positional[1], c.positional[2], c.common,
+       c.source},
+      &resp);
+  return Finish(c, st, resp, PatchToJson, PatchToText, result);
+}
+
+Status ArchiveVerb(const VerbCall& c, VerbResult* result) {
+  ArchiveResponse resp;
+  const Status st = RunArchive(
+      {c.positional[0],
+       std::vector<std::string>(c.positional.begin() + 1, c.positional.end()),
+       c.method, c.common, c.source},
+      &resp);
+  return Finish(c, st, resp, ArchiveToJson, ArchiveToText, result);
+}
+
+Status GenVerb(const VerbCall& c, VerbResult* result) {
+  GenResponse resp;
+  const Status st = RunGen(
+      {c.positional[0], c.versions, c.scale, c.seed, c.common}, &resp);
+  // Versions written before a failure are still listed (the historical
+  // CLI printed them as it went).
+  if (!st.ok() && !c.common.json) result->output = GenToText(resp);
+  return Finish(c, st, resp, GenToJson, GenToText, result);
+}
+
+Status CacheVerb(const VerbCall& c, VerbResult* result) {
+  CacheResponse resp;
+  const Status st = RunCache({c.positional[0], c.common, c.source}, &resp);
+  return Finish(c, st, resp, CacheToJson, CacheToText, result);
+}
+
+Status UpdatesVerb(const VerbCall& c, VerbResult* result) {
+  UpdatesResponse resp;
+  const Status st = RunUpdates({c.positional[0], c.positional[1],
+                                c.positional[2], c.sequence, c.common,
+                                c.source},
+                               &resp);
+  return Finish(c, st, resp, UpdatesToJson, UpdatesToText, result);
+}
+
+#define COMMON_FLAGS "threads", "mmap", "json", "no-verify-checksums"
+
+constexpr size_t kUnbounded = SIZE_MAX;
+
+// The verb table. Columns: name, scope, positional arity [min, max],
+// accepted flags, hook, hook after the common flags, acquires graphs,
+// idempotent, InvalidArgument exits 2, run.
+const VerbSpec kVerbs[] = {
+    {"build", VerbScope::kAnywhere, 2, 2,
+     {"format", "threads", "json", "no-dict-compress"},
+     FormatHook, true, false, false, false, BuildVerb},
+    {"info", VerbScope::kAnywhere, 1, 1, {COMMON_FLAGS},
+     nullptr, false, true, true, false, InfoVerb},
+    {"align", VerbScope::kAnywhere, 2, 2, {"method", COMMON_FLAGS},
+     MethodHook, false, true, true, false, AlignVerb},
+    {"diff", VerbScope::kAnywhere, 3, 3,
+     {"method", COMMON_FLAGS, "no-dict-compress"},
+     MethodHook, false, true, false, false, DiffVerb},
+    {"patch", VerbScope::kAnywhere, 3, 3, {COMMON_FLAGS, "no-dict-compress"},
+     nullptr, false, true, false, true, PatchVerb},
+    {"archive", VerbScope::kAnywhere, 2, kUnbounded,
+     {"method", COMMON_FLAGS, "no-dict-compress"},
+     MethodHook, false, true, false, false, ArchiveVerb},
+    {"gen", VerbScope::kAnywhere, 1, 1, {"scale", "versions", "seed", "json"},
+     GenHook, false, false, false, false, GenVerb},
+    // cache reaches the resident cache through the source.
+    {"cache", VerbScope::kAnywhere, 1, 1, {"json"},
+     CacheHook, false, true, true, false, CacheVerb},
+    {"updates", VerbScope::kAnywhere, 3, 3,
+     {"seq", COMMON_FLAGS, "no-dict-compress"},
+     SeqHook, false, true, false, false, UpdatesVerb},
+    {"stats", VerbScope::kDaemonStats, 0, 0, {"json"},
+     nullptr, false, false, true, false, nullptr},
+    // stream checks each subcommand's arguments itself (stream_verbs.cc).
+    {"stream", VerbScope::kDaemonStream, 1, kUnbounded, {},
+     nullptr, false, true, false, false, nullptr},
+};
+
+#undef COMMON_FLAGS
+
+}  // namespace
+
+const VerbSpec* FindVerb(std::string_view name) {
+  for (const VerbSpec& spec : kVerbs) {
+    if (name == spec.name) return &spec;
+  }
+  return nullptr;
+}
+
+bool CheckVerbArgs(const VerbSpec& spec, const Args& args,
+                   VerbResult* result) {
+  const size_t n = args.positional().size();
+  std::string message;
+  if (n >= spec.min_positional && n <= spec.max_positional &&
+      args.OnlyKnown(spec.flags, &message)) {
+    return true;
+  }
+  result->exit_code = 2;
+  result->usage_error = true;
+  result->error = std::move(message);
+  return false;
+}
 
 const char* UsageText() {
   return
@@ -1218,189 +1147,59 @@ const char* UsageText() {
       "      per-verb request/error counters and latency percentiles of a\n"
       "      running rdfalignd\n"
       "\n"
-      "every command also accepts --no-verify-checksums (skip section\n"
-      "checksum verification on loads; structural validation still runs);\n"
+      "commands that load graphs (info, align, diff, patch, archive,\n"
+      "updates) also accept --no-verify-checksums (skip section checksum\n"
+      "verification on loads; structural validation still runs);\n"
       "writing commands (build, diff, patch, archive, updates) also accept\n"
       "--no-dict-compress (write the raw version-1 dictionary layout\n"
       "instead of the front-coded version-2 default)\n";
 }
 
-namespace {
-
-/// Renders the chosen presentation and finishes `result`.
-template <typename Response>
-void Finish(VerbResult* result, const Response& resp, bool json,
-            std::string (*to_json)(const Response&),
-            std::string (*to_text)(const Response&)) {
-  result->output = json ? to_json(resp) : to_text(resp);
-}
-
-}  // namespace
-
 VerbResult ExecuteVerb(const std::vector<std::string>& tokens,
-                       GraphSource* source, bool force_json) {
+                       GraphSource* source) {
   VerbResult result;
+  result.exit_code = 2;
   if (tokens.empty()) {
-    result.exit_code = 2;
     result.usage_error = true;
     return result;
   }
-  const std::string& verb = tokens[0];
-  result.verb = verb;
-  const Args args(std::vector<std::string>(tokens.begin() + 1, tokens.end()));
-  ParseError parse_error;
-
-  auto parse_failed = [&result, &parse_error]() {
-    result.exit_code = 2;
-    result.usage_error = parse_error.usage;
-    result.error = parse_error.message;
-    return result;
-  };
-  auto run_failed = [&result](const char* name, const Status& st,
-                              int exit_code) {
-    result.exit_code = exit_code;
-    result.error = std::string("rdfalign ") + name + ": " + st.ToString();
-    return result;
-  };
-
-  if (verb == "build") {
-    BuildRequest req;
-    if (!ParseBuildRequest(args, &req, &parse_error)) return parse_failed();
-    if (force_json) req.common.json = true;
-    BuildResponse resp;
-    Status st = RunBuild(req, &resp);
-    if (!st.ok()) return run_failed("build", st, 1);
-    Finish(&result, resp, req.common.json, BuildToJson, BuildToText);
+  result.verb = tokens[0];
+  const VerbSpec* spec = FindVerb(tokens[0]);
+  if (spec == nullptr) {
+    result.usage_error = true;
+    result.error = "rdfalign: unknown command '" + tokens[0] + "'";
     return result;
   }
-  if (verb == "info") {
-    InfoRequest req;
-    if (!ParseInfoRequest(args, &req, &parse_error)) return parse_failed();
-    if (force_json) {
-      req.common.json = true;
-      req.with_fingerprint = true;
-    }
-    req.source = source;
-    InfoResponse resp;
-    Status st = RunInfo(req, &resp);
-    result.cache_hits = resp.cache_hits;
-    result.cache_misses = resp.cache_misses;
-    if (!st.ok()) return run_failed("info", st, 1);
-    Finish(&result, resp, req.common.json, InfoToJson, InfoToText);
-    return result;
-  }
-  if (verb == "align") {
-    AlignRequest req;
-    if (!ParseAlignRequest(args, &req, &parse_error)) return parse_failed();
-    if (force_json) req.common.json = true;
-    req.source = source;
-    AlignResponse resp;
-    Status st = RunAlign(req, &resp);
-    result.cache_hits = resp.cache_hits;
-    result.cache_misses = resp.cache_misses;
-    if (!st.ok()) return run_failed("align", st, 1);
-    Finish(&result, resp, req.common.json, AlignToJson, AlignToText);
-    return result;
-  }
-  if (verb == "diff") {
-    DiffRequest req;
-    if (!ParseDiffRequest(args, &req, &parse_error)) return parse_failed();
-    if (force_json) req.common.json = true;
-    req.source = source;
-    DiffResponse resp;
-    Status st = RunDiff(req, &resp);
-    result.cache_hits = resp.cache_hits;
-    result.cache_misses = resp.cache_misses;
-    if (!st.ok()) return run_failed("diff", st, 1);
-    Finish(&result, resp, req.common.json, DiffToJson, DiffToText);
-    return result;
-  }
-  if (verb == "patch") {
-    PatchRequest req;
-    if (!ParsePatchRequest(args, &req, &parse_error)) return parse_failed();
-    if (force_json) req.common.json = true;
-    req.source = source;
-    PatchResponse resp;
-    Status st = RunPatch(req, &resp);
-    result.cache_hits = resp.cache_hits;
-    result.cache_misses = resp.cache_misses;
-    if (!st.ok()) {
-      // A delta that does not belong to this base (or is no delta at all)
-      // is a usage error, distinct from I/O failures and corrupt files.
-      return run_failed("patch", st, st.IsInvalidArgument() ? 2 : 1);
-    }
-    Finish(&result, resp, req.common.json, PatchToJson, PatchToText);
-    return result;
-  }
-  if (verb == "archive") {
-    ArchiveRequest req;
-    if (!ParseArchiveRequest(args, &req, &parse_error)) {
-      return parse_failed();
-    }
-    if (force_json) req.common.json = true;
-    req.source = source;
-    ArchiveResponse resp;
-    Status st = RunArchive(req, &resp);
-    result.cache_hits = resp.cache_hits;
-    result.cache_misses = resp.cache_misses;
-    if (!st.ok()) return run_failed("archive", st, 1);
-    Finish(&result, resp, req.common.json, ArchiveToJson, ArchiveToText);
-    return result;
-  }
-  if (verb == "gen") {
-    GenRequest req;
-    if (!ParseGenRequest(args, &req, &parse_error)) return parse_failed();
-    if (force_json) req.common.json = true;
-    GenResponse resp;
-    Status st = RunGen(req, &resp);
-    if (!st.ok()) {
-      // Versions written before the failure are still reported (the
-      // historical CLI printed them as it went).
-      if (!req.common.json) result.output = GenToText(resp);
-      return run_failed("gen", st, 1);
-    }
-    Finish(&result, resp, req.common.json, GenToJson, GenToText);
-    return result;
-  }
-  if (verb == "cache") {
-    CacheRequest req;
-    if (!ParseCacheRequest(args, &req, &parse_error)) return parse_failed();
-    if (force_json) req.common.json = true;
-    req.source = source;
-    CacheResponse resp;
-    Status st = RunCache(req, &resp);
-    if (!st.ok()) return run_failed("cache", st, 1);
-    Finish(&result, resp, req.common.json, CacheToJson, CacheToText);
-    return result;
-  }
-  if (verb == "updates") {
-    UpdatesRequest req;
-    if (!ParseUpdatesRequest(args, &req, &parse_error)) return parse_failed();
-    if (force_json) req.common.json = true;
-    req.source = source;
-    UpdatesResponse resp;
-    Status st = RunUpdates(req, &resp);
-    result.cache_hits = resp.cache_hits;
-    result.cache_misses = resp.cache_misses;
-    if (!st.ok()) return run_failed("updates", st, 1);
-    Finish(&result, resp, req.common.json, UpdatesToJson, UpdatesToText);
-    return result;
-  }
-  if (verb == "stats" || verb == "stream") {
-    // Both exist only where there is a live daemon holding the state —
-    // request metrics for `stats`, a per-connection streaming session for
-    // `stream` — so the in-process dispatcher can only point elsewhere.
+  const std::string prefix = std::string("rdfalign ") + spec->name + ": ";
+  if (spec->scope != VerbScope::kAnywhere) {
     result.exit_code = 1;
-    result.error = "rdfalign " + verb + ": only available on a running " +
-                   "rdfalignd (use rdfalign " +
-                   (verb == "stats" ? "client <endpoint> stats"
-                                    : "stream <endpoint> ...") +
-                   ")";
+    result.error = prefix + "only available on a running rdfalignd (use " +
+                   (spec->scope == VerbScope::kDaemonStats
+                        ? "rdfalign client <endpoint> stats)"
+                        : "rdfalign stream <endpoint> ...)");
     return result;
   }
-  result.exit_code = 2;
-  result.usage_error = true;
-  result.error = "rdfalign: unknown command '" + verb + "'";
+  const Args args(std::vector<std::string>(tokens.begin() + 1, tokens.end()));
+  if (!CheckVerbArgs(*spec, args, &result)) return result;
+
+  VerbCall call{spec->name, args.positional(), {},
+                spec->acquires ? source : nullptr};
+  auto hook = [&](bool after_common) {
+    return spec->hook == nullptr || spec->hook_after_common != after_common ||
+           spec->hook(args, &call, &result.error);
+  };
+  if (!hook(false) ||
+      !ParseCommonFlags(args, spec->name, &call.common, &result.error) ||
+      !hook(true)) {
+    return result;
+  }
+  const Status st = spec->run(call, &result);
+  result.exit_code = 0;
+  if (!st.ok()) {
+    result.exit_code =
+        spec->invalid_argument_is_usage && st.IsInvalidArgument() ? 2 : 1;
+    result.error = prefix + st.ToString();
+  }
   return result;
 }
 

@@ -2,27 +2,32 @@
 // function, shared verbatim by the `rdfalign` CLI and the `rdfalignd`
 // daemon (the api redesign invariant: tools/*.cc hold no verb logic).
 //
-// Each verb is three pieces:
+// Each verb is two pieces here plus one row in the verb table:
 //
-//   * ParseXRequest(Args, XRequest*, ParseError*)  — flag/positional
-//     decoding with the exact legacy error messages (exit-2 contract),
 //   * Status RunX(const XRequest&, XResponse*)     — the operation; file
 //     graphs are obtained through the request's GraphSource (direct loads
 //     in the CLI, the resident SnapshotCache in the daemon),
 //   * XToJson / XToText(const XResponse&)          — the two renderings.
-//     The JSON renderer is byte-identical to the historical CLI --json
-//     output and doubles as the daemon's wire format.
+//     The JSON renderer writes through the one JsonBuf writer
+//     (service/json.h) and doubles as the daemon's wire format.
+//   * its VerbSpec row (verbs.cc): name, positional arity, accepted flags,
+//     the hook that parses its own flags, whether it acquires graphs,
+//     whether a retry is safe, and the function that runs and renders it.
 //
-// ExecuteVerb ties the three together for one tokenized command line —
-// both front ends call it, so dispatch, error prefixes, and exit-code
-// policy (usage/flag errors -> 2, patch base mismatch -> 2, other
-// failures -> 1) cannot drift between them.
+// ExecuteVerb decodes one tokenized command line against that table —
+// both front ends call it, so dispatch, flag checks, error prefixes, and
+// exit-code policy (usage/flag errors -> 2, patch base mismatch -> 2,
+// other failures -> 1) cannot drift between them. The client's retry
+// rule, the daemon's routing and its per-verb metrics read the same
+// table through FindVerb.
 
 #ifndef RDFALIGN_SERVICE_VERBS_H_
 #define RDFALIGN_SERVICE_VERBS_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/aligner.h"
@@ -36,14 +41,6 @@
 #include "util/result.h"
 
 namespace rdfalign::service {
-
-/// A failed request decode. `usage` selects the legacy presentation:
-/// usage errors print the command synopsis (after `message`, when one is
-/// set); plain errors print `message` alone. Both exit 2.
-struct ParseError {
-  bool usage = false;
-  std::string message;
-};
 
 // ---------------------------------------------------------------- build
 
@@ -63,19 +60,17 @@ struct BuildResponse {
   size_t threads = 0;  ///< resolved worker count
 };
 
-bool ParseBuildRequest(const Args& args, BuildRequest* req, ParseError* error);
 Status RunBuild(const BuildRequest& req, BuildResponse* resp);
 std::string BuildToJson(const BuildResponse& resp);
 std::string BuildToText(const BuildResponse& resp);
 
 // ----------------------------------------------------------------- info
 
+/// With common.json the content fingerprint is reported too (snapshot:
+/// GraphFingerprint of the loaded graph, via `source`; archive: that of
+/// the embedded base snapshot); the plain listing stays header-only.
 struct InfoRequest {
   std::string path;
-  /// Also report the content fingerprint (snapshot: GraphFingerprint of
-  /// the loaded graph, via `source`; archive: fingerprint of the embedded
-  /// base snapshot). Set for --json; the plain listing stays header-only.
-  bool with_fingerprint = false;
   CommonOptions common;
   GraphSource* source = nullptr;
 };
@@ -105,7 +100,6 @@ struct InfoResponse {
   uint64_t cache_misses = 0;
 };
 
-bool ParseInfoRequest(const Args& args, InfoRequest* req, ParseError* error);
 Status RunInfo(const InfoRequest& req, InfoResponse* resp);
 std::string InfoToJson(const InfoResponse& resp);
 std::string InfoToText(const InfoResponse& resp);
@@ -137,7 +131,6 @@ struct AlignResponse {
   uint64_t cache_misses = 0;
 };
 
-bool ParseAlignRequest(const Args& args, AlignRequest* req, ParseError* error);
 Status RunAlign(const AlignRequest& req, AlignResponse* resp);
 std::string AlignToJson(const AlignResponse& resp);
 std::string AlignToText(const AlignResponse& resp);
@@ -168,7 +161,6 @@ struct DiffResponse {
   uint64_t cache_misses = 0;
 };
 
-bool ParseDiffRequest(const Args& args, DiffRequest* req, ParseError* error);
 Status RunDiff(const DiffRequest& req, DiffResponse* resp);
 std::string DiffToJson(const DiffResponse& resp);
 std::string DiffToText(const DiffResponse& resp);
@@ -198,7 +190,6 @@ struct PatchResponse {
   uint64_t cache_misses = 0;
 };
 
-bool ParsePatchRequest(const Args& args, PatchRequest* req, ParseError* error);
 Status RunPatch(const PatchRequest& req, PatchResponse* resp);
 std::string PatchToJson(const PatchResponse& resp);
 std::string PatchToText(const PatchResponse& resp);
@@ -225,8 +216,6 @@ struct ArchiveResponse {
   uint64_t cache_misses = 0;
 };
 
-bool ParseArchiveRequest(const Args& args, ArchiveRequest* req,
-                         ParseError* error);
 Status RunArchive(const ArchiveRequest& req, ArchiveResponse* resp);
 std::string ArchiveToJson(const ArchiveResponse& resp);
 std::string ArchiveToText(const ArchiveResponse& resp);
@@ -255,7 +244,6 @@ struct GenResponse {
   std::vector<GenFileInfo> files;
 };
 
-bool ParseGenRequest(const Args& args, GenRequest* req, ParseError* error);
 Status RunGen(const GenRequest& req, GenResponse* resp);
 std::string GenToJson(const GenResponse& resp);
 std::string GenToText(const GenResponse& resp);
@@ -275,7 +263,6 @@ struct CacheResponse {
   uint64_t dropped_entries = 0;                 ///< "clear" only
 };
 
-bool ParseCacheRequest(const Args& args, CacheRequest* req, ParseError* error);
 Status RunCache(const CacheRequest& req, CacheResponse* resp);
 std::string CacheToJson(const CacheResponse& resp);
 std::string CacheToText(const CacheResponse& resp);
@@ -313,8 +300,6 @@ struct UpdatesResponse {
   uint64_t cache_misses = 0;
 };
 
-bool ParseUpdatesRequest(const Args& args, UpdatesRequest* req,
-                         ParseError* error);
 Status RunUpdates(const UpdatesRequest& req, UpdatesResponse* resp);
 std::string UpdatesToJson(const UpdatesResponse& resp);
 std::string UpdatesToText(const UpdatesResponse& resp);
@@ -335,12 +320,50 @@ struct VerbResult {
   uint64_t cache_misses = 0;
 };
 
+/// Where a verb runs. `stats` and `stream` need state that only a running
+/// rdfalignd holds (its request metrics, a per-connection streaming
+/// session): the daemon routes them to HandleStatsVerb / HandleStreamVerb,
+/// and the in-process dispatcher only points at the daemon.
+enum class VerbScope { kAnywhere, kDaemonStats, kDaemonStream };
+
+struct VerbCall;  ///< one decoded command line (verbs.cc)
+
+/// One row of the verb table — the single list of verbs.
+struct VerbSpec {
+  const char* name;
+  VerbScope scope;
+  size_t min_positional;
+  size_t max_positional;  ///< SIZE_MAX: unbounded (archive's versions)
+  std::initializer_list<const char*> flags;  ///< every accepted --flag
+  /// Parses the verb's own flags (--method, --format, ...) into the call,
+  /// before the common flags unless `hook_after_common`; nullptr: none.
+  bool (*hook)(const Args& args, VerbCall* call, std::string* error);
+  bool hook_after_common;
+  /// Reaches graphs (or the resident cache) through the GraphSource, so
+  /// the result reports the request's cache hits and misses.
+  bool acquires;
+  /// Read-only: the client may re-send it after a transport failure.
+  bool idempotent;
+  /// A run failing with InvalidArgument exits 2, not 1 (patch: the delta
+  /// does not fit the base).
+  bool invalid_argument_is_usage;
+  /// Runs the verb and renders its response into `result->output`.
+  Status (*run)(const VerbCall& call, VerbResult* result);
+};
+
+/// The table row named `name`; nullptr for an unknown verb.
+const VerbSpec* FindVerb(std::string_view name);
+
+/// Checks `args` against the row's positional arity and accepted flags.
+/// On failure `result` holds the usage error (exit 2, the synopsis is
+/// shown; the message names the unknown flag, if that was the problem).
+bool CheckVerbArgs(const VerbSpec& spec, const Args& args,
+                   VerbResult* result);
+
 /// Decodes `tokens` (verb first), runs it against `source`, renders the
-/// response. `force_json` renders JSON regardless of --json; both front
-/// ends pass false, so the daemon's body follows the forwarded --json
-/// flag and stays byte-identical to the one-shot CLI.
+/// response (JSON with --json, text otherwise).
 VerbResult ExecuteVerb(const std::vector<std::string>& tokens,
-                       GraphSource* source, bool force_json);
+                       GraphSource* source);
 
 /// The command synopsis (the historical Usage() text).
 const char* UsageText();

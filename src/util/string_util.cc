@@ -1,6 +1,7 @@
 #include "util/string_util.h"
 
 #include <cctype>
+#include <cstdarg>
 #include <cstdio>
 
 namespace rdfalign {
@@ -178,6 +179,23 @@ std::string FormatDouble(double v, int precision) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", precision, v);
   return buf;
+}
+
+void StrAppendf(std::string* out, const char* format, ...) {
+  va_list ap;
+  va_start(ap, format);
+  va_list ap2;
+  va_copy(ap2, ap);
+  const int n = std::vsnprintf(nullptr, 0, format, ap);
+  va_end(ap);
+  if (n > 0) {
+    const size_t old = out->size();
+    out->resize(old + static_cast<size_t>(n) + 1);
+    std::vsnprintf(out->data() + old, static_cast<size_t>(n) + 1, format,
+                   ap2);
+    out->resize(old + static_cast<size_t>(n));
+  }
+  va_end(ap2);
 }
 
 }  // namespace rdfalign

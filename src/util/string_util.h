@@ -66,6 +66,10 @@ std::string FormatWithCommas(uint64_t n);
 /// Renders a double with fixed precision.
 std::string FormatDouble(double v, int precision);
 
+/// Appends printf-formatted text to `out` (any length).
+void StrAppendf(std::string* out, const char* format, ...)
+    __attribute__((format(printf, 2, 3)));
+
 }  // namespace rdfalign
 
 #endif  // RDFALIGN_UTIL_STRING_UTIL_H_

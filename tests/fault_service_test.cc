@@ -103,7 +103,7 @@ struct StreamFiles {
 StreamFiles MakeStreamChain(const std::string& prefix) {
   DirectGraphSource direct;
   EXPECT_EQ(ExecuteVerb({"gen", prefix, "--scale=0.02", "--versions=3"},
-                        &direct, false)
+                        &direct)
                 .exit_code,
             0);
   StreamFiles f;
@@ -113,18 +113,18 @@ StreamFiles MakeStreamChain(const std::string& prefix) {
   for (int i = 1; i <= 3; ++i) {
     const std::string n = std::to_string(i);
     EXPECT_EQ(ExecuteVerb({"build", prefix + n + ".nt", prefix + n + ".snap"},
-                          &direct, false)
+                          &direct)
                   .exit_code,
               0);
   }
   f.u1 = prefix + "_1.upd";
   f.u2 = prefix + "_2.upd";
   EXPECT_EQ(
-      ExecuteVerb({"updates", f.v1, f.v2, f.u1, "--seq=1"}, &direct, false)
+      ExecuteVerb({"updates", f.v1, f.v2, f.u1, "--seq=1"}, &direct)
           .exit_code,
       0);
   EXPECT_EQ(
-      ExecuteVerb({"updates", f.v2, f.v3, f.u2, "--seq=2"}, &direct, false)
+      ExecuteVerb({"updates", f.v2, f.v3, f.u2, "--seq=2"}, &direct)
           .exit_code,
       0);
   return f;

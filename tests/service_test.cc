@@ -42,16 +42,16 @@ std::pair<std::string, std::string> MakeVersionPair(
     const std::string& prefix) {
   DirectGraphSource direct;
   EXPECT_EQ(ExecuteVerb({"gen", prefix, "--scale=0.02", "--versions=2"},
-                        &direct, false)
+                        &direct)
                 .exit_code,
             0);
   const std::string v1 = prefix + "1.snap";
   const std::string v2 = prefix + "2.snap";
   EXPECT_EQ(
-      ExecuteVerb({"build", prefix + "1.nt", v1}, &direct, false).exit_code,
+      ExecuteVerb({"build", prefix + "1.nt", v1}, &direct).exit_code,
       0);
   EXPECT_EQ(
-      ExecuteVerb({"build", prefix + "2.nt", v2}, &direct, false).exit_code,
+      ExecuteVerb({"build", prefix + "2.nt", v2}, &direct).exit_code,
       0);
   return {v1, v2};
 }
@@ -107,7 +107,7 @@ TEST_F(ServiceTest, RoundTripsEveryVerbWithCliParity) {
 
     // The daemon's body is what the CLI would have printed (modulo
     // timings) — the two front ends share one renderer.
-    const VerbResult local = ExecuteVerb(tokens, &direct, false);
+    const VerbResult local = ExecuteVerb(tokens, &direct);
     EXPECT_EQ(ScrubTimings(resp->body), ScrubTimings(local.output))
         << tokens[0];
   }
@@ -313,9 +313,36 @@ TEST_F(ServiceTest, StatsVerbReportsPerVerbCounters) {
 
   // Off-daemon, the verb can only point at the daemon.
   DirectGraphSource direct;
-  EXPECT_EQ(ExecuteVerb({"stats"}, &direct, false).exit_code, 1);
+  EXPECT_EQ(ExecuteVerb({"stats"}, &direct).exit_code, 1);
 
   RemoveChain(prefix);
+}
+
+// Per-verb metrics are keyed by the verb table, not by whatever a client
+// sends: 50 distinct bogus verbs share one "(unknown)" row instead of
+// adding 50 permanent rows to every later `stats` body.
+TEST_F(ServiceTest, StatsBoundsUnknownVerbsToOneRow) {
+  StartServer(1);
+  Client client = Connect();
+  for (int i = 0; i < 50; ++i) {
+    Result<ClientResponse> resp = client.Call({"bogus" + std::to_string(i)});
+    ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+    EXPECT_EQ(resp->exit_code, 2);
+  }
+  Result<ClientResponse> stats = client.Call({"stats", "--json"});
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  const std::string& body = stats->body;
+  EXPECT_NE(body.find("{\"verb\": \"(unknown)\", \"requests\": 50, "
+                      "\"errors\": 50,"),
+            std::string::npos)
+      << body;
+  EXPECT_EQ(body.find("bogus"), std::string::npos) << body;
+  size_t rows = 0;
+  for (size_t at = body.find("\"verb\": "); at != std::string::npos;
+       at = body.find("\"verb\": ", at + 1)) {
+    ++rows;
+  }
+  EXPECT_EQ(rows, 1u) << body;  // `stats` itself is recorded after replying
 }
 
 /// gen + build a three-version chain plus the two update fragments
@@ -328,7 +355,7 @@ struct StreamChainFiles {
 StreamChainFiles MakeStreamChain(const std::string& prefix) {
   DirectGraphSource direct;
   EXPECT_EQ(ExecuteVerb({"gen", prefix, "--scale=0.02", "--versions=3"},
-                        &direct, false)
+                        &direct)
                 .exit_code,
             0);
   StreamChainFiles f;
@@ -338,18 +365,18 @@ StreamChainFiles MakeStreamChain(const std::string& prefix) {
   for (int i = 1; i <= 3; ++i) {
     const std::string n = std::to_string(i);
     EXPECT_EQ(ExecuteVerb({"build", prefix + n + ".nt", prefix + n + ".snap"},
-                          &direct, false)
+                          &direct)
                   .exit_code,
               0);
   }
   f.u1 = prefix + "_1.upd";
   f.u2 = prefix + "_2.upd";
   EXPECT_EQ(
-      ExecuteVerb({"updates", f.v1, f.v2, f.u1, "--seq=1"}, &direct, false)
+      ExecuteVerb({"updates", f.v1, f.v2, f.u1, "--seq=1"}, &direct)
           .exit_code,
       0);
   EXPECT_EQ(
-      ExecuteVerb({"updates", f.v2, f.v3, f.u2, "--seq=2"}, &direct, false)
+      ExecuteVerb({"updates", f.v2, f.v3, f.u2, "--seq=2"}, &direct)
           .exit_code,
       0);
   return f;

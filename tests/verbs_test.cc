@@ -34,7 +34,7 @@ std::string ScratchPrefix() {
 VerbResult RunVerb(const std::vector<std::string>& tokens,
                GraphSource* source = nullptr) {
   DirectGraphSource direct;
-  return ExecuteVerb(tokens, source ? source : &direct, false);
+  return ExecuteVerb(tokens, source ? source : &direct);
 }
 
 /// Drops the volatile (timing) report lines so two runs compare equal.
@@ -223,12 +223,48 @@ TEST(VerbsTest, ExactFlagErrorMessages) {
       {{"gen", "x", "--scale=0"},
        "rdfalign gen: --scale must be in (0, 1e6]"},
       {{"gen", "x", "--seed=-1"}, "rdfalign gen: --seed must be >= 0"},
+      // --scale is a strict number: no trailing junk, no parse-as-zero.
+      {{"gen", "x", "--scale=abc"},
+       "rdfalign: --scale expects a number, got 'abc'"},
+      {{"gen", "x", "--scale=0.01junk"},
+       "rdfalign: --scale expects a number, got '0.01junk'"},
   };
   for (const Case& c : cases) {
     const VerbResult result = RunVerb(c.tokens);
     EXPECT_EQ(result.exit_code, 2) << c.want_error;
     EXPECT_EQ(result.error, c.want_error);
   }
+}
+
+// Paths are user data: every --json body escapes them (and every other
+// string), so a path holding a quote or a backslash still yields valid
+// JSON. Text output prints them verbatim.
+TEST(VerbsTest, JsonBodiesEscapePaths) {
+  const std::string prefix = ScratchPrefix() + "q\"x\\y_";
+  const std::string escaped = "q\\\"x\\\\y_";
+  VerbResult gen = RunVerb({"gen", prefix, "--scale=0.01", "--versions=2",
+                            "--json"});
+  ASSERT_EQ(gen.exit_code, 0) << gen.error;
+  const std::string v1 = prefix + "1.snap";
+  const std::string v2 = prefix + "2.snap";
+  const std::string delta = prefix + ".delta";
+  const std::vector<VerbResult> bodies = {
+      gen,
+      RunVerb({"build", prefix + "1.nt", v1, "--json"}),
+      RunVerb({"build", prefix + "2.nt", v2, "--json"}),
+      RunVerb({"info", v1, "--json"}),
+      RunVerb({"align", v1, v2, "--json"}),
+      RunVerb({"diff", v1, v2, delta, "--json"})};
+  for (const VerbResult& r : bodies) {
+    EXPECT_EQ(r.exit_code, 0) << r.verb << ": " << r.error;
+    EXPECT_NE(r.output.find(escaped), std::string::npos)
+        << r.verb << ": " << r.output;
+    EXPECT_EQ(r.output.find("q\"x"), std::string::npos) << r.output;
+  }
+  VerbResult text = RunVerb({"info", v1});
+  EXPECT_NE(text.output.find(prefix), std::string::npos) << text.output;
+  RemoveChain(prefix);
+  std::remove(delta.c_str());
 }
 
 TEST(VerbsTest, UsageErrorsShowSynopsis) {
@@ -273,16 +309,6 @@ TEST(VerbsTest, WrongBasePatchIsUsageExitTwo) {
   std::remove(delta.c_str());
 }
 
-TEST(VerbsTest, ForceJsonOverridesTextRendering) {
-  const std::string prefix = ScratchPrefix();
-  const auto [v1, v2] = MakeVersionPair(prefix);
-  DirectGraphSource source;
-  const VerbResult forced = ExecuteVerb({"info", v1}, &source, true);
-  EXPECT_EQ(forced.exit_code, 0);
-  EXPECT_EQ(forced.output.rfind("{\n", 0), 0u) << forced.output;
-  RemoveChain(prefix);
-}
-
 TEST(VerbsTest, CacheVerbNeedsACacheSource) {
   const VerbResult no_cache = RunVerb({"cache", "stats"});
   EXPECT_EQ(no_cache.exit_code, 1);
@@ -292,7 +318,7 @@ TEST(VerbsTest, CacheVerbNeedsACacheSource) {
   EXPECT_EQ(bad_action.exit_code, 2);
 
   SnapshotCache cache;
-  VerbResult stats = ExecuteVerb({"cache", "stats", "--json"}, &cache, false);
+  VerbResult stats = ExecuteVerb({"cache", "stats", "--json"}, &cache);
   EXPECT_EQ(stats.exit_code, 0) << stats.error;
   EXPECT_NE(stats.output.find("\"entries\": 0"), std::string::npos);
 }
@@ -308,8 +334,8 @@ TEST(VerbsTest, CachedSourceRendersIdenticalBodies) {
         {"align", v1, v2, "--method=hybrid", "--json"},
         {"align", v1, v2, "--method=trivial"},
         {"diff", v1, v2, prefix + "_c.delta", "--json"}}) {
-    const VerbResult via_direct = ExecuteVerb(tokens, &direct, false);
-    const VerbResult via_cache = ExecuteVerb(tokens, &cache, false);
+    const VerbResult via_direct = ExecuteVerb(tokens, &direct);
+    const VerbResult via_cache = ExecuteVerb(tokens, &cache);
     ASSERT_EQ(via_direct.exit_code, 0) << via_direct.error;
     ASSERT_EQ(via_cache.exit_code, 0) << via_cache.error;
     EXPECT_EQ(ScrubTimings(via_direct.output),
@@ -323,8 +349,8 @@ TEST(VerbsTest, CachedSourceRendersIdenticalBodies) {
   // Repeating a cached align is bit-identical to its own first run
   // modulo timings, and reports the hits in the verb result.
   const std::vector<std::string> again{"align", v1, v2, "--json"};
-  const VerbResult first = ExecuteVerb(again, &cache, false);
-  const VerbResult second = ExecuteVerb(again, &cache, false);
+  const VerbResult first = ExecuteVerb(again, &cache);
+  const VerbResult second = ExecuteVerb(again, &cache);
   EXPECT_EQ(ScrubTimings(first.output), ScrubTimings(second.output));
   EXPECT_EQ(second.cache_hits, 2u);
   EXPECT_EQ(second.cache_misses, 0u);

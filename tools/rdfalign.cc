@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
 
   rdfalign::service::DirectGraphSource source;
   rdfalign::service::VerbResult result =
-      rdfalign::service::ExecuteVerb(tokens, &source, false);
+      rdfalign::service::ExecuteVerb(tokens, &source);
   if (!result.output.empty()) std::fputs(result.output.c_str(), stdout);
   if (!result.error.empty()) {
     std::fprintf(stderr, "%s\n", result.error.c_str());
