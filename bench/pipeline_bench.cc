@@ -22,10 +22,8 @@
 // reference run.
 
 #include <algorithm>
-#include <cstdio>
-#include <filesystem>
+#include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/harness.h"
@@ -35,101 +33,49 @@
 #include "core/overlap_align.h"
 #include "gen/category_gen.h"
 #include "store/snapshot.h"
-#include "util/timer.h"
 
 using namespace rdfalign;
 
 namespace {
 
-struct PointResult {
-  double scale_point = 0;
-  size_t nodes = 0;
-  size_t edges = 0;
-  double load_ms = 0;     // snapshot load of both versions (context)
-  double refine_ms = 0;   // hybrid refinement fixpoint (context)
-  double merge_ms = 0;
-  double partops_ms = 0;
-  double overlap_ms = 0;
-  double stats_ms = 0;
-  // One entry per swept thread count: best wall time of the parallel kernel
-  // bundle (merge + class sides + overlap match + stats joins + delta).
-  std::vector<std::pair<size_t, double>> sweep;
-  bool sweep_equal = true;
-
-  double NonRefineTotal() const {
-    return merge_ms + partops_ms + overlap_ms + stats_ms;
-  }
-};
-
-/// Best-of-`runs` wall time of `fn` (which must return true).
-template <typename Fn>
-bool BestOf(size_t runs, double* best_ms, Fn&& fn) {
-  *best_ms = 0;
-  for (size_t r = 0; r < runs; ++r) {
-    WallTimer t;
-    if (!fn()) return false;
-    double ms = t.ElapsedMillis();
-    if (r == 0 || ms < *best_ms) *best_ms = ms;
-  }
-  return true;
-}
-
 bool SpansEqual(std::span<const uint64_t> a, std::span<const uint64_t> b) {
   return std::equal(a.begin(), a.end(), b.begin(), b.end());
 }
 
-bool RunPoint(double scale_point, uint64_t seed, size_t runs,
-              const std::string& tmp_prefix, PointResult* out) {
-  PointResult r;
-  r.scale_point = scale_point;
-
+bool RunPoint(bench::Report& report, const bench::ScratchDir& scratch,
+              double scale_point, uint64_t seed, size_t runs) {
   // ---- parse/load: generate, snapshot, reload through the store ----------
   gen::CategoryChain chain = gen::CategoryChain::Generate(
       gen::CategoryOptions::FromScale(scale_point, /*versions=*/2, seed));
-  const std::string snap1 = tmp_prefix + "_1.snap";
-  const std::string snap2 = tmp_prefix + "_2.snap";
+  const std::string snap1 = scratch.Path("v1.snap");
+  const std::string snap2 = scratch.Path("v2.snap");
   if (!store::WriteSnapshot(chain.Version(0), snap1).ok() ||
       !store::WriteSnapshot(chain.Version(1), snap2).ok()) {
     std::fprintf(stderr, "cannot write snapshots under %s\n",
-                 tmp_prefix.c_str());
+                 scratch.dir().c_str());
     return false;
   }
   TripleGraph g1, g2;
-  {
-    WallTimer t;
+  const bench::Timing load = bench::Time(1, 0, [&] {
     auto dict = std::make_shared<Dictionary>();
-    auto l1 = store::LoadSnapshot(snap1, dict);
-    auto l2 = store::LoadSnapshot(snap2, dict);
-    std::filesystem::remove(snap1);
-    std::filesystem::remove(snap2);
-    if (!l1.ok() || !l2.ok()) {
-      std::fprintf(stderr, "snapshot reload failed\n");
-      return false;
-    }
-    g1 = std::move(l1).value();
-    g2 = std::move(l2).value();
-    r.load_ms = t.ElapsedMillis();
+    return bench::Keep(store::LoadSnapshot(snap1, dict), &g1) &&
+           bench::Keep(store::LoadSnapshot(snap2, dict), &g2);
+  });
+  if (!load.ok) {
+    std::fprintf(stderr, "snapshot reload failed\n");
+    return false;
   }
-  r.nodes = g1.NumNodes() + g2.NumNodes();
-  r.edges = g1.NumEdges() + g2.NumEdges();
 
   // ---- merge ---------------------------------------------------------------
   CombinedGraph cg;
-  bool ok = BestOf(runs, &r.merge_ms, [&] {
-    auto res = CombinedGraph::Build(g1, g2);
-    if (!res.ok()) return false;
-    cg = std::move(res).value();
-    return true;
-  });
-  if (!ok) return false;
+  const bench::Timing merge = bench::Time(
+      runs, 0, [&] { return bench::Keep(CombinedGraph::Build(g1, g2), &cg); });
+  if (!merge.ok) return false;
 
   // ---- refine (context; not part of the non-refinement total) -------------
   Partition hybrid;
-  {
-    WallTimer t;
-    hybrid = HybridPartition(cg);
-    r.refine_ms = t.ElapsedMillis();
-  }
+  const bench::Timing refine =
+      bench::Time(1, 0, [&] { hybrid = HybridPartition(cg); });
 
   // ---- partition ops -------------------------------------------------------
   // Each timed phase assigns its outputs to variables that outlive it, so
@@ -137,16 +83,14 @@ bool RunPoint(double scale_point, uint64_t seed, size_t runs,
   Partition label, trivial, from_colors;
   PartitionClasses classes;
   bool equivalent = false, finer = false;
-  ok = BestOf(runs, &r.partops_ms, [&] {
+  const bench::Timing partops = bench::Time(runs, 0, [&] {
     label = LabelPartition(cg.graph());
     trivial = TrivialPartition(cg.graph());
     from_colors = Partition::FromColors(hybrid.colors());
     classes = hybrid.Classes();
     equivalent = Partition::Equivalent(hybrid, hybrid);
     finer = Partition::IsFinerOrEqual(hybrid, label);
-    return true;
   });
-  if (!ok) return false;
 
   // ---- overlap index + match ----------------------------------------------
   const TripleGraph& g = cg.graph();
@@ -178,29 +122,26 @@ bool RunPoint(double scale_point, uint64_t seed, size_t runs,
   };
   BipartiteMatching matching;
   OverlapMatchStats match_stats;
-  ok = BestOf(runs, &r.overlap_ms, [&] {
-    matching = overlap_match(1, &match_stats);
-    return true;
-  });
-  if (!ok) return false;
+  const bench::Timing overlap = bench::Time(
+      runs, 0, [&] { matching = overlap_match(1, &match_stats); });
 
   // ---- stats ---------------------------------------------------------------
   EdgeAlignmentStats edge_stats;
   NodeAlignmentStats node_stats;
   RdfDelta delta;
-  ok = BestOf(runs, &r.stats_ms, [&] {
+  const bench::Timing stats = bench::Time(runs, 0, [&] {
     edge_stats = ComputeEdgeAlignment(cg, hybrid);
     node_stats = ComputeNodeAlignment(cg, hybrid);
     delta = ComputeDelta(cg, hybrid);
-    return true;
   });
-  if (!ok) return false;
 
   // ---- thread sweep over the shared-pool kernels ---------------------------
   // Each thread count re-runs the parallelized bundle (merge, class sides,
   // overlap match, stats joins, delta). threads=1 takes the serial paths
   // and is the baseline; every other count must reproduce its outputs
-  // bit for bit, or sweep_equal clears and main() refuses to emit JSON.
+  // bit for bit, or the report refuses to write.
+  std::vector<bench::Row> sweep;
+  bool sweep_equal = true;
   {
     CombinedGraph cg_base;
     std::vector<ClassSides> sides_base;
@@ -217,11 +158,8 @@ bool RunPoint(double scale_point, uint64_t seed, size_t runs,
       EdgeAlignmentStats es_t;
       NodeAlignmentStats ns_t;
       RdfDelta d_t;
-      double ms = 0;
-      ok = BestOf(runs, &ms, [&] {
-        auto res = CombinedGraph::Build(g1, g2, t);
-        if (!res.ok()) return false;
-        cg_t = std::move(res).value();
+      const bench::Timing time = bench::Time(runs, 0, [&] {
+        if (!bench::Keep(CombinedGraph::Build(g1, g2, t), &cg_t)) return false;
         sides_t = ComputeClassSides(cg, hybrid, t);
         h_t = overlap_match(t, &s_t);
         es_t = ComputeEdgeAlignment(cg, hybrid, t);
@@ -229,8 +167,9 @@ bool RunPoint(double scale_point, uint64_t seed, size_t runs,
         d_t = ComputeDelta(cg, hybrid, t);
         return true;
       });
-      if (!ok) return false;
-      r.sweep.emplace_back(t, ms);
+      if (!time.ok) return false;
+      sweep.push_back(
+          bench::Row().Int("threads", t).Num("ms", time.min_ms, 2));
       if (t == 1) {
         cg_base = std::move(cg_t);
         sides_base = std::move(sides_t);
@@ -274,61 +213,31 @@ bool RunPoint(double scale_point, uint64_t seed, size_t runs,
                d_t.renamed_uris[i].target == d_base.renamed_uris[i].target;
       }
       if (!same) {
-        std::fprintf(stderr,
-                     "FAIL: threads=%zu diverged from the 1-thread kernels "
-                     "at scale %g\n",
-                     t, scale_point);
-        r.sweep_equal = false;
+        sweep_equal = report.Gate(false, "threads=" + std::to_string(t) +
+                                             " diverged from the 1-thread "
+                                             "kernels at scale " +
+                                             bench::Fmt("%g", scale_point));
       }
     }
   }
 
-  *out = r;
-  return true;
-}
-
-bool WriteJson(const std::string& path, const std::vector<PointResult>& points,
-               double scale, uint64_t seed, size_t runs) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return false;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"pipeline_phases\",\n");
-  std::fprintf(f, "  \"scale\": %g,\n", scale);
-  std::fprintf(f, "  \"seed\": %llu,\n", (unsigned long long)seed);
-  std::fprintf(f, "  \"runs\": %zu,\n", runs);
-  std::fprintf(f, "  \"hardware_threads\": %u,\n",
-               std::thread::hardware_concurrency());
-  std::fprintf(f, "  \"provenance\": \"single-process wall clock, best of "
-               "runs; hardware_threads records the recording box\",\n");
-  std::fprintf(f, "  \"points\": [\n");
-  for (size_t i = 0; i < points.size(); ++i) {
-    const PointResult& r = points[i];
-    std::fprintf(f, "    {\n");
-    std::fprintf(f, "      \"scale_point\": %g,\n", r.scale_point);
-    std::fprintf(f, "      \"nodes\": %zu,\n", r.nodes);
-    std::fprintf(f, "      \"edges\": %zu,\n", r.edges);
-    std::fprintf(f, "      \"load_ms\": %.2f,\n", r.load_ms);
-    std::fprintf(f, "      \"refine_ms\": %.2f,\n", r.refine_ms);
-    std::fprintf(f, "      \"merge_ms\": %.2f,\n", r.merge_ms);
-    std::fprintf(f, "      \"partops_ms\": %.2f,\n", r.partops_ms);
-    std::fprintf(f, "      \"overlap_ms\": %.2f,\n", r.overlap_ms);
-    std::fprintf(f, "      \"stats_ms\": %.2f,\n", r.stats_ms);
-    std::fprintf(f, "      \"nonrefine_ms\": %.2f,\n", r.NonRefineTotal());
-    std::fprintf(f, "      \"threads_sweep\": [");
-    for (size_t s = 0; s < r.sweep.size(); ++s) {
-      std::fprintf(f, "%s{\"threads\": %zu, \"ms\": %.2f}",
-                   s > 0 ? ", " : "", r.sweep[s].first, r.sweep[s].second);
-    }
-    std::fprintf(f, "],\n");
-    std::fprintf(f, "      \"sweep_equal\": %s\n",
-                 r.sweep_equal ? "true" : "false");
-    std::fprintf(f, "    }%s\n", i + 1 < points.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+  report.Add(
+      "points",
+      bench::Row()
+          .Num("scale_point", scale_point)
+          .Int("nodes", g1.NumNodes() + g2.NumNodes(), "nodes")
+          .Int("edges", g1.NumEdges() + g2.NumEdges(), "edges")
+          .Num("load_ms", load.min_ms, 2)
+          .Num("refine_ms", refine.min_ms, 2, "refine(ms)")
+          .Num("merge_ms", merge.min_ms, 2, "merge(ms)")
+          .Num("partops_ms", partops.min_ms, 2, "partops(ms)")
+          .Num("overlap_ms", overlap.min_ms, 2, "overlap(ms)")
+          .Num("stats_ms", stats.min_ms, 2, "stats(ms)")
+          .Num("nonrefine_ms",
+               merge.min_ms + partops.min_ms + overlap.min_ms + stats.min_ms,
+               2, "nonref(ms)")
+          .Rows("threads_sweep", std::move(sweep))
+          .Bool("sweep_equal", sweep_equal, "identical"));
   return true;
 }
 
@@ -344,47 +253,16 @@ int main(int argc, char** argv) {
   bench::Banner("Alignment pipeline phases",
                 "per-phase wall time (merge / partition ops / overlap index / "
                 "stats) + shared-pool thread sweep");
-
-  const std::string tmp_prefix =
-      (std::filesystem::temp_directory_path() /
-       ("rdfalign_pipeline_bench_" + std::to_string(seed)))
-          .string();
+  bench::Report report("pipeline_phases", {"points"},
+                       "single-process wall clock, best of runs; "
+                       "hardware_threads records the recording box");
+  report.params().Num("scale", scale).Int("seed", seed).Int("runs", runs);
+  const bench::ScratchDir scratch("rdfalign_pipeline_bench");
 
   // The fig16 ladder: quarter, full, and 4x scale (the 4x point matches the
   // other two BENCH files' largest workload).
-  std::vector<PointResult> points;
   for (double point : {0.25 * scale, 1.0 * scale, 4.0 * scale}) {
-    PointResult r;
-    if (!RunPoint(point, seed, runs, tmp_prefix, &r)) return 1;
-    points.push_back(r);
+    if (!RunPoint(report, scratch, point, seed, runs)) return 1;
   }
-
-  bool all_equal = true;
-  bench::TablePrinter table({"nodes", "edges", "merge(ms)", "partops(ms)",
-                             "overlap(ms)", "stats(ms)", "refine(ms)",
-                             "t1(ms)", "t8(ms)", "identical"});
-  for (const PointResult& r : points) {
-    table.Row({bench::FmtInt(r.nodes), bench::FmtInt(r.edges),
-               bench::Fmt("%.1f", r.merge_ms),
-               bench::Fmt("%.1f", r.partops_ms),
-               bench::Fmt("%.1f", r.overlap_ms),
-               bench::Fmt("%.1f", r.stats_ms),
-               bench::Fmt("%.1f", r.refine_ms),
-               bench::Fmt("%.1f", r.sweep.front().second),
-               bench::Fmt("%.1f", r.sweep.back().second),
-               r.sweep_equal ? "yes" : "NO"});
-    all_equal = all_equal && r.sweep_equal;
-  }
-  if (!all_equal) {
-    // The JSON is the perf record of a correct run; a diverging sweep must
-    // not leave one behind.
-    std::fprintf(stderr,
-                 "FAIL: a thread count diverged from the 1-thread kernels; "
-                 "not writing %s\n",
-                 out.c_str());
-    return 1;
-  }
-  const bool wrote = WriteJson(out, points, scale, seed, runs);
-  if (wrote) std::printf("wrote %s\n", out.c_str());
-  return wrote ? 0 : 1;
+  return report.Finish(out);
 }

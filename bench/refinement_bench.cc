@@ -18,9 +18,7 @@
 //
 // Default --scale=4 puts both workloads above 100k nodes.
 
-#include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/harness.h"
@@ -30,168 +28,83 @@
 #include "gen/category_gen.h"
 #include "gen/efo_gen.h"
 #include "rdf/merge.h"
-#include "util/timer.h"
 
 using namespace rdfalign;
 
 namespace {
 
-struct RunResult {
-  std::string name;
-  size_t nodes = 0;
-  size_t edges = 0;
-  double fixpoint_ms = 0;
-  size_t iterations = 0;
-  size_t resignings = 0;
-  size_t signature_bytes = 0;
-  size_t final_classes = 0;
-};
-
-struct ThreadsResult {
-  std::string name;
-  size_t threads = 0;
-  double first_round_ms = 0;
-  double total_ms = 0;
-  bool identical = false;  // colors equal the threads=1 run
-};
-
-struct ContextualResult {
-  std::string name;
-  size_t nodes = 0;
-  size_t edges = 0;
-  size_t predicate_only = 0;
-  double fixpoint_ms = 0;
-  size_t resignings = 0;
-  size_t final_classes = 0;
-};
-
 // Full bisimulation at each signing-thread count; the first round signs
 // every node, so it is where the pool bites. Bit-identical partitions
 // across counts are part of the engine contract and re-checked here at
-// full scale. The threads=1 run fills `*workload`.
-std::vector<ThreadsResult> RunThreadsSweep(const std::string& name,
-                                           const TripleGraph& g,
-                                           RunResult* workload) {
+// full scale. The threads=1 run supplies the workload's telemetry.
+void RunThreadsSweep(bench::Report& report, const std::string& name,
+                     const TripleGraph& g) {
   std::vector<NodeId> all(g.NumNodes());
   for (NodeId i = 0; i < g.NumNodes(); ++i) all[i] = i;
-  std::vector<ThreadsResult> results;
-  // Untimed warm-up, so the threads=1 point does not alone pay the
-  // first-touch allocation every later point skips.
-  BisimRefineFixpoint(g, LabelPartition(g), all);
   Partition baseline;
   for (size_t threads : {1u, 2u, 4u, 8u}) {
     RefinementOptions options;
     options.threads = threads;
     RefinementStats stats;
-    WallTimer timer;
-    Partition p = BisimRefineFixpoint(g, LabelPartition(g), all, &stats,
-                                      options);
-    ThreadsResult r;
-    r.name = name;
-    r.threads = threads;
-    r.total_ms = timer.ElapsedMillis();
-    r.first_round_ms = stats.first_round_ms;
+    Partition p;
+    // One untimed warm-up before threads=1, so that point does not alone
+    // pay the first-touch allocation every later point skips.
+    const bench::Timing t = bench::Time(1, threads == 1 ? 1 : 0, [&] {
+      p = BisimRefineFixpoint(g, LabelPartition(g), all, &stats, options);
+    });
     if (threads == 1) {
-      *workload = RunResult{name,
-                            g.NumNodes(),
-                            g.NumEdges(),
-                            r.total_ms,
-                            stats.iterations,
-                            stats.TotalDirty(),
-                            stats.signature_bytes,
-                            p.NumColors()};
+      report.Add("workloads",
+                 bench::Row()
+                     .Str("name", name, "workload")
+                     .Int("nodes", g.NumNodes(), "nodes")
+                     .Int("edges", g.NumEdges(), "edges")
+                     .Num("fixpoint_ms", t.min_ms, 2, "fixpt(ms)")
+                     .Int("iterations", stats.iterations, "iterations")
+                     .Int("resignings", stats.TotalDirty(), "resignings")
+                     .Int("signature_bytes", stats.signature_bytes)
+                     .Int("final_classes", p.NumColors(), "classes"));
       baseline = std::move(p);
     }
-    r.identical = threads == 1 || p.colors() == baseline.colors();
-    results.push_back(r);
+    const bool identical = threads == 1 || p.colors() == baseline.colors();
+    report.Gate(identical, name + ": threads=" + std::to_string(threads) +
+                               " diverged from the 1-thread partition");
+    report.Add("threads_sweep",
+               bench::Row()
+                   .Str("name", name, "workload")
+                   .Int("threads", threads, "threads")
+                   .Num("first_round_ms", stats.first_round_ms, 2,
+                        "round1(ms)")
+                   .Num("total_ms", t.min_ms, 2, "total(ms)")
+                   .Bool("identical", identical, "identical"));
   }
-  return results;
 }
 
 // Contextual refinement in the predicate-aware-hybrid shape — the exact
 // inputs PredicateAwareHybridPartition refines over.
-ContextualResult RunContextual(const std::string& name,
-                               const CombinedGraph& cg) {
+void RunContextual(bench::Report& report, const std::string& name,
+                   const CombinedGraph& cg) {
   const TripleGraph& g = cg.graph();
-  ContextualResult r;
-  r.name = name;
-  r.nodes = g.NumNodes();
-  r.edges = g.NumEdges();
-
   ContextualHybridInputs in = BuildContextualHybridInputs(cg);
-  for (uint8_t flag : in.predicate_only) r.predicate_only += flag;
+  size_t predicate_only = 0;
+  for (uint8_t flag : in.predicate_only) predicate_only += flag;
 
   RefinementStats stats;
-  WallTimer timer;
-  Partition p = ContextualRefineFixpoint(g, in.blanked, in.x, in.mediation,
-                                         in.predicate_only, &stats);
-  r.fixpoint_ms = timer.ElapsedMillis();
-  r.resignings = stats.TotalDirty();
-  r.final_classes = p.NumColors();
-  return r;
-}
-
-bool WriteJson(const std::string& path, const std::vector<RunResult>& runs,
-               const std::vector<ThreadsResult>& sweep,
-               const std::vector<ContextualResult>& contextual, double scale,
-               uint64_t seed) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return false;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"refinement_fixpoint\",\n");
-  std::fprintf(f, "  \"scale\": %g,\n", scale);
-  std::fprintf(f, "  \"seed\": %llu,\n", (unsigned long long)seed);
-  std::fprintf(f, "  \"hardware_threads\": %u,\n",
-               std::thread::hardware_concurrency());
-  std::fprintf(f, "  \"provenance\": \"single-process wall clock, one run "
-               "per number; hardware_threads records the recording box\",\n");
-  std::fprintf(f, "  \"workloads\": [\n");
-  for (size_t i = 0; i < runs.size(); ++i) {
-    const RunResult& r = runs[i];
-    std::fprintf(f, "    {\n");
-    std::fprintf(f, "      \"name\": \"%s\",\n", r.name.c_str());
-    std::fprintf(f, "      \"nodes\": %zu,\n", r.nodes);
-    std::fprintf(f, "      \"edges\": %zu,\n", r.edges);
-    std::fprintf(f, "      \"fixpoint_ms\": %.2f,\n", r.fixpoint_ms);
-    std::fprintf(f, "      \"iterations\": %zu,\n", r.iterations);
-    std::fprintf(f, "      \"resignings\": %zu,\n", r.resignings);
-    std::fprintf(f, "      \"signature_bytes\": %zu,\n", r.signature_bytes);
-    std::fprintf(f, "      \"final_classes\": %zu\n", r.final_classes);
-    std::fprintf(f, "    }%s\n", i + 1 < runs.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"threads_sweep\": [\n");
-  for (size_t i = 0; i < sweep.size(); ++i) {
-    const ThreadsResult& r = sweep[i];
-    std::fprintf(f, "    {\n");
-    std::fprintf(f, "      \"name\": \"%s\",\n", r.name.c_str());
-    std::fprintf(f, "      \"threads\": %zu,\n", r.threads);
-    std::fprintf(f, "      \"first_round_ms\": %.2f,\n", r.first_round_ms);
-    std::fprintf(f, "      \"total_ms\": %.2f,\n", r.total_ms);
-    std::fprintf(f, "      \"identical\": %s\n",
-                 r.identical ? "true" : "false");
-    std::fprintf(f, "    }%s\n", i + 1 < sweep.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"contextual\": [\n");
-  for (size_t i = 0; i < contextual.size(); ++i) {
-    const ContextualResult& r = contextual[i];
-    std::fprintf(f, "    {\n");
-    std::fprintf(f, "      \"name\": \"%s\",\n", r.name.c_str());
-    std::fprintf(f, "      \"nodes\": %zu,\n", r.nodes);
-    std::fprintf(f, "      \"edges\": %zu,\n", r.edges);
-    std::fprintf(f, "      \"predicate_only\": %zu,\n", r.predicate_only);
-    std::fprintf(f, "      \"fixpoint_ms\": %.2f,\n", r.fixpoint_ms);
-    std::fprintf(f, "      \"resignings\": %zu,\n", r.resignings);
-    std::fprintf(f, "      \"final_classes\": %zu\n", r.final_classes);
-    std::fprintf(f, "    }%s\n", i + 1 < contextual.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  return true;
+  Partition p;
+  const bench::Timing t = bench::Time(1, 0, [&] {
+    p = ContextualRefineFixpoint(g, in.blanked, in.x, in.mediation,
+                                 in.predicate_only, &stats);
+  });
+  report.Add("contextual", bench::Row()
+                               .Str("name", name, "workload")
+                               .Int("nodes", g.NumNodes(), "nodes")
+                               .Int("edges", g.NumEdges())
+                               .Int("predicate_only", predicate_only,
+                                    "pred-only")
+                               .Num("fixpoint_ms", t.min_ms, 2, "fixpt(ms)")
+                               .Int("resignings", stats.TotalDirty(),
+                                    "resignings")
+                               .Int("final_classes", p.NumColors(),
+                                    "classes"));
 }
 
 }  // namespace
@@ -204,17 +117,15 @@ int main(int argc, char** argv) {
 
   bench::Banner("Refinement fixpoint engine",
                 "worklist fixpoint: signing-thread sweep + contextual shape");
+  bench::Report report("refinement_fixpoint",
+                       {"workloads", "threads_sweep", "contextual"},
+                       "single-process wall clock, one run per number; "
+                       "hardware_threads records the recording box");
+  report.params().Num("scale", scale).Int("seed", seed);
 
-  std::vector<RunResult> runs;
-  std::vector<ThreadsResult> sweep;
-  std::vector<ContextualResult> contextual;
   auto run = [&](const std::string& name, const CombinedGraph& cg) {
-    RunResult workload;
-    for (ThreadsResult& r : RunThreadsSweep(name, cg.graph(), &workload)) {
-      sweep.push_back(std::move(r));
-    }
-    runs.push_back(workload);
-    contextual.push_back(RunContextual(name, cg));
+    RunThreadsSweep(report, name, cg.graph());
+    RunContextual(report, name, cg);
   };
   {
     gen::CategoryChain chain = gen::CategoryChain::Generate(
@@ -232,49 +143,5 @@ int main(int argc, char** argv) {
     run("efo",
         CombinedGraph::Build(chain.Version(0), chain.Version(1)).value());
   }
-
-  {
-    bench::TablePrinter table({"workload", "nodes", "edges", "fixpt(ms)",
-                               "iterations", "resignings", "classes"});
-    for (const RunResult& r : runs) {
-      table.Row({r.name, bench::FmtInt(r.nodes), bench::FmtInt(r.edges),
-                 bench::Fmt("%.1f", r.fixpoint_ms), bench::FmtInt(r.iterations),
-                 bench::FmtInt(r.resignings), bench::FmtInt(r.final_classes)});
-    }
-  }
-  bool all_identical = true;
-  std::printf("\nsigning thread sweep\n");
-  {
-    bench::TablePrinter table(
-        {"workload", "threads", "round1(ms)", "total(ms)", "identical"});
-    for (const ThreadsResult& r : sweep) {
-      table.Row({r.name, bench::FmtInt(r.threads),
-                 bench::Fmt("%.1f", r.first_round_ms),
-                 bench::Fmt("%.1f", r.total_ms),
-                 r.identical ? "yes" : "NO"});
-      all_identical = all_identical && r.identical;
-    }
-  }
-  std::printf("\ncontextual refinement (predicate-aware hybrid shape)\n");
-  {
-    bench::TablePrinter table({"workload", "nodes", "pred-only",
-                               "fixpt(ms)", "resignings", "classes"});
-    for (const ContextualResult& r : contextual) {
-      table.Row({r.name, bench::FmtInt(r.nodes), bench::FmtInt(r.predicate_only),
-                 bench::Fmt("%.1f", r.fixpoint_ms), bench::FmtInt(r.resignings),
-                 bench::FmtInt(r.final_classes)});
-    }
-  }
-  if (!all_identical) {
-    // The JSON is the perf record of a correct run; a diverging sweep must
-    // not leave one behind.
-    std::fprintf(stderr,
-                 "FAIL: a thread count diverged from the 1-thread partition; "
-                 "not writing %s\n",
-                 out.c_str());
-    return 1;
-  }
-  const bool wrote = WriteJson(out, runs, sweep, contextual, scale, seed);
-  if (wrote) std::printf("\nwrote %s\n", out.c_str());
-  return wrote ? 0 : 1;
+  return report.Finish(out);
 }

@@ -12,7 +12,7 @@
 //           trace (info / align / diff / cache stats) against the shared
 //           cache, for the requests/sec figure.
 //
-// Gates (exit nonzero on violation):
+// Gates (exit nonzero, without writing the JSON, on violation):
 //   * every request succeeds with the CLI's exit code 0;
 //   * a fixed serial request trace produces byte-identical response
 //     bodies (timing lines scrubbed) against servers with 1, 2, 4, and 8
@@ -28,7 +28,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <filesystem>
 #include <memory>
 #include <regex>
 #include <string>
@@ -40,30 +39,10 @@
 #include "service/graph_source.h"
 #include "service/server.h"
 #include "service/verbs.h"
-#include "util/stats.h"
-#include "util/timer.h"
 
 using namespace rdfalign;
 
 namespace {
-
-struct PointResult {
-  double scale_point = 0;
-  size_t nodes = 0;
-  size_t triples = 0;
-  double miss_p50_ms = 0, miss_p95_ms = 0;
-  double hit_p50_ms = 0, hit_p95_ms = 0;
-  double hit_speedup_p50 = 0;
-  double guarded_hit_p50_ms = 0, guarded_hit_p95_ms = 0;
-  double guard_overhead_p50 = 0;
-  size_t mixed_requests = 0;
-  size_t mixed_clients = 0;
-  double mixed_seconds = 0;
-  double mixed_rps = 0;
-  double mixed_p50_ms = 0, mixed_p95_ms = 0;
-  uint64_t cache_hits = 0, cache_misses = 0;
-  bool sweep_equal = false;
-};
 
 /// Drops the volatile (timing) lines from a response body so runs with
 /// different worker counts compare byte-equal.
@@ -74,13 +53,10 @@ std::string ScrubTimings(const std::string& body) {
   return std::regex_replace(body, volatile_line, "");
 }
 
-/// One timed request; records latency and checks exit code 0.
-bool TimedCall(service::Client& client,
-               const std::vector<std::string>& tokens,
-               std::vector<double>* latencies_ms) {
-  WallTimer timer;
-  Result<service::ClientResponse> resp = client.Call(tokens);
-  const double ms = timer.ElapsedMillis();
+/// One request through `call`; true when it succeeds with exit code 0.
+template <typename Call>
+bool Succeeds(const std::vector<std::string>& tokens, Call&& call) {
+  Result<service::ClientResponse> resp = call(tokens);
   if (!resp.ok()) {
     std::fprintf(stderr, "service_bench: %s failed: %s\n", tokens[0].c_str(),
                  resp.status().ToString().c_str());
@@ -91,8 +67,12 @@ bool TimedCall(service::Client& client,
                  tokens[0].c_str(), resp->exit_code, resp->error.c_str());
     return false;
   }
-  if (latencies_ms != nullptr) latencies_ms->push_back(ms);
   return true;
+}
+
+bool Succeeds(service::Client& client,
+              const std::vector<std::string>& tokens) {
+  return Succeeds(tokens, [&](const auto& t) { return client.Call(t); });
 }
 
 /// The fixed serial trace replayed against every worker count.
@@ -148,7 +128,6 @@ bool RunSweepTrace(size_t workers, const std::string& v1,
     }
     *scrubbed += body;
   }
-  std::filesystem::remove(delta);
   // Hang up before Stop(): the graceful drain waits for connected
   // clients, so an open connection here would stall the sweep.
   client->Close();
@@ -156,38 +135,32 @@ bool RunSweepTrace(size_t workers, const std::string& v1,
   return true;
 }
 
-bool RunPoint(double scale_point, size_t clients, size_t requests,
-              size_t samples, const std::string& dir, PointResult* out) {
-  PointResult r;
-  r.scale_point = scale_point;
-
+bool RunPoint(bench::Report& report, const bench::ScratchDir& scratch,
+              double scale_point, bool largest, size_t clients,
+              size_t requests, size_t samples) {
   // Build the two versioned snapshots with the verb layer itself.
-  const std::string prefix = dir + "/sv";
+  const std::string prefix = scratch.Path("sv");
   service::DirectGraphSource direct;
-  char scale_flag[64];
-  std::snprintf(scale_flag, sizeof(scale_flag), "--scale=%g", scale_point);
-  if (service::ExecuteVerb({"gen", prefix, scale_flag, "--versions=2"},
+  if (service::ExecuteVerb({"gen", prefix,
+                            "--scale=" + bench::Fmt("%g", scale_point),
+                            "--versions=2"},
                            &direct)
           .exit_code != 0) {
     return false;
   }
   const std::string v1 = prefix + "1.snap";
   const std::string v2 = prefix + "2.snap";
-  for (int i = 1; i <= 2; ++i) {
-    const std::string nt = prefix + std::to_string(i) + ".nt";
-    const std::string snap = prefix + std::to_string(i) + ".snap";
-    if (service::ExecuteVerb({"build", nt, snap}, &direct)
+  for (const char* v : {"1", "2"}) {
+    const std::string stem = prefix + v;
+    if (service::ExecuteVerb({"build", stem + ".nt", stem + ".snap"}, &direct)
             .exit_code != 0) {
       return false;
     }
   }
-  {
-    Result<service::AcquiredGraph> g =
-        direct.Acquire(v1, service::CommonOptions(), false);
-    if (!g.ok()) return false;
-    r.nodes = g.value().loaded->graph.NumNodes();
-    r.triples = g.value().loaded->graph.NumEdges();
-  }
+  Result<service::AcquiredGraph> g1 =
+      direct.Acquire(v1, service::CommonOptions(), false);
+  if (!g1.ok()) return false;
+  const TripleGraph& graph = g1.value().loaded->graph;
 
   service::ServerOptions options;
   options.port = 0;
@@ -197,23 +170,16 @@ bool RunPoint(double scale_point, size_t clients, size_t requests,
   Result<service::Client> client =
       service::Client::Connect("127.0.0.1", server.port());
   if (!client.ok()) return false;
+  const std::vector<std::string> info = {"info", v1, "--json"};
 
   // Cold loads: clear residency before every sample.
-  std::vector<double> miss_ms, hit_ms;
-  for (size_t i = 0; i < samples; ++i) {
-    if (!TimedCall(*client, {"cache", "clear"}, nullptr)) return false;
-    if (!TimedCall(*client, {"info", v1, "--json"}, &miss_ms)) return false;
-  }
-  // Warm hits: the first request re-loads, then everything is resident.
-  if (!TimedCall(*client, {"info", v1, "--json"}, nullptr)) return false;
-  for (size_t i = 0; i < samples; ++i) {
-    if (!TimedCall(*client, {"info", v1, "--json"}, &hit_ms)) return false;
-  }
-  r.miss_p50_ms = Percentile(miss_ms, 0.50);
-  r.miss_p95_ms = Percentile(miss_ms, 0.95);
-  r.hit_p50_ms = Percentile(hit_ms, 0.50);
-  r.hit_p95_ms = Percentile(hit_ms, 0.95);
-  r.hit_speedup_p50 = r.hit_p50_ms > 0 ? r.miss_p50_ms / r.hit_p50_ms : 0;
+  const bench::Timing miss = bench::Time(
+      samples, 0, [&] { return Succeeds(*client, info); },
+      [&] { return Succeeds(*client, {"cache", "clear"}); });
+  // Warm hits: the warm-up request re-loads, then everything is resident.
+  const bench::Timing hit =
+      bench::Time(samples, 1, [&] { return Succeeds(*client, info); });
+  if (!miss.ok || !hit.ok) return false;
 
   // Deadline/retry overhead on the happy path: the same warm-hit request
   // against a server with every robustness guard armed (per-frame
@@ -221,172 +187,118 @@ bool RunPoint(double scale_point, size_t clients, size_t requests,
   // timeout plus a retry budget, sent through the idempotent-retry
   // wrapper. Nothing ever fires, so the ratio against hit_p50 is the
   // pure bookkeeping cost of the fault-tolerance layer (docs/robustness.md).
-  {
-    service::ServerOptions guarded_opts;
-    guarded_opts.port = 0;
-    guarded_opts.worker_threads = std::max<size_t>(clients, 2);
-    guarded_opts.io_timeout_ms = 5000;
-    guarded_opts.max_conns = 256;
-    guarded_opts.session_linger_ms = 1000;
-    service::Server guarded(guarded_opts);
-    if (!guarded.Start().ok()) return false;
-    service::ClientOptions copts;
-    copts.timeout_ms = 5000;
-    copts.retries = 2;
-    Result<service::Client> gclient =
-        service::Client::Connect("127.0.0.1", guarded.port(), copts);
-    if (!gclient.ok()) return false;
-    std::vector<double> guarded_ms;
-    if (!TimedCall(*gclient, {"info", v1, "--json"}, nullptr)) return false;
-    for (size_t i = 0; i < samples; ++i) {
-      WallTimer timer;
-      Result<service::ClientResponse> resp =
-          gclient->CallIdempotent({"info", v1, "--json"});
-      const double ms = timer.ElapsedMillis();
-      if (!resp.ok() || resp->exit_code != 0) {
-        std::fprintf(stderr, "service_bench: guarded info failed\n");
-        return false;
-      }
-      guarded_ms.push_back(ms);
-    }
-    r.guarded_hit_p50_ms = Percentile(guarded_ms, 0.50);
-    r.guarded_hit_p95_ms = Percentile(guarded_ms, 0.95);
-    r.guard_overhead_p50 =
-        r.hit_p50_ms > 0 ? r.guarded_hit_p50_ms / r.hit_p50_ms : 0;
-    gclient->Close();
-    guarded.Stop();
-  }
+  service::ServerOptions guarded_opts = options;
+  guarded_opts.io_timeout_ms = 5000;
+  guarded_opts.max_conns = 256;
+  guarded_opts.session_linger_ms = 1000;
+  service::Server guarded(guarded_opts);
+  if (!guarded.Start().ok()) return false;
+  service::ClientOptions copts;
+  copts.timeout_ms = 5000;
+  copts.retries = 2;
+  Result<service::Client> gclient =
+      service::Client::Connect("127.0.0.1", guarded.port(), copts);
+  if (!gclient.ok()) return false;
+  const bench::Timing guarded_hit = bench::Time(samples, 1, [&] {
+    return Succeeds(info, [&](const auto& t) {
+      return gclient->CallIdempotent(t);
+    });
+  });
+  gclient->Close();
+  guarded.Stop();
+  if (!guarded_hit.ok) return false;
 
   // Mixed concurrent traffic: every client connection interleaves cheap
   // info hits with full aligns, all against the shared cache.
   std::atomic<int> failures{0};
-  std::vector<std::vector<double>> per_client_ms(clients);
-  WallTimer mixed_timer;
-  std::vector<std::thread> threads;
-  for (size_t t = 0; t < clients; ++t) {
-    threads.emplace_back([&, t] {
-      Result<service::Client> c =
-          service::Client::Connect("127.0.0.1", server.port());
-      if (!c.ok()) {
-        failures.fetch_add(1);
-        return;
-      }
-      const std::vector<std::vector<std::string>> trace = {
-          {"info", v1, "--json"},
-          {"info", v2, "--json"},
-          {"align", v1, v2, "--method=trivial", "--json"},
-          {"cache", "stats", "--json"},
-      };
-      for (size_t i = 0; i < requests; ++i) {
-        const auto& tokens = trace[(t + i) % trace.size()];
-        if (!TimedCall(*c, tokens, &per_client_ms[t])) {
+  std::vector<bench::Timing> per_client(clients);
+  const bench::Timing mixed_wall = bench::Time(1, 0, [&] {
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < clients; ++t) {
+      threads.emplace_back([&, t] {
+        Result<service::Client> c =
+            service::Client::Connect("127.0.0.1", server.port());
+        if (!c.ok()) {
           failures.fetch_add(1);
           return;
         }
-      }
-    });
-  }
-  for (std::thread& th : threads) th.join();
-  r.mixed_seconds = mixed_timer.ElapsedSeconds();
+        const std::vector<std::vector<std::string>> trace = {
+            info,
+            {"info", v2, "--json"},
+            {"align", v1, v2, "--method=trivial", "--json"},
+            {"cache", "stats", "--json"},
+        };
+        size_t i = t;
+        per_client[t] = bench::Time(requests, 0, [&] {
+          return Succeeds(*c, trace[i++ % trace.size()]);
+        });
+        if (!per_client[t].ok) failures.fetch_add(1);
+      });
+    }
+    for (std::thread& th : threads) th.join();
+  });
   if (failures.load() != 0) return false;
-
   std::vector<double> mixed_ms;
-  for (const std::vector<double>& v : per_client_ms) {
-    mixed_ms.insert(mixed_ms.end(), v.begin(), v.end());
+  for (const bench::Timing& t : per_client) {
+    mixed_ms.insert(mixed_ms.end(), t.samples_ms.begin(), t.samples_ms.end());
   }
-  r.mixed_requests = mixed_ms.size();
-  r.mixed_clients = clients;
-  r.mixed_rps =
-      r.mixed_seconds > 0 ? r.mixed_requests / r.mixed_seconds : 0;
-  r.mixed_p50_ms = Percentile(mixed_ms, 0.50);
-  r.mixed_p95_ms = Percentile(mixed_ms, 0.95);
-  const service::SnapshotCacheStats stats = server.cache()->stats();
-  r.cache_hits = stats.hits;
-  r.cache_misses = stats.misses;
+  const bench::Timing mixed = bench::Summarize(std::move(mixed_ms));
+  const double mixed_seconds = mixed_wall.min_ms / 1000.0;
+  const service::SnapshotCacheStats cache = server.cache()->stats();
   client->Close();
   server.Stop();
 
   // Worker-count sweep: the daemon's answers must not depend on its
   // thread count.
   std::string reference;
-  r.sweep_equal = true;
+  bool sweep_equal = true;
   for (size_t workers : {1u, 2u, 4u, 8u}) {
     std::string scrubbed;
     if (!RunSweepTrace(workers, v1, v2, prefix, &scrubbed)) return false;
     if (reference.empty()) {
       reference = scrubbed;
     } else if (scrubbed != reference) {
-      std::fprintf(stderr,
-                   "service_bench: FAIL sweep(workers=%zu) body differs\n",
-                   workers);
-      r.sweep_equal = false;
+      sweep_equal = report.Gate(false, "sweep(workers=" +
+                                           std::to_string(workers) +
+                                           ") body differs at scale " +
+                                           bench::Fmt("%g", scale_point));
     }
   }
-  if (!r.sweep_equal) return false;
 
-  for (int i = 1; i <= 2; ++i) {
-    std::filesystem::remove(prefix + std::to_string(i) + ".nt");
-    std::filesystem::remove(prefix + std::to_string(i) + ".snap");
-  }
-  *out = r;
-  return true;
-}
-
-bool WriteJson(const std::string& path, const std::vector<PointResult>& points,
-               double scale, size_t clients, size_t requests,
-               size_t samples) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return false;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"service\",\n");
-  std::fprintf(f, "  \"scale\": %g,\n", scale);
-  std::fprintf(f, "  \"clients\": %zu,\n", clients);
-  std::fprintf(f, "  \"requests_per_client\": %zu,\n", requests);
-  std::fprintf(f, "  \"latency_samples\": %zu,\n", samples);
-  std::fprintf(f, "  \"hardware_threads\": %u,\n",
-               std::thread::hardware_concurrency());
-  std::fprintf(f,
-               "  \"provenance\": \"loopback TCP wall clock, client and "
-               "server on the same box; hardware_threads records the "
-               "recording box — on a 1-core box concurrent clients "
-               "time-slice, so mixed_rps understates a real deployment\",\n");
-  std::fprintf(f, "  \"points\": [\n");
-  for (size_t i = 0; i < points.size(); ++i) {
-    const PointResult& r = points[i];
-    std::fprintf(f, "    {\n");
-    std::fprintf(f, "      \"scale_point\": %g,\n", r.scale_point);
-    std::fprintf(f, "      \"nodes\": %zu,\n", r.nodes);
-    std::fprintf(f, "      \"triples\": %zu,\n", r.triples);
-    std::fprintf(f, "      \"miss_p50_ms\": %.3f,\n", r.miss_p50_ms);
-    std::fprintf(f, "      \"miss_p95_ms\": %.3f,\n", r.miss_p95_ms);
-    std::fprintf(f, "      \"hit_p50_ms\": %.3f,\n", r.hit_p50_ms);
-    std::fprintf(f, "      \"hit_p95_ms\": %.3f,\n", r.hit_p95_ms);
-    std::fprintf(f, "      \"hit_speedup_p50\": %.2f,\n", r.hit_speedup_p50);
-    std::fprintf(f, "      \"guarded_hit_p50_ms\": %.3f,\n",
-                 r.guarded_hit_p50_ms);
-    std::fprintf(f, "      \"guarded_hit_p95_ms\": %.3f,\n",
-                 r.guarded_hit_p95_ms);
-    std::fprintf(f, "      \"guard_overhead_p50\": %.2f,\n",
-                 r.guard_overhead_p50);
-    std::fprintf(f, "      \"mixed_clients\": %zu,\n", r.mixed_clients);
-    std::fprintf(f, "      \"mixed_requests\": %zu,\n", r.mixed_requests);
-    std::fprintf(f, "      \"mixed_seconds\": %.3f,\n", r.mixed_seconds);
-    std::fprintf(f, "      \"mixed_rps\": %.1f,\n", r.mixed_rps);
-    std::fprintf(f, "      \"mixed_p50_ms\": %.3f,\n", r.mixed_p50_ms);
-    std::fprintf(f, "      \"mixed_p95_ms\": %.3f,\n", r.mixed_p95_ms);
-    std::fprintf(f, "      \"cache_hits\": %llu,\n",
-                 (unsigned long long)r.cache_hits);
-    std::fprintf(f, "      \"cache_misses\": %llu,\n",
-                 (unsigned long long)r.cache_misses);
-    std::fprintf(f, "      \"sweep_equal\": %s\n",
-                 r.sweep_equal ? "true" : "false");
-    std::fprintf(f, "    }%s\n", i + 1 < points.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+  const double hit_speedup = bench::Ratio(miss.p50_ms, hit.p50_ms);
+  report.Add(
+      "points",
+      bench::Row()
+          .Num("scale_point", scale_point, "scale")
+          .Int("nodes", graph.NumNodes())
+          .Int("triples", graph.NumEdges(), "triples")
+          .Num("miss_p50_ms", miss.p50_ms, 3, "miss_p50")
+          .Num("miss_p95_ms", miss.p95_ms, 3)
+          .Num("hit_p50_ms", hit.p50_ms, 3, "hit_p50")
+          .Num("hit_p95_ms", hit.p95_ms, 3)
+          .Num("hit_speedup_p50", hit_speedup, 2, "speedup")
+          .Num("guarded_hit_p50_ms", guarded_hit.p50_ms, 3)
+          .Num("guarded_hit_p95_ms", guarded_hit.p95_ms, 3)
+          .Num("guard_overhead_p50",
+               bench::Ratio(guarded_hit.p50_ms, hit.p50_ms), 2, "guard")
+          .Int("mixed_clients", clients)
+          .Int("mixed_requests", mixed.samples_ms.size())
+          .Num("mixed_seconds", mixed_seconds, 3)
+          .Num("mixed_rps",
+               bench::Ratio(mixed.samples_ms.size(), mixed_seconds), 1, "rps")
+          .Num("mixed_p50_ms", mixed.p50_ms, 3)
+          .Num("mixed_p95_ms", mixed.p95_ms, 3)
+          .Int("cache_hits", cache.hits)
+          .Int("cache_misses", cache.misses)
+          .Bool("sweep_equal", sweep_equal, "sweep"));
+  // The acceptance gate: at a real scale the resident cache must be
+  // worth at least 5x on p50 load latency at the largest point. Tiny
+  // smoke scales only record the ratio — the TCP round trip dominates
+  // micro-loads.
+  report.Gate(!largest || scale_point < 1.0 || hit_speedup >= 5.0,
+              "hit p50 " + bench::Fmt("%.3f", hit.p50_ms) + " ms is only " +
+                  bench::Fmt("%.2f", hit_speedup) + "x faster than miss p50 " +
+                  bench::Fmt("%.3f", miss.p50_ms) + " ms (gate: >= 5x)");
   return true;
 }
 
@@ -404,10 +316,18 @@ int main(int argc, char** argv) {
                 "rdfalignd over loopback TCP: cache miss vs hit latency, "
                 "mixed concurrent verb traffic, worker-count response "
                 "identity");
-
-  const std::string dir =
-      std::filesystem::temp_directory_path() / "rdfalign_service_bench";
-  std::filesystem::create_directories(dir);
+  bench::Report report(
+      "service", {"points"},
+      "loopback TCP wall clock, client and server on the same box; "
+      "hardware_threads records the recording box — on a 1-core box "
+      "concurrent clients time-slice, so mixed_rps understates a real "
+      "deployment");
+  report.params()
+      .Num("scale", scale)
+      .Int("clients", clients)
+      .Int("requests_per_client", requests)
+      .Int("latency_samples", samples);
+  const bench::ScratchDir scratch("rdfalign_service_bench");
 
   // Three points up to --scale; the largest carries the speedup gate.
   std::vector<double> scale_points;
@@ -417,40 +337,12 @@ int main(int argc, char** argv) {
       scale_points.push_back(point);
     }
   }
-
-  bench::TablePrinter table({"scale", "triples", "miss_p50", "hit_p50",
-                             "speedup", "guard", "rps", "sweep"});
-  std::vector<PointResult> points;
   for (double point : scale_points) {
-    PointResult r;
-    if (!RunPoint(point, clients, requests, samples, dir, &r)) {
+    if (!RunPoint(report, scratch, point, point == scale_points.back(),
+                  clients, requests, samples)) {
       std::fprintf(stderr, "service_bench: FAIL at scale %g\n", point);
       return 1;
     }
-    table.Row({bench::Fmt("%.3g", r.scale_point), bench::FmtInt(r.triples),
-               bench::Fmt("%.3f", r.miss_p50_ms),
-               bench::Fmt("%.3f", r.hit_p50_ms),
-               bench::Fmt("%.1fx", r.hit_speedup_p50),
-               bench::Fmt("%.2fx", r.guard_overhead_p50),
-               bench::Fmt("%.0f", r.mixed_rps),
-               r.sweep_equal ? "yes" : "NO"});
-    points.push_back(r);
   }
-
-  // The acceptance gate: at a real scale the resident cache must be
-  // worth at least 5x on p50 load latency. Tiny smoke scales only record
-  // the ratio — the TCP round trip dominates micro-loads.
-  const PointResult& largest = points.back();
-  if (largest.scale_point >= 1.0 && largest.hit_speedup_p50 < 5.0) {
-    std::fprintf(stderr,
-                 "service_bench: FAIL hit p50 %.3f ms is only %.2fx faster "
-                 "than miss p50 %.3f ms (gate: >= 5x)\n",
-                 largest.hit_p50_ms, largest.hit_speedup_p50,
-                 largest.miss_p50_ms);
-    return 1;
-  }
-
-  if (!WriteJson(out, points, scale, clients, requests, samples)) return 1;
-  std::printf("\nwrote %s\n", out.c_str());
-  return 0;
+  return report.Finish(out);
 }

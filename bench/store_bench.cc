@@ -29,15 +29,14 @@
 //
 // Each method is timed over several runs (best-of, files warm in the page
 // cache for every method alike) and the loaded graphs are checked equal to
-// the reparsed one. Emits BENCH_store.json; the checked-in copy at the
-// repo root is the reference run, and the store_bench_smoke /
-// delta_bench_smoke ctest targets re-run this at a tiny scale.
+// the reparsed one. Emits BENCH_store.json — and refuses to (exit 1, no
+// file) when any equality, round-trip or sweep gate fails; the checked-in
+// copy at the repo root is the reference run, and the store_bench_smoke /
+// delta_bench_smoke / dict_bench_smoke ctest targets re-run this at a tiny
+// scale.
 
-#include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/harness.h"
@@ -48,122 +47,81 @@
 #include "parser/ntriples_writer.h"
 #include "store/delta.h"
 #include "store/snapshot.h"
-#include "util/timer.h"
+#include "store/update_fragment.h"
 
 using namespace rdfalign;
 
 namespace {
 
-struct PointResult {
-  double scale_point = 0;
-  size_t nodes = 0;
-  size_t edges = 0;
-  size_t terms = 0;
-  uint64_t nt_bytes = 0;
-  uint64_t snap_bytes = 0;
-  double reparse_ms = 0;
-  double load_ms = 0;
-  double mmap_ms = 0;
-  bool equal = false;
-};
-
-/// Best-of-`runs` wall time of `fn` (returns false on failure).
-template <typename Fn>
-bool BestOf(size_t runs, double* best_ms, Fn&& fn) {
-  *best_ms = 0;
-  for (size_t r = 0; r < runs; ++r) {
-    WallTimer t;
-    if (!fn()) return false;
-    double ms = t.ElapsedMillis();
-    if (r == 0 || ms < *best_ms) *best_ms = ms;
-  }
-  return true;
+uint64_t FileSize(const std::string& path) {
+  return std::filesystem::file_size(path);
 }
 
-bool RunPoint(double scale_point, uint64_t seed, size_t runs,
-              const std::string& tmp_prefix, PointResult* out) {
+std::string PointName(const char* part, double scale_point) {
+  return std::string(part) + " point " + bench::Fmt("%g", scale_point);
+}
+
+bool RunPoint(bench::Report& report, const bench::ScratchDir& scratch,
+              double scale_point, uint64_t seed, size_t runs) {
   gen::CategoryChain chain = gen::CategoryChain::Generate(
       gen::CategoryOptions::FromScale(scale_point, /*versions=*/1, seed));
   const TripleGraph& g = chain.Version(0);
 
-  const std::string nt_path = tmp_prefix + ".nt";
-  const std::string snap_path = tmp_prefix + ".snap";
+  const std::string nt_path = scratch.Path("g.nt");
+  const std::string snap_path = scratch.Path("g.snap");
   if (!WriteNTriplesFile(g, nt_path).ok() ||
       !store::WriteSnapshot(g, snap_path).ok()) {
     std::fprintf(stderr, "cannot write bench inputs under %s\n",
-                 tmp_prefix.c_str());
+                 scratch.dir().c_str());
     return false;
   }
-
-  PointResult r;
-  r.scale_point = scale_point;
-  r.nodes = g.NumNodes();
-  r.edges = g.NumEdges();
-  r.terms = g.dict().size();
-  r.nt_bytes = std::filesystem::file_size(nt_path);
-  r.snap_bytes = std::filesystem::file_size(snap_path);
 
   // Warm the page cache so the first-timed method is not penalized.
   { auto warm = ParseNTriplesFile(nt_path, nullptr); (void)warm; }
 
   TripleGraph parsed, loaded, mapped;
-  bool ok =
-      BestOf(runs, &r.reparse_ms,
-             [&] {
-               auto res = ParseNTriplesFile(nt_path, nullptr);
-               if (!res.ok()) return false;
-               parsed = std::move(res).value();
-               return true;
-             }) &&
-      BestOf(runs, &r.load_ms,
-             [&] {
-               auto res = store::LoadSnapshot(snap_path, nullptr);
-               if (!res.ok()) return false;
-               loaded = std::move(res).value();
-               return true;
-             }) &&
-      BestOf(runs, &r.mmap_ms, [&] {
-        store::SnapshotLoadOptions mm;
-        mm.use_mmap = true;
-        mm.verify_checksums = false;
-        auto res = store::LoadSnapshot(snap_path, nullptr, mm);
-        if (!res.ok()) return false;
-        mapped = std::move(res).value();
-        return true;
-      });
-  if (ok) {
-    // The snapshot paths must reproduce the original graph exactly (ids
-    // included). The text parser renumbers nodes in first-occurrence
-    // order, so the reparse path is held to count equality only.
-    r.equal = LabeledGraphsEqual(g, loaded) && LabeledGraphsEqual(g, mapped) &&
-              parsed.NumNodes() == g.NumNodes() &&
-              parsed.NumEdges() == g.NumEdges();
-  }
-  std::filesystem::remove(nt_path);
-  std::filesystem::remove(snap_path);
-  if (!ok) return false;
-  *out = r;
+  store::SnapshotLoadOptions mm;
+  mm.use_mmap = true;
+  mm.verify_checksums = false;
+  const bench::Timing reparse = bench::Time(runs, 0, [&] {
+    return bench::Keep(ParseNTriplesFile(nt_path, nullptr), &parsed);
+  });
+  const bench::Timing load = bench::Time(runs, 0, [&] {
+    return bench::Keep(store::LoadSnapshot(snap_path, nullptr), &loaded);
+  });
+  const bench::Timing mmap = bench::Time(runs, 0, [&] {
+    return bench::Keep(store::LoadSnapshot(snap_path, nullptr, mm), &mapped);
+  });
+  if (!reparse.ok || !load.ok || !mmap.ok) return false;
+  // The snapshot paths must reproduce the original graph exactly (ids
+  // included). The text parser renumbers nodes in first-occurrence
+  // order, so the reparse path is held to count equality only.
+  const bool equal = LabeledGraphsEqual(g, loaded) &&
+                     LabeledGraphsEqual(g, mapped) &&
+                     parsed.NumNodes() == g.NumNodes() &&
+                     parsed.NumEdges() == g.NumEdges();
+  report.Gate(equal, PointName("snapshot", scale_point) +
+                         ": a load path does not reproduce the graph");
+  report.Add(
+      "points",
+      bench::Row()
+          .Num("scale_point", scale_point)
+          .Int("nodes", g.NumNodes(), "nodes")
+          .Int("edges", g.NumEdges(), "edges")
+          .Int("terms", g.dict().size())
+          .Int("nt_bytes", FileSize(nt_path), "nt_bytes")
+          .Int("snap_bytes", FileSize(snap_path), "snap_bytes")
+          .Num("reparse_ms", reparse.min_ms, 2, "parse(ms)")
+          .Num("load_ms", load.min_ms, 2, "load(ms)")
+          .Num("mmap_ms", mmap.min_ms, 2, "mmap(ms)")
+          .Num("speedup_load", bench::Ratio(reparse.min_ms, load.min_ms), 2)
+          .Num("speedup_mmap", bench::Ratio(reparse.min_ms, mmap.min_ms), 2,
+               "mmap-x")
+          .Bool("equal", equal, "equal"));
   return true;
 }
 
 // ------------------------------------------------------------- dict A/B
-
-struct DictPointResult {
-  double scale_point = 0;
-  size_t nodes = 0;
-  size_t edges = 0;
-  size_t terms = 0;
-  uint64_t raw_file_bytes = 0;  ///< --no-dict-compress (version-1) snapshot
-  uint64_t fc_file_bytes = 0;   ///< front-coded (version-2) snapshot
-  uint64_t raw_dict_bytes = 0;  ///< term_offsets + term_blob sections
-  uint64_t fc_dict_bytes = 0;   ///< + term_prefix_lens section
-  double raw_load_ms = 0;
-  double fc_load_ms = 0;
-  double raw_intern_mtps = 0;  ///< interned terms / s, millions
-  double fc_intern_mtps = 0;
-  bool equal = false;      ///< both loads bit-identical to the source graph
-  bool roundtrip = false;  ///< save -> load -> resave byte-identical, per mode
-};
 
 uint64_t DictSectionBytes(const store::SnapshotInfo& info) {
   uint64_t bytes = 0;
@@ -178,135 +136,97 @@ uint64_t DictSectionBytes(const store::SnapshotInfo& info) {
 }
 
 bool FilesIdentical(const std::string& a, const std::string& b) {
-  std::error_code ec;
-  if (std::filesystem::file_size(a, ec) != std::filesystem::file_size(b, ec)) {
-    return false;
-  }
-  std::FILE* fa = std::fopen(a.c_str(), "rb");
-  std::FILE* fb = std::fopen(b.c_str(), "rb");
-  bool same = fa != nullptr && fb != nullptr;
-  while (same) {
-    char ba[4096], bb[4096];
-    const size_t na = std::fread(ba, 1, sizeof(ba), fa);
-    const size_t nb = std::fread(bb, 1, sizeof(bb), fb);
-    same = na == nb && std::memcmp(ba, bb, na) == 0;
-    if (na < sizeof(ba)) break;
-  }
-  if (fa != nullptr) std::fclose(fa);
-  if (fb != nullptr) std::fclose(fb);
-  return same;
+  Result<std::string> bytes_a = store::ReadFileBytes(a);
+  Result<std::string> bytes_b = store::ReadFileBytes(b);
+  return bytes_a.ok() && bytes_b.ok() && *bytes_a == *bytes_b;
 }
 
 /// One front-coded vs raw dictionary point: bytes on disk (whole file and
 /// dictionary sections alone), load time, and intern throughput, gated on
 /// both loads being bit-identical to the source graph and on each mode's
 /// save -> load -> resave reproducing its bytes exactly.
-bool RunDictPoint(double scale_point, uint64_t seed, size_t runs,
-                  const std::string& tmp_prefix, DictPointResult* out) {
+bool RunDictPoint(bench::Report& report, const bench::ScratchDir& scratch,
+                  double scale_point, uint64_t seed, size_t runs) {
   gen::CategoryChain chain = gen::CategoryChain::Generate(
       gen::CategoryOptions::FromScale(scale_point, /*versions=*/1, seed));
   const TripleGraph& g = chain.Version(0);
 
-  const std::string raw_path = tmp_prefix + "_raw.snap";
-  const std::string fc_path = tmp_prefix + "_fc.snap";
-  const std::string resave_path = tmp_prefix + "_resave.snap";
-  DictPointResult r;
-  const bool point_ok = [&]() -> bool {
-    store::StoreWriteOptions raw_opts;
-    raw_opts.compress_dict = false;
-    if (!store::WriteSnapshot(g, raw_path, raw_opts).ok() ||
-        !store::WriteSnapshot(g, fc_path).ok()) {
-      std::fprintf(stderr, "cannot write dict bench inputs under %s\n",
-                   tmp_prefix.c_str());
-      return false;
-    }
+  const std::string raw_path = scratch.Path("raw.snap");
+  const std::string fc_path = scratch.Path("fc.snap");
+  const std::string resave_path = scratch.Path("resave.snap");
+  store::StoreWriteOptions raw_opts;
+  raw_opts.compress_dict = false;
+  if (!store::WriteSnapshot(g, raw_path, raw_opts).ok() ||
+      !store::WriteSnapshot(g, fc_path).ok()) {
+    std::fprintf(stderr, "cannot write dict bench inputs under %s\n",
+                 scratch.dir().c_str());
+    return false;
+  }
+  auto raw_info = store::ReadSnapshotInfo(raw_path);
+  auto fc_info = store::ReadSnapshotInfo(fc_path);
+  if (!raw_info.ok() || !fc_info.ok()) return false;
+  const uint64_t raw_dict_bytes = DictSectionBytes(*raw_info);
+  const uint64_t fc_dict_bytes = DictSectionBytes(*fc_info);
 
-    r.scale_point = scale_point;
-    r.nodes = g.NumNodes();
-    r.edges = g.NumEdges();
-    r.terms = g.dict().size();
-    r.raw_file_bytes = std::filesystem::file_size(raw_path);
-    r.fc_file_bytes = std::filesystem::file_size(fc_path);
-    auto raw_info = store::ReadSnapshotInfo(raw_path);
-    auto fc_info = store::ReadSnapshotInfo(fc_path);
-    if (!raw_info.ok() || !fc_info.ok()) return false;
-    r.raw_dict_bytes = DictSectionBytes(*raw_info);
-    r.fc_dict_bytes = DictSectionBytes(*fc_info);
+  // Warm the page cache.
+  { auto warm = store::LoadSnapshot(raw_path, nullptr); (void)warm; }
 
-    // Warm the page cache.
-    { auto warm = store::LoadSnapshot(raw_path, nullptr); (void)warm; }
-
-    TripleGraph raw_loaded, fc_loaded;
-    uint64_t raw_interned = 0, fc_interned = 0;
-    bool ok = BestOf(runs, &r.raw_load_ms,
-                     [&] {
-                       store::SnapshotLoadStats stats;
-                       auto res =
-                           store::LoadSnapshot(raw_path, nullptr, {}, &stats);
-                       if (!res.ok()) return false;
-                       raw_loaded = std::move(res).value();
-                       raw_interned = stats.terms_interned;
-                       return true;
-                     }) &&
-              BestOf(runs, &r.fc_load_ms, [&] {
-                store::SnapshotLoadStats stats;
-                auto res = store::LoadSnapshot(fc_path, nullptr, {}, &stats);
-                if (!res.ok()) return false;
-                fc_loaded = std::move(res).value();
-                fc_interned = stats.terms_interned;
-                return true;
-              });
-    if (!ok) {
-      std::fprintf(stderr, "dict bench: a load failed\n");
-      return false;
-    }
-    r.raw_intern_mtps =
-        r.raw_load_ms > 0
-            ? static_cast<double>(raw_interned) / (r.raw_load_ms * 1e3)
-            : 0.0;
-    r.fc_intern_mtps =
-        r.fc_load_ms > 0
-            ? static_cast<double>(fc_interned) / (r.fc_load_ms * 1e3)
-            : 0.0;
-    r.equal = GraphsBitDiffer(g, raw_loaded) == nullptr &&
-              GraphsBitDiffer(g, fc_loaded) == nullptr;
-
-    // Round-trip gates: resaving a freshly loaded snapshot under the same
-    // options must reproduce the file byte for byte.
-    r.roundtrip = store::WriteSnapshot(raw_loaded, resave_path, raw_opts).ok() &&
-                  FilesIdentical(raw_path, resave_path) &&
-                  store::WriteSnapshot(fc_loaded, resave_path).ok() &&
-                  FilesIdentical(fc_path, resave_path);
-    if (!r.equal || !r.roundtrip) {
-      std::fprintf(stderr, "FAIL: dict point %g: equal=%d roundtrip=%d\n",
-                   scale_point, r.equal, r.roundtrip);
-    }
-    return true;
-  }();
-  std::filesystem::remove(raw_path);
-  std::filesystem::remove(fc_path);
-  std::filesystem::remove(resave_path);
-  if (!point_ok) return false;
-  *out = r;
+  TripleGraph raw_loaded, fc_loaded;
+  store::SnapshotLoadStats raw_stats, fc_stats;
+  const bench::Timing raw_load = bench::Time(runs, 0, [&] {
+    return bench::Keep(store::LoadSnapshot(raw_path, nullptr, {}, &raw_stats),
+                       &raw_loaded);
+  });
+  const bench::Timing fc_load = bench::Time(runs, 0, [&] {
+    return bench::Keep(store::LoadSnapshot(fc_path, nullptr, {}, &fc_stats),
+                       &fc_loaded);
+  });
+  if (!raw_load.ok || !fc_load.ok) {
+    std::fprintf(stderr, "dict bench: a load failed\n");
+    return false;
+  }
+  const bool equal = GraphsBitDiffer(g, raw_loaded) == nullptr &&
+                     GraphsBitDiffer(g, fc_loaded) == nullptr;
+  // Round-trip gates: resaving a freshly loaded snapshot under the same
+  // options must reproduce the file byte for byte.
+  const bool roundtrip =
+      store::WriteSnapshot(raw_loaded, resave_path, raw_opts).ok() &&
+      FilesIdentical(raw_path, resave_path) &&
+      store::WriteSnapshot(fc_loaded, resave_path).ok() &&
+      FilesIdentical(fc_path, resave_path);
+  report.Gate(equal, PointName("dict", scale_point) +
+                         ": a load is not bit-identical to the graph");
+  report.Gate(roundtrip, PointName("dict", scale_point) +
+                             ": save -> load -> resave changed the bytes");
+  report.Add(
+      "dict_points",
+      bench::Row()
+          .Num("scale_point", scale_point)
+          .Int("nodes", g.NumNodes())
+          .Int("edges", g.NumEdges())
+          .Int("terms", g.dict().size(), "terms")
+          .Int("raw_file_bytes", FileSize(raw_path))
+          .Int("fc_file_bytes", FileSize(fc_path))
+          .Int("raw_dict_bytes", raw_dict_bytes, "rawdict(B)")
+          .Int("fc_dict_bytes", fc_dict_bytes, "fcdict(B)")
+          .Num("dict_ratio",
+               bench::Ratio(static_cast<double>(raw_dict_bytes),
+                            static_cast<double>(fc_dict_bytes)),
+               2, "dict-x")
+          .Num("raw_load_ms", raw_load.min_ms, 2, "rawload(ms)")
+          .Num("fc_load_ms", fc_load.min_ms, 2, "fcload(ms)")
+          .Num("raw_intern_mtps",
+               bench::Ratio(raw_stats.terms_interned, raw_load.min_ms * 1e3),
+               2)
+          .Num("fc_intern_mtps",
+               bench::Ratio(fc_stats.terms_interned, fc_load.min_ms * 1e3), 2,
+               "fc-Mt/s")
+          .Bool("roundtrip", roundtrip, "roundtrip")
+          .Bool("equal", equal, "equal"));
   return true;
 }
 
-struct DeltaPointResult {
-  double scale_point = 0;
-  size_t versions = 0;
-  size_t nodes = 0;  ///< of the last version
-  size_t edges = 0;
-  uint64_t snap_total_bytes = 0;   ///< one full snapshot per version
-  uint64_t delta_total_bytes = 0;  ///< base snapshot + delta chain
-  double reparse_ms = 0;           ///< parse every version from N-Triples
-  double snap_load_ms = 0;         ///< load every version's snapshot
-  double replay_ms = 0;            ///< load base + patch-replay the chain
-  bool equal = false;
-  /// Replay timed per worker count; every count's chain must be
-  /// bit-identical to the 1-thread replay.
-  std::vector<std::pair<size_t, double>> replay_sweep;
-  bool sweep_equal = true;
-};
+// ------------------------------------------------------------ delta A/B
 
 /// Bit-level graph equality (labels, triples, both CSR indexes) — the
 /// delta acceptance invariant, shared with the test suite via
@@ -315,39 +235,32 @@ bool GraphsBitIdentical(const TripleGraph& a, const TripleGraph& b) {
   return GraphsBitDiffer(a, b) == nullptr;
 }
 
-bool RunDeltaPoint(double scale_point, uint64_t seed, size_t runs,
-                   size_t versions, const std::string& tmp_prefix,
-                   DeltaPointResult* out) {
+bool RunDeltaPoint(bench::Report& report, const bench::ScratchDir& scratch,
+                   double scale_point, uint64_t seed, size_t runs,
+                   size_t versions) {
   gen::CategoryChain chain = gen::CategoryChain::Generate(
       gen::CategoryOptions::FromScale(scale_point, versions, seed));
   const size_t v_count = chain.NumVersions();
 
-  DeltaPointResult r;
-  r.scale_point = scale_point;
-  r.versions = v_count;
-  r.nodes = chain.Version(v_count - 1).NumNodes();
-  r.edges = chain.Version(v_count - 1).NumEdges();
-
-  // The body runs inside a lambda so every exit — including mid-point
-  // failures — reaches the temp-file cleanup below.
-  std::vector<std::string> nt_paths, snap_paths, delta_paths;
-  const bool point_ok = [&]() -> bool {
   // Inputs: per-version N-Triples + snapshots, and base + delta chain.
+  std::vector<std::string> nt_paths, snap_paths, delta_paths;
+  uint64_t snap_total_bytes = 0;
   for (size_t v = 0; v < v_count; ++v) {
-    nt_paths.push_back(tmp_prefix + "_d" + std::to_string(v) + ".nt");
-    snap_paths.push_back(tmp_prefix + "_d" + std::to_string(v) + ".snap");
+    const std::string stem = scratch.Path("d") + std::to_string(v);
+    nt_paths.push_back(stem + ".nt");
+    snap_paths.push_back(stem + ".snap");
     if (!WriteNTriplesFile(chain.Version(v), nt_paths[v]).ok() ||
         !store::WriteSnapshot(chain.Version(v), snap_paths[v]).ok()) {
       std::fprintf(stderr, "cannot write delta bench inputs under %s\n",
-                   tmp_prefix.c_str());
+                   scratch.dir().c_str());
       return false;
     }
-    r.snap_total_bytes += std::filesystem::file_size(snap_paths[v]);
+    snap_total_bytes += FileSize(snap_paths[v]);
   }
-  r.delta_total_bytes = std::filesystem::file_size(snap_paths[0]);
+  uint64_t delta_total_bytes = FileSize(snap_paths[0]);
   Aligner aligner;  // hybrid, the `rdfalign diff` default
   for (size_t v = 1; v < v_count; ++v) {
-    delta_paths.push_back(tmp_prefix + "_d" + std::to_string(v) + ".delta");
+    delta_paths.push_back(scratch.Path("d") + std::to_string(v) + ".delta");
     auto cg = CombinedGraph::Build(chain.Version(v - 1), chain.Version(v));
     if (!cg.ok()) {
       std::fprintf(stderr, "delta bench: merging versions %zu/%zu: %s\n",
@@ -363,212 +276,105 @@ bool RunDeltaPoint(double scale_point, uint64_t seed, size_t runs,
                    st.ToString().c_str());
       return false;
     }
-    r.delta_total_bytes += std::filesystem::file_size(delta_paths[v - 1]);
+    delta_total_bytes += FileSize(delta_paths[v - 1]);
   }
 
   // Warm the page cache.
   { auto warm = ParseNTriplesFile(nt_paths[0], nullptr); (void)warm; }
 
+  // Loads the base snapshot and patch-replays the delta chain.
+  auto replay = [&](const store::DeltaApplyOptions& opts,
+                    std::vector<TripleGraph>* out) {
+    out->clear();
+    auto dict = std::make_shared<Dictionary>();
+    auto base = store::LoadSnapshot(snap_paths[0], dict);
+    if (!base.ok()) return false;
+    out->push_back(std::move(base).value());
+    for (const std::string& p : delta_paths) {
+      auto next = store::ApplyDelta(out->back(), p, dict, opts);
+      if (!next.ok()) return false;
+      out->push_back(std::move(next).value());
+    }
+    return true;
+  };
   std::vector<TripleGraph> snap_loaded, replayed;
-  bool ok =
-      BestOf(runs, &r.reparse_ms,
-             [&] {
-               for (const std::string& p : nt_paths) {
-                 auto res = ParseNTriplesFile(p, nullptr);
-                 if (!res.ok()) return false;
-               }
-               return true;
-             }) &&
-      BestOf(runs, &r.snap_load_ms,
-             [&] {
-               snap_loaded.clear();
-               for (const std::string& p : snap_paths) {
-                 auto res = store::LoadSnapshot(p, nullptr);
-                 if (!res.ok()) return false;
-                 snap_loaded.push_back(std::move(res).value());
-               }
-               return true;
-             }) &&
-      BestOf(runs, &r.replay_ms, [&] {
-        replayed.clear();
-        auto dict = std::make_shared<Dictionary>();
-        auto base = store::LoadSnapshot(snap_paths[0], dict);
-        if (!base.ok()) return false;
-        replayed.push_back(std::move(base).value());
-        for (const std::string& p : delta_paths) {
-          auto next = store::ApplyDelta(replayed.back(), p, dict);
-          if (!next.ok()) return false;
-          replayed.push_back(std::move(next).value());
-        }
-        return true;
-      });
-  if (!ok) {
+  const bench::Timing reparse = bench::Time(runs, 0, [&] {
+    for (const std::string& p : nt_paths) {
+      if (!ParseNTriplesFile(p, nullptr).ok()) return false;
+    }
+    return true;
+  });
+  const bench::Timing snap_load = bench::Time(runs, 0, [&] {
+    snap_loaded.clear();
+    for (const std::string& p : snap_paths) {
+      auto res = store::LoadSnapshot(p, nullptr);
+      if (!res.ok()) return false;
+      snap_loaded.push_back(std::move(res).value());
+    }
+    return true;
+  });
+  const bench::Timing replay_time =
+      bench::Time(runs, 0, [&] { return replay({}, &replayed); });
+  if (!reparse.ok || !snap_load.ok || !replay_time.ok) {
     std::fprintf(stderr, "delta bench: a load/replay phase failed\n");
     return false;
   }
   // The acceptance gate: every patch-replayed version bit-identical to
   // the direct snapshot load of that version.
-  r.equal = snap_loaded.size() == v_count && replayed.size() == v_count;
-  for (size_t v = 0; r.equal && v < v_count; ++v) {
-    r.equal = GraphsBitIdentical(snap_loaded[v], replayed[v]) &&
-              GraphsBitIdentical(chain.Version(v), replayed[v]);
+  bool equal = snap_loaded.size() == v_count && replayed.size() == v_count;
+  for (size_t v = 0; equal && v < v_count; ++v) {
+    equal = GraphsBitIdentical(snap_loaded[v], replayed[v]) &&
+            GraphsBitIdentical(chain.Version(v), replayed[v]);
   }
+  report.Gate(equal, PointName("delta", scale_point) +
+                         ": a replayed version differs from its snapshot");
 
   // Replay thread sweep: the checksum verify and CSR rebuild run on the
   // shared pool, and the replayed chain must not depend on the worker
-  // count. (On a 1-core recording box the sweep is expected to stay flat.)
+  // count.
+  std::vector<bench::Row> sweep;
+  bool sweep_equal = true;
   for (size_t t : {1u, 2u, 4u, 8u}) {
     std::vector<TripleGraph> sweep_replayed;
-    double ms = 0;
-    ok = BestOf(runs, &ms, [&] {
-      sweep_replayed.clear();
-      auto dict = std::make_shared<Dictionary>();
-      auto base = store::LoadSnapshot(snap_paths[0], dict);
-      if (!base.ok()) return false;
-      sweep_replayed.push_back(std::move(base).value());
-      store::DeltaApplyOptions opts;
-      opts.threads = t;
-      for (const std::string& p : delta_paths) {
-        auto next = store::ApplyDelta(sweep_replayed.back(), p, dict, opts);
-        if (!next.ok()) return false;
-        sweep_replayed.push_back(std::move(next).value());
-      }
-      return true;
-    });
-    if (!ok) {
+    store::DeltaApplyOptions opts;
+    opts.threads = t;
+    const bench::Timing time =
+        bench::Time(runs, 0, [&] { return replay(opts, &sweep_replayed); });
+    if (!time.ok) {
       std::fprintf(stderr, "delta bench: replay sweep failed at threads=%zu\n",
                    t);
       return false;
     }
-    r.replay_sweep.emplace_back(t, ms);
+    sweep.push_back(bench::Row().Int("threads", t).Num("ms", time.min_ms, 2));
     for (size_t v = 0; v < sweep_replayed.size(); ++v) {
       if (!GraphsBitIdentical(sweep_replayed[v], replayed[v])) {
-        std::fprintf(stderr,
-                     "FAIL: threads=%zu replay diverged at version %zu\n", t,
-                     v);
-        r.sweep_equal = false;
+        sweep_equal = report.Gate(false, "threads=" + std::to_string(t) +
+                                             " replay diverged at version " +
+                                             std::to_string(v));
       }
     }
   }
-  return true;
-  }();
-  for (const std::string& p : nt_paths) std::filesystem::remove(p);
-  for (const std::string& p : snap_paths) std::filesystem::remove(p);
-  for (const std::string& p : delta_paths) std::filesystem::remove(p);
-  if (!point_ok) return false;
-  *out = r;
-  return true;
-}
-
-bool WriteJson(const std::string& path, const std::vector<PointResult>& points,
-               const std::vector<DictPointResult>& dict_points,
-               const std::vector<DeltaPointResult>& delta_points,
-               double scale, uint64_t seed, size_t runs) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return false;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"store_load\",\n");
-  std::fprintf(f, "  \"scale\": %g,\n", scale);
-  std::fprintf(f, "  \"seed\": %llu,\n", (unsigned long long)seed);
-  std::fprintf(f, "  \"runs\": %zu,\n", runs);
-  std::fprintf(f, "  \"hardware_threads\": %u,\n",
-               std::thread::hardware_concurrency());
-  std::fprintf(f, "  \"provenance\": \"single-process wall clock; "
-               "hardware_threads records the recording box — on a 1-core "
-               "box the replay_threads_sweep is expected to stay flat\",\n");
-  std::fprintf(f, "  \"points\": [\n");
-  for (size_t i = 0; i < points.size(); ++i) {
-    const PointResult& r = points[i];
-    std::fprintf(f, "    {\n");
-    std::fprintf(f, "      \"scale_point\": %g,\n", r.scale_point);
-    std::fprintf(f, "      \"nodes\": %zu,\n", r.nodes);
-    std::fprintf(f, "      \"edges\": %zu,\n", r.edges);
-    std::fprintf(f, "      \"terms\": %zu,\n", r.terms);
-    std::fprintf(f, "      \"nt_bytes\": %llu,\n",
-                 (unsigned long long)r.nt_bytes);
-    std::fprintf(f, "      \"snap_bytes\": %llu,\n",
-                 (unsigned long long)r.snap_bytes);
-    std::fprintf(f, "      \"reparse_ms\": %.2f,\n", r.reparse_ms);
-    std::fprintf(f, "      \"load_ms\": %.2f,\n", r.load_ms);
-    std::fprintf(f, "      \"mmap_ms\": %.2f,\n", r.mmap_ms);
-    std::fprintf(f, "      \"speedup_load\": %.2f,\n",
-                 r.load_ms > 0 ? r.reparse_ms / r.load_ms : 0.0);
-    std::fprintf(f, "      \"speedup_mmap\": %.2f,\n",
-                 r.mmap_ms > 0 ? r.reparse_ms / r.mmap_ms : 0.0);
-    std::fprintf(f, "      \"equal\": %s\n", r.equal ? "true" : "false");
-    std::fprintf(f, "    }%s\n", i + 1 < points.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"dict_points\": [\n");
-  for (size_t i = 0; i < dict_points.size(); ++i) {
-    const DictPointResult& r = dict_points[i];
-    std::fprintf(f, "    {\n");
-    std::fprintf(f, "      \"scale_point\": %g,\n", r.scale_point);
-    std::fprintf(f, "      \"nodes\": %zu,\n", r.nodes);
-    std::fprintf(f, "      \"edges\": %zu,\n", r.edges);
-    std::fprintf(f, "      \"terms\": %zu,\n", r.terms);
-    std::fprintf(f, "      \"raw_file_bytes\": %llu,\n",
-                 (unsigned long long)r.raw_file_bytes);
-    std::fprintf(f, "      \"fc_file_bytes\": %llu,\n",
-                 (unsigned long long)r.fc_file_bytes);
-    std::fprintf(f, "      \"raw_dict_bytes\": %llu,\n",
-                 (unsigned long long)r.raw_dict_bytes);
-    std::fprintf(f, "      \"fc_dict_bytes\": %llu,\n",
-                 (unsigned long long)r.fc_dict_bytes);
-    std::fprintf(f, "      \"dict_ratio\": %.2f,\n",
-                 r.fc_dict_bytes > 0
-                     ? static_cast<double>(r.raw_dict_bytes) /
-                           static_cast<double>(r.fc_dict_bytes)
-                     : 0.0);
-    std::fprintf(f, "      \"raw_load_ms\": %.2f,\n", r.raw_load_ms);
-    std::fprintf(f, "      \"fc_load_ms\": %.2f,\n", r.fc_load_ms);
-    std::fprintf(f, "      \"raw_intern_mtps\": %.2f,\n", r.raw_intern_mtps);
-    std::fprintf(f, "      \"fc_intern_mtps\": %.2f,\n", r.fc_intern_mtps);
-    std::fprintf(f, "      \"roundtrip\": %s,\n",
-                 r.roundtrip ? "true" : "false");
-    std::fprintf(f, "      \"equal\": %s\n", r.equal ? "true" : "false");
-    std::fprintf(f, "    }%s\n", i + 1 < dict_points.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"delta_points\": [\n");
-  for (size_t i = 0; i < delta_points.size(); ++i) {
-    const DeltaPointResult& r = delta_points[i];
-    std::fprintf(f, "    {\n");
-    std::fprintf(f, "      \"scale_point\": %g,\n", r.scale_point);
-    std::fprintf(f, "      \"versions\": %zu,\n", r.versions);
-    std::fprintf(f, "      \"nodes\": %zu,\n", r.nodes);
-    std::fprintf(f, "      \"edges\": %zu,\n", r.edges);
-    std::fprintf(f, "      \"snap_total_bytes\": %llu,\n",
-                 (unsigned long long)r.snap_total_bytes);
-    std::fprintf(f, "      \"delta_total_bytes\": %llu,\n",
-                 (unsigned long long)r.delta_total_bytes);
-    std::fprintf(f, "      \"bytes_ratio\": %.2f,\n",
-                 r.delta_total_bytes > 0
-                     ? static_cast<double>(r.snap_total_bytes) /
-                           static_cast<double>(r.delta_total_bytes)
-                     : 0.0);
-    std::fprintf(f, "      \"reparse_ms\": %.2f,\n", r.reparse_ms);
-    std::fprintf(f, "      \"snap_load_ms\": %.2f,\n", r.snap_load_ms);
-    std::fprintf(f, "      \"replay_ms\": %.2f,\n", r.replay_ms);
-    std::fprintf(f, "      \"speedup_replay_vs_reparse\": %.2f,\n",
-                 r.replay_ms > 0 ? r.reparse_ms / r.replay_ms : 0.0);
-    std::fprintf(f, "      \"replay_threads_sweep\": [");
-    for (size_t s = 0; s < r.replay_sweep.size(); ++s) {
-      std::fprintf(f, "%s{\"threads\": %zu, \"ms\": %.2f}",
-                   s > 0 ? ", " : "", r.replay_sweep[s].first,
-                   r.replay_sweep[s].second);
-    }
-    std::fprintf(f, "],\n");
-    std::fprintf(f, "      \"sweep_equal\": %s,\n",
-                 r.sweep_equal ? "true" : "false");
-    std::fprintf(f, "      \"equal\": %s\n", r.equal ? "true" : "false");
-    std::fprintf(f, "    }%s\n", i + 1 < delta_points.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+  report.Add(
+      "delta_points",
+      bench::Row()
+          .Num("scale_point", scale_point)
+          .Int("versions", v_count)
+          .Int("nodes", chain.Version(v_count - 1).NumNodes(), "nodes")
+          .Int("edges", chain.Version(v_count - 1).NumEdges(), "edges")
+          .Int("snap_total_bytes", snap_total_bytes, "snaps(B)")
+          .Int("delta_total_bytes", delta_total_bytes, "deltas(B)")
+          .Num("bytes_ratio",
+               bench::Ratio(static_cast<double>(snap_total_bytes),
+                            static_cast<double>(delta_total_bytes)),
+               2, "bytes-x")
+          .Num("reparse_ms", reparse.min_ms, 2, "parse(ms)")
+          .Num("snap_load_ms", snap_load.min_ms, 2, "snaps(ms)")
+          .Num("replay_ms", replay_time.min_ms, 2, "replay(ms)")
+          .Num("speedup_replay_vs_reparse",
+               bench::Ratio(reparse.min_ms, replay_time.min_ms), 2)
+          .Rows("replay_threads_sweep", std::move(sweep))
+          .Bool("sweep_equal", sweep_equal, "sweep_eq")
+          .Bool("equal", equal, "equal"));
   return true;
 }
 
@@ -598,96 +404,33 @@ int main(int argc, char** argv) {
                 "N-Triples reparse vs buffered snapshot load vs mmap "
                 "zero-copy load; delta-chain replay vs per-version "
                 "snapshots vs reparse");
-
-  const std::string tmp_prefix =
-      (std::filesystem::temp_directory_path() /
-       ("rdfalign_store_bench_" + std::to_string(seed)))
-          .string();
+  bench::Report report("store_load", {"points", "dict_points", "delta_points"},
+                       "single-process wall clock; hardware_threads records "
+                       "the recording box — on a 1-core box the "
+                       "replay_threads_sweep is expected to stay flat");
+  report.params().Num("scale", scale).Int("seed", seed).Int("runs", runs);
+  const bench::ScratchDir scratch("rdfalign_store_bench");
 
   // The fig16 ladder: quarter, full, and 4x scale (the 4x point matches
   // BENCH_refinement.json's workload size).
-  bool all_equal = true;
-  std::vector<PointResult> points;
-  std::vector<DictPointResult> dict_points;
-  std::vector<DeltaPointResult> delta_points;
-  if (mode == "all" || mode == "snapshot") {
-    for (double point : {0.25 * scale, 1.0 * scale, 4.0 * scale}) {
-      PointResult r;
-      if (!RunPoint(point, seed, runs, tmp_prefix, &r)) return 1;
-      points.push_back(r);
-    }
-    bench::TablePrinter table({"nodes", "edges", "nt(KB)", "snap(KB)",
-                               "parse(ms)", "load(ms)", "mmap(ms)", "mmap-x",
-                               "equal"});
-    for (const PointResult& r : points) {
-      table.Row({bench::FmtInt(r.nodes), bench::FmtInt(r.edges),
-                 bench::FmtInt(r.nt_bytes / 1024),
-                 bench::FmtInt(r.snap_bytes / 1024),
-                 bench::Fmt("%.1f", r.reparse_ms),
-                 bench::Fmt("%.1f", r.load_ms), bench::Fmt("%.1f", r.mmap_ms),
-                 bench::Fmt("%.1fx",
-                            r.mmap_ms > 0 ? r.reparse_ms / r.mmap_ms : 0.0),
-                 r.equal ? "yes" : "NO"});
-      all_equal = all_equal && r.equal;
+  const double ladder[] = {0.25 * scale, 1.0 * scale, 4.0 * scale};
+  for (double point : ladder) {
+    if ((mode == "all" || mode == "snapshot") &&
+        !RunPoint(report, scratch, point, seed, runs)) {
+      return 1;
     }
   }
-  if (mode == "all" || mode == "dict") {
-    for (double point : {0.25 * scale, 1.0 * scale, 4.0 * scale}) {
-      DictPointResult r;
-      if (!RunDictPoint(point, seed, runs, tmp_prefix, &r)) return 1;
-      dict_points.push_back(r);
-    }
-    std::printf("\nfront-coded vs raw dictionary:\n");
-    bench::TablePrinter table({"terms", "rawdict(KB)", "fcdict(KB)", "dict-x",
-                               "rawload(ms)", "fcload(ms)", "fc-Mt/s",
-                               "roundtrip", "equal"});
-    for (const DictPointResult& r : dict_points) {
-      table.Row({bench::FmtInt(r.terms),
-                 bench::FmtInt(r.raw_dict_bytes / 1024),
-                 bench::FmtInt(r.fc_dict_bytes / 1024),
-                 bench::Fmt("%.1fx",
-                            r.fc_dict_bytes > 0
-                                ? static_cast<double>(r.raw_dict_bytes) /
-                                      static_cast<double>(r.fc_dict_bytes)
-                                : 0.0),
-                 bench::Fmt("%.1f", r.raw_load_ms),
-                 bench::Fmt("%.1f", r.fc_load_ms),
-                 bench::Fmt("%.2f", r.fc_intern_mtps),
-                 r.roundtrip ? "yes" : "NO", r.equal ? "yes" : "NO"});
-      all_equal = all_equal && r.equal && r.roundtrip;
+  for (double point : ladder) {
+    if ((mode == "all" || mode == "dict") &&
+        !RunDictPoint(report, scratch, point, seed, runs)) {
+      return 1;
     }
   }
-  if (mode == "all" || mode == "delta") {
-    for (double point : {0.25 * scale, 1.0 * scale, 4.0 * scale}) {
-      DeltaPointResult r;
-      if (!RunDeltaPoint(point, seed, runs, versions, tmp_prefix, &r)) {
-        return 1;
-      }
-      delta_points.push_back(r);
-    }
-    std::printf("\ndelta chains (%zu versions each):\n", versions);
-    bench::TablePrinter table({"nodes", "edges", "snaps(KB)", "deltas(KB)",
-                               "parse(ms)", "snaps(ms)", "replay(ms)",
-                               "bytes-x", "equal"});
-    for (const DeltaPointResult& r : delta_points) {
-      table.Row(
-          {bench::FmtInt(r.nodes), bench::FmtInt(r.edges),
-           bench::FmtInt(r.snap_total_bytes / 1024),
-           bench::FmtInt(r.delta_total_bytes / 1024),
-           bench::Fmt("%.1f", r.reparse_ms),
-           bench::Fmt("%.1f", r.snap_load_ms),
-           bench::Fmt("%.1f", r.replay_ms),
-           bench::Fmt("%.1fx",
-                      r.delta_total_bytes > 0
-                          ? static_cast<double>(r.snap_total_bytes) /
-                                static_cast<double>(r.delta_total_bytes)
-                          : 0.0),
-           r.equal && r.sweep_equal ? "yes" : "NO"});
-      all_equal = all_equal && r.equal && r.sweep_equal;
+  for (double point : ladder) {
+    if ((mode == "all" || mode == "delta") &&
+        !RunDeltaPoint(report, scratch, point, seed, runs, versions)) {
+      return 1;
     }
   }
-  const bool wrote =
-      WriteJson(out, points, dict_points, delta_points, scale, seed, runs);
-  if (wrote) std::printf("\nwrote %s\n", out.c_str());
-  return all_equal && wrote ? 0 : 1;
+  return report.Finish(out);
 }

@@ -23,12 +23,8 @@
 // reference run (largest point around a million triples), re-run at tiny
 // scale by the stream_bench_smoke ctest target.
 
-#include <algorithm>
-#include <cstdio>
 #include <string>
 #include <vector>
-
-#include <filesystem>
 
 #include "bench/harness.h"
 #include "core/aligner.h"
@@ -37,47 +33,20 @@
 #include "store/update_fragment.h"
 #include "stream/stream_aligner.h"
 #include "util/fault_injector.h"
-#include "util/stats.h"
 #include "util/timer.h"
 
 using namespace rdfalign;
 
 namespace {
 
-struct PointResult {
-  double scale_point = 0;
-  size_t nodes = 0;    // final target version
-  size_t triples = 0;  // final target version
-  size_t batches = 0;
-  double open_ms = 0;
-  size_t updates = 0;  // applied triple adds + removes across the chain
-  size_t fragment_bytes = 0;
-  double apply_seconds = 0;
-  double updates_per_sec = 0;
-  double step_p50_ms = 0, step_p95_ms = 0, step_max_ms = 0;
-  size_t added_pairs = 0, removed_pairs = 0;
-  size_t dirty_total = 0;
-  double realign_ms = 0;       // batch align of (v1, v_final)
-  double realign_speedup = 0;  // realign_ms / mean step ms
-  double fragment_write_p50_ms = 0;        // durable atomic fragment write
-  double fragment_write_armed_p50_ms = 0;  // same, failpoints armed (idle)
-  double failpoint_overhead_p50 = 0;       // armed / unarmed
-  bool equivalent = false;
-  size_t live_nodes = 0, classes = 0;
-};
-
-bool RunPoint(double scale_point, size_t versions, uint64_t seed,
-              size_t threads, PointResult* out) {
-  PointResult r;
-  r.scale_point = scale_point;
-
+bool RunPoint(bench::Report& report, const bench::ScratchDir& scratch,
+              double scale_point, size_t versions, uint64_t seed,
+              size_t threads) {
   const gen::CategoryChain chain = gen::CategoryChain::Generate(
       gen::CategoryOptions::FromScale(scale_point, versions, seed));
   const TripleGraph& first = chain.Version(0);
   const TripleGraph& last = chain.Version(chain.NumVersions() - 1);
-  r.nodes = last.NumNodes();
-  r.triples = last.NumEdges();
-  r.batches = chain.NumVersions() - 1;
+  const size_t batches = chain.NumVersions() - 1;
 
   stream::StreamOptions options;
   options.method = AlignMethod::kDeblank;
@@ -85,7 +54,7 @@ bool RunPoint(double scale_point, size_t versions, uint64_t seed,
   WallTimer open_timer;
   Result<std::unique_ptr<stream::StreamAligner>> session =
       stream::StreamAligner::Open(first, first, options);
-  r.open_ms = open_timer.ElapsedMillis();
+  const double open_ms = open_timer.ElapsedMillis();
   if (!session.ok()) {
     std::fprintf(stderr, "stream_bench: open failed: %s\n",
                  session.status().ToString().c_str());
@@ -93,43 +62,45 @@ bool RunPoint(double scale_point, size_t versions, uint64_t seed,
   }
   stream::StreamAligner& aligner = **session;
 
-  std::vector<double> step_ms;
+  // One timed Apply per inter-version batch; building the batch and its
+  // wire image (what a daemon would receive, sized for the bytes-per-step
+  // figure — the stream path never writes snapshots) is untimed setup.
+  size_t v = 0, updates = 0, fragment_bytes = 0;
+  size_t added_pairs = 0, removed_pairs = 0, dirty_total = 0;
+  Result<store::UpdateBatch> batch = Status::Internal("no batch");
   std::string last_image;
-  for (size_t v = 1; v < chain.NumVersions(); ++v) {
-    Result<store::UpdateBatch> batch = store::BuildUpdateBatch(
-        chain.Version(v - 1), chain.Version(v), /*sequence=*/v);
-    if (!batch.ok()) {
-      std::fprintf(stderr, "stream_bench: batch %zu build failed: %s\n", v,
-                   batch.status().ToString().c_str());
-      return false;
-    }
-    // The wire image is what a daemon would receive; size it for the
-    // bytes-per-step figure (the stream path never writes snapshots).
-    Result<std::string> image = store::EncodeUpdateBatch(*batch);
-    if (!image.ok()) return false;
-    r.fragment_bytes += image->size();
-    last_image = std::move(*image);
-
-    WallTimer step_timer;
-    Result<stream::StreamBatchResult> step = aligner.Apply(*batch);
-    const double ms = step_timer.ElapsedMillis();
-    if (!step.ok()) {
-      std::fprintf(stderr, "stream_bench: apply %zu failed: %s\n", v,
-                   step.status().ToString().c_str());
-      return false;
-    }
-    step_ms.push_back(ms);
-    r.updates += step->applied_adds + step->applied_removes;
-    r.added_pairs += step->added_pairs.size();
-    r.removed_pairs += step->removed_pairs.size();
-    r.dirty_total += step->dirty_total;
-  }
-  for (double ms : step_ms) r.apply_seconds += ms / 1000.0;
-  r.updates_per_sec =
-      r.apply_seconds > 0 ? r.updates / r.apply_seconds : 0;
-  r.step_p50_ms = Percentile(step_ms, 0.50);
-  r.step_p95_ms = Percentile(step_ms, 0.95);
-  for (double ms : step_ms) r.step_max_ms = std::max(r.step_max_ms, ms);
+  const bench::Timing steps = bench::Time(
+      batches, 0,
+      [&] {
+        Result<stream::StreamBatchResult> step = aligner.Apply(*batch);
+        if (!step.ok()) {
+          std::fprintf(stderr, "stream_bench: apply %zu failed: %s\n", v,
+                       step.status().ToString().c_str());
+          return false;
+        }
+        updates += step->applied_adds + step->applied_removes;
+        added_pairs += step->added_pairs.size();
+        removed_pairs += step->removed_pairs.size();
+        dirty_total += step->dirty_total;
+        return true;
+      },
+      [&] {
+        ++v;
+        batch = store::BuildUpdateBatch(chain.Version(v - 1),
+                                        chain.Version(v), /*sequence=*/v);
+        if (!batch.ok()) {
+          std::fprintf(stderr, "stream_bench: batch %zu build failed: %s\n",
+                       v, batch.status().ToString().c_str());
+          return false;
+        }
+        if (!bench::Keep(store::EncodeUpdateBatch(*batch), &last_image)) {
+          return false;
+        }
+        fragment_bytes += last_image.size();
+        return true;
+      });
+  if (!steps.ok) return false;
+  const double apply_seconds = steps.total_ms / 1000.0;
 
   // Context: what one step would cost as a full re-alignment.
   AlignerOptions batch_options;
@@ -137,130 +108,69 @@ bool RunPoint(double scale_point, size_t versions, uint64_t seed,
   WallTimer realign_timer;
   Result<AlignmentOutcome> outcome =
       Aligner(batch_options).Align(first, last);
-  r.realign_ms = realign_timer.ElapsedMillis();
+  const double realign_ms = realign_timer.ElapsedMillis();
   if (!outcome.ok()) {
     std::fprintf(stderr, "stream_bench: batch realign failed: %s\n",
                  outcome.status().ToString().c_str());
     return false;
   }
-  const double mean_step_ms =
-      r.batches > 0 ? r.apply_seconds * 1000.0 / r.batches : 0;
-  r.realign_speedup = mean_step_ms > 0 ? r.realign_ms / mean_step_ms : 0;
 
   // Failpoint overhead on the happy path: the durable atomic fragment
   // write (temp + fsync + rename, docs/robustness.md) timed with the
   // fault injector disarmed and then armed at an ordinal it never
   // reaches. The ratio is what a production daemon pays for keeping the
   // failpoints compiled in and armed.
-  {
-    const std::string path =
-        (std::filesystem::temp_directory_path() / "rdfalign_stream_bench.upd")
-            .string();
-    constexpr size_t kWriteSamples = 15;
-    std::vector<double> plain_ms, armed_ms;
-    for (size_t i = 0; i < kWriteSamples; ++i) {
-      WallTimer t;
-      if (!store::AtomicWriteFile(path, last_image.data(), last_image.size(),
+  const std::string path = scratch.Path("fragment.upd");
+  auto write = [&] {
+    return store::AtomicWriteFile(path, last_image.data(), last_image.size(),
                                   "update fragment")
-               .ok()) {
-        return false;
-      }
-      plain_ms.push_back(t.ElapsedMillis());
-    }
-    if (!FaultInjector::ArmFromSpec("store.write@1000000000=error").ok()) {
-      return false;
-    }
-    for (size_t i = 0; i < kWriteSamples; ++i) {
-      WallTimer t;
-      if (!store::AtomicWriteFile(path, last_image.data(), last_image.size(),
-                                  "update fragment")
-               .ok()) {
-        FaultInjector::Reset();
-        return false;
-      }
-      armed_ms.push_back(t.ElapsedMillis());
-    }
-    FaultInjector::Reset();
-    std::filesystem::remove(path);
-    r.fragment_write_p50_ms = Percentile(plain_ms, 0.50);
-    r.fragment_write_armed_p50_ms = Percentile(armed_ms, 0.50);
-    r.failpoint_overhead_p50 =
-        r.fragment_write_p50_ms > 0
-            ? r.fragment_write_armed_p50_ms / r.fragment_write_p50_ms
-            : 0;
+        .ok();
+  };
+  constexpr size_t kWriteSamples = 15;
+  const bench::Timing plain_write = bench::Time(kWriteSamples, 0, write);
+  if (!FaultInjector::ArmFromSpec("store.write@1000000000=error").ok()) {
+    return false;
   }
+  const bench::Timing armed_write = bench::Time(kWriteSamples, 0, write);
+  FaultInjector::Reset();
+  if (!plain_write.ok || !armed_write.ok) return false;
 
   // The acceptance gate: the live partition must match the batch path.
   Result<stream::StreamCheckResult> check =
       aligner.CheckBatchEquivalence(first, last);
-  if (!check.ok()) {
-    std::fprintf(stderr,
-                 "stream_bench: FAIL equivalence at scale %g: %s\n",
-                 scale_point, check.status().ToString().c_str());
-    return false;
-  }
-  r.equivalent = true;
-  r.live_nodes = check->live_nodes;
-  r.classes = check->classes;
-  *out = r;
-  return true;
-}
-
-bool WriteJson(const std::string& path, const std::vector<PointResult>& points,
-               double scale, size_t versions, uint64_t seed, size_t threads) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return false;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"stream\",\n");
-  std::fprintf(f, "  \"scale\": %g,\n", scale);
-  std::fprintf(f, "  \"versions\": %zu,\n", versions);
-  std::fprintf(f, "  \"seed\": %llu,\n", (unsigned long long)seed);
-  std::fprintf(f, "  \"threads\": %zu,\n", threads);
-  std::fprintf(f,
-               "  \"provenance\": \"single-process wall clock; updates/sec "
-               "counts applied triple adds+removes over "
-               "StreamAligner::Apply time (incremental maintenance + delta "
-               "emission, no snapshot IO); every point passed "
-               "CheckBatchEquivalence against the batch aligner or this "
-               "file would not have been written\",\n");
-  std::fprintf(f, "  \"points\": [\n");
-  for (size_t i = 0; i < points.size(); ++i) {
-    const PointResult& r = points[i];
-    std::fprintf(f, "    {\n");
-    std::fprintf(f, "      \"scale_point\": %g,\n", r.scale_point);
-    std::fprintf(f, "      \"nodes\": %zu,\n", r.nodes);
-    std::fprintf(f, "      \"triples\": %zu,\n", r.triples);
-    std::fprintf(f, "      \"batches\": %zu,\n", r.batches);
-    std::fprintf(f, "      \"open_ms\": %.2f,\n", r.open_ms);
-    std::fprintf(f, "      \"updates\": %zu,\n", r.updates);
-    std::fprintf(f, "      \"fragment_bytes\": %zu,\n", r.fragment_bytes);
-    std::fprintf(f, "      \"apply_seconds\": %.4f,\n", r.apply_seconds);
-    std::fprintf(f, "      \"updates_per_sec\": %.0f,\n", r.updates_per_sec);
-    std::fprintf(f, "      \"step_p50_ms\": %.3f,\n", r.step_p50_ms);
-    std::fprintf(f, "      \"step_p95_ms\": %.3f,\n", r.step_p95_ms);
-    std::fprintf(f, "      \"step_max_ms\": %.3f,\n", r.step_max_ms);
-    std::fprintf(f, "      \"added_pairs\": %zu,\n", r.added_pairs);
-    std::fprintf(f, "      \"removed_pairs\": %zu,\n", r.removed_pairs);
-    std::fprintf(f, "      \"dirty_resignings\": %zu,\n", r.dirty_total);
-    std::fprintf(f, "      \"realign_ms\": %.2f,\n", r.realign_ms);
-    std::fprintf(f, "      \"realign_speedup\": %.1f,\n", r.realign_speedup);
-    std::fprintf(f, "      \"fragment_write_p50_ms\": %.3f,\n",
-                 r.fragment_write_p50_ms);
-    std::fprintf(f, "      \"fragment_write_armed_p50_ms\": %.3f,\n",
-                 r.fragment_write_armed_p50_ms);
-    std::fprintf(f, "      \"failpoint_overhead_p50\": %.2f,\n",
-                 r.failpoint_overhead_p50);
-    std::fprintf(f, "      \"live_nodes\": %zu,\n", r.live_nodes);
-    std::fprintf(f, "      \"classes\": %zu,\n", r.classes);
-    std::fprintf(f, "      \"equivalent\": %s\n",
-                 r.equivalent ? "true" : "false");
-    std::fprintf(f, "    }%s\n", i + 1 < points.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+  report.Gate(check.ok(), "equivalence at scale " +
+                              bench::Fmt("%g", scale_point) + ": " +
+                              check.status().ToString());
+  const double mean_step_ms = bench::Ratio(steps.total_ms, batches);
+  report.Add(
+      "points",
+      bench::Row()
+          .Num("scale_point", scale_point, "scale")
+          .Int("nodes", last.NumNodes())
+          .Int("triples", last.NumEdges(), "triples")
+          .Int("batches", batches, "batches")
+          .Num("open_ms", open_ms, 2)
+          .Int("updates", updates)
+          .Int("fragment_bytes", fragment_bytes)
+          .Num("apply_seconds", apply_seconds, 4)
+          .Num("updates_per_sec", bench::Ratio(updates, apply_seconds), 0,
+               "upd/s")
+          .Num("step_p50_ms", steps.p50_ms, 3, "step_p50")
+          .Num("step_p95_ms", steps.p95_ms, 3)
+          .Num("step_max_ms", steps.max_ms, 3)
+          .Int("added_pairs", added_pairs)
+          .Int("removed_pairs", removed_pairs)
+          .Int("dirty_resignings", dirty_total)
+          .Num("realign_ms", realign_ms, 2)
+          .Num("realign_speedup", bench::Ratio(realign_ms, mean_step_ms),
+               1, "realign")
+          .Num("fragment_write_p50_ms", plain_write.p50_ms, 3)
+          .Num("fragment_write_armed_p50_ms", armed_write.p50_ms, 3)
+          .Num("failpoint_overhead_p50",
+               bench::Ratio(armed_write.p50_ms, plain_write.p50_ms), 2)
+          .Int("live_nodes", check.ok() ? check->live_nodes : 0)
+          .Int("classes", check.ok() ? check->classes : 0)
+          .Bool("equivalent", check.ok(), "equal"));
   return true;
 }
 
@@ -278,6 +188,19 @@ int main(int argc, char** argv) {
                 "streaming continuous alignment: live update batches "
                 "through StreamAligner::Apply, gated on batch-path "
                 "equivalence at every point");
+  bench::Report report(
+      "stream", {"points"},
+      "single-process wall clock; updates/sec counts applied triple "
+      "adds+removes over StreamAligner::Apply time (incremental "
+      "maintenance + delta emission, no snapshot IO); every point passed "
+      "CheckBatchEquivalence against the batch aligner or this file would "
+      "not have been written");
+  report.params()
+      .Num("scale", scale)
+      .Int("versions", versions)
+      .Int("seed", seed)
+      .Int("threads", threads);
+  const bench::ScratchDir scratch("rdfalign_stream_bench");
 
   // Three points up to 4x --scale; the default largest point lands around
   // a million triples in the final version.
@@ -288,27 +211,12 @@ int main(int argc, char** argv) {
       scale_points.push_back(point);
     }
   }
-
-  bench::TablePrinter table({"scale", "triples", "batches", "upd/s",
-                             "step_p50", "realign", "equal"});
-  std::vector<PointResult> points;
   for (double point : scale_points) {
-    PointResult r;
-    if (!RunPoint(point, versions, seed, threads, &r)) {
-      std::fprintf(stderr,
-                   "stream_bench: FAIL at scale %g — not writing %s\n",
+    if (!RunPoint(report, scratch, point, versions, seed, threads)) {
+      std::fprintf(stderr, "stream_bench: FAIL at scale %g — not writing %s\n",
                    point, out.c_str());
       return 1;
     }
-    table.Row({bench::Fmt("%.3g", r.scale_point), bench::FmtInt(r.triples),
-               bench::FmtInt(r.batches), bench::Fmt("%.0f", r.updates_per_sec),
-               bench::Fmt("%.3f", r.step_p50_ms),
-               bench::Fmt("%.1fx", r.realign_speedup),
-               r.equivalent ? "yes" : "NO"});
-    points.push_back(r);
   }
-
-  if (!WriteJson(out, points, scale, versions, seed, threads)) return 1;
-  std::printf("\nwrote %s\n", out.c_str());
-  return 0;
+  return report.Finish(out);
 }

@@ -228,6 +228,13 @@ class WorklistEngine {
 
   size_t NumTrackedNodes() const { return colors_.size(); }
 
+  /// Number of non-empty classes, in O(colors allocated).
+  size_t NumClasses() const {
+    return static_cast<size_t>(std::count_if(
+        class_size_.begin(), class_size_.end(),
+        [](uint32_t size) { return size > 0; }));
+  }
+
  private:
   static constexpr uint32_t kNoGroup = 0xffffffffu;
   static constexpr uint32_t kNoStoredSig = 0xffffffffu;

@@ -28,6 +28,12 @@ JsonBuf& JsonBuf::Num(const char* key, double value, int decimals) {
   return *this;
 }
 
+JsonBuf& JsonBuf::Num(const char* key, double value) {
+  Key(key);
+  StrAppendf(&out_, "%g", value);
+  return *this;
+}
+
 JsonBuf& JsonBuf::Hex(const char* key, uint64_t value) {
   Key(key);
   StrAppendf(&out_, "\"%016llx\"", static_cast<unsigned long long>(value));
@@ -44,7 +50,8 @@ JsonBuf& JsonBuf::Object(const char* key) {
 JsonBuf& JsonBuf::Array(const char* key) {
   Key(key);
   out_ += '[';
-  levels_.push_back({Scope::kArray, true});
+  const bool in_line = levels_.back().scope == Scope::kInline;
+  levels_.push_back({in_line ? Scope::kInlineArray : Scope::kArray, true});
   return *this;
 }
 
@@ -56,7 +63,16 @@ JsonBuf& JsonBuf::Item() {
 }
 
 JsonBuf& JsonBuf::End() {
-  out_ += levels_.back().scope == Scope::kArray ? "\n  ]" : "}";
+  switch (levels_.back().scope) {
+    case Scope::kArray:
+      out_ += "\n  ]";
+      break;
+    case Scope::kInlineArray:
+      out_ += ']';
+      break;
+    default:
+      out_ += '}';
+  }
   levels_.pop_back();
   return *this;
 }
@@ -74,6 +90,7 @@ void JsonBuf::Next() {
       out_ += level.empty ? "\n  " : ",\n  ";
       break;
     case Scope::kInline:
+    case Scope::kInlineArray:
       if (!level.empty) out_ += ", ";
       break;
     case Scope::kArray:
@@ -166,6 +183,15 @@ std::string JsonFindString(const std::string& json, const std::string& key,
           break;
         case 't':
           c = '\t';
+          break;
+        case 'u':
+          // JsonEscape writes every other control byte as \u00XX.
+          c = 'u';
+          if (pos + 4 < json.size()) {
+            c = static_cast<char>(
+                std::strtol(json.substr(pos + 1, 4).c_str(), nullptr, 16));
+            pos += 4;
+          }
           break;
         default:
           c = json[pos];

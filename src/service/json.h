@@ -13,9 +13,9 @@
 //     "obj": {"a": 1, "b": "x"},          Object(): nested, inline
 //     "list": [
 //       {"a": 1},                         Array() + Item(): one inline
-//       {"a": 2}                          object per line
-//     ],                                  (an empty array is "[\n  ]")
-//     "last": 0.50
+//       {"a": 2, "l": [{"b": 1}]}         object per line; an Array()
+//     ],                                  inside one stays inline
+//     "last": 0.50                        (an empty array is "[\n  ]")
 //   }
 //
 // Commas are placed by the writer, and every string value is escaped.
@@ -46,6 +46,8 @@ class JsonBuf {
   JsonBuf& Bool(const char* key, bool value);
   /// A fixed-point number with `decimals` digits (printf "%.Nf").
   JsonBuf& Num(const char* key, double value, int decimals);
+  /// A number in its shortest printf "%g" form.
+  JsonBuf& Num(const char* key, double value);
   /// A 64-bit fingerprint or checksum as a quoted "%016llx" string.
   JsonBuf& Hex(const char* key, uint64_t value);
 
@@ -61,7 +63,7 @@ class JsonBuf {
   std::string Take();
 
  private:
-  enum class Scope : uint8_t { kTop, kInline, kArray };
+  enum class Scope : uint8_t { kTop, kInline, kArray, kInlineArray };
   struct Level {
     Scope scope;
     bool empty;

@@ -70,6 +70,7 @@ Result<std::unique_ptr<StreamAligner>> StreamAligner::Open(
   s->engine_ = std::make_unique<Engine>(*s->graph_, initial, x, cfg);
   s->engine_->RunInPlace(&s->open_stats_);
   s->open_stats_.initial_classes = initial.NumColors();
+  s->open_stats_.final_classes = s->engine_->NumClasses();
 
   // Persistent registry + the static source-side structures.
   for (NodeId n = 0; n < base.NumNodes(); ++n) {

@@ -51,9 +51,31 @@ TEST(JsonEscapeTest, PrintableAndUtf8PassThrough) {
 TEST(JsonEscapeTest, MixedLiteralRoundTripsThroughJsonFindString) {
   // A literal of the shape the stream verbs emit: quotes, backslashes,
   // and tabs intermixed. JsonFindString must recover the original.
-  const std::string lex = "say \"hi\"\tc:\\path";
+  std::string lex = "say \"hi\"\tc:\\path";
+  // Every control byte but NUL, most of which JsonEscape writes as \u00XX.
+  for (char c = 0x01; c < 0x20; ++c) lex += c;
   const std::string json = "{\"lex\": \"" + JsonEscape(lex) + "\"}";
   EXPECT_EQ(JsonFindString(json, "lex", ""), lex);
+}
+
+// An array opened inside an inline object stays on the object's line;
+// the bench reports nest per-thread sweeps this way.
+TEST(JsonBufTest, ArrayInsideAnItemStaysInline) {
+  JsonBuf b;
+  b.Num("scale", 0.0125).Array("points");
+  b.Item().Int("n", 1).Array("sweep");
+  b.Item().Int("threads", 1).Num("ms", 2.5, 2).End();
+  b.Item().Int("threads", 2).Num("ms", 1.25, 2).End();
+  b.End().Bool("ok", true).End();
+  b.End();
+  EXPECT_EQ(b.Take(),
+            "{\n"
+            "  \"scale\": 0.0125,\n"
+            "  \"points\": [\n"
+            "    {\"n\": 1, \"sweep\": [{\"threads\": 1, \"ms\": 2.50}, "
+            "{\"threads\": 2, \"ms\": 1.25}], \"ok\": true}\n"
+            "  ]\n"
+            "}\n");
 }
 
 }  // namespace

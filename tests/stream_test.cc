@@ -423,6 +423,30 @@ TEST(StreamTest, TrivialMethodChainsMatchBatchAlignment) {
   }
 }
 
+// Opening a session reports the class count of its initial fixpoint, the
+// same count the batch check finds before any push.
+TEST(StreamTest, OpenReportsTheBatchClassCount) {
+  std::vector<std::pair<TripleGraph, TripleGraph>> pairs;
+  pairs.push_back(testing::Fig3Graphs());
+  for (uint64_t seed = 60; seed < 63; ++seed) {
+    pairs.push_back(testing::RandomEvolvingPair(seed));
+  }
+  for (AlignMethod method : {AlignMethod::kTrivial, AlignMethod::kDeblank}) {
+    StreamOptions options;
+    options.method = method;
+    for (const auto& [source, target] : pairs) {
+      ASSERT_GT(source.NodesOfKind(TermKind::kBlank).size(), 0u);
+      std::unique_ptr<StreamAligner> a = OpenOrDie(source, target, options);
+      Result<StreamCheckResult> check =
+          a->CheckBatchEquivalence(source, target);
+      ASSERT_TRUE(check.ok()) << check.status().ToString();
+      EXPECT_GT(a->open_stats().final_classes, 0u);
+      EXPECT_EQ(a->open_stats().final_classes, check->classes)
+          << AlignMethodToString(method);
+    }
+  }
+}
+
 // Thread count must not change anything the session reports — same pairs,
 // same deltas, same class count at every step. (Also the TSan target: the
 // sanitizer job runs *Stream* with threads > 1.)

@@ -898,7 +898,7 @@ TEST_F(VerbsGoldenDaemonTest, StreamSessionStatsAndEnvelopes) {
         "  \"live_nodes\": 350,\n"
         "  \"target_triples\": 290,\n"
         "  \"iterations\": 1,\n"
-        "  \"classes\": 0,\n"
+        "  \"classes\": 175,\n"
         "  \"pairs\": 175\n"
         "}\n"}},
       {"push1",
