@@ -12,12 +12,9 @@
 //             file; mmap saves the copy, not the read — see
 //             store/snapshot.h)
 //
-// Dict part (--mode=dict or all): the same graph saved with the raw
-// version-1 dictionary layout (--no-dict-compress) and the front-coded
-// version-2 default, comparing dictionary-section bytes, whole-file
-// bytes, load time, and intern throughput — gated on both loads being
-// bit-identical to the source graph and on each mode's save -> load ->
-// resave reproducing its file byte for byte.
+// Each snapshot point also reports the bytes of the front-coded
+// dictionary sections and is gated on save -> load -> resave reproducing
+// the snapshot byte for byte.
 //
 // Delta part (--mode=delta or all): a --versions-long category chain is
 // materialized three ways — reparsing every version, loading one full
@@ -32,8 +29,7 @@
 // the reparsed one. Emits BENCH_store.json — and refuses to (exit 1, no
 // file) when any equality, round-trip or sweep gate fails; the checked-in
 // copy at the repo root is the reference run, and the store_bench_smoke /
-// delta_bench_smoke / dict_bench_smoke ctest targets re-run this at a tiny
-// scale.
+// delta_bench_smoke ctest targets re-run this at a tiny scale.
 
 #include <filesystem>
 #include <string>
@@ -46,8 +42,8 @@
 #include "parser/ntriples_parser.h"
 #include "parser/ntriples_writer.h"
 #include "store/delta.h"
+#include "store/container.h"
 #include "store/snapshot.h"
-#include "store/update_fragment.h"
 
 using namespace rdfalign;
 
@@ -59,6 +55,26 @@ uint64_t FileSize(const std::string& path) {
 
 std::string PointName(const char* part, double scale_point) {
   return std::string(part) + " point " + bench::Fmt("%g", scale_point);
+}
+
+/// Bytes of the dictionary sections (suffix offsets, suffix blob, prefix
+/// lengths) of a snapshot.
+uint64_t DictSectionBytes(const store::SnapshotInfo& info) {
+  uint64_t bytes = 0;
+  for (const auto& s : info.sections) {
+    if (s.id == store::SectionId::kTermOffsets ||
+        s.id == store::SectionId::kTermBlob ||
+        s.id == store::SectionId::kTermPrefixLens) {
+      bytes += s.size;
+    }
+  }
+  return bytes;
+}
+
+bool FilesIdentical(const std::string& a, const std::string& b) {
+  Result<std::string> bytes_a = store::ReadFileBytes(a);
+  Result<std::string> bytes_b = store::ReadFileBytes(b);
+  return bytes_a.ok() && bytes_b.ok() && *bytes_a == *bytes_b;
 }
 
 bool RunPoint(bench::Report& report, const bench::ScratchDir& scratch,
@@ -100,8 +116,16 @@ bool RunPoint(bench::Report& report, const bench::ScratchDir& scratch,
                      LabeledGraphsEqual(g, mapped) &&
                      parsed.NumNodes() == g.NumNodes() &&
                      parsed.NumEdges() == g.NumEdges();
+  // Resaving a freshly loaded snapshot must reproduce it byte for byte.
+  const std::string resave_path = scratch.Path("resave.snap");
+  const bool roundtrip = store::WriteSnapshot(loaded, resave_path).ok() &&
+                         FilesIdentical(snap_path, resave_path);
+  auto info = store::ReadSnapshotInfo(snap_path);
+  if (!info.ok()) return false;
   report.Gate(equal, PointName("snapshot", scale_point) +
                          ": a load path does not reproduce the graph");
+  report.Gate(roundtrip, PointName("snapshot", scale_point) +
+                             ": save -> load -> resave changed the bytes");
   report.Add(
       "points",
       bench::Row()
@@ -111,116 +135,13 @@ bool RunPoint(bench::Report& report, const bench::ScratchDir& scratch,
           .Int("terms", g.dict().size())
           .Int("nt_bytes", FileSize(nt_path), "nt_bytes")
           .Int("snap_bytes", FileSize(snap_path), "snap_bytes")
+          .Int("dict_bytes", DictSectionBytes(*info), "dict(B)")
           .Num("reparse_ms", reparse.min_ms, 2, "parse(ms)")
           .Num("load_ms", load.min_ms, 2, "load(ms)")
           .Num("mmap_ms", mmap.min_ms, 2, "mmap(ms)")
           .Num("speedup_load", bench::Ratio(reparse.min_ms, load.min_ms), 2)
           .Num("speedup_mmap", bench::Ratio(reparse.min_ms, mmap.min_ms), 2,
                "mmap-x")
-          .Bool("equal", equal, "equal"));
-  return true;
-}
-
-// ------------------------------------------------------------- dict A/B
-
-uint64_t DictSectionBytes(const store::SnapshotInfo& info) {
-  uint64_t bytes = 0;
-  for (const auto& s : info.sections) {
-    if (s.id == store::SectionId::kTermOffsets ||
-        s.id == store::SectionId::kTermBlob ||
-        s.id == store::SectionId::kTermPrefixLens) {
-      bytes += s.size;
-    }
-  }
-  return bytes;
-}
-
-bool FilesIdentical(const std::string& a, const std::string& b) {
-  Result<std::string> bytes_a = store::ReadFileBytes(a);
-  Result<std::string> bytes_b = store::ReadFileBytes(b);
-  return bytes_a.ok() && bytes_b.ok() && *bytes_a == *bytes_b;
-}
-
-/// One front-coded vs raw dictionary point: bytes on disk (whole file and
-/// dictionary sections alone), load time, and intern throughput, gated on
-/// both loads being bit-identical to the source graph and on each mode's
-/// save -> load -> resave reproducing its bytes exactly.
-bool RunDictPoint(bench::Report& report, const bench::ScratchDir& scratch,
-                  double scale_point, uint64_t seed, size_t runs) {
-  gen::CategoryChain chain = gen::CategoryChain::Generate(
-      gen::CategoryOptions::FromScale(scale_point, /*versions=*/1, seed));
-  const TripleGraph& g = chain.Version(0);
-
-  const std::string raw_path = scratch.Path("raw.snap");
-  const std::string fc_path = scratch.Path("fc.snap");
-  const std::string resave_path = scratch.Path("resave.snap");
-  store::StoreWriteOptions raw_opts;
-  raw_opts.compress_dict = false;
-  if (!store::WriteSnapshot(g, raw_path, raw_opts).ok() ||
-      !store::WriteSnapshot(g, fc_path).ok()) {
-    std::fprintf(stderr, "cannot write dict bench inputs under %s\n",
-                 scratch.dir().c_str());
-    return false;
-  }
-  auto raw_info = store::ReadSnapshotInfo(raw_path);
-  auto fc_info = store::ReadSnapshotInfo(fc_path);
-  if (!raw_info.ok() || !fc_info.ok()) return false;
-  const uint64_t raw_dict_bytes = DictSectionBytes(*raw_info);
-  const uint64_t fc_dict_bytes = DictSectionBytes(*fc_info);
-
-  // Warm the page cache.
-  { auto warm = store::LoadSnapshot(raw_path, nullptr); (void)warm; }
-
-  TripleGraph raw_loaded, fc_loaded;
-  store::SnapshotLoadStats raw_stats, fc_stats;
-  const bench::Timing raw_load = bench::Time(runs, 0, [&] {
-    return bench::Keep(store::LoadSnapshot(raw_path, nullptr, {}, &raw_stats),
-                       &raw_loaded);
-  });
-  const bench::Timing fc_load = bench::Time(runs, 0, [&] {
-    return bench::Keep(store::LoadSnapshot(fc_path, nullptr, {}, &fc_stats),
-                       &fc_loaded);
-  });
-  if (!raw_load.ok || !fc_load.ok) {
-    std::fprintf(stderr, "dict bench: a load failed\n");
-    return false;
-  }
-  const bool equal = GraphsBitDiffer(g, raw_loaded) == nullptr &&
-                     GraphsBitDiffer(g, fc_loaded) == nullptr;
-  // Round-trip gates: resaving a freshly loaded snapshot under the same
-  // options must reproduce the file byte for byte.
-  const bool roundtrip =
-      store::WriteSnapshot(raw_loaded, resave_path, raw_opts).ok() &&
-      FilesIdentical(raw_path, resave_path) &&
-      store::WriteSnapshot(fc_loaded, resave_path).ok() &&
-      FilesIdentical(fc_path, resave_path);
-  report.Gate(equal, PointName("dict", scale_point) +
-                         ": a load is not bit-identical to the graph");
-  report.Gate(roundtrip, PointName("dict", scale_point) +
-                             ": save -> load -> resave changed the bytes");
-  report.Add(
-      "dict_points",
-      bench::Row()
-          .Num("scale_point", scale_point)
-          .Int("nodes", g.NumNodes())
-          .Int("edges", g.NumEdges())
-          .Int("terms", g.dict().size(), "terms")
-          .Int("raw_file_bytes", FileSize(raw_path))
-          .Int("fc_file_bytes", FileSize(fc_path))
-          .Int("raw_dict_bytes", raw_dict_bytes, "rawdict(B)")
-          .Int("fc_dict_bytes", fc_dict_bytes, "fcdict(B)")
-          .Num("dict_ratio",
-               bench::Ratio(static_cast<double>(raw_dict_bytes),
-                            static_cast<double>(fc_dict_bytes)),
-               2, "dict-x")
-          .Num("raw_load_ms", raw_load.min_ms, 2, "rawload(ms)")
-          .Num("fc_load_ms", fc_load.min_ms, 2, "fcload(ms)")
-          .Num("raw_intern_mtps",
-               bench::Ratio(raw_stats.terms_interned, raw_load.min_ms * 1e3),
-               2)
-          .Num("fc_intern_mtps",
-               bench::Ratio(fc_stats.terms_interned, fc_load.min_ms * 1e3), 2,
-               "fc-Mt/s")
           .Bool("roundtrip", roundtrip, "roundtrip")
           .Bool("equal", equal, "equal"));
   return true;
@@ -388,9 +309,8 @@ int main(int argc, char** argv) {
   const size_t versions = static_cast<size_t>(flags.GetInt("versions", 4));
   const std::string mode = flags.GetString("mode", "all");
   const std::string out = flags.GetString("out", "BENCH_store.json");
-  if (mode != "all" && mode != "snapshot" && mode != "delta" &&
-      mode != "dict") {
-    std::fprintf(stderr, "--mode must be all, snapshot, delta, or dict\n");
+  if (mode != "all" && mode != "snapshot" && mode != "delta") {
+    std::fprintf(stderr, "--mode must be all, snapshot, or delta\n");
     return 1;
   }
   // Range-checked like every rdfalign numeric flag; a negative value
@@ -404,7 +324,7 @@ int main(int argc, char** argv) {
                 "N-Triples reparse vs buffered snapshot load vs mmap "
                 "zero-copy load; delta-chain replay vs per-version "
                 "snapshots vs reparse");
-  bench::Report report("store_load", {"points", "dict_points", "delta_points"},
+  bench::Report report("store_load", {"points", "delta_points"},
                        "single-process wall clock; hardware_threads records "
                        "the recording box — on a 1-core box the "
                        "replay_threads_sweep is expected to stay flat");
@@ -417,12 +337,6 @@ int main(int argc, char** argv) {
   for (double point : ladder) {
     if ((mode == "all" || mode == "snapshot") &&
         !RunPoint(report, scratch, point, seed, runs)) {
-      return 1;
-    }
-  }
-  for (double point : ladder) {
-    if ((mode == "all" || mode == "dict") &&
-        !RunDictPoint(report, scratch, point, seed, runs)) {
       return 1;
     }
   }

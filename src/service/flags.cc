@@ -99,7 +99,6 @@ bool ParseCommonFlags(const Args& args, const char* cmd, CommonOptions* out,
   out->use_mmap = args.Has("mmap");
   out->verify_checksums = !args.Has("no-verify-checksums");
   out->json = args.Has("json");
-  out->compress_dict = !args.Has("no-dict-compress");
   return true;
 }
 

@@ -71,15 +71,9 @@ struct CommonOptions {
   bool use_mmap = false;        ///< map snapshots instead of buffering
   bool verify_checksums = true; ///< --no-verify-checksums clears this
   bool json = false;
-  /// --no-dict-compress clears this: writing verbs then emit the raw
-  /// version-1 dictionary layout instead of the front-coded version-2
-  /// default (store::StoreWriteOptions::compress_dict). Read verbs
-  /// ignore it — both layouts always load.
-  bool compress_dict = true;
 };
 
-/// Parses --threads / --mmap / --json / --no-verify-checksums /
-/// --no-dict-compress into `out`. `cmd` names the verb in error messages
+/// Parses --threads / --mmap / --json / --no-verify-checksums into `out`. `cmd` names the verb in error messages
 /// ("rdfalign align: ..."). Returns false with the exact legacy message
 /// in `error`.
 bool ParseCommonFlags(const Args& args, const char* cmd, CommonOptions* out,

@@ -11,6 +11,7 @@
 #include "parser/turtle_parser.h"
 #include "rdf/merge.h"
 #include "service/json.h"
+#include "store/atomic_writer.h"
 #include "store/update_fragment.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
@@ -107,8 +108,7 @@ Status RunBuild(const BuildRequest& req, BuildResponse* resp) {
   resp->triples = graph->NumEdges();
 
   WallTimer write_timer;
-  RDFALIGN_RETURN_IF_ERROR(store::WriteSnapshot(
-      *graph, req.output, {.compress_dict = req.common.compress_dict}));
+  RDFALIGN_RETURN_IF_ERROR(store::WriteSnapshot(*graph, req.output));
   resp->write_ms = write_timer.ElapsedMillis();
   return Status::OK();
 }
@@ -449,8 +449,7 @@ Status RunDiff(const DiffRequest& req, DiffResponse* resp) {
 
   WallTimer write_timer;
   RDFALIGN_RETURN_IF_ERROR(
-      store::WriteDelta(gbase, gnext, map, req.path_out, &resp->stats,
-                        {.compress_dict = req.common.compress_dict}));
+      store::WriteDelta(gbase, gnext, map, req.path_out, &resp->stats));
   resp->write_ms = write_timer.ElapsedMillis();
   return Status::OK();
 }
@@ -535,8 +534,7 @@ Status RunPatch(const PatchRequest& req, PatchResponse* resp) {
   resp->triples = next.NumEdges();
 
   WallTimer write_timer;
-  RDFALIGN_RETURN_IF_ERROR(store::WriteSnapshot(
-      next, req.path_out, {.compress_dict = req.common.compress_dict}));
+  RDFALIGN_RETURN_IF_ERROR(store::WriteSnapshot(next, req.path_out));
   resp->write_ms = write_timer.ElapsedMillis();
   return Status::OK();
 }
@@ -598,8 +596,7 @@ Status RunArchive(const ArchiveRequest& req, ArchiveResponse* resp) {
 
   WallTimer save_timer;
   RDFALIGN_RETURN_IF_ERROR(
-      store::SaveArchive(archive, req.path_out, &resp->save_stats,
-                         {.compress_dict = req.common.compress_dict}));
+      store::SaveArchive(archive, req.path_out, &resp->save_stats));
   resp->save_ms = save_timer.ElapsedMillis();
   resp->stats = archive.Stats();
   return Status::OK();
@@ -798,13 +795,11 @@ Status RunUpdates(const UpdatesRequest& req, UpdatesResponse* resp) {
   resp->sequence = batch.sequence;
 
   WallTimer write_timer;
-  const store::StoreWriteOptions write_options{
-      .compress_dict = req.common.compress_dict};
   RDFALIGN_ASSIGN_OR_RETURN(std::string bytes,
-                            store::EncodeUpdateBatch(batch, write_options));
+                            store::EncodeUpdateBatch(batch));
   resp->file_bytes = bytes.size();
-  RDFALIGN_RETURN_IF_ERROR(
-      store::WriteUpdateFile(batch, req.path_out, write_options));
+  RDFALIGN_RETURN_IF_ERROR(store::AtomicWriteFile(
+      req.path_out, bytes.data(), bytes.size(), "update fragment"));
   resp->write_ms = write_timer.ElapsedMillis();
   return Status::OK();
 }
@@ -1045,27 +1040,24 @@ constexpr size_t kUnbounded = SIZE_MAX;
 // idempotent, InvalidArgument exits 2, run.
 const VerbSpec kVerbs[] = {
     {"build", VerbScope::kAnywhere, 2, 2,
-     {"format", "threads", "json", "no-dict-compress"},
+     {"format", "threads", "json"},
      FormatHook, true, false, false, false, BuildVerb},
     {"info", VerbScope::kAnywhere, 1, 1, {COMMON_FLAGS},
      nullptr, false, true, true, false, InfoVerb},
     {"align", VerbScope::kAnywhere, 2, 2, {"method", COMMON_FLAGS},
      MethodHook, false, true, true, false, AlignVerb},
-    {"diff", VerbScope::kAnywhere, 3, 3,
-     {"method", COMMON_FLAGS, "no-dict-compress"},
+    {"diff", VerbScope::kAnywhere, 3, 3, {"method", COMMON_FLAGS},
      MethodHook, false, true, false, false, DiffVerb},
-    {"patch", VerbScope::kAnywhere, 3, 3, {COMMON_FLAGS, "no-dict-compress"},
+    {"patch", VerbScope::kAnywhere, 3, 3, {COMMON_FLAGS},
      nullptr, false, true, false, true, PatchVerb},
-    {"archive", VerbScope::kAnywhere, 2, kUnbounded,
-     {"method", COMMON_FLAGS, "no-dict-compress"},
+    {"archive", VerbScope::kAnywhere, 2, kUnbounded, {"method", COMMON_FLAGS},
      MethodHook, false, true, false, false, ArchiveVerb},
     {"gen", VerbScope::kAnywhere, 1, 1, {"scale", "versions", "seed", "json"},
      GenHook, false, false, false, false, GenVerb},
     // cache reaches the resident cache through the source.
     {"cache", VerbScope::kAnywhere, 1, 1, {"json"},
      CacheHook, false, true, true, false, CacheVerb},
-    {"updates", VerbScope::kAnywhere, 3, 3,
-     {"seq", COMMON_FLAGS, "no-dict-compress"},
+    {"updates", VerbScope::kAnywhere, 3, 3, {"seq", COMMON_FLAGS},
      SeqHook, false, true, false, false, UpdatesVerb},
     {"stats", VerbScope::kDaemonStats, 0, 0, {"json"},
      nullptr, false, false, true, false, nullptr},
@@ -1149,10 +1141,7 @@ const char* UsageText() {
       "\n"
       "commands that load graphs (info, align, diff, patch, archive,\n"
       "updates) also accept --no-verify-checksums (skip section checksum\n"
-      "verification on loads; structural validation still runs);\n"
-      "writing commands (build, diff, patch, archive, updates) also accept\n"
-      "--no-dict-compress (write the raw version-1 dictionary layout\n"
-      "instead of the front-coded version-2 default)\n";
+      "verification on loads; structural validation still runs)\n";
 }
 
 VerbResult ExecuteVerb(const std::vector<std::string>& tokens,

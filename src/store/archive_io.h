@@ -5,13 +5,13 @@
 // SaveArchive embeds version 0 as a verbatim snapshot image and every
 // later version as a delta image against its predecessor (derived from
 // the archive's own entity chaining — no re-alignment), each a checksummed
-// section in the RDFARCH1 layout of store/format.h. LoadArchive
-// materializes every version by patch replay — LoadSnapshotFromMemory for
-// the base (zero-copy into the archive buffer), ApplyDeltaFromMemory for
-// each successor, all sharing one dictionary — and rebuilds the interval
-// records through VersionArchive::Restore, so the loaded archive
-// reproduces the saved one exactly: same stats, same entities, same
-// materialized graphs.
+// section of the RDFARCH1 container (store/format.h, store/container.h).
+// LoadArchive materializes every version by patch replay —
+// LoadSnapshotFromMemory for the base (zero-copy into the archive
+// buffer), ApplyDeltaFromMemory for each successor, all sharing one
+// dictionary — and rebuilds the interval records through
+// VersionArchive::Restore, so the loaded archive reproduces the saved one
+// exactly: same stats, same entities, same materialized graphs.
 
 #ifndef RDFALIGN_STORE_ARCHIVE_IO_H_
 #define RDFALIGN_STORE_ARCHIVE_IO_H_
@@ -35,12 +35,8 @@ struct ArchiveSaveStats {
 };
 
 /// Serializes `archive` to `path`, overwriting any existing file.
-/// `options` is forwarded to the embedded snapshot and delta writers (the
-/// archive container format itself is unversioned by compression — only
-/// the embedded images change layout).
 Status SaveArchive(const VersionArchive& archive, const std::string& path,
-                   ArchiveSaveStats* stats = nullptr,
-                   const StoreWriteOptions& options = {});
+                   ArchiveSaveStats* stats = nullptr);
 
 /// Telemetry of an archive load.
 struct ArchiveLoadStats {

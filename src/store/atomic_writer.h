@@ -53,8 +53,8 @@ class AtomicFileWriter {
   Status Open();
 
   /// The buffered output stream over the temp file. Write failures are
-  /// latched into status() (the stream also sets failbit); WriteExact
-  /// callers keep their existing `if (!out)` checks working.
+  /// latched into status() (the stream also sets failbit), so callers'
+  /// `if (!out)` checks keep working.
   std::ostream& stream() { return *stream_; }
 
   /// First error recorded by the underlying writes, or OK.

@@ -4,13 +4,11 @@
 #include <bit>
 #include <cstddef>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <utility>
 
 #include "store/atomic_writer.h"
+#include "store/container.h"
 #include "store/front_coding.h"
-#include "store/io_util.h"
 #include "util/shared_array.h"
 #include "util/thread_pool.h"
 
@@ -18,28 +16,23 @@ namespace rdfalign::store {
 
 namespace {
 
-// Section order within a delta file (also the id order). Version-1 files
-// carry the first kNumDeltaSections entries; version-2 files all
-// kNumDeltaSectionsV2.
-constexpr DeltaSectionId kDeltaSectionOrder[kNumDeltaSectionsV2] = {
-    DeltaSectionId::kTermSources, DeltaSectionId::kNewTermOffsets,
-    DeltaSectionId::kNewTermBlob, DeltaSectionId::kNodeKinds,
-    DeltaSectionId::kNodeLex,     DeltaSectionId::kNodeRemap,
-    DeltaSectionId::kRemovedRuns, DeltaSectionId::kKeptRuns,
-    DeltaSectionId::kAddedTriples, DeltaSectionId::kNewTermPrefixLens,
+const ContainerFormat kDeltaFormat = {
+    "delta",
+    kDeltaMagic,
+    kDeltaFormatVersion,
+    kDeltaFormatVersionFrontCoded,
+    sizeof(DeltaHeader),
+    [](const unsigned char* header) -> std::optional<uint64_t> {
+      DeltaHeader h;
+      std::memcpy(&h, header, sizeof(h));
+      return h.version == kDeltaFormatVersion ? kNumDeltaSections
+                                              : kNumDeltaSectionsV2;
+    },
+    SequentialSectionId,
+    [](uint32_t id) {
+      return DeltaSectionName(static_cast<DeltaSectionId>(id));
+    },
 };
-
-/// Section count of a delta format version.
-size_t DeltaSectionCount(uint32_t version) {
-  return version == kDeltaFormatVersion ? kNumDeltaSections
-                                        : kNumDeltaSectionsV2;
-}
-
-/// Byte offset of the first payload of a delta format version.
-size_t DeltaPayloadStart(uint32_t version) {
-  return sizeof(DeltaHeader) +
-         DeltaSectionCount(version) * sizeof(SectionEntry);
-}
 
 constexpr uint32_t kInvalidDense = 0xffffffffu;
 
@@ -101,11 +94,6 @@ uint64_t FingerprintWithBinding(const TripleGraph& g, const TermBinding& b) {
   return c.Finish();
 }
 
-Status WriteExact(std::ostream& out, const void* data, size_t n,
-                  const std::string& name) {
-  return store::WriteExact(out, data, n, "delta", name);  // io_util.h
-}
-
 }  // namespace
 
 std::string_view DeltaSectionName(DeltaSectionId id) {
@@ -140,15 +128,9 @@ uint64_t GraphFingerprint(const TripleGraph& g) {
 
 Status WriteDeltaToStream(const TripleGraph& base, const TripleGraph& next,
                           const VersionNodeMap& alignment, std::ostream& out,
-                          const std::string& name, DeltaWriteStats* stats,
-                          const StoreWriteOptions& options) {
+                          const std::string& name, DeltaWriteStats* stats) {
   static_assert(std::endian::native == std::endian::little,
                 "deltas are written on little-endian hosts only");
-  const bool fc = options.compress_dict;
-  const uint32_t version =
-      fc ? kDeltaFormatVersionFrontCoded : kDeltaFormatVersion;
-  const size_t num_sections = DeltaSectionCount(version);
-  const uint64_t payload_start = DeltaPayloadStart(version);
   if (base.dict_ptr().get() != next.dict_ptr().get()) {
     return Status::InvalidArgument(
         "delta endpoints must share one Dictionary: " + name);
@@ -203,29 +185,13 @@ Status WriteDeltaToStream(const TripleGraph& base, const TripleGraph& next,
     }
   }
   // New terms were pushed in next-dense order, which BindTerms defines as
-  // lexicographic — exactly the order front coding wants, so the v2 blob
-  // needs no separate sort or id remap.
-  const auto new_term_bytes = [&next, &new_terms](size_t k) {
-    return next.dict().Get(new_terms[k]);
-  };
-  FrontCodedLayout layout;
-  std::vector<uint64_t> new_term_offsets;
-  if (fc) {
-    layout = FrontCodeTerms(new_terms.size(), new_term_bytes);
-    new_term_offsets = std::move(layout.suffix_offsets);
-  } else {
-    new_term_offsets.assign(new_terms.size() + 1, 0);
-    for (size_t k = 0; k < new_terms.size(); ++k) {
-      new_term_offsets[k + 1] =
-          new_term_offsets[k] + next.dict().Get(new_terms[k]).size();
-    }
-  }
-  // Bytes of new term k as stored in the blob (suffix tail under front
-  // coding, the whole term raw).
-  const auto stored_bytes = [&](size_t k) {
-    std::string_view term = new_term_bytes(k);
-    return fc ? term.substr(layout.prefix_lens[k]) : term;
-  };
+  // lexicographic — exactly the order front coding wants, so the blob
+  // needs no separate sort or id remap. It holds each new term's suffix
+  // tail, streamed term by term.
+  FrontCodedLayout layout =
+      FrontCodeTerms(new_terms.size(), [&next, &new_terms](size_t k) {
+        return next.dict().Get(new_terms[k]);
+      });
 
   // The next version's node columns, in next-dense (canonical) term
   // numbering.
@@ -296,49 +262,8 @@ Status WriteDeltaToStream(const TripleGraph& base, const TripleGraph& next,
     if (!claimed[j]) added.push_back(next_tris[j]);
   }
 
-  // Assemble the section table. The new-term blob (index 2) is streamed
-  // term by term; everything else is a contiguous buffer.
-  constexpr size_t kBlobIndex = 2;
-  struct Payload {
-    const void* data;
-    uint64_t size;
-  };
-  const Payload payloads[kNumDeltaSectionsV2] = {
-      {term_sources.data(), tn * sizeof(uint32_t)},
-      {new_term_offsets.data(), new_term_offsets.size() * sizeof(uint64_t)},
-      {nullptr, new_term_offsets.back()},
-      {kinds.data(), nn * sizeof(uint8_t)},
-      {lex.data(), nn * sizeof(uint32_t)},
-      {alignment.next_to_base.data(), nn * sizeof(NodeId)},
-      {removed_runs.data(), removed_runs.size() * sizeof(RunEntry)},
-      {kept_runs.data(), kept_runs.size() * sizeof(RunEntry)},
-      {added.data(), added.size() * sizeof(Triple)},
-      {layout.prefix_lens.data(), layout.prefix_lens.size() * sizeof(uint32_t)},
-  };
-  SectionEntry table[kNumDeltaSectionsV2];
-  uint64_t cursor = payload_start;
-  for (size_t s = 0; s < num_sections; ++s) {
-    table[s].id = static_cast<uint32_t>(kDeltaSectionOrder[s]);
-    table[s].reserved = 0;
-    table[s].offset = AlignUp(cursor);
-    table[s].size = payloads[s].size;
-    if (s == kBlobIndex) {
-      Checksummer c;
-      for (size_t k = 0; k < new_terms.size(); ++k) {
-        std::string_view bytes = stored_bytes(k);
-        c.Update(bytes.data(), bytes.size());
-      }
-      table[s].checksum = c.Finish();
-    } else {
-      table[s].checksum = Checksum64(payloads[s].data, payloads[s].size);
-    }
-    cursor = table[s].offset + table[s].size;
-  }
-
-  DeltaHeader header;
-  header.magic = kDeltaMagic;
-  header.version = version;
-  header.endian_tag = kEndianTag;
+  DeltaHeader header{};
+  header.version = kDeltaFormatVersionFrontCoded;
   header.base_nodes = bn;
   header.base_triples = be;
   header.base_terms = tb;
@@ -347,42 +272,20 @@ Status WriteDeltaToStream(const TripleGraph& base, const TripleGraph& next,
   header.next_triples = ne;
   header.next_terms = tn;
   header.num_new_terms = new_terms.size();
-  header.num_sections = static_cast<uint32_t>(num_sections);
-  header.file_size = cursor;
-  header.header_checksum = 0;
-  {
-    Checksummer c;
-    c.Update(&header, sizeof(header));
-    c.Update(table, num_sections * sizeof(SectionEntry));
-    header.header_checksum = c.Finish();
-  }
-
-  RDFALIGN_RETURN_IF_ERROR(WriteExact(out, &header, sizeof(header), name));
+  const SectionSource sections[] = {
+      {DeltaSectionId::kTermSources, {Bytes(term_sources)}},
+      {DeltaSectionId::kNewTermOffsets, {Bytes(layout.suffix_offsets)}},
+      {DeltaSectionId::kNewTermBlob, std::move(layout.suffixes)},
+      {DeltaSectionId::kNodeKinds, {Bytes(kinds)}},
+      {DeltaSectionId::kNodeLex, {Bytes(lex)}},
+      {DeltaSectionId::kNodeRemap, {Bytes(alignment.next_to_base)}},
+      {DeltaSectionId::kRemovedRuns, {Bytes(removed_runs)}},
+      {DeltaSectionId::kKeptRuns, {Bytes(kept_runs)}},
+      {DeltaSectionId::kAddedTriples, {Bytes(added)}},
+      {DeltaSectionId::kNewTermPrefixLens, {Bytes(layout.prefix_lens)}},
+  };
   RDFALIGN_RETURN_IF_ERROR(
-      WriteExact(out, table, num_sections * sizeof(SectionEntry), name));
-  uint64_t written = payload_start;
-  const char zeros[kSectionAlignment] = {};
-  for (size_t s = 0; s < num_sections; ++s) {
-    if (table[s].offset > written) {
-      RDFALIGN_RETURN_IF_ERROR(
-          WriteExact(out, zeros, table[s].offset - written, name));
-    }
-    if (s == kBlobIndex) {
-      for (size_t k = 0; k < new_terms.size(); ++k) {
-        std::string_view bytes = stored_bytes(k);
-        RDFALIGN_RETURN_IF_ERROR(
-            WriteExact(out, bytes.data(), bytes.size(), name));
-      }
-    } else {
-      RDFALIGN_RETURN_IF_ERROR(
-          WriteExact(out, payloads[s].data, payloads[s].size, name));
-    }
-    written = table[s].offset + table[s].size;
-  }
-  out.flush();
-  if (!out) {
-    return Status::IOError("error writing delta: " + name);
-  }
+      WriteContainer(kDeltaFormat, header, sections, out, name));
   if (stats != nullptr) {
     stats->kept_triples = kept.size();
     stats->removed_triples = removed_count;
@@ -390,20 +293,20 @@ Status WriteDeltaToStream(const TripleGraph& base, const TripleGraph& next,
     stats->new_terms = new_terms.size();
     stats->mapped_nodes = alignment.MappedCount();
     stats->kept_runs = kept_runs.size();
-    stats->file_bytes = cursor;
+    stats->file_bytes = header.file_size;
   }
   return Status::OK();
 }
 
 Status WriteDelta(const TripleGraph& base, const TripleGraph& next,
                   const VersionNodeMap& alignment, const std::string& path,
-                  DeltaWriteStats* stats, const StoreWriteOptions& options) {
+                  DeltaWriteStats* stats) {
   // Durable atomic replace (store/atomic_writer.h): a crash mid-save
   // leaves the previous delta intact, never a torn file.
   AtomicFileWriter writer(path, "delta");
   RDFALIGN_RETURN_IF_ERROR(writer.Open());
-  Status st = WriteDeltaToStream(base, next, alignment, writer.stream(), path,
-                                 stats, options);
+  Status st =
+      WriteDeltaToStream(base, next, alignment, writer.stream(), path, stats);
   if (!st.ok()) {
     Status io = writer.status();
     return io.ok() ? st : io;
@@ -413,262 +316,106 @@ Status WriteDelta(const TripleGraph& base, const TripleGraph& next,
 
 namespace {
 
-/// The validated raw view of a delta image.
-struct RawDelta {
-  std::shared_ptr<const void> pin;  ///< keeps `base` alive (buffered reads)
-  const unsigned char* base = nullptr;
-  uint64_t size = 0;
-  DeltaHeader header;
-  SectionEntry table[kNumDeltaSectionsV2];
-};
-
-/// Header and section-table validation shared by ApplyDelta and
-/// ReadDeltaInfo; mirrors the snapshot loader's ValidateHeader.
-Status ValidateDeltaHeader(const unsigned char* base, uint64_t available,
-                           uint64_t actual_size, DeltaHeader* header,
-                           SectionEntry* table, const std::string& name) {
-  if (available < sizeof(DeltaHeader)) {
-    return Status::Corruption("truncated delta (no header): " + name);
-  }
-  std::memcpy(header, base, sizeof(DeltaHeader));
-  if (header->magic != kDeltaMagic) {
-    return Status::InvalidArgument("not an rdfalign delta: " + name);
-  }
-  if (header->version != kDeltaFormatVersion &&
-      header->version != kDeltaFormatVersionFrontCoded) {
-    return Status::NotSupported(
-        "unsupported delta format version " +
-        std::to_string(header->version) + " (this build reads versions " +
-        std::to_string(kDeltaFormatVersion) + "-" +
-        std::to_string(kDeltaFormatVersionFrontCoded) + "): " + name);
-  }
-  if (header->endian_tag != kEndianTag) {
-    return Status::NotSupported(
-        "delta written with a different byte order: " + name);
-  }
-  const size_t num_sections = DeltaSectionCount(header->version);
-  const uint64_t payload_start = DeltaPayloadStart(header->version);
-  if (header->num_sections != num_sections) {
-    return Status::Corruption("unexpected delta section count: " + name);
-  }
-  if (header->file_size != actual_size) {
-    return Status::Corruption(
-        "delta size mismatch (header says " +
-        std::to_string(header->file_size) + " bytes, file has " +
-        std::to_string(actual_size) + "): " + name);
-  }
-  if (available < payload_start) {
-    return Status::Corruption("truncated delta (no section table): " + name);
-  }
-  std::memcpy(table, base + sizeof(DeltaHeader),
-              num_sections * sizeof(SectionEntry));
-  {
-    DeltaHeader zeroed = *header;
-    zeroed.header_checksum = 0;
-    Checksummer c;
-    c.Update(&zeroed, sizeof(zeroed));
-    c.Update(table, num_sections * sizeof(SectionEntry));
-    if (c.Finish() != header->header_checksum) {
-      return Status::Corruption("delta header checksum mismatch: " + name);
-    }
-  }
+/// The delta's own layout rules on a validated container: count bounds,
+/// whole elements, and the expected size of every section. Shared by
+/// ApplyDelta and ReadDeltaInfo.
+Status ValidateLayout(const Container& c, const std::string& name) {
+  const DeltaHeader header = c.HeaderAs<DeltaHeader>();
   // Bound the counts before computing expected sizes (overflow safety).
-  if (header->base_nodes >= kInvalidNode ||
-      header->next_nodes >= kInvalidNode ||
-      header->base_terms > kMaxDeltaTerms ||
-      header->next_terms > kMaxDeltaTerms ||
-      header->num_new_terms > header->next_terms ||
-      header->base_triples > (uint64_t{1} << 40) ||
-      header->next_triples > (uint64_t{1} << 40)) {
+  if (header.base_nodes >= kInvalidNode ||
+      header.next_nodes >= kInvalidNode ||
+      header.base_terms > kMaxDeltaTerms ||
+      header.next_terms > kMaxDeltaTerms ||
+      header.num_new_terms > header.next_terms ||
+      header.base_triples > (uint64_t{1} << 40) ||
+      header.next_triples > (uint64_t{1} << 40)) {
     return Status::Corruption("implausible delta counts: " + name);
   }
-  const uint64_t nn = header->next_nodes;
-  const uint64_t tn = header->next_terms;
-  const uint64_t nw = header->num_new_terms;
+  const uint64_t nn = header.next_nodes;
+  const uint64_t tn = header.next_terms;
+  const uint64_t nw = header.num_new_terms;
   // Fixed expected sizes; the run and triple sections are data-dependent
   // but must hold whole elements.
   const uint64_t expected[kNumDeltaSectionsV2] = {
-      tn * sizeof(uint32_t),         // term_sources
-      (nw + 1) * sizeof(uint64_t),   // new_term_offsets
-      table[2].size,                 // new_term_blob: data-dependent
-      nn * sizeof(uint8_t),          // node_kinds
-      nn * sizeof(uint32_t),         // node_lex
-      nn * sizeof(NodeId),           // node_remap
-      table[6].size,                 // removed_runs
-      table[7].size,                 // kept_runs
-      table[8].size,                 // added_triples
-      nw * sizeof(uint32_t),         // new_term_prefix_lens (v2)
+      tn * sizeof(uint32_t),        // term_sources
+      (nw + 1) * sizeof(uint64_t),  // new_term_offsets
+      c.table[2].size,              // new_term_blob: data-dependent
+      nn * sizeof(uint8_t),         // node_kinds
+      nn * sizeof(uint32_t),        // node_lex
+      nn * sizeof(NodeId),          // node_remap
+      c.table[6].size,              // removed_runs
+      c.table[7].size,              // kept_runs
+      c.table[8].size,              // added_triples
+      nw * sizeof(uint32_t),        // new_term_prefix_lens (v2)
   };
-  if (table[6].size % sizeof(RunEntry) != 0 ||
-      table[7].size % sizeof(RunEntry) != 0 ||
-      table[8].size % sizeof(Triple) != 0) {
+  if (c.table[6].size % sizeof(RunEntry) != 0 ||
+      c.table[7].size % sizeof(RunEntry) != 0 ||
+      c.table[8].size % sizeof(Triple) != 0) {
     return Status::Corruption("delta section holds partial elements: " +
                               name);
   }
-  uint64_t prev_end = payload_start;
-  for (size_t s = 0; s < num_sections; ++s) {
-    const SectionEntry& sec = table[s];
-    if (sec.id != static_cast<uint32_t>(kDeltaSectionOrder[s]) ||
-        sec.reserved != 0) {
-      return Status::Corruption("malformed delta section table: " + name);
+  for (size_t s = 0; s < c.table.size(); ++s) {
+    if (c.table[s].size != expected[s]) {
+      return Status::Corruption(c.SectionLabel(s) +
+                                " has unexpected size: " + name);
     }
-    if (sec.size != expected[s]) {
-      return Status::Corruption(
-          "delta section " +
-          std::string(DeltaSectionName(kDeltaSectionOrder[s])) +
-          " has unexpected size: " + name);
-    }
-    if (sec.offset % kSectionAlignment != 0 || sec.offset < prev_end ||
-        sec.offset > header->file_size ||
-        sec.size > header->file_size - sec.offset) {
-      return Status::Corruption(
-          "delta section " +
-          std::string(DeltaSectionName(kDeltaSectionOrder[s])) +
-          " out of bounds: " + name);
-    }
-    prev_end = sec.offset + sec.size;
   }
   return Status::OK();
 }
 
-/// Opens `path` and validates the delta header from its prefix without
-/// allocating anything file-sized; returns the actual size.
-Result<uint64_t> OpenAndValidateDeltaPrefix(const std::string& path,
-                                            std::ifstream& in,
-                                            DeltaHeader* header,
-                                            SectionEntry* table) {
-  std::error_code ec;
-  if (!std::filesystem::is_regular_file(path, ec) || ec) {
-    return Status::IOError("not a regular file: " + path);
-  }
-  in.open(path, std::ios::binary | std::ios::ate);
-  if (!in) {
-    return Status::IOError("cannot open file: " + path);
-  }
-  const std::streamoff pos = in.tellg();
-  if (!in || pos < 0) {
-    return Status::IOError("cannot determine file size: " + path);
-  }
-  const auto size = static_cast<uint64_t>(pos);
-  in.seekg(0);
-  // Large enough for either format version; v1 validation only reads the
-  // first kNumDeltaSections table entries.
-  unsigned char head[kDeltaPayloadStartV2] = {};
-  const uint64_t head_bytes =
-      size < kDeltaPayloadStartV2 ? size : kDeltaPayloadStartV2;
-  in.read(reinterpret_cast<char*>(head),
-          static_cast<std::streamsize>(head_bytes));
-  if (!in && head_bytes > 0) {
-    return Status::IOError("error reading file: " + path);
-  }
-  RDFALIGN_RETURN_IF_ERROR(
-      ValidateDeltaHeader(head, head_bytes, size, header, table, path));
-  return size;
-}
-
-Result<RawDelta> AcquireDeltaBytes(const std::string& path) {
-  RawDelta raw;
-  std::ifstream in;
-  RDFALIGN_ASSIGN_OR_RETURN(
-      const uint64_t size,
-      OpenAndValidateDeltaPrefix(path, in, &raw.header, raw.table));
-  std::shared_ptr<std::vector<unsigned char>> buffer;
-  try {
-    buffer = std::make_shared<std::vector<unsigned char>>(size);
-  } catch (const std::bad_alloc&) {
-    return Status::IOError("delta too large to buffer (" +
-                           std::to_string(size) + " bytes): " + path);
-  }
-  if (size > 0) {
-    in.seekg(0);
-    in.read(reinterpret_cast<char*>(buffer->data()),
-            static_cast<std::streamsize>(size));
-    if (!in) {
-      return Status::IOError("error reading file: " + path);
-    }
-  }
-  raw.base = buffer->data();
-  raw.size = size;
-  raw.pin = std::move(buffer);
-  return raw;
-}
-
-template <typename T>
-std::span<const T> DeltaSectionSpan(const RawDelta& raw, size_t index) {
-  return {reinterpret_cast<const T*>(raw.base + raw.table[index].offset),
-          static_cast<size_t>(raw.table[index].size / sizeof(T))};
-}
-
-/// The shared body of the file and memory appliers. `raw` holds a
-/// validated header and section table.
-Result<TripleGraph> ApplyFromRaw(const TripleGraph& base, const RawDelta& raw,
-                                 std::shared_ptr<Dictionary> dict,
-                                 const DeltaApplyOptions& options,
-                                 DeltaApplyStats* stats,
-                                 const std::string& name) {
+/// The shared body of the file and memory appliers. `c` holds the whole
+/// image.
+Result<TripleGraph> ApplyFromContainer(const TripleGraph& base,
+                                       const Container& c,
+                                       std::shared_ptr<Dictionary> dict,
+                                       const DeltaApplyOptions& options,
+                                       DeltaApplyStats* stats,
+                                       const std::string& name) {
   static_assert(std::endian::native == std::endian::little,
                 "deltas are read on little-endian hosts only");
   const auto corrupt = [&name](std::string_view what) {
     return Status::Corruption(std::string(what) + ": " + name);
   };
-
-  const bool fc = raw.header.version == kDeltaFormatVersionFrontCoded;
-  const size_t num_sections = DeltaSectionCount(raw.header.version);
+  RDFALIGN_RETURN_IF_ERROR(ValidateLayout(c, name));
+  const DeltaHeader header = c.HeaderAs<DeltaHeader>();
+  const bool fc = header.version == kDeltaFormatVersionFrontCoded;
   const size_t threads = ResolveThreads(options.threads);
   if (options.verify_checksums) {
-    // Sections hash independently; the first mismatch in section order is
-    // reported no matter which worker found it.
-    uint8_t bad[kNumDeltaSectionsV2] = {};
-    ParallelChunks(num_sections, threads, /*grain=*/1,
-                   [&](size_t, size_t begin, size_t end) {
-                     for (size_t s = begin; s < end; ++s) {
-                       bad[s] = Checksum64(raw.base + raw.table[s].offset,
-                                           raw.table[s].size) !=
-                                raw.table[s].checksum;
-                     }
-                   });
-    for (size_t s = 0; s < num_sections; ++s) {
-      if (bad[s]) {
-        return Status::Corruption(
-            "delta section " +
-            std::string(DeltaSectionName(kDeltaSectionOrder[s])) +
-            " checksum mismatch: " + name);
-      }
-    }
+    RDFALIGN_RETURN_IF_ERROR(VerifySectionChecksums(c, threads, name));
   }
 
   // Base binding: the delta applies to exactly one graph. Count or
   // fingerprint disagreement is a caller error (wrong base), not file
   // corruption.
   const TermBinding base_terms = BindTerms(base);
-  if (raw.header.base_nodes != base.NumNodes() ||
-      raw.header.base_triples != base.NumEdges() ||
-      raw.header.base_terms != base_terms.term_ids.size() ||
-      raw.header.base_fingerprint !=
+  if (header.base_nodes != base.NumNodes() ||
+      header.base_triples != base.NumEdges() ||
+      header.base_terms != base_terms.term_ids.size() ||
+      header.base_fingerprint !=
           FingerprintWithBinding(base, base_terms)) {
     return Status::InvalidArgument(
         "delta does not apply to this base graph: " + name);
   }
 
-  const uint64_t bn = raw.header.base_nodes;
-  const uint64_t be = raw.header.base_triples;
-  const uint64_t nn = raw.header.next_nodes;
-  const uint64_t ne = raw.header.next_triples;
-  const uint64_t tb = raw.header.base_terms;
-  const uint64_t tn = raw.header.next_terms;
-  const uint64_t nw = raw.header.num_new_terms;
+  const uint64_t bn = header.base_nodes;
+  const uint64_t be = header.base_triples;
+  const uint64_t nn = header.next_nodes;
+  const uint64_t ne = header.next_triples;
+  const uint64_t tb = header.base_terms;
+  const uint64_t tn = header.next_terms;
+  const uint64_t nw = header.num_new_terms;
 
-  const auto term_sources = DeltaSectionSpan<uint32_t>(raw, 0);
-  const auto new_term_offsets = DeltaSectionSpan<uint64_t>(raw, 1);
-  const auto blob = DeltaSectionSpan<char>(raw, 2);
-  const auto kinds = DeltaSectionSpan<uint8_t>(raw, 3);
-  const auto lex = DeltaSectionSpan<uint32_t>(raw, 4);
-  const auto remap = DeltaSectionSpan<NodeId>(raw, 5);
-  const auto removed_runs = DeltaSectionSpan<RunEntry>(raw, 6);
-  const auto kept_runs = DeltaSectionSpan<RunEntry>(raw, 7);
-  const auto added = DeltaSectionSpan<Triple>(raw, 8);
+  const auto term_sources = c.Section<uint32_t>(0);
+  const auto new_term_offsets = c.Section<uint64_t>(1);
+  const auto blob = c.Section<char>(2);
+  const auto kinds = c.Section<uint8_t>(3);
+  const auto lex = c.Section<uint32_t>(4);
+  const auto remap = c.Section<NodeId>(5);
+  const auto removed_runs = c.Section<RunEntry>(6);
+  const auto kept_runs = c.Section<RunEntry>(7);
+  const auto added = c.Section<Triple>(8);
   const auto new_prefix_lens =
-      fc ? DeltaSectionSpan<uint32_t>(raw, 9) : std::span<const uint32_t>{};
+      fc ? c.Section<uint32_t>(9) : std::span<const uint32_t>{};
 
   // Structural validation: every array reference checked before use, so a
   // crafted delta (checksums recomputed) is a Corruption status, never UB.
@@ -694,15 +441,9 @@ Result<TripleGraph> ApplyFromRaw(const TripleGraph& base, const RawDelta& raw,
             new_prefix_lens, new_term_offsets, blob.size(), nullptr)) {
       return corrupt(defect);
     }
-  } else {
-    if (new_term_offsets[0] != 0 || new_term_offsets[nw] != blob.size()) {
-      return corrupt("delta term offset table does not span the term blob");
-    }
-    for (uint64_t k = 0; k < nw; ++k) {
-      if (new_term_offsets[k] > new_term_offsets[k + 1]) {
-        return corrupt("delta term offsets not monotonic");
-      }
-    }
+  } else if (const char* defect =
+                 CheckRawTermGeometry(new_term_offsets, blob.size())) {
+    return corrupt(defect);
   }
   for (uint64_t i = 0; i < nn; ++i) {
     if (kinds[i] > static_cast<uint8_t>(TermKind::kBlank)) {
@@ -883,7 +624,7 @@ Result<TripleGraph> ApplyFromRaw(const TripleGraph& base, const RawDelta& raw,
                               &in_offsets, &in_subjects, threads);
 
   if (stats != nullptr) {
-    stats->file_bytes = raw.size;
+    stats->file_bytes = c.file_size;
     stats->kept_triples = kept_total;
     stats->removed_triples = removed_total;
     stats->added_triples = added.size();
@@ -907,8 +648,10 @@ Result<TripleGraph> ApplyDelta(const TripleGraph& base,
                                std::shared_ptr<Dictionary> dict,
                                const DeltaApplyOptions& options,
                                DeltaApplyStats* stats) {
-  RDFALIGN_ASSIGN_OR_RETURN(RawDelta raw, AcquireDeltaBytes(path));
-  return ApplyFromRaw(base, raw, std::move(dict), options, stats, path);
+  RDFALIGN_ASSIGN_OR_RETURN(
+      const Container c,
+      ReadContainer(kDeltaFormat, path, ContainerRead::kBuffered));
+  return ApplyFromContainer(base, c, std::move(dict), options, stats, path);
 }
 
 Result<TripleGraph> ApplyDeltaFromMemory(const TripleGraph& base,
@@ -918,20 +661,18 @@ Result<TripleGraph> ApplyDeltaFromMemory(const TripleGraph& base,
                                          const DeltaApplyOptions& options,
                                          DeltaApplyStats* stats,
                                          const std::string& name) {
-  RawDelta raw;
-  raw.base = data;
-  raw.size = size;
-  RDFALIGN_RETURN_IF_ERROR(
-      ValidateDeltaHeader(data, size, size, &raw.header, raw.table, name));
-  return ApplyFromRaw(base, raw, std::move(dict), options, stats, name);
+  RDFALIGN_ASSIGN_OR_RETURN(
+      const Container c,
+      ParseContainer(kDeltaFormat, nullptr, data, size, name));
+  return ApplyFromContainer(base, c, std::move(dict), options, stats, name);
 }
 
 Result<DeltaInfo> ReadDeltaInfo(const std::string& path) {
-  std::ifstream in;
-  DeltaHeader header;
-  SectionEntry table[kNumDeltaSectionsV2];
-  RDFALIGN_RETURN_IF_ERROR(
-      OpenAndValidateDeltaPrefix(path, in, &header, table).status());
+  RDFALIGN_ASSIGN_OR_RETURN(
+      const Container c,
+      ReadContainer(kDeltaFormat, path, ContainerRead::kHeader));
+  RDFALIGN_RETURN_IF_ERROR(ValidateLayout(c, path));
+  const DeltaHeader header = c.HeaderAs<DeltaHeader>();
   DeltaInfo info;
   info.version = header.version;
   info.base_nodes = header.base_nodes;
@@ -943,21 +684,16 @@ Result<DeltaInfo> ReadDeltaInfo(const std::string& path) {
   info.next_terms = header.next_terms;
   info.num_new_terms = header.num_new_terms;
   info.file_size = header.file_size;
-  for (size_t s = 0; s < DeltaSectionCount(header.version); ++s) {
-    info.sections.push_back(
-        DeltaSectionInfo{kDeltaSectionOrder[s], table[s].offset,
-                         table[s].size, table[s].checksum});
+  for (const SectionEntry& sec : c.table) {
+    info.sections.push_back(DeltaSectionInfo{
+        static_cast<DeltaSectionId>(sec.id), sec.offset, sec.size,
+        sec.checksum});
   }
   return info;
 }
 
 bool LooksLikeDelta(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::array<char, 8> magic = {};
-  in.read(magic.data(), magic.size());
-  return in.gcount() == static_cast<std::streamsize>(magic.size()) &&
-         magic == kDeltaMagic;
+  return HasMagic(path, kDeltaMagic);
 }
 
 }  // namespace rdfalign::store

@@ -54,20 +54,17 @@ struct DeltaWriteStats {
 /// one Dictionary (the alignment precondition); `alignment.next_to_base`
 /// must have one entry per next node, each kInvalidNode or a distinct base
 /// node id. An all-invalid map is legal — the delta then stores next in
-/// full as removals plus additions. The new-term blob is front-coded by
-/// default (format version 2); options.compress_dict = false writes the
-/// raw version-1 layout byte for byte.
+/// full as removals plus additions. The new-term blob is front-coded
+/// (format version 2).
 Status WriteDelta(const TripleGraph& base, const TripleGraph& next,
                   const VersionNodeMap& alignment, const std::string& path,
-                  DeltaWriteStats* stats = nullptr,
-                  const StoreWriteOptions& options = {});
+                  DeltaWriteStats* stats = nullptr);
 
 /// Stream variant (the archive store embeds delta images this way).
 Status WriteDeltaToStream(const TripleGraph& base, const TripleGraph& next,
                           const VersionNodeMap& alignment, std::ostream& out,
                           const std::string& name,
-                          DeltaWriteStats* stats = nullptr,
-                          const StoreWriteOptions& options = {});
+                          DeltaWriteStats* stats = nullptr);
 
 struct DeltaApplyOptions {
   /// Verify the per-section checksums. Structural validation runs

@@ -1,16 +1,13 @@
-// On-disk layout of the rdfalign binary snapshot format (version 1).
+// On-disk layout of the rdfalign binary formats: the snapshot, delta and
+// archive headers and section ids (the update fragment's are in
+// store/update_fragment.h), the section-table entry and the checksum.
 //
 // A snapshot serializes one TripleGraph — term dictionary, node labels,
 // triple list, and both CSR indexes — so that it reloads with zero parsing:
 // every array section is a verbatim little-endian memory image that the
-// loader can reference in place (buffered read or mmap). See docs/store.md
-// for the normative description.
-//
-// File layout:
-//
-//   [ SnapshotHeader            64 bytes                       ]
-//   [ SectionEntry * kNumSections                              ]
-//   [ section payloads, each 8-byte aligned, zero-padded gaps  ]
+// loader can reference in place (buffered read or mmap). Every format is
+// laid out as the container of store/container.h: header, section table,
+// 8-byte aligned payloads. See docs/store.md for the normative description.
 //
 // All integers are little-endian. The format is only written/read on
 // little-endian hosts (the loader rejects the file otherwise via the
@@ -36,12 +33,12 @@ inline constexpr std::array<char, 8> kMagic = {'R', 'D', 'F', 'S',
                                                'N', 'A', 'P', '1'};
 
 /// Version 1: raw dictionary (whole terms, ascending original-id order).
-/// Still written by `--no-dict-compress` and read bit-identically.
+/// Read only: files written by earlier builds load bit-identically.
 inline constexpr uint32_t kFormatVersion = 1;
 
 /// Version 2: front-coded dictionary (terms sorted lexicographically,
-/// shared prefixes elided — see store/front_coding.h). The default for
-/// new files; readers accept versions 1 and 2.
+/// shared prefixes elided — see store/front_coding.h). The only version
+/// written; readers accept versions 1 and 2.
 inline constexpr uint32_t kFormatVersionFrontCoded = 2;
 
 /// Fixed byte-order tag. Written in native order; a reader on a host of
@@ -101,21 +98,6 @@ struct SectionEntry {
 static_assert(sizeof(SectionEntry) == 32);
 static_assert(std::is_trivially_copyable_v<SectionEntry>);
 
-/// Byte offset of the first section payload, per format version.
-inline constexpr size_t kPayloadStart =
-    sizeof(SnapshotHeader) + kNumSections * sizeof(SectionEntry);
-inline constexpr size_t kPayloadStartV2 =
-    sizeof(SnapshotHeader) + kNumSectionsV2 * sizeof(SectionEntry);
-
-/// Options honored by every dictionary-bearing writer (snapshot, delta,
-/// update fragment, archive — the archive inherits them into its embedded
-/// images). `compress_dict` selects the front-coded version-2 dictionary
-/// encoding; clearing it (`--no-dict-compress`) writes the version-1
-/// layout byte-identically to pre-front-coding builds.
-struct StoreWriteOptions {
-  bool compress_dict = true;
-};
-
 // The array sections are memory images of these in-memory types; pin their
 // layout so the zero-copy load path is sound.
 static_assert(sizeof(Triple) == 12 && std::is_trivially_copyable_v<Triple>);
@@ -130,21 +112,19 @@ static_assert(sizeof(NodeId) == 4 && sizeof(LexId) == 4);
 // from a materialized *base* graph with no parsing and no sorting:
 // dictionary additions, the next version's node columns, the
 // alignment-derived node remap, and the triple change expressed as runs
-// over the base triple list plus a sorted added-triple list. The file
-// shares the snapshot conventions — fixed header, section table, 8-byte
-// aligned checksummed payloads. See docs/store.md ("Delta format").
+// over the base triple list plus a sorted added-triple list. See
+// docs/store.md ("Delta format").
 
 /// "RDFDELT1" — identifies an rdfalign delta file.
 inline constexpr std::array<char, 8> kDeltaMagic = {'R', 'D', 'F', 'D',
                                                     'E', 'L', 'T', '1'};
 
-/// Delta version 1: raw new-term blob. Still written by
-/// `--no-dict-compress` and read bit-identically.
+/// Delta version 1: raw new-term blob. Read only.
 inline constexpr uint32_t kDeltaFormatVersion = 1;
 
 /// Delta version 2: front-coded new-term blob (the new-term list is
-/// already lexicographically sorted by construction). The default for
-/// new files; readers accept versions 1 and 2.
+/// already lexicographically sorted by construction). The only version
+/// written; readers accept versions 1 and 2.
 inline constexpr uint32_t kDeltaFormatVersionFrontCoded = 2;
 
 /// The payload sections of a delta, in file order. Version 1 files carry
@@ -210,12 +190,6 @@ struct DeltaHeader {
 };
 static_assert(sizeof(DeltaHeader) == 104);
 static_assert(std::is_trivially_copyable_v<DeltaHeader>);
-
-/// Byte offset of the first delta section payload, per format version.
-inline constexpr size_t kDeltaPayloadStart =
-    sizeof(DeltaHeader) + kNumDeltaSections * sizeof(SectionEntry);
-inline constexpr size_t kDeltaPayloadStartV2 =
-    sizeof(DeltaHeader) + kNumDeltaSectionsV2 * sizeof(SectionEntry);
 
 // ------------------------------------------------------------------------
 // Archive files (version 1): a base snapshot plus a delta chain plus the

@@ -1,5 +1,6 @@
 // Front-coded dictionary sections (format version 2 of the snapshot,
-// delta, and update-fragment files).
+// delta, and update-fragment files), plus the geometry check of the raw
+// version-1 term tables those formats still read.
 //
 // The terms of a dictionary section are sorted lexicographically by their
 // raw bytes; consecutive terms then share long prefixes (IRIs share
@@ -41,21 +42,24 @@ namespace rdfalign::store {
 inline constexpr size_t kRestartInterval = 16;
 
 /// The computed layout of one front-coded term list: per-term shared
-/// prefix lengths and offsets of the suffix tails. Suffix bytes are not
-/// materialized — writers stream them from the term accessor.
+/// prefix lengths, offsets of the suffix tails, and the tails themselves
+/// as views into the terms (writers stream them; nothing is copied).
 struct FrontCodedLayout {
-  std::vector<uint32_t> prefix_lens;     ///< count entries
-  std::vector<uint64_t> suffix_offsets;  ///< count + 1 entries
+  std::vector<uint32_t> prefix_lens;      ///< count entries
+  std::vector<uint64_t> suffix_offsets;   ///< count + 1 entries
+  std::vector<std::string_view> suffixes;  ///< count entries
 };
 
 /// Computes the front-coded layout of `count` terms. `get(i)` must return
-/// the i-th term; the terms must be sorted ascending (strictly — distinct
-/// interned ids hold distinct strings).
+/// the i-th term, a view that outlives the layout; the terms must be
+/// sorted ascending (strictly — distinct interned ids hold distinct
+/// strings).
 template <typename GetTerm>
 FrontCodedLayout FrontCodeTerms(size_t count, GetTerm&& get) {
   FrontCodedLayout layout;
   layout.prefix_lens.resize(count);
   layout.suffix_offsets.assign(count + 1, 0);
+  layout.suffixes.resize(count);
   std::string_view prev;
   for (size_t i = 0; i < count; ++i) {
     const std::string_view term = get(i);
@@ -69,8 +73,9 @@ FrontCodedLayout FrontCodeTerms(size_t count, GetTerm&& get) {
       if (plen > 0xffffffffull) plen = 0xffffffffull;
     }
     layout.prefix_lens[i] = static_cast<uint32_t>(plen);
+    layout.suffixes[i] = term.substr(plen);
     layout.suffix_offsets[i + 1] =
-        layout.suffix_offsets[i] + (term.size() - plen);
+        layout.suffix_offsets[i] + layout.suffixes[i].size();
     prev = term;
   }
   return layout;
@@ -111,6 +116,22 @@ inline const char* CheckFrontCodedGeometry(
     if (plen != 0) arena += prev_len;
   }
   if (materialized_bytes != nullptr) *materialized_bytes = arena;
+  return nullptr;
+}
+
+/// Validates the geometry of a raw (version-1) term table before any blob
+/// byte is interpreted: the offsets span the blob and are monotone, so
+/// every term [offsets[i], offsets[i+1]) lies inside it. Returns nullptr on
+/// success or a static description of the defect.
+inline const char* CheckRawTermGeometry(std::span<const uint64_t> offsets,
+                                        uint64_t blob_size) {
+  if (offsets.empty() || offsets.front() != 0 ||
+      offsets.back() != blob_size) {
+    return "term offset table does not span the term blob";
+  }
+  for (size_t i = 0; i + 1 < offsets.size(); ++i) {
+    if (offsets[i] > offsets[i + 1]) return "term offsets not monotonic";
+  }
   return nullptr;
 }
 

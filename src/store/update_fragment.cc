@@ -3,20 +3,19 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <numeric>
 #include <span>
 #include <unordered_map>
 
 #include "store/atomic_writer.h"
+#include "store/container.h"
 #include "store/front_coding.h"
 
 namespace rdfalign::store {
 
 namespace {
 
-const char* UpdateSectionName(UpdateSectionId id) {
+std::string_view UpdateSectionName(UpdateSectionId id) {
   switch (id) {
     case UpdateSectionId::kTermOffsets:
       return "term_offsets";
@@ -38,24 +37,23 @@ const char* UpdateSectionName(UpdateSectionId id) {
   return "unknown";
 }
 
-constexpr UpdateSectionId kUpdateSectionOrder[kNumUpdateSectionsV2] = {
-    UpdateSectionId::kTermOffsets,    UpdateSectionId::kTermBlob,
-    UpdateSectionId::kNodeKinds,      UpdateSectionId::kNodeLex,
-    UpdateSectionId::kRemovedNodes,   UpdateSectionId::kRemovedTriples,
-    UpdateSectionId::kAddedTriples,   UpdateSectionId::kTermPrefixLens,
+const ContainerFormat kUpdateFormat = {
+    "update fragment",
+    kUpdateMagic,
+    kUpdateFormatVersion,
+    kUpdateFormatVersionFrontCoded,
+    sizeof(UpdateHeader),
+    [](const unsigned char* header) -> std::optional<uint64_t> {
+      UpdateHeader h;
+      std::memcpy(&h, header, sizeof(h));
+      return h.version == kUpdateFormatVersion ? kNumUpdateSections
+                                               : kNumUpdateSectionsV2;
+    },
+    SequentialSectionId,
+    [](uint32_t id) {
+      return UpdateSectionName(static_cast<UpdateSectionId>(id));
+    },
 };
-
-/// Section count of an update-fragment format version.
-size_t UpdateSectionCount(uint32_t version) {
-  return version == kUpdateFormatVersion ? kNumUpdateSections
-                                         : kNumUpdateSectionsV2;
-}
-
-/// Byte offset of the first payload of an update-fragment format version.
-size_t UpdatePayloadStart(uint32_t version) {
-  return sizeof(UpdateHeader) +
-         UpdateSectionCount(version) * sizeof(SectionEntry);
-}
 
 bool TripleLess(const Triple& a, const Triple& b) {
   if (a.s != b.s) return a.s < b.s;
@@ -115,14 +113,6 @@ Status ValidateBatch(const UpdateBatch& batch, const std::string& name) {
   return Status::OK();
 }
 
-void AppendBytes(std::string* out, const void* data, size_t n) {
-  out->append(static_cast<const char*>(data), n);
-}
-
-void PadTo(std::string* out, size_t offset) {
-  if (out->size() < offset) out->resize(offset, '\0');
-}
-
 }  // namespace
 
 bool LooksLikeUpdateFragment(std::string_view bytes) {
@@ -132,27 +122,16 @@ bool LooksLikeUpdateFragment(std::string_view bytes) {
 }
 
 bool LooksLikeUpdateFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::array<char, 8> magic = {};
-  in.read(magic.data(), magic.size());
-  return in.gcount() == static_cast<std::streamsize>(magic.size()) &&
-         magic == kUpdateMagic;
+  return HasMagic(path, kUpdateMagic);
 }
 
-Result<std::string> EncodeUpdateBatch(const UpdateBatch& batch,
-                                      const StoreWriteOptions& options) {
+Result<std::string> EncodeUpdateBatch(const UpdateBatch& batch) {
   static_assert(std::endian::native == std::endian::little,
                 "update fragments are written on little-endian hosts only");
   RDFALIGN_RETURN_IF_ERROR(ValidateBatch(batch, "encode"));
-  const bool fc = options.compress_dict;
-  const uint32_t version =
-      fc ? kUpdateFormatVersionFrontCoded : kUpdateFormatVersion;
-  const size_t num_sections = UpdateSectionCount(version);
 
-  // Term table: distinct lexical forms in first-use (reference) order —
-  // the version-1 file order. Version 2 re-sorts them lexicographically
-  // below so consecutive terms share prefixes.
+  // Term table: the distinct lexical forms, sorted lexicographically so
+  // consecutive terms share prefixes.
   std::unordered_map<std::string_view, uint32_t> term_of;
   std::vector<std::string_view> terms;
   std::vector<uint32_t> lex(batch.nodes.size());
@@ -165,182 +144,60 @@ Result<std::string> EncodeUpdateBatch(const UpdateBatch& batch,
     if (inserted) terms.push_back(form);
     lex[i] = it->second;
   }
-  FrontCodedLayout layout;
-  if (fc) {
-    // The forms are distinct (term_of interned uniquely), so the sort is
-    // strict and the remap a permutation.
-    std::vector<uint32_t> order(terms.size());
-    std::iota(order.begin(), order.end(), 0u);
-    std::sort(order.begin(), order.end(), [&terms](uint32_t a, uint32_t b) {
-      return terms[a] < terms[b];
-    });
-    std::vector<uint32_t> remap(terms.size());
-    std::vector<std::string_view> sorted(terms.size());
-    for (size_t k = 0; k < order.size(); ++k) {
-      remap[order[k]] = static_cast<uint32_t>(k);
-      sorted[k] = terms[order[k]];
-    }
-    terms = std::move(sorted);
-    for (uint32_t& t : lex) t = remap[t];
-    layout = FrontCodeTerms(terms.size(),
-                            [&terms](size_t k) { return terms[k]; });
+  // The forms are distinct (term_of interned uniquely), so the sort is
+  // strict and the remap a permutation.
+  std::vector<uint32_t> order(terms.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&terms](uint32_t a, uint32_t b) {
+    return terms[a] < terms[b];
+  });
+  std::vector<uint32_t> remap(terms.size());
+  std::vector<std::string_view> sorted(terms.size());
+  for (size_t k = 0; k < order.size(); ++k) {
+    remap[order[k]] = static_cast<uint32_t>(k);
+    sorted[k] = terms[order[k]];
   }
-  std::vector<uint64_t> term_offsets;
-  if (fc) {
-    term_offsets = std::move(layout.suffix_offsets);
-  } else {
-    term_offsets.assign(terms.size() + 1, 0);
-    for (size_t t = 0; t < terms.size(); ++t) {
-      term_offsets[t + 1] = term_offsets[t] + terms[t].size();
-    }
-  }
+  for (uint32_t& t : lex) t = remap[t];
+  // The blob holds each term's suffix tail past its shared prefix.
+  FrontCodedLayout layout = FrontCodeTerms(
+      sorted.size(), [&sorted](size_t k) { return sorted[k]; });
 
-  struct Payload {
-    const void* data;
-    size_t size;
-  };
-  std::string blob;
-  blob.reserve(term_offsets.back());
-  for (size_t t = 0; t < terms.size(); ++t) {
-    blob.append(fc ? terms[t].substr(layout.prefix_lens[t]) : terms[t]);
-  }
-  const Payload payloads[kNumUpdateSectionsV2] = {
-      {term_offsets.data(), term_offsets.size() * sizeof(uint64_t)},
-      {blob.data(), blob.size()},
-      {kinds.data(), kinds.size()},
-      {lex.data(), lex.size() * sizeof(uint32_t)},
-      {batch.removed_nodes.data(),
-       batch.removed_nodes.size() * sizeof(uint32_t)},
-      {batch.removed.data(), batch.removed.size() * sizeof(Triple)},
-      {batch.added.data(), batch.added.size() * sizeof(Triple)},
-      {layout.prefix_lens.data(),
-       layout.prefix_lens.size() * sizeof(uint32_t)},
-  };
-
-  SectionEntry table[kNumUpdateSectionsV2];
-  uint64_t cursor = UpdatePayloadStart(version);
-  for (size_t s = 0; s < num_sections; ++s) {
-    cursor = AlignUp(cursor);
-    table[s].id = static_cast<uint32_t>(kUpdateSectionOrder[s]);
-    table[s].reserved = 0;
-    table[s].offset = cursor;
-    table[s].size = payloads[s].size;
-    table[s].checksum = Checksum64(payloads[s].data, payloads[s].size);
-    cursor += payloads[s].size;
-  }
-
-  UpdateHeader header;
-  std::memset(&header, 0, sizeof(header));
-  header.magic = kUpdateMagic;
-  header.version = version;
-  header.endian_tag = kEndianTag;
+  UpdateHeader header{};
+  header.version = kUpdateFormatVersionFrontCoded;
   header.sequence = batch.sequence;
   header.num_refs = batch.nodes.size();
   header.num_new_nodes = batch.num_new;
   header.num_removed_nodes = batch.removed_nodes.size();
   header.num_removed_triples = batch.removed.size();
   header.num_added_triples = batch.added.size();
-  header.num_terms = terms.size();
-  header.num_sections = num_sections;
-  header.file_size = cursor;
-  header.header_checksum = 0;
-  {
-    Checksummer c;
-    c.Update(&header, sizeof(header));
-    c.Update(table, num_sections * sizeof(SectionEntry));
-    header.header_checksum = c.Finish();
-  }
-
-  std::string out;
-  out.reserve(cursor);
-  AppendBytes(&out, &header, sizeof(header));
-  AppendBytes(&out, table, num_sections * sizeof(SectionEntry));
-  for (size_t s = 0; s < num_sections; ++s) {
-    PadTo(&out, table[s].offset);
-    AppendBytes(&out, payloads[s].data, payloads[s].size);
-  }
-  return out;
+  header.num_terms = sorted.size();
+  const SectionSource sections[] = {
+      {UpdateSectionId::kTermOffsets, {Bytes(layout.suffix_offsets)}},
+      {UpdateSectionId::kTermBlob, std::move(layout.suffixes)},
+      {UpdateSectionId::kNodeKinds, {Bytes(kinds)}},
+      {UpdateSectionId::kNodeLex, {Bytes(lex)}},
+      {UpdateSectionId::kRemovedNodes, {Bytes(batch.removed_nodes)}},
+      {UpdateSectionId::kRemovedTriples, {Bytes(batch.removed)}},
+      {UpdateSectionId::kAddedTriples, {Bytes(batch.added)}},
+      {UpdateSectionId::kTermPrefixLens, {Bytes(layout.prefix_lens)}},
+  };
+  return EncodeContainer(kUpdateFormat, header, sections);
 }
 
-Result<UpdateBatch> DecodeUpdateBatch(std::string_view bytes,
-                                      const std::string& name) {
-  const auto* base = reinterpret_cast<const unsigned char*>(bytes.data());
-  if (bytes.size() < sizeof(UpdateHeader)) {
-    return Status::Corruption("truncated update fragment (no header): " +
-                              name);
-  }
-  UpdateHeader header;
-  std::memcpy(&header, base, sizeof(header));
-  if (header.magic != kUpdateMagic) {
-    return Status::InvalidArgument("not an rdfalign update fragment: " +
-                                   name);
-  }
-  if (header.version != kUpdateFormatVersion &&
-      header.version != kUpdateFormatVersionFrontCoded) {
-    return Status::NotSupported(
-        "unsupported update fragment version " +
-        std::to_string(header.version) + " (this build reads versions " +
-        std::to_string(kUpdateFormatVersion) + "-" +
-        std::to_string(kUpdateFormatVersionFrontCoded) + "): " + name);
-  }
-  if (header.endian_tag != kEndianTag) {
-    return Status::NotSupported(
-        "update fragment written with a different byte order: " + name);
-  }
-  const bool fc = header.version == kUpdateFormatVersionFrontCoded;
-  const size_t num_sections = UpdateSectionCount(header.version);
-  const uint64_t payload_start = UpdatePayloadStart(header.version);
-  if (header.num_sections != num_sections) {
-    return Status::Corruption("unexpected update section count: " + name);
-  }
-  if (header.file_size != bytes.size()) {
-    return Status::Corruption("update fragment size mismatch: " + name);
-  }
-  if (bytes.size() < payload_start) {
-    return Status::Corruption("truncated update fragment (no sections): " +
-                              name);
-  }
-  SectionEntry table[kNumUpdateSectionsV2];
-  std::memcpy(table, base + sizeof(UpdateHeader),
-              num_sections * sizeof(SectionEntry));
-  {
-    UpdateHeader copy = header;
-    copy.header_checksum = 0;
-    Checksummer c;
-    c.Update(&copy, sizeof(copy));
-    c.Update(table, num_sections * sizeof(SectionEntry));
-    if (c.Finish() != header.header_checksum) {
-      return Status::Corruption("update fragment header checksum mismatch: " +
-                                name);
-    }
-  }
-  uint64_t cursor = payload_start;
-  for (size_t s = 0; s < num_sections; ++s) {
-    if (table[s].id != static_cast<uint32_t>(kUpdateSectionOrder[s]) ||
-        table[s].reserved != 0) {
-      return Status::Corruption("unexpected update section table: " + name);
-    }
-    cursor = AlignUp(cursor);
-    if (table[s].offset != cursor || table[s].size > bytes.size() ||
-        table[s].offset > bytes.size() - table[s].size) {
-      return Status::Corruption(
-          std::string("update section out of bounds: ") +
-          UpdateSectionName(kUpdateSectionOrder[s]) + ": " + name);
-    }
-    if (Checksum64(base + table[s].offset, table[s].size) !=
-        table[s].checksum) {
-      return Status::Corruption(
-          std::string("update section checksum mismatch: ") +
-          UpdateSectionName(kUpdateSectionOrder[s]) + ": " + name);
-    }
-    cursor = table[s].offset + table[s].size;
-  }
+namespace {
 
+/// Decodes a validated fragment container: section checksums, count
+/// bounds, expected sizes, dictionary geometry, then the batch itself.
+Result<UpdateBatch> DecodeContainer(const Container& c,
+                                    const std::string& name) {
+  RDFALIGN_RETURN_IF_ERROR(VerifySectionChecksums(c, 1, name));
+  const UpdateHeader header = c.HeaderAs<UpdateHeader>();
+  const bool fc = header.version == kUpdateFormatVersionFrontCoded;
+  const std::vector<SectionEntry>& table = c.table;
   auto expect_size = [&](size_t s, uint64_t want) -> Status {
     if (table[s].size != want) {
-      return Status::Corruption(
-          std::string("update section size mismatch: ") +
-          UpdateSectionName(kUpdateSectionOrder[s]) + ": " + name);
+      return Status::Corruption(c.SectionLabel(s) + " size mismatch: " +
+                                name);
     }
     return Status::OK();
   };
@@ -362,31 +219,16 @@ Result<UpdateBatch> DecodeUpdateBatch(std::string_view bytes,
     RDFALIGN_RETURN_IF_ERROR(expect_size(7, terms * sizeof(uint32_t)));
   }
 
-  const auto* term_offsets =
-      reinterpret_cast<const uint64_t*>(base + table[0].offset);
-  const uint64_t blob_size = table[1].size;
-  const auto* prefix_lens =
-      fc ? reinterpret_cast<const uint32_t*>(base + table[7].offset)
-         : nullptr;
-  if (fc) {
-    if (const char* defect = CheckFrontCodedGeometry(
-            std::span<const uint32_t>(prefix_lens, terms),
-            std::span<const uint64_t>(term_offsets, terms + 1), blob_size,
-            nullptr)) {
-      return Status::Corruption(std::string(defect) + ": " + name);
-    }
-  } else {
-    if (term_offsets[0] != 0 || term_offsets[terms] != blob_size) {
-      return Status::Corruption("update term offsets malformed: " + name);
-    }
-    for (uint64_t t = 0; t < terms; ++t) {
-      if (term_offsets[t] > term_offsets[t + 1]) {
-        return Status::Corruption("update term offsets not monotonic: " +
-                                  name);
-      }
-    }
+  const auto term_offsets = c.Section<uint64_t>(0);
+  const auto blob = c.Section<char>(1);
+  const auto prefix_lens =
+      fc ? c.Section<uint32_t>(7) : std::span<const uint32_t>{};
+  if (const char* defect =
+          fc ? CheckFrontCodedGeometry(prefix_lens, term_offsets, blob.size(),
+                                       nullptr)
+             : CheckRawTermGeometry(term_offsets, blob.size())) {
+    return Status::Corruption(std::string(defect) + ": " + name);
   }
-  const char* blob = reinterpret_cast<const char*>(base + table[1].offset);
   // Front-coded decode: each term is its predecessor's head plus its own
   // suffix; the geometry check above bounds every prefix length, and the
   // strict-ascending check rejects crafted non-sorted dictionaries.
@@ -399,7 +241,7 @@ Result<UpdateBatch> DecodeUpdateBatch(std::string_view bytes,
       const uint64_t suffix_len = term_offsets[t + 1] - term_offsets[t];
       cur.reserve(plen + suffix_len);
       if (plen > 0) cur.assign(decoded_terms[t - 1].data(), plen);
-      cur.append(blob + term_offsets[t], suffix_len);
+      cur.append(blob.data() + term_offsets[t], suffix_len);
       if (t > 0 && !(decoded_terms[t - 1] < cur)) {
         return Status::Corruption(
             "update front-coded terms not strictly ascending: " + name);
@@ -411,8 +253,8 @@ Result<UpdateBatch> DecodeUpdateBatch(std::string_view bytes,
   batch.sequence = header.sequence;
   batch.num_new = static_cast<uint32_t>(header.num_new_nodes);
   batch.nodes.resize(refs);
-  const auto* kinds = base + table[2].offset;
-  const auto* lex = reinterpret_cast<const uint32_t*>(base + table[3].offset);
+  const auto kinds = c.Section<uint8_t>(2);
+  const auto lex = c.Section<uint32_t>(3);
   for (uint64_t i = 0; i < refs; ++i) {
     if (kinds[i] > static_cast<uint8_t>(TermKind::kBlank)) {
       return Status::Corruption("update node kind out of range: " + name);
@@ -426,23 +268,32 @@ Result<UpdateBatch> DecodeUpdateBatch(std::string_view bytes,
       batch.nodes[i].lex = decoded_terms[lex[i]];
     } else {
       batch.nodes[i].lex.assign(
-          blob + term_offsets[lex[i]],
+          blob.data() + term_offsets[lex[i]],
           static_cast<size_t>(term_offsets[lex[i] + 1] -
                               term_offsets[lex[i]]));
     }
   }
-  const auto* removed_nodes =
-      reinterpret_cast<const uint32_t*>(base + table[4].offset);
-  batch.removed_nodes.assign(removed_nodes,
-                             removed_nodes + header.num_removed_nodes);
-  const auto* removed =
-      reinterpret_cast<const Triple*>(base + table[5].offset);
-  batch.removed.assign(removed, removed + header.num_removed_triples);
-  const auto* added = reinterpret_cast<const Triple*>(base + table[6].offset);
-  batch.added.assign(added, added + header.num_added_triples);
+  const auto removed_nodes = c.Section<uint32_t>(4);
+  batch.removed_nodes.assign(removed_nodes.begin(), removed_nodes.end());
+  const auto removed = c.Section<Triple>(5);
+  batch.removed.assign(removed.begin(), removed.end());
+  const auto added = c.Section<Triple>(6);
+  batch.added.assign(added.begin(), added.end());
 
   RDFALIGN_RETURN_IF_ERROR(ValidateBatch(batch, name));
   return batch;
+}
+
+}  // namespace
+
+Result<UpdateBatch> DecodeUpdateBatch(std::string_view bytes,
+                                      const std::string& name) {
+  RDFALIGN_ASSIGN_OR_RETURN(
+      const Container c,
+      ParseContainer(kUpdateFormat, nullptr,
+                     reinterpret_cast<const unsigned char*>(bytes.data()),
+                     bytes.size(), name));
+  return DecodeContainer(c, name);
 }
 
 Result<UpdateBatch> BuildUpdateBatch(const TripleGraph& base,
@@ -574,40 +425,16 @@ Result<UpdateBatch> BuildUpdateBatch(const TripleGraph& base,
   return batch;
 }
 
-Status WriteUpdateFile(const UpdateBatch& batch, const std::string& path,
-                       const StoreWriteOptions& options) {
-  RDFALIGN_ASSIGN_OR_RETURN(std::string bytes,
-                            EncodeUpdateBatch(batch, options));
+Status WriteUpdateFile(const UpdateBatch& batch, const std::string& path) {
+  RDFALIGN_ASSIGN_OR_RETURN(std::string bytes, EncodeUpdateBatch(batch));
   return AtomicWriteFile(path, bytes.data(), bytes.size(), "update fragment");
 }
 
-Result<std::string> ReadFileBytes(const std::string& path) {
-  std::error_code ec;
-  if (!std::filesystem::is_regular_file(path, ec) || ec) {
-    return Status::NotFound("no such file: " + path);
-  }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::IOError("cannot open file: " + path);
-  }
-  std::string bytes;
-  in.seekg(0, std::ios::end);
-  const std::streamoff size = in.tellg();
-  if (size < 0) {
-    return Status::IOError("cannot stat file: " + path);
-  }
-  bytes.resize(static_cast<size_t>(size));
-  in.seekg(0);
-  in.read(bytes.data(), size);
-  if (!in) {
-    return Status::IOError("error reading file: " + path);
-  }
-  return bytes;
-}
-
 Result<UpdateBatch> ReadUpdateFile(const std::string& path) {
-  RDFALIGN_ASSIGN_OR_RETURN(std::string bytes, ReadFileBytes(path));
-  return DecodeUpdateBatch(bytes, path);
+  RDFALIGN_ASSIGN_OR_RETURN(
+      const Container c,
+      ReadContainer(kUpdateFormat, path, ContainerRead::kBuffered));
+  return DecodeContainer(c, path);
 }
 
 }  // namespace rdfalign::store

@@ -13,12 +13,8 @@
 // graph, which is exactly the batch-equivalence contract the stream gate
 // checks.
 //
-// File layout (store/format.h conventions — little-endian, fixed header,
-// checksummed 8-byte-aligned sections):
-//
-//   [ UpdateHeader                  96 bytes                     ]
-//   [ SectionEntry * kNumUpdateSections                          ]
-//   [ section payloads, 8-byte aligned, zero-padded gaps         ]
+// File layout: the container of store/container.h — a 96-byte
+// UpdateHeader, the section table, checksummed 8-byte-aligned payloads.
 //
 // Node references: the fragment declares `num_refs` node labels; the
 // first `num_new_nodes` of them MUST NOT exist in the receiver's target
@@ -37,6 +33,7 @@
 
 #include "rdf/graph.h"
 #include "rdf/term.h"
+#include "store/container.h"
 #include "store/format.h"
 #include "util/result.h"
 #include "util/status.h"
@@ -47,12 +44,14 @@ namespace rdfalign::store {
 inline constexpr std::array<char, 8> kUpdateMagic = {'R', 'D', 'F', 'U',
                                                      'P', 'D', 'T', '1'};
 
+/// Version 1: raw term table in first-use order. Read only.
 inline constexpr uint32_t kUpdateFormatVersion = 1;
 
 /// Version 2 front-codes the term dictionary: terms are sorted
 /// lexicographically, kTermOffsets indexes *suffix* tails in kTermBlob,
 /// and a kTermPrefixLens section carries the shared-prefix lengths (see
-/// store/front_coding.h and docs/store.md "Front-coded dictionary").
+/// store/front_coding.h and docs/store.md "Front-coded dictionary"). The
+/// only version written.
 inline constexpr uint32_t kUpdateFormatVersionFrontCoded = 2;
 
 /// The payload sections of an update fragment, in file order. Version-1
@@ -93,12 +92,6 @@ struct UpdateHeader {
 static_assert(sizeof(UpdateHeader) == 96);
 static_assert(std::is_trivially_copyable_v<UpdateHeader>);
 
-/// Byte offset of the first section payload, per format version.
-inline constexpr size_t kUpdatePayloadStart =
-    sizeof(UpdateHeader) + kNumUpdateSections * sizeof(SectionEntry);
-inline constexpr size_t kUpdatePayloadStartV2 =
-    sizeof(UpdateHeader) + kNumUpdateSectionsV2 * sizeof(SectionEntry);
-
 /// One update batch, decoded. Triples index `nodes`; references
 /// [0, num_new) are created by the batch, [num_new, nodes.size()) resolve
 /// to existing target-graph nodes by (kind, lex).
@@ -117,11 +110,8 @@ struct UpdateBatch {
 
 /// Serializes a batch (validating its internal invariants: ref indexes in
 /// range, triple lists sorted and deduplicated, removed nodes ascending
-/// existing refs). The term dictionary is front-coded by default (format
-/// version 2); options.compress_dict = false writes the raw version-1
-/// layout byte for byte.
-Result<std::string> EncodeUpdateBatch(const UpdateBatch& batch,
-                                      const StoreWriteOptions& options = {});
+/// existing refs). The term dictionary is front-coded (format version 2).
+Result<std::string> EncodeUpdateBatch(const UpdateBatch& batch);
 
 /// Parses and fully validates a fragment image: magic/version/endianness,
 /// header and per-section checksums, section geometry, ref/term index
@@ -146,13 +136,10 @@ Result<UpdateBatch> BuildUpdateBatch(const TripleGraph& base,
                                      const TripleGraph& next,
                                      uint64_t sequence);
 
-/// File convenience wrappers over Encode/Decode.
-Status WriteUpdateFile(const UpdateBatch& batch, const std::string& path,
-                       const StoreWriteOptions& options = {});
+/// File convenience wrappers over Encode/Decode. ReadUpdateFile validates
+/// the container from the file's prefix before buffering the file.
+Status WriteUpdateFile(const UpdateBatch& batch, const std::string& path);
 Result<UpdateBatch> ReadUpdateFile(const std::string& path);
-
-/// Reads a whole file into a string (shared by the stream CLI verb).
-Result<std::string> ReadFileBytes(const std::string& path);
 
 }  // namespace rdfalign::store
 

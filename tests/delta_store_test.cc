@@ -342,31 +342,6 @@ std::vector<char> MakeDeltaBytes(const TripleGraph& g1, const TripleGraph& g2,
   return ReadFileBytes(path);
 }
 
-/// Patches raw little-endian `value` at `pos`, then recomputes the
-/// containing section's checksum and the header checksum so the file
-/// models a crafted delta rather than bit rot.
-template <typename T>
-void PatchWithValidChecksums(std::vector<char>& bytes,
-                             const store::DeltaInfo& info, size_t sec_index,
-                             uint64_t entry_index, T value) {
-  const auto& sec = info.sections[sec_index];
-  std::memcpy(bytes.data() + sec.offset + entry_index * sizeof(T), &value,
-              sizeof(value));
-  const uint64_t sec_checksum =
-      store::Checksum64(bytes.data() + sec.offset, sec.size);
-  const size_t entry_pos = sizeof(store::DeltaHeader) +
-                           sec_index * sizeof(store::SectionEntry) +
-                           offsetof(store::SectionEntry, checksum);
-  std::memcpy(bytes.data() + entry_pos, &sec_checksum, sizeof(sec_checksum));
-  const size_t hc_pos = offsetof(store::DeltaHeader, header_checksum);
-  const uint64_t zero = 0;
-  std::memcpy(bytes.data() + hc_pos, &zero, sizeof(zero));
-  const uint64_t hc = store::Checksum64(
-      bytes.data(), sizeof(store::DeltaHeader) +
-                        info.sections.size() * sizeof(store::SectionEntry));
-  std::memcpy(bytes.data() + hc_pos, &hc, sizeof(hc));
-}
-
 /// Applies the crafted bytes on every checksum setting and expects a
 /// Corruption status whose message contains `needle`.
 void ExpectCraftedCorruption(const TripleGraph& base,
@@ -468,13 +443,14 @@ TEST(DeltaStoreTest, RejectsOutOfRangeRemapIds) {
   // Section index 5 = node_remap. An in-bounds-looking but out-of-range
   // base id (not kInvalidNode, so it is "mapped").
   std::vector<char> crafted = bytes;
-  PatchWithValidChecksums<uint32_t>(
-      crafted, *info, 5, 0, static_cast<uint32_t>(g1.NumNodes() + 100));
+  testing::PatchSectionWithValidChecksums(
+      crafted, 5, 0, static_cast<uint32_t>(g1.NumNodes() + 100));
   ExpectCraftedCorruption(g1, crafted, path, "out of range");
   // Two next nodes claiming one base node: not injective.
   crafted = bytes;
-  PatchWithValidChecksums<uint32_t>(crafted, *info, 5, 0, 0);
-  PatchWithValidChecksums<uint32_t>(crafted, *info, 5, 1, 0);
+  testing::PatchSectionWithValidChecksums(crafted, 5, 0, uint32_t{0});
+  testing::PatchSectionWithValidChecksums(crafted, 5, sizeof(uint32_t),
+                                          uint32_t{0});
   ExpectCraftedCorruption(g1, crafted, path, "injective");
   std::remove(path.c_str());
 }
@@ -491,11 +467,12 @@ TEST(DeltaStoreTest, RejectsNonMonotoneOrOutOfBoundsRuns) {
   // Section 6 = removed_runs, 7 = kept_runs; entries are {start, count}
   // u64 pairs. A start far past the base triple list:
   std::vector<char> crafted = bytes;
-  PatchWithValidChecksums<uint64_t>(crafted, *info, 6, 0, uint64_t{1} << 40);
+  testing::PatchSectionWithValidChecksums(crafted, 6, 0, uint64_t{1} << 40);
   ExpectCraftedCorruption(g1, crafted, path, "out of bounds");
   // A count overflowing the base triple list:
   crafted = bytes;
-  PatchWithValidChecksums<uint64_t>(crafted, *info, 6, 1, uint64_t{1} << 40);
+  testing::PatchSectionWithValidChecksums(crafted, 6, sizeof(uint64_t),
+                                          uint64_t{1} << 40);
   ExpectCraftedCorruption(g1, crafted, path, "out of bounds");
   // A kept run whose start collides with a removed base triple: the runs
   // no longer partition the base triple list.
@@ -505,11 +482,12 @@ TEST(DeltaStoreTest, RejectsNonMonotoneOrOutOfBoundsRuns) {
     std::memcpy(&v, bytes.data() + info->sections[6].offset, sizeof(v));
     return v;
   }();
-  PatchWithValidChecksums<uint64_t>(crafted, *info, 7, 0, removed_start);
+  testing::PatchSectionWithValidChecksums(crafted, 7, 0, removed_start);
   ExpectCraftedCorruption(g1, crafted, path, "");
   // An empty run is malformed.
   crafted = bytes;
-  PatchWithValidChecksums<uint64_t>(crafted, *info, 6, 1, 0);
+  testing::PatchSectionWithValidChecksums(crafted, 6, sizeof(uint64_t),
+                                          uint64_t{0});
   ExpectCraftedCorruption(g1, crafted, path, "");
   std::remove(path.c_str());
 }
@@ -525,35 +503,14 @@ TEST(DeltaStoreTest, RejectsOutOfRangeTermSourcesAndAddedTriples) {
   ASSERT_GT(info->next_terms, 0u);
   // Section 0 = term_sources: a base term reference past base_terms.
   std::vector<char> crafted = bytes;
-  PatchWithValidChecksums<uint32_t>(
-      crafted, *info, 0, 0,
-      static_cast<uint32_t>(info->base_terms + 7));
+  testing::PatchSectionWithValidChecksums(
+      crafted, 0, 0, static_cast<uint32_t>(info->base_terms + 7));
   ExpectCraftedCorruption(g1, crafted, path, "out of range");
   // Section 8 = added_triples: a subject id past next_nodes.
   crafted = bytes;
-  PatchWithValidChecksums<uint32_t>(
-      crafted, *info, 8, 0,
-      static_cast<uint32_t>(info->next_nodes + 9));
+  testing::PatchSectionWithValidChecksums(
+      crafted, 8, 0, static_cast<uint32_t>(info->next_nodes + 9));
   ExpectCraftedCorruption(g1, crafted, path, "");
-  std::remove(path.c_str());
-}
-
-// The --no-dict-compress escape hatch: raw-mode deltas carry the
-// version-1 layout (no prefix-lens section) and still apply to the same
-// next graph, bit-identically.
-TEST(DeltaStoreTest, RawModeWritesVersion1) {
-  auto [g1, g2] = testing::RandomEvolvingPair(13);
-  const std::string path = TempPath("raw.delta");
-  store::StoreWriteOptions raw{.compress_dict = false};
-  ASSERT_TRUE(
-      WriteDelta(g1, g2, AlignMap(g1, g2), path, nullptr, raw).ok());
-  auto info = ReadDeltaInfo(path);
-  ASSERT_TRUE(info.ok()) << info.status();
-  EXPECT_EQ(info->version, store::kDeltaFormatVersion);
-  EXPECT_EQ(info->sections.size(), store::kNumDeltaSections);
-  auto applied = ApplyDelta(g1, path, nullptr);
-  ASSERT_TRUE(applied.ok()) << applied.status();
-  EXPECT_TRUE(GraphsBitIdentical(g2, *applied));
   std::remove(path.c_str());
 }
 
@@ -571,11 +528,12 @@ TEST(DeltaStoreTest, RejectsCraftedFrontCodedPrefixTable) {
   ASSERT_EQ(info->version, store::kDeltaFormatVersionFrontCoded);
   // Entry 0 is a restart point; its prefix length must be zero.
   std::vector<char> crafted = bytes;
-  PatchWithValidChecksums<uint32_t>(crafted, *info, 9, 0, 1);
+  testing::PatchSectionWithValidChecksums(crafted, 9, 0, uint32_t{1});
   ExpectCraftedCorruption(g1, crafted, path, "restart");
   // Entry 1 claims a prefix far longer than any previous term.
   crafted = bytes;
-  PatchWithValidChecksums<uint32_t>(crafted, *info, 9, 1, 0x10000);
+  testing::PatchSectionWithValidChecksums(crafted, 9, sizeof(uint32_t),
+                                          uint32_t{0x10000});
   ExpectCraftedCorruption(g1, crafted, path, "prefix");
   std::remove(path.c_str());
 }
@@ -734,6 +692,43 @@ TEST(DeltaStoreTest, ArchiveRejectsCorruption) {
   // Junk.
   WriteFileBytes(path, std::vector<char>(256, 'z'));
   EXPECT_TRUE(store::LoadArchive(path).status().IsInvalidArgument());
+  std::remove(path.c_str());
+}
+
+// A crafted archive (checksums resealed) whose last entity column is one
+// id short of its version's node count: the container is well formed,
+// so only the entity-column check can reject it.
+TEST(DeltaStoreTest, ArchiveRejectsShortEntityColumn) {
+  std::vector<TripleGraph> chain = testing::RandomEvolvingChain(43, 2);
+  VersionArchive archive;
+  for (const TripleGraph& g : chain) {
+    ASSERT_TRUE(archive.Append(g).ok());
+  }
+  const std::string path = TempPath("short_entities.archive");
+  ASSERT_TRUE(store::SaveArchive(archive, path).ok());
+  std::vector<char> bytes = ReadFileBytes(path);
+  const size_t last = 2 * chain.size() - 1;
+  const size_t size_field = testing::SectionEntryOffset(bytes.data(), last) +
+                            offsetof(store::SectionEntry, size);
+  uint64_t size = 0;
+  std::memcpy(&size, bytes.data() + size_field, sizeof(size));
+  ASSERT_GE(size, sizeof(EntityId));
+  size -= sizeof(EntityId);
+  std::memcpy(bytes.data() + size_field, &size, sizeof(size));
+  bytes.resize(bytes.size() - sizeof(EntityId));
+  const uint64_t file_size = bytes.size();
+  std::memcpy(bytes.data() + offsetof(store::ArchiveHeader, file_size),
+              &file_size, sizeof(file_size));
+  testing::ResealContainer(bytes.data(), bytes.size());
+  WriteFileBytes(path, bytes);
+
+  ASSERT_TRUE(store::ReadArchiveInfo(path).ok());
+  auto loaded = store::LoadArchive(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status();
+  EXPECT_NE(loaded.status().message().find("entity column"),
+            std::string::npos)
+      << loaded.status();
   std::remove(path.c_str());
 }
 

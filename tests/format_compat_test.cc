@@ -1,16 +1,17 @@
 // Backward-compatibility pins for the version-1 (raw dictionary) store
-// formats. The fixtures in tests/data/ were produced by a pre-front-coding
-// build of the CLI (`rdfalign build/diff/updates/archive`) and are
-// committed verbatim; this suite proves that the current build still
-// reads every one of them bit-identically, and that the
-// --no-dict-compress escape hatch reproduces the version-1 snapshot
-// bytes exactly. If any of these tests start failing, the format
+// formats. Version 1 is read-only: the fixtures in tests/data/ were
+// produced by a pre-front-coding build of the CLI (`rdfalign
+// build/diff/updates/archive`) and are committed verbatim; this suite
+// proves that the current build still reads every one of them
+// bit-identically, through every load path, and that a crafted v1 term
+// table is rejected. If any of these tests start failing, the format
 // compatibility promise of docs/store.md is broken.
 //
 // RDFALIGN_SOURCE_DIR is injected by CMake so the suite can run from any
 // build directory.
 
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -24,6 +25,7 @@
 #include "store/snapshot.h"
 #include "store/update_fragment.h"
 #include "test_util.h"
+#include "util/status.h"
 
 namespace rdfalign {
 namespace {
@@ -87,23 +89,77 @@ TEST(FormatCompatTest, V1SnapshotsStillLoad) {
   EXPECT_TRUE(BitIdentical(*next_parsed, *next));
 }
 
-// --no-dict-compress writes the exact bytes the pre-change build wrote:
-// re-encoding the parsed .nt fixture in raw mode must reproduce the
-// checked-in v1 snapshot byte for byte.
-TEST(FormatCompatTest, RawModeReproducesV1BytesExactly) {
-  for (const char* stem : {"base", "next"}) {
-    SCOPED_TRACE(stem);
-    auto parsed = ParseNTriplesFile(
-        DataPath(std::string("fixture_") + stem + ".nt"), nullptr);
-    ASSERT_TRUE(parsed.ok()) << parsed.status();
-    const std::string out = TempPath(std::string(stem) + ".snap");
-    store::StoreWriteOptions raw{.compress_dict = false};
-    ASSERT_TRUE(store::WriteSnapshot(*parsed, out, raw).ok());
-    EXPECT_EQ(ReadAllBytes(out),
-              ReadAllBytes(DataPath(std::string("fixture_") + stem +
-                                    "_v1.snap")));
-    std::remove(out.c_str());
+// Every load path reads the v1 snapshot to the graph the .nt fixture
+// parses to: buffered or mmap, checksums on or off, into a fresh or a
+// shared (already populated) dictionary.
+TEST(FormatCompatTest, V1SnapshotLoadsEveryWay) {
+  auto parsed = ParseNTriplesFile(DataPath("fixture_base.nt"), nullptr);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  for (bool mmap : {false, true}) {
+    for (bool verify : {false, true}) {
+      for (bool shared : {false, true}) {
+        SCOPED_TRACE(::testing::Message() << "mmap " << mmap << " verify "
+                                          << verify << " shared " << shared);
+        std::shared_ptr<Dictionary> dict;
+        if (shared) {
+          dict = std::make_shared<Dictionary>();
+          auto other = store::LoadSnapshot(DataPath("fixture_next_v1.snap"),
+                                           dict);
+          ASSERT_TRUE(other.ok()) << other.status();
+        }
+        store::SnapshotLoadOptions options;
+        options.use_mmap = mmap;
+        options.verify_checksums = verify;
+        store::SnapshotLoadStats stats;
+        auto loaded = store::LoadSnapshot(DataPath("fixture_base_v1.snap"),
+                                          dict, options, &stats);
+        ASSERT_TRUE(loaded.ok()) << loaded.status();
+        EXPECT_TRUE(BitIdentical(*parsed, *loaded));
+        EXPECT_EQ(stats.identity_term_map, !shared);
+        EXPECT_EQ(stats.used_mmap, mmap);
+      }
+    }
   }
+}
+
+/// Reads `name`, breaks the monotonicity of its v1 term-offset table
+/// (payload `section`, entry 1) with the checksums resealed, writes the
+/// result and returns its path.
+std::string CraftV1TermOffsetDefect(const std::string& name,
+                                    size_t section) {
+  std::vector<char> bytes = ReadAllBytes(DataPath(name));
+  testing::PatchSectionWithValidChecksums(bytes, section, sizeof(uint64_t),
+                                          uint64_t{1} << 40);
+  const std::string path = TempPath(name);
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  EXPECT_TRUE(out) << path;
+  return path;
+}
+
+// One crafted v1 term-table defect per dictionary-bearing format: the
+// container is intact, so only the v1 geometry check can reject it.
+TEST(FormatCompatTest, V1TermOffsetDefectsAreCorruption) {
+  auto base = store::LoadSnapshot(DataPath("fixture_base_v1.snap"), nullptr);
+  ASSERT_TRUE(base.ok()) << base.status();
+  const auto expect_corruption = [](const Status& st) {
+    EXPECT_TRUE(st.IsCorruption()) << st;
+    EXPECT_NE(st.message().find("term offsets not monotonic"),
+              std::string::npos)
+        << st;
+  };
+  // Section 0 = term_offsets (snapshot, fragment); 1 = new_term_offsets.
+  const std::string snap = CraftV1TermOffsetDefect("fixture_base_v1.snap", 0);
+  for (bool mmap : {false, true}) {
+    store::SnapshotLoadOptions options;
+    options.use_mmap = mmap;
+    expect_corruption(store::LoadSnapshot(snap, nullptr, options).status());
+  }
+  const std::string delta = CraftV1TermOffsetDefect("fixture_v1.delta", 1);
+  expect_corruption(store::ApplyDelta(*base, delta, nullptr).status());
+  const std::string frag = CraftV1TermOffsetDefect("fixture_v1.rdfu", 0);
+  expect_corruption(store::ReadUpdateFile(frag).status());
+  for (const std::string& p : {snap, delta, frag}) std::remove(p.c_str());
 }
 
 // A v1 snapshot survives a load -> compressed (v2) save -> load cycle

@@ -126,50 +126,40 @@ TEST(SnapshotStoreTest, RoundTripsEmptyGraph) {
 }
 
 // save(load(save(G))) is byte-identical to save(G): loading renumbers
-// nothing, and saving a loaded graph reproduces the file — in both the
-// front-coded default and the raw version-1 mode.
+// nothing, and saving a loaded graph reproduces the file.
 TEST(SnapshotStoreTest, ResaveIsByteIdentical) {
-  for (bool compress : {true, false}) {
-    const store::StoreWriteOptions write{.compress_dict = compress};
-    for (uint64_t seed = 1; seed <= 10; ++seed) {
-      testing::RandomGraphOptions options;
-      options.seed = seed;
-      TripleGraph g = testing::RandomGraph(options);
-      const std::string path1 = TempPath("first.snap");
-      const std::string path2 = TempPath("second.snap");
-      ASSERT_TRUE(WriteSnapshot(g, path1, write).ok());
-      auto loaded = LoadSnapshot(path1, nullptr);
-      ASSERT_TRUE(loaded.ok()) << loaded.status();
-      ASSERT_TRUE(WriteSnapshot(*loaded, path2, write).ok());
-      EXPECT_EQ(ReadFileBytes(path1), ReadFileBytes(path2))
-          << "seed " << seed << " compress " << compress;
-      std::remove(path1.c_str());
-      std::remove(path2.c_str());
-    }
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    testing::RandomGraphOptions options;
+    options.seed = seed;
+    TripleGraph g = testing::RandomGraph(options);
+    const std::string path1 = TempPath("first.snap");
+    const std::string path2 = TempPath("second.snap");
+    ASSERT_TRUE(WriteSnapshot(g, path1).ok());
+    auto loaded = LoadSnapshot(path1, nullptr);
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    ASSERT_TRUE(WriteSnapshot(*loaded, path2).ok());
+    EXPECT_EQ(ReadFileBytes(path1), ReadFileBytes(path2)) << "seed " << seed;
+    std::remove(path1.c_str());
+    std::remove(path2.c_str());
   }
 }
 
 // The point of front coding: on prefix-heavy graphs (IRIs share
-// namespaces by construction) the compressed snapshot is strictly
-// smaller than the raw one, and both load to the same graph.
+// namespaces by construction) the front-coded snapshot is strictly
+// smaller than the raw version-1 snapshot of the same graph (the
+// committed fixture), and both load to the same graph.
 TEST(SnapshotStoreTest, CompressedSnapshotIsSmaller) {
-  testing::RandomGraphOptions options;
-  options.seed = 3;
-  options.uris = 40;
-  options.edges = 120;
-  TripleGraph g = testing::RandomGraph(options);
+  const std::string raw =
+      std::string(RDFALIGN_SOURCE_DIR) + "/tests/data/fixture_base_v1.snap";
+  auto from_raw = LoadSnapshot(raw, nullptr);
+  ASSERT_TRUE(from_raw.ok()) << from_raw.status();
   const std::string compressed = TempPath("fc.snap");
-  const std::string raw = TempPath("raw.snap");
-  ASSERT_TRUE(WriteSnapshot(g, compressed).ok());
-  ASSERT_TRUE(WriteSnapshot(g, raw, {.compress_dict = false}).ok());
+  ASSERT_TRUE(WriteSnapshot(*from_raw, compressed).ok());
   EXPECT_LT(ReadFileBytes(compressed).size(), ReadFileBytes(raw).size());
   auto from_fc = LoadSnapshot(compressed, nullptr);
-  auto from_raw = LoadSnapshot(raw, nullptr);
   ASSERT_TRUE(from_fc.ok()) << from_fc.status();
-  ASSERT_TRUE(from_raw.ok()) << from_raw.status();
   EXPECT_TRUE(LabeledGraphsEqual(*from_fc, *from_raw));
   std::remove(compressed.c_str());
-  std::remove(raw.c_str());
 }
 
 TEST(SnapshotStoreTest, RandomGraphsRoundTripBothPaths) {
@@ -258,21 +248,6 @@ TEST(SnapshotStoreTest, InfoReportsCounts) {
   EXPECT_EQ(info->num_nodes, g.NumNodes());
   EXPECT_EQ(info->num_triples, g.NumEdges());
   EXPECT_EQ(info->sections.size(), store::kNumSectionsV2);
-  std::remove(path.c_str());
-}
-
-// The --no-dict-compress escape hatch writes the raw version-1 layout.
-TEST(SnapshotStoreTest, RawModeWritesVersion1) {
-  TripleGraph g = MixedGraph();
-  const std::string path = TempPath("raw.snap");
-  ASSERT_TRUE(WriteSnapshot(g, path, {.compress_dict = false}).ok());
-  auto info = ReadSnapshotInfo(path);
-  ASSERT_TRUE(info.ok()) << info.status();
-  EXPECT_EQ(info->version, store::kFormatVersion);
-  EXPECT_EQ(info->sections.size(), store::kNumSections);
-  auto loaded = LoadSnapshot(path, nullptr);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_TRUE(LabeledGraphsEqual(g, *loaded));
   std::remove(path.c_str());
 }
 
@@ -367,41 +342,6 @@ TEST(SnapshotStoreTest, RejectsBitFlips) {
   std::remove(path.c_str());
 }
 
-/// Overwrites `len` bytes at `byte_offset` within section `sec_index`,
-/// then recomputes the section checksum and the header checksum so the
-/// file models a deliberately crafted snapshot (all checksums match)
-/// rather than bit rot — only structural validation can reject it.
-void PatchBytesWithValidChecksums(std::vector<char>& bytes,
-                                  const store::SnapshotInfo& info,
-                                  size_t sec_index, size_t byte_offset,
-                                  const void* data, size_t len) {
-  const auto& sec = info.sections[sec_index];
-  std::memcpy(bytes.data() + sec.offset + byte_offset, data, len);
-  const uint64_t sec_checksum =
-      store::Checksum64(bytes.data() + sec.offset, sec.size);
-  const size_t entry_pos = sizeof(store::SnapshotHeader) +
-                           sec_index * sizeof(store::SectionEntry) +
-                           offsetof(store::SectionEntry, checksum);
-  std::memcpy(bytes.data() + entry_pos, &sec_checksum, sizeof(sec_checksum));
-  // Header checksum covers header + table with its own field zeroed.
-  const size_t hc_pos = offsetof(store::SnapshotHeader, header_checksum);
-  const uint64_t zero = 0;
-  std::memcpy(bytes.data() + hc_pos, &zero, sizeof(zero));
-  const uint64_t hc = store::Checksum64(
-      bytes.data(), sizeof(store::SnapshotHeader) +
-                        info.sections.size() * sizeof(store::SectionEntry));
-  std::memcpy(bytes.data() + hc_pos, &hc, sizeof(hc));
-}
-
-void PatchU64WithValidChecksums(std::vector<char>& bytes,
-                                const store::SnapshotInfo& info,
-                                size_t sec_index, uint64_t entry_index,
-                                uint64_t value) {
-  PatchBytesWithValidChecksums(bytes, info, sec_index,
-                               entry_index * sizeof(uint64_t), &value,
-                               sizeof(value));
-}
-
 // Regression: an offsets entry pointing far past its payload while the
 // array endpoints stay plausible (out_offsets = [0, HUGE, ..., e]) must be
 // rejected before any entry is used to index triples/out_pairs/in_subjects
@@ -418,8 +358,9 @@ TEST(SnapshotStoreTest, RejectsOutOfBoundsOffsetEntries) {
   // Section index 5 = out_offsets, 7 = in_offsets.
   for (size_t sec_index : {size_t{5}, size_t{7}}) {
     std::vector<char> crafted = bytes;
-    PatchU64WithValidChecksums(crafted, *info, sec_index, 1,
-                               uint64_t{1} << 40);
+    testing::PatchSectionWithValidChecksums(crafted, sec_index,
+                                            sizeof(uint64_t),
+                                            uint64_t{1} << 40);
     WriteFileBytes(path, crafted);
     for (bool mmap : {false, true}) {
       for (bool verify : {false, true}) {
@@ -456,9 +397,8 @@ TEST(SnapshotStoreTest, RejectsCraftedFrontCodedPrefixTable) {
   // A restart term (index 0) with a nonzero prefix length.
   {
     std::vector<char> crafted = bytes;
-    const uint32_t bogus = 1;
-    PatchBytesWithValidChecksums(crafted, *info, /*sec_index=*/9,
-                                 /*byte_offset=*/0, &bogus, sizeof(bogus));
+    testing::PatchSectionWithValidChecksums(crafted, /*section=*/9,
+                                            /*byte_offset=*/0, uint32_t{1});
     WriteFileBytes(path, crafted);
     auto loaded = LoadSnapshot(path, nullptr);
     ASSERT_FALSE(loaded.ok());
@@ -470,10 +410,9 @@ TEST(SnapshotStoreTest, RejectsCraftedFrontCodedPrefixTable) {
   // A prefix length longer than the previous term can supply.
   {
     std::vector<char> crafted = bytes;
-    const uint32_t bogus = 0x10000;
-    PatchBytesWithValidChecksums(crafted, *info, /*sec_index=*/9,
-                                 /*byte_offset=*/sizeof(uint32_t), &bogus,
-                                 sizeof(bogus));
+    testing::PatchSectionWithValidChecksums(
+        crafted, /*section=*/9, /*byte_offset=*/sizeof(uint32_t),
+        uint32_t{0x10000});
     WriteFileBytes(path, crafted);
     auto loaded = LoadSnapshot(path, nullptr);
     ASSERT_FALSE(loaded.ok());
@@ -485,9 +424,8 @@ TEST(SnapshotStoreTest, RejectsCraftedFrontCodedPrefixTable) {
   // Checksums-off loads must reject both the same way.
   {
     std::vector<char> crafted = bytes;
-    const uint32_t bogus = 7;
-    PatchBytesWithValidChecksums(crafted, *info, /*sec_index=*/9,
-                                 /*byte_offset=*/0, &bogus, sizeof(bogus));
+    testing::PatchSectionWithValidChecksums(crafted, /*section=*/9,
+                                            /*byte_offset=*/0, uint32_t{7});
     WriteFileBytes(path, crafted);
     SnapshotLoadOptions load;
     load.verify_checksums = false;
@@ -511,8 +449,8 @@ TEST(SnapshotStoreTest, RejectsCraftedFrontCodedOffsets) {
   // Section index 0 = term_offsets (suffix offsets in v2). Entry 1 far
   // past the blob breaks the span-and-monotonic invariant.
   std::vector<char> crafted = bytes;
-  PatchU64WithValidChecksums(crafted, *info, /*sec_index=*/0, 1,
-                             uint64_t{1} << 40);
+  testing::PatchSectionWithValidChecksums(crafted, /*section=*/0,
+                                          sizeof(uint64_t), uint64_t{1} << 40);
   WriteFileBytes(path, crafted);
   auto loaded = LoadSnapshot(path, nullptr);
   ASSERT_FALSE(loaded.ok());
@@ -542,10 +480,8 @@ TEST(SnapshotStoreTest, RejectsCraftedNonAscendingTerms) {
   std::memcpy(&suffix_start,
               bytes.data() + info->sections[0].offset + sizeof(uint64_t),
               sizeof(suffix_start));
-  const unsigned char bogus = 0x00;
-  PatchBytesWithValidChecksums(bytes, *info, /*sec_index=*/1,
-                               static_cast<size_t>(suffix_start), &bogus,
-                               sizeof(bogus));
+  testing::PatchSectionWithValidChecksums(bytes, /*section=*/1, suffix_start,
+                                          static_cast<unsigned char>(0x00));
   WriteFileBytes(path, bytes);
   auto loaded = LoadSnapshot(path, nullptr);
   ASSERT_FALSE(loaded.ok());

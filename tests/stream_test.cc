@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
 #include <set>
 #include <string>
@@ -120,6 +121,43 @@ TEST(UpdateFragmentTest, RejectsCorruptionAnywhere) {
       EXPECT_EQ(d->nodes[i].lex, built->nodes[i].lex) << "pos=" << pos;
     }
   }
+}
+
+// Crafted fragments (checksums resealed, so only structural validation
+// can object): a node referencing a term past the dictionary, and a
+// retired node outside the existing-reference range.
+TEST(UpdateFragmentTest, RejectsCraftedReferences) {
+  auto [g1, g2] = testing::Fig3Graphs();
+  Result<UpdateBatch> built = BuildUpdateBatch(g1, g2, 1);
+  ASSERT_TRUE(built.ok());
+  ASSERT_FALSE(built->removed_nodes.empty());
+  Result<std::string> bytes = EncodeUpdateBatch(*built);
+  ASSERT_TRUE(bytes.ok());
+  const auto header = [&bytes] {
+    store::UpdateHeader h;
+    std::memcpy(&h, bytes->data(), sizeof(h));
+    return h;
+  }();
+  // Section 3 = node_lex: node 0's term index set to num_terms.
+  std::string crafted = *bytes;
+  testing::PatchSectionWithValidChecksums(
+      crafted, 3, 0, static_cast<uint32_t>(header.num_terms));
+  Result<UpdateBatch> d = DecodeUpdateBatch(crafted, "t");
+  ASSERT_FALSE(d.ok());
+  EXPECT_TRUE(d.status().IsCorruption()) << d.status();
+  EXPECT_NE(d.status().message().find("missing term"), std::string::npos)
+      << d.status();
+  // Section 4 = removed_nodes: the first retired reference set past the
+  // reference table.
+  crafted = *bytes;
+  testing::PatchSectionWithValidChecksums(
+      crafted, 4, 0, static_cast<uint32_t>(header.num_refs));
+  d = DecodeUpdateBatch(crafted, "t");
+  ASSERT_FALSE(d.ok());
+  EXPECT_TRUE(d.status().IsCorruption()) << d.status();
+  EXPECT_NE(d.status().message().find("existing-reference range"),
+            std::string::npos)
+      << d.status();
 }
 
 TEST(UpdateFragmentTest, ApplyRejectsUnresolvableReference) {

@@ -6,6 +6,8 @@
 #include <unordered_map>
 
 #include "gen/textgen.h"
+#include "store/format.h"
+#include "store/update_fragment.h"
 
 namespace rdfalign::testing {
 
@@ -288,6 +290,59 @@ CombinedGraph Combine(const TripleGraph& g1, const TripleGraph& g2) {
     std::abort();
   }
   return std::move(result).value();
+}
+
+namespace {
+
+/// Header size of the container format named by the image's magic.
+size_t HeaderSize(const char* image) {
+  const auto is = [image](const std::array<char, 8>& magic) {
+    return std::memcmp(image, magic.data(), magic.size()) == 0;
+  };
+  if (is(store::kMagic)) return sizeof(store::SnapshotHeader);
+  if (is(store::kDeltaMagic)) return sizeof(store::DeltaHeader);
+  if (is(store::kUpdateMagic)) return sizeof(store::UpdateHeader);
+  if (is(store::kArchiveMagic)) return sizeof(store::ArchiveHeader);
+  std::fprintf(stderr, "not a store container image\n");
+  std::abort();
+}
+
+uint64_t LoadU64(const char* p) {
+  uint64_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+}  // namespace
+
+size_t SectionEntryOffset(const char* image, size_t section) {
+  return HeaderSize(image) + section * sizeof(store::SectionEntry);
+}
+
+uint64_t SectionPayloadOffset(const char* image, size_t section) {
+  return LoadU64(image + SectionEntryOffset(image, section) +
+                 offsetof(store::SectionEntry, offset));
+}
+
+void ResealContainer(char* image, size_t size) {
+  const size_t header = HeaderSize(image);
+  // Every header ends with {num_sections, file_size, header_checksum}.
+  const uint64_t count = LoadU64(image + header - 24);
+  for (uint64_t s = 0; s < count; ++s) {
+    const size_t entry = SectionEntryOffset(image, s);
+    const uint64_t offset =
+        LoadU64(image + entry + offsetof(store::SectionEntry, offset));
+    const uint64_t len =
+        LoadU64(image + entry + offsetof(store::SectionEntry, size));
+    if (offset > size || len > size - offset) continue;  // crafted geometry
+    const uint64_t sum = store::Checksum64(image + offset, len);
+    std::memcpy(image + entry + offsetof(store::SectionEntry, checksum), &sum,
+                sizeof(sum));
+  }
+  std::memset(image + header - 8, 0, 8);
+  const uint64_t hc = store::Checksum64(
+      image, header + count * sizeof(store::SectionEntry));
+  std::memcpy(image + header - 8, &hc, sizeof(hc));
 }
 
 }  // namespace rdfalign::testing

@@ -1,10 +1,15 @@
-// Shared test fixtures: the paper's worked-example graphs (Figs. 1, 2, 3, 7)
-// and random RDF graph generators for property tests.
+// Shared test fixtures: the paper's worked-example graphs (Figs. 1, 2, 3, 7),
+// random RDF graph generators for property tests, and the crafted-file
+// helpers of the store corruption tests.
 
 #ifndef RDFALIGN_TESTS_TEST_UTIL_H_
 #define RDFALIGN_TESTS_TEST_UTIL_H_
 
+#include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <memory>
+#include <type_traits>
 #include <utility>
 
 #include "rdf/graph.h"
@@ -61,6 +66,31 @@ std::vector<TripleGraph> RandomEvolvingChain(
 
 /// CombinedGraph convenience (CHECK-fails on error).
 CombinedGraph Combine(const TripleGraph& g1, const TripleGraph& g2);
+
+/// Recomputes every section checksum and the header checksum of a store
+/// container image (snapshot, delta, update fragment or archive, told
+/// apart by the magic) after its bytes were edited, so the image models a
+/// deliberately crafted file rather than bit rot.
+void ResealContainer(char* image, size_t size);
+
+/// Byte offset of section-table entry `section` in a container image.
+size_t SectionEntryOffset(const char* image, size_t section);
+
+/// Payload offset of `section` as recorded in the image's table.
+uint64_t SectionPayloadOffset(const char* image, size_t section);
+
+/// Overwrites sizeof(T) bytes at `byte_offset` within payload `section`
+/// of a container image and reseals it: only structural validation can
+/// reject the result. `Bytes` is std::vector<char> or std::string.
+template <typename Bytes, typename T>
+void PatchSectionWithValidChecksums(Bytes& bytes, size_t section,
+                                    uint64_t byte_offset, T value) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  std::memcpy(bytes.data() + SectionPayloadOffset(bytes.data(), section) +
+                  byte_offset,
+              &value, sizeof(value));
+  ResealContainer(bytes.data(), bytes.size());
+}
 
 }  // namespace rdfalign::testing
 

@@ -587,7 +587,7 @@ class VerbsGoldenDaemonTest : public ::testing::Test {
 struct FlagCase {
   std::vector<std::string> verb_and_positionals;
   std::vector<std::string> accepted;  ///< each one parses (exit != 2)
-  std::string rejected;               ///< exits 2 as an unknown flag
+  std::vector<std::string> rejected;  ///< each exits 2 as an unknown flag
 };
 
 // Every verb's exact accepted-flag set. Positional paths do not exist, so
@@ -597,36 +597,35 @@ TEST_F(VerbsGoldenDaemonTest, AcceptedFlagSets) {
   const std::string gen_prefix = prefix + "_g";
   const FlagCase cases[] = {
       {{"build", "/nonexistent/a.nt", "/nonexistent/a.snap"},
-       {"--format=turtle", "--threads=2", "--json", "--no-dict-compress"},
-       "--no-verify-checksums"},
+       {"--format=turtle", "--threads=2", "--json"},
+       {"--no-verify-checksums", "--no-dict-compress"}},
       {{"info", "/nonexistent/a.snap"},
        {"--json", "--threads=2", "--mmap", "--no-verify-checksums"},
-       "--no-dict-compress"},
+       {"--no-dict-compress"}},
       {{"align", "/nonexistent/a", "/nonexistent/b"},
        {"--method=trivial", "--threads=2", "--mmap", "--json",
         "--no-verify-checksums"},
-       "--no-dict-compress"},
+       {"--no-dict-compress"}},
       {{"diff", "/nonexistent/a", "/nonexistent/b", "/nonexistent/d"},
        {"--method=deblank", "--threads=2", "--mmap", "--json",
-        "--no-verify-checksums", "--no-dict-compress"},
-       "--seq=1"},
+        "--no-verify-checksums"},
+       {"--seq=1", "--no-dict-compress"}},
       {{"patch", "/nonexistent/a", "/nonexistent/d", "/nonexistent/r"},
-       {"--threads=2", "--mmap", "--json", "--no-verify-checksums",
-        "--no-dict-compress"},
-       "--method=hybrid"},
+       {"--threads=2", "--mmap", "--json", "--no-verify-checksums"},
+       {"--method=hybrid", "--no-dict-compress"}},
       {{"archive", "/nonexistent/o", "/nonexistent/a", "/nonexistent/b"},
        {"--method=overlap", "--threads=2", "--mmap", "--json",
-        "--no-verify-checksums", "--no-dict-compress"},
-       "--seq=1"},
+        "--no-verify-checksums"},
+       {"--seq=1", "--no-dict-compress"}},
       {{"gen", gen_prefix, "--scale=0.01", "--versions=1"},
        {"--scale=0.01", "--versions=1", "--seed=3", "--json"},
-       "--no-verify-checksums"},
-      {{"cache", "stats"}, {"--json"}, "--no-verify-checksums"},
+       {"--no-verify-checksums"}},
+      {{"cache", "stats"}, {"--json"}, {"--no-verify-checksums"}},
       {{"updates", "/nonexistent/a", "/nonexistent/b", "/nonexistent/u"},
        {"--seq=4", "--threads=2", "--mmap", "--json",
-        "--no-verify-checksums", "--no-dict-compress"},
-       "--method=deblank"},
-      {{"stats"}, {"--json"}, "--threads=1"},
+        "--no-verify-checksums"},
+       {"--method=deblank", "--no-dict-compress"}},
+      {{"stats"}, {"--json"}, {"--threads=1"}},
   };
   for (const FlagCase& c : cases) {
     const std::string& verb = c.verb_and_positionals[0];
@@ -638,13 +637,15 @@ TEST_F(VerbsGoldenDaemonTest, AcceptedFlagSets) {
                                    << resp.error;
       EXPECT_FALSE(resp.usage_error) << verb << " " << flag;
     }
-    std::vector<std::string> tokens = c.verb_and_positionals;
-    tokens.push_back(c.rejected);
-    const ClientResponse resp = Call(tokens);
-    EXPECT_EQ(resp.exit_code, 2) << verb << " " << c.rejected;
-    EXPECT_TRUE(resp.usage_error) << verb << " " << c.rejected;
-    const std::string name = c.rejected.substr(2, c.rejected.find('=') - 2);
-    EXPECT_EQ(resp.error, "rdfalign: unknown flag --" + name) << verb;
+    for (const std::string& flag : c.rejected) {
+      std::vector<std::string> tokens = c.verb_and_positionals;
+      tokens.push_back(flag);
+      const ClientResponse resp = Call(tokens);
+      EXPECT_EQ(resp.exit_code, 2) << verb << " " << flag;
+      EXPECT_TRUE(resp.usage_error) << verb << " " << flag;
+      const std::string name = flag.substr(2, flag.find('=') - 2);
+      EXPECT_EQ(resp.error, "rdfalign: unknown flag --" + name) << verb;
+    }
   }
   std::remove((gen_prefix + "1.nt").c_str());
 }
