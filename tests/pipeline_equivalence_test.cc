@@ -22,8 +22,10 @@
 #include "core/hybrid.h"
 #include "core/overlap_align.h"
 #include "gen/category_gen.h"
+#include "gen/efo_gen.h"
 #include "gen/textgen.h"
 #include "rdf/merge.h"
+#include "rdf/statistics.h"
 #include "util/random.h"
 #include "util/string_util.h"
 #include "pipeline_oracle.h"
@@ -238,13 +240,13 @@ TEST(MergeEquivalence, EmptySidesMerge) {
 
 /// Edge-alignment statistics and the delta of `p` equal the oracle's.
 void ExpectStatsAndDeltaMatchOracle(const CombinedGraph& cg,
-                                    const Partition& p) {
-  EdgeAlignmentStats flat_stats = ComputeEdgeAlignment(cg, p);
+                                    const Partition& p, size_t threads = 1) {
+  EdgeAlignmentStats flat_stats = ComputeEdgeAlignment(cg, p, threads);
   EdgeAlignmentStats legacy_stats = oracle::ComputeEdgeAlignment(cg, p);
   EXPECT_EQ(flat_stats.total_edges, legacy_stats.total_edges);
   EXPECT_EQ(flat_stats.aligned_edges, legacy_stats.aligned_edges);
 
-  RdfDelta flat_delta = ComputeDelta(cg, p);
+  RdfDelta flat_delta = ComputeDelta(cg, p, threads);
   RdfDelta legacy_delta = oracle::ComputeDelta(cg, p);
   EXPECT_EQ(flat_delta.unchanged, legacy_delta.unchanged);
   // added/deleted preserve triple order exactly.
@@ -489,6 +491,82 @@ TEST(GeneratedPipelineEquivalence, CategoryPairEveryPhase) {
   // Statistics and delta.
   ExpectStatsAndDeltaMatchOracle(cg, trivial);
   ExpectStatsAndDeltaMatchOracle(cg, hybrid);
+}
+
+/// Class sides, node-alignment counters and graph statistics equal the
+/// oracle's serial loops.
+void ExpectNodeStatsMatchOracle(const CombinedGraph& cg, const Partition& p,
+                                size_t threads) {
+  EXPECT_EQ(ComputeClassSides(cg, p, threads),
+            oracle::ComputeClassSides(cg, p));
+  const NodeAlignmentStats flat = ComputeNodeAlignment(cg, p, threads);
+  const NodeAlignmentStats legacy = oracle::ComputeNodeAlignment(cg, p);
+  EXPECT_EQ(flat.aligned_classes, legacy.aligned_classes);
+  EXPECT_EQ(flat.aligned_source_nodes, legacy.aligned_source_nodes);
+  EXPECT_EQ(flat.aligned_target_nodes, legacy.aligned_target_nodes);
+  EXPECT_EQ(flat.unaligned_source_nodes, legacy.unaligned_source_nodes);
+  EXPECT_EQ(flat.unaligned_target_nodes, legacy.unaligned_target_nodes);
+}
+
+void ExpectGraphStatisticsMatchOracle(const TripleGraph& g, size_t threads) {
+  const GraphStatistics flat = ComputeStatistics(g, threads);
+  const GraphStatistics legacy = oracle::ComputeStatistics(g);
+  EXPECT_EQ(flat.nodes, legacy.nodes);
+  EXPECT_EQ(flat.edges, legacy.edges);
+  EXPECT_EQ(flat.uris, legacy.uris);
+  EXPECT_EQ(flat.literals, legacy.literals);
+  EXPECT_EQ(flat.blanks, legacy.blanks);
+  EXPECT_EQ(flat.predicate_only_uris, legacy.predicate_only_uris);
+  EXPECT_EQ(flat.sinks, legacy.sinks);
+  EXPECT_EQ(flat.max_out_degree, legacy.max_out_degree);
+  EXPECT_EQ(flat.avg_out_degree, legacy.avg_out_degree);
+}
+
+// A blank-bearing EFO pair with at least 2^16 edges and 2^15 nodes. Every
+// chunked kernel (grain 2^15) splits it into several chunks, and the label
+// pass of ComputeEdgeAlignment drops blank-touching edges on both sides
+// and inside every chunk, so its per-chunk filtering runs across chunk
+// boundaries. Each kernel is checked against its oracle at 1 and 4
+// threads.
+TEST(GeneratedPipelineEquivalence, EfoPairWithBlanksAcrossChunks) {
+  gen::EfoOptions options;
+  options.initial_classes = 2500;
+  options.versions = 2;
+  options.seed = 7;
+  const gen::EfoChain chain = gen::EfoChain::Generate(options);
+  const TripleGraph& g1 = chain.Version(0);
+  const TripleGraph& g2 = chain.Version(1);
+  const size_t kGrain = size_t{1} << 15;
+  ASSERT_GE(g1.NumEdges() + g2.NumEdges(), 2 * kGrain);
+  ASSERT_GT(g1.NumNodes() + g2.NumNodes(), kGrain);
+  // Blank-touching edges in every 2^15-edge window of the combined list.
+  {
+    const CombinedGraph cg = CombinedGraph::Build(g1, g2).value();
+    const TripleGraph& g = cg.graph();
+    for (size_t begin = 0; begin < g.NumEdges(); begin += kGrain) {
+      const size_t end = std::min(begin + kGrain, g.NumEdges());
+      size_t blank_edges = 0;
+      for (size_t i = begin; i < end; ++i) {
+        const Triple& t = g.triples()[i];
+        if (g.IsBlank(t.s) || g.IsBlank(t.o)) ++blank_edges;
+      }
+      ASSERT_GT(blank_edges, 0u) << "window at " << begin;
+      ASSERT_LT(blank_edges, end - begin) << "window at " << begin;
+    }
+  }
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ExpectMergeMatchesOracle(g1, g2, threads);
+    const CombinedGraph cg = CombinedGraph::Build(g1, g2, threads).value();
+    ExpectGraphStatisticsMatchOracle(g1, threads);
+    ExpectGraphStatisticsMatchOracle(g2, threads);
+    ExpectGraphStatisticsMatchOracle(cg.graph(), threads);
+    for (const Partition& p :
+         {TrivialPartition(cg.graph()), HybridPartition(cg)}) {
+      ExpectStatsAndDeltaMatchOracle(cg, p, threads);
+      ExpectNodeStatsMatchOracle(cg, p, threads);
+    }
+  }
 }
 
 // The full overlap alignment (word interning through Dictionary, streamed

@@ -251,6 +251,72 @@ RdfDelta ComputeDelta(const CombinedGraph& cg, const Partition& p) {
   return delta;
 }
 
+std::vector<ClassSides> ComputeClassSides(const CombinedGraph& cg,
+                                          const Partition& p) {
+  std::vector<uint8_t> bits(p.NumColors(), 0);
+  for (NodeId n = 0; n < p.NumNodes(); ++n) {
+    bits[p.ColorOf(n)] |= cg.InSource(n) ? 1 : 2;
+  }
+  std::vector<ClassSides> out(bits.size());
+  for (size_t i = 0; i < bits.size(); ++i) {
+    out[i] = static_cast<ClassSides>(bits[i]);
+  }
+  return out;
+}
+
+NodeAlignmentStats ComputeNodeAlignment(const CombinedGraph& cg,
+                                        const Partition& p) {
+  std::vector<ClassSides> sides = oracle::ComputeClassSides(cg, p);
+  NodeAlignmentStats stats;
+  for (const ClassSides s : sides) {
+    if (s == ClassSides::kBoth) ++stats.aligned_classes;
+  }
+  for (NodeId n = 0; n < p.NumNodes(); ++n) {
+    bool aligned = sides[p.ColorOf(n)] == ClassSides::kBoth;
+    if (cg.InSource(n)) {
+      aligned ? ++stats.aligned_source_nodes : ++stats.unaligned_source_nodes;
+    } else {
+      aligned ? ++stats.aligned_target_nodes : ++stats.unaligned_target_nodes;
+    }
+  }
+  return stats;
+}
+
+GraphStatistics ComputeStatistics(const TripleGraph& g) {
+  GraphStatistics s;
+  s.nodes = g.NumNodes();
+  s.edges = g.NumEdges();
+  const size_t n = g.NumNodes();
+  std::vector<uint8_t> as_subject_or_object(n, 0);
+  std::vector<uint8_t> as_predicate(n, 0);
+  for (const Triple& t : g.triples()) {
+    as_subject_or_object[t.s] = 1;
+    as_subject_or_object[t.o] = 1;
+    as_predicate[t.p] = 1;
+  }
+  for (NodeId i = 0; i < n; ++i) {
+    switch (g.KindOf(i)) {
+      case TermKind::kUri:
+        ++s.uris;
+        if (as_predicate[i] && !as_subject_or_object[i]) {
+          ++s.predicate_only_uris;
+        }
+        break;
+      case TermKind::kLiteral:
+        ++s.literals;
+        break;
+      case TermKind::kBlank:
+        ++s.blanks;
+        break;
+    }
+    size_t deg = g.OutDegree(i);
+    if (deg == 0) ++s.sinks;
+    if (deg > s.max_out_degree) s.max_out_degree = deg;
+  }
+  s.avg_out_degree = n == 0 ? 0.0 : static_cast<double>(s.edges) / n;
+  return s;
+}
+
 std::vector<std::pair<NodeId, NodeId>> EnumerateAlignedPairs(
     const CombinedGraph& cg, const Partition& p, size_t limit) {
   std::unordered_map<ColorId,

@@ -22,6 +22,7 @@
 #include "core/overlap.h"
 #include "core/partition.h"
 #include "rdf/merge.h"
+#include "rdf/statistics.h"
 #include "util/result.h"
 
 namespace rdfalign::oracle {
@@ -59,6 +60,18 @@ EdgeAlignmentStats ComputeEdgeAlignment(const CombinedGraph& cg,
 
 /// The old hash-multiset delta.
 RdfDelta ComputeDelta(const CombinedGraph& cg, const Partition& p);
+
+/// The serial side-bit loop that ComputeClassSides ran at threads=1.
+std::vector<ClassSides> ComputeClassSides(const CombinedGraph& cg,
+                                          const Partition& p);
+
+/// The serial counting loops that ComputeNodeAlignment ran at threads=1.
+NodeAlignmentStats ComputeNodeAlignment(const CombinedGraph& cg,
+                                        const Partition& p);
+
+/// The serial flag and counting passes that ComputeStatistics ran at
+/// threads=1.
+GraphStatistics ComputeStatistics(const TripleGraph& g);
 
 /// The old unordered-map pair enumeration (class iteration order follows
 /// the hash map, so pair order is unspecified; contents are what matter).
