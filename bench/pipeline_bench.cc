@@ -137,9 +137,9 @@ bool RunPoint(bench::Report& report, const bench::ScratchDir& scratch,
 
   // ---- thread sweep over the shared-pool kernels ---------------------------
   // Each thread count re-runs the parallelized bundle (merge, class sides,
-  // overlap match, stats joins, delta). threads=1 takes the serial paths
-  // and is the baseline; every other count must reproduce its outputs
-  // bit for bit, or the report refuses to write.
+  // overlap match, stats joins, delta). threads=1 runs every chunk
+  // inline on the caller and is the baseline; every other count must
+  // reproduce its outputs bit for bit, or the report refuses to write.
   std::vector<bench::Row> sweep;
   bool sweep_equal = true;
   {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 
+#include "core/side_keys.h"
 #include "util/hash.h"
 #include "util/scratch.h"
 #include "util/thread_pool.h"
@@ -11,30 +12,10 @@ namespace rdfalign {
 
 namespace {
 
-// Minimum element count before the chunked kernels engage; below this the
-// serial loops win.
-constexpr size_t kAlignParallelMin = 1 << 15;
-// Elements per chunk of the key-building and accumulation passes.
+using internal::TripleKey;
+
+// Nodes or classes per chunk.
 constexpr size_t kAlignGrain = 1 << 15;
-
-uint8_t SideBit(const CombinedGraph& cg, NodeId n) {
-  return cg.InSource(n) ? 1 : 2;
-}
-
-/// 96-bit edge key packed into two 64-bit words, ordered lexicographically
-/// so membership tests are binary searches over sorted flat arrays instead
-/// of hash-set probes.
-struct TripleKey {
-  uint64_t hi;
-  uint64_t lo;
-  bool operator==(const TripleKey&) const = default;
-  auto operator<=>(const TripleKey&) const = default;
-};
-
-TripleKey MakeColorKey(const Partition& p, const Triple& t) {
-  return TripleKey{PackPair(p.ColorOf(t.s), p.ColorOf(t.p)),
-                   static_cast<uint64_t>(p.ColorOf(t.o))};
-}
 
 /// Counts the elements of sorted multiset `b` whose key occurs in sorted
 /// multiset `a` — one linear merge, no per-element searches.
@@ -60,84 +41,41 @@ size_t CountMembersIn(const std::vector<TripleKey>& b,
   return count;
 }
 
-// Routes a key per kept triple into set_a (source side) or set_b in
-// triple order: a chunked counting pass sizes each chunk's sub-ranges,
-// then the scatter writes every chunk's keys at its exclusive-prefix
-// offsets — the element order is exactly the serial loop's for any
-// thread count (and the subsequent sort would erase ordering anyway).
-template <typename KeyFn, typename KeepFn>
-void BuildSideKeysParallel(const CombinedGraph& cg,
-                           std::span<const Triple> triples, size_t threads,
-                           const KeyFn& key, const KeepFn& keep,
-                           std::vector<TripleKey>& set_a,
-                           std::vector<TripleKey>& set_b) {
-  const size_t m = triples.size();
-  const size_t chunks = PlanChunks(m, kAlignGrain);
-  std::vector<uint64_t> a_off(chunks + 1, 0);
-  std::vector<uint64_t> b_off(chunks + 1, 0);
-  ParallelChunks(m, threads, kAlignGrain,
-                 [&](size_t c, size_t begin, size_t end) {
-                   uint64_t na = 0;
-                   uint64_t nb = 0;
-                   for (size_t i = begin; i < end; ++i) {
-                     if (!keep(triples[i])) continue;
-                     (cg.InSource(triples[i].s) ? na : nb) += 1;
-                   }
-                   a_off[c + 1] = na;
-                   b_off[c + 1] = nb;
-                 });
-  for (size_t c = 0; c < chunks; ++c) {
-    a_off[c + 1] += a_off[c];
-    b_off[c + 1] += b_off[c];
-  }
-  set_a.resize(a_off[chunks]);
-  set_b.resize(b_off[chunks]);
-  ParallelChunks(m, threads, kAlignGrain,
-                 [&](size_t c, size_t begin, size_t end) {
-                   uint64_t ia = a_off[c];
-                   uint64_t ib = b_off[c];
-                   for (size_t i = begin; i < end; ++i) {
-                     const Triple& t = triples[i];
-                     if (!keep(t)) continue;
-                     (cg.InSource(t.s) ? set_a[ia++] : set_b[ib++]) = key(t);
-                   }
-                 });
-}
-
 }  // namespace
 
 std::vector<ClassSides> ComputeClassSides(const CombinedGraph& cg,
                                           const Partition& p, size_t threads) {
-  threads = EffectiveLanes(threads);
-  std::vector<uint8_t> bits(p.NumColors(), 0);
-  if (threads > 1 && p.NumNodes() >= kAlignParallelMin) {
-    // ORing side bits is order-insensitive, so relaxed atomic ORs give the
-    // serial result for any interleaving.
-    ParallelChunks(p.NumNodes(), threads, kAlignGrain,
-                   [&](size_t, size_t begin, size_t end) {
-                     for (size_t n = begin; n < end; ++n) {
-                       std::atomic_ref<uint8_t>(
-                           bits[p.ColorOf(static_cast<NodeId>(n))])
-                           .fetch_or(SideBit(cg, static_cast<NodeId>(n)),
-                                     std::memory_order_relaxed);
-                     }
-                   });
-    std::vector<ClassSides> out(bits.size());
-    ParallelChunks(bits.size(), threads, kAlignGrain,
-                   [&](size_t, size_t begin, size_t end) {
-                     for (size_t i = begin; i < end; ++i) {
-                       out[i] = static_cast<ClassSides>(bits[i]);
-                     }
-                   });
-    return out;
-  }
-  for (NodeId n = 0; n < p.NumNodes(); ++n) {
-    bits[p.ColorOf(n)] |= SideBit(cg, n);
-  }
-  std::vector<ClassSides> out(bits.size());
-  for (size_t i = 0; i < bits.size(); ++i) {
-    out[i] = static_cast<ClassSides>(bits[i]);
-  }
+  // One flag byte per class and side. Every writer stores 1, so relaxed
+  // stores give the same flags for any interleaving, with no
+  // read-modify-write. The loops work on chunk-local pointers: a byte
+  // store may alias anything, so the captured vectors would be reloaded
+  // after every store.
+  const size_t k = p.NumColors();
+  std::vector<uint8_t> in_source(k, 0);
+  std::vector<uint8_t> in_target(k, 0);
+  ParallelChunks(p.NumNodes(), threads, kAlignGrain,
+                 [&](size_t, size_t begin, size_t end) {
+                   const ColorId* const color = p.colors().data();
+                   uint8_t* const source = in_source.data();
+                   uint8_t* const target = in_target.data();
+                   const size_t n1 = cg.n1();
+                   for (size_t n = begin; n < end; ++n) {
+                     std::atomic_ref<uint8_t>(
+                         (n < n1 ? source : target)[color[n]])
+                         .store(1, std::memory_order_relaxed);
+                   }
+                 });
+  std::vector<ClassSides> out(k);
+  ParallelChunks(k, threads, kAlignGrain,
+                 [&](size_t, size_t begin, size_t end) {
+                   const uint8_t* const source = in_source.data();
+                   const uint8_t* const target = in_target.data();
+                   ClassSides* const sides = out.data();
+                   for (size_t c = begin; c < end; ++c) {
+                     sides[c] =
+                         static_cast<ClassSides>(source[c] | (target[c] << 1));
+                   }
+                 });
   return out;
 }
 
@@ -166,9 +104,7 @@ std::vector<NodeId> UnalignedNonLiterals(const CombinedGraph& cg,
 
 EdgeAlignmentStats ComputeEdgeAlignment(const CombinedGraph& cg,
                                         const Partition& p, size_t threads) {
-  threads = EffectiveLanes(threads);
   const TripleGraph& g = cg.graph();
-  const bool parallel = threads > 1 && g.NumEdges() >= kAlignParallelMin;
 
   // Scratch key buffers persist across calls: the figure benches and the
   // archive workloads call this once per version pair, and the buffers
@@ -183,30 +119,17 @@ EdgeAlignmentStats ComputeEdgeAlignment(const CombinedGraph& cg,
   // Lexical ids are shared across kinds (a URI and a literal can intern the
   // same string), so the object's kind is packed into the key; subjects are
   // never literals and predicates are always URIs.
-  auto label_key = [&](const Triple& t) -> TripleKey {
-    return TripleKey{PackPair(g.LexicalId(t.s), g.LexicalId(t.p)),
-                     static_cast<uint64_t>(g.LexicalId(t.o)) |
-                         (static_cast<uint64_t>(g.KindOf(t.o)) << 32)};
-  };
-  auto has_blank = [&](const Triple& t) {
-    return g.IsBlank(t.s) || g.IsBlank(t.p) || g.IsBlank(t.o);
-  };
-
-  set_a.clear();
-  set_a.reserve(cg.e1());
-  set_b.clear();
-  set_b.reserve(cg.e2());
-  if (parallel) {
-    BuildSideKeysParallel(cg, g.triples(), threads, label_key,
-                          [&](const Triple& t) { return !has_blank(t); },
-                          set_a, set_b);
-  } else {
-    for (const Triple& t : g.triples()) {
-      if (!has_blank(t)) {
-        (cg.InSource(t.s) ? set_a : set_b).push_back(label_key(t));
-      }
-    }
-  }
+  internal::BuildSideKeys(
+      cg, threads,
+      [&](const Triple& t, size_t) {
+        return TripleKey{PackPair(g.LexicalId(t.s), g.LexicalId(t.p)),
+                         static_cast<uint64_t>(g.LexicalId(t.o)) |
+                             (static_cast<uint64_t>(g.KindOf(t.o)) << 32)};
+      },
+      [&](const Triple& t) {
+        return !g.IsBlank(t.s) && !g.IsBlank(t.p) && !g.IsBlank(t.o);
+      },
+      set_a, set_b);
   ParallelSort(set_a, threads);
   ParallelSort(set_b, threads);
   const size_t merged = CountMembersIn(set_b, set_a);
@@ -214,18 +137,10 @@ EdgeAlignmentStats ComputeEdgeAlignment(const CombinedGraph& cg,
   // Pass 2: an edge is aligned when the opposite side has an edge whose
   // color triple matches — sort each side's key multiset, then count cross
   // memberships with two linear merges.
-  set_a.clear();
-  set_b.clear();
-  if (parallel) {
-    BuildSideKeysParallel(
-        cg, g.triples(), threads,
-        [&](const Triple& t) { return MakeColorKey(p, t); },
-        [](const Triple&) { return true; }, set_a, set_b);
-  } else {
-    for (const Triple& t : g.triples()) {
-      (cg.InSource(t.s) ? set_a : set_b).push_back(MakeColorKey(p, t));
-    }
-  }
+  internal::BuildSideKeys(
+      cg, threads,
+      [&](const Triple& t, size_t) { return internal::ColorKey(p, t); },
+      internal::KeepAll{}, set_a, set_b);
   ParallelSort(set_a, threads);
   ParallelSort(set_b, threads);
   size_t aligned = CountMembersIn(set_a, set_b) + CountMembersIn(set_b, set_a);
@@ -242,57 +157,33 @@ EdgeAlignmentStats ComputeEdgeAlignment(const CombinedGraph& cg,
 
 NodeAlignmentStats ComputeNodeAlignment(const CombinedGraph& cg,
                                         const Partition& p, size_t threads) {
-  threads = EffectiveLanes(threads);
-  std::vector<ClassSides> sides = ComputeClassSides(cg, p, threads);
-  if (threads > 1 && p.NumNodes() >= kAlignParallelMin) {
-    // Integer sums merged in chunk order — exact for any chunking.
-    NodeAlignmentStats stats = ChunkedReduce<NodeAlignmentStats>(
-        p.NumNodes(), threads, kAlignGrain, NodeAlignmentStats{},
-        [&](size_t, size_t begin, size_t end) {
-          NodeAlignmentStats part;
-          for (size_t i = begin; i < end; ++i) {
-            const NodeId n = static_cast<NodeId>(i);
-            bool aligned = sides[p.ColorOf(n)] == ClassSides::kBoth;
-            if (cg.InSource(n)) {
-              aligned ? ++part.aligned_source_nodes
-                      : ++part.unaligned_source_nodes;
-            } else {
-              aligned ? ++part.aligned_target_nodes
-                      : ++part.unaligned_target_nodes;
-            }
+  const std::vector<ClassSides> sides = ComputeClassSides(cg, p, threads);
+  // Integer sums merged in chunk order — exact for any chunking.
+  NodeAlignmentStats stats = ChunkedReduce<NodeAlignmentStats>(
+      p.NumNodes(), threads, kAlignGrain, NodeAlignmentStats{},
+      [&](size_t, size_t begin, size_t end) {
+        NodeAlignmentStats part;
+        for (size_t i = begin; i < end; ++i) {
+          const NodeId n = static_cast<NodeId>(i);
+          const bool aligned = sides[p.ColorOf(n)] == ClassSides::kBoth;
+          if (cg.InSource(n)) {
+            aligned ? ++part.aligned_source_nodes
+                    : ++part.unaligned_source_nodes;
+          } else {
+            aligned ? ++part.aligned_target_nodes
+                    : ++part.unaligned_target_nodes;
           }
-          return part;
-        },
-        [](NodeAlignmentStats& acc, NodeAlignmentStats&& part) {
-          acc.aligned_source_nodes += part.aligned_source_nodes;
-          acc.aligned_target_nodes += part.aligned_target_nodes;
-          acc.unaligned_source_nodes += part.unaligned_source_nodes;
-          acc.unaligned_target_nodes += part.unaligned_target_nodes;
-        });
-    stats.aligned_classes = ChunkedReduce<size_t>(
-        sides.size(), threads, kAlignGrain, size_t{0},
-        [&](size_t, size_t begin, size_t end) {
-          size_t count = 0;
-          for (size_t i = begin; i < end; ++i) {
-            if (sides[i] == ClassSides::kBoth) ++count;
-          }
-          return count;
-        },
-        [](size_t& acc, size_t&& part) { acc += part; });
-    return stats;
-  }
-  NodeAlignmentStats stats;
-  for (const ClassSides s : sides) {
-    if (s == ClassSides::kBoth) ++stats.aligned_classes;
-  }
-  for (NodeId n = 0; n < p.NumNodes(); ++n) {
-    bool aligned = sides[p.ColorOf(n)] == ClassSides::kBoth;
-    if (cg.InSource(n)) {
-      aligned ? ++stats.aligned_source_nodes : ++stats.unaligned_source_nodes;
-    } else {
-      aligned ? ++stats.aligned_target_nodes : ++stats.unaligned_target_nodes;
-    }
-  }
+        }
+        return part;
+      },
+      [](NodeAlignmentStats& acc, NodeAlignmentStats&& part) {
+        acc.aligned_source_nodes += part.aligned_source_nodes;
+        acc.aligned_target_nodes += part.aligned_target_nodes;
+        acc.unaligned_source_nodes += part.unaligned_source_nodes;
+        acc.unaligned_target_nodes += part.unaligned_target_nodes;
+      });
+  stats.aligned_classes = static_cast<size_t>(
+      std::count(sides.begin(), sides.end(), ClassSides::kBoth));
   return stats;
 }
 

@@ -26,8 +26,9 @@ enum class ClassSides : uint8_t {
 };
 
 /// For each color, whether the class contains source and/or target nodes.
-/// `threads` > 1 accumulates the side bits with order-insensitive atomic
-/// ORs on the shared pool; the result is bit-identical to serial.
+/// Each node stores a flag for its class on its side (relaxed stores, so
+/// order-insensitive); `threads` > 1 runs the chunks on the shared pool,
+/// with the same result for any thread count.
 std::vector<ClassSides> ComputeClassSides(const CombinedGraph& cg,
                                           const Partition& p,
                                           size_t threads = 1);
@@ -57,7 +58,7 @@ struct EdgeAlignmentStats {
 
 /// `threads` > 1 builds the packed-key multisets in deterministic chunk
 /// order and sorts them with ParallelSort; all counters are bit-identical
-/// to the serial (threads=1) pass. See docs/parallelism.md.
+/// for any thread count. See docs/parallelism.md.
 EdgeAlignmentStats ComputeEdgeAlignment(const CombinedGraph& cg,
                                         const Partition& p,
                                         size_t threads = 1);

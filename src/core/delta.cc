@@ -3,39 +3,16 @@
 #include <algorithm>
 #include <unordered_map>
 
-#include "util/hash.h"
+#include "core/side_keys.h"
 #include "util/scratch.h"
 #include "util/thread_pool.h"
 
 namespace rdfalign {
 
-namespace {
-
-/// 96-bit color-triple key, ordered so the multiset matching below runs on
-/// sorted flat arrays instead of hash maps.
-struct TripleKey {
-  uint64_t hi;
-  uint64_t lo;
-  bool operator==(const TripleKey&) const = default;
-  auto operator<=>(const TripleKey&) const = default;
-};
-
-TripleKey ColorKey(const Partition& p, const Triple& t) {
-  return TripleKey{PackPair(p.ColorOf(t.s), p.ColorOf(t.p)),
-                   static_cast<uint64_t>(p.ColorOf(t.o))};
-}
-
-constexpr size_t kDeltaParallelMin = 1 << 15;
-constexpr size_t kDeltaGrain = 1 << 15;
-
-}  // namespace
-
 RdfDelta ComputeDelta(const CombinedGraph& cg, const Partition& p,
                       size_t threads) {
-  threads = EffectiveLanes(threads);
   const TripleGraph& g = cg.graph();
   const std::span<const Triple> triples = g.triples();
-  const bool parallel = threads > 1 && triples.size() >= kDeltaParallelMin;
   RdfDelta delta;
 
   // Each side's edges as (color key, triple index) pairs sorted by key then
@@ -44,64 +21,19 @@ RdfDelta ComputeDelta(const CombinedGraph& cg, const Partition& p,
   // first-come matching order, so which edges end up deleted/added is
   // bit-identical.
   struct KeyIdx {
-    TripleKey key;
+    internal::TripleKey key;
     uint64_t idx;  // triple index; CSR offsets are 64-bit, so follow suit
     auto operator<=>(const KeyIdx&) const = default;
   };
   static thread_local std::vector<KeyIdx> src;
   static thread_local std::vector<KeyIdx> tgt;
   static thread_local std::vector<uint8_t> changed;  // per-triple verdict
-  src.clear();
-  src.reserve(cg.e1());
-  tgt.clear();
-  tgt.reserve(cg.e2());
-  if (parallel) {
-    // Chunked count + exclusive-prefix + scatter keeps the pre-sort
-    // element order identical to the serial loop; the sort would erase
-    // any order anyway (KeyIdx's ordering is total including idx).
-    // Plain references to the caller's scratch: naming the thread_local
-    // inside the worker lambdas would resolve to each *worker's* (empty)
-    // instance, not this thread's.
-    std::vector<KeyIdx>& src_ref = src;
-    std::vector<KeyIdx>& tgt_ref = tgt;
-    const size_t m = triples.size();
-    const size_t chunks = PlanChunks(m, kDeltaGrain);
-    std::vector<uint64_t> s_off(chunks + 1, 0);
-    std::vector<uint64_t> t_off(chunks + 1, 0);
-    ParallelChunks(m, threads, kDeltaGrain,
-                   [&](size_t c, size_t begin, size_t end) {
-                     uint64_t ns = 0;
-                     uint64_t nt = 0;
-                     for (size_t i = begin; i < end; ++i) {
-                       (cg.InSource(triples[i].s) ? ns : nt) += 1;
-                     }
-                     s_off[c + 1] = ns;
-                     t_off[c + 1] = nt;
-                   });
-    for (size_t c = 0; c < chunks; ++c) {
-      s_off[c + 1] += s_off[c];
-      t_off[c + 1] += t_off[c];
-    }
-    src.resize(s_off[chunks]);
-    tgt.resize(t_off[chunks]);
-    ParallelChunks(m, threads, kDeltaGrain,
-                   [&](size_t c, size_t begin, size_t end) {
-                     uint64_t is = s_off[c];
-                     uint64_t it = t_off[c];
-                     for (size_t i = begin; i < end; ++i) {
-                       const KeyIdx entry{ColorKey(p, triples[i]),
-                                          static_cast<uint64_t>(i)};
-                       (cg.InSource(triples[i].s) ? src_ref[is++]
-                                                  : tgt_ref[it++]) = entry;
-                     }
-                   });
-  } else {
-    for (size_t i = 0; i < triples.size(); ++i) {
-      const TripleKey key = ColorKey(p, triples[i]);
-      (cg.InSource(triples[i].s) ? src : tgt)
-          .push_back(KeyIdx{key, static_cast<uint64_t>(i)});
-    }
-  }
+  internal::BuildSideKeys(
+      cg, threads,
+      [&](const Triple& t, size_t i) {
+        return KeyIdx{internal::ColorKey(p, t), static_cast<uint64_t>(i)};
+      },
+      internal::KeepAll{}, src, tgt);
   ParallelSort(src, threads);
   ParallelSort(tgt, threads);
 
@@ -119,7 +51,7 @@ RdfDelta ComputeDelta(const CombinedGraph& cg, const Partition& p,
       changed[tgt[j].idx] = 1;  // addition: no source run for this key
       ++j;
     } else {
-      const TripleKey key = src[i].key;
+      const internal::TripleKey key = src[i].key;
       size_t i_end = i;
       while (i_end < src.size() && src[i_end].key == key) ++i_end;
       size_t j_end = j;

@@ -43,8 +43,8 @@ struct RdfDelta {
 /// Computes the delta induced by a partition-based alignment. Edges are
 /// matched by color triple with multiplicity (min of the per-side counts).
 /// `threads` > 1 builds and sorts the per-side key arrays on the shared
-/// pool; the emitted delta is bit-identical to the serial pass (the greedy
-/// first-come matching runs on the same sorted arrays either way).
+/// pool; the emitted delta is bit-identical for any thread count (the
+/// greedy first-come matching runs on the same sorted arrays either way).
 RdfDelta ComputeDelta(const CombinedGraph& cg, const Partition& p,
                       size_t threads = 1);
 

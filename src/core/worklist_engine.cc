@@ -3,10 +3,6 @@
 namespace rdfalign {
 namespace internal {
 
-size_t ResolveThreads(size_t requested) {
-  return rdfalign::ResolveThreads(requested);
-}
-
 Partition RunWorklistFixpoint(const TripleGraph& g, const Partition& initial,
                               const std::vector<NodeId>& x,
                               const WorklistConfig& config,

@@ -77,15 +77,11 @@ struct WorklistConfig {
   /// and dirtiness additionally follows MediatingPredicates().
   const MediationIndex* mediation = nullptr;
   const std::vector<uint8_t>* predicate_only = nullptr;
-  /// Resolved signing-worker count (>= 1); see ResolveThreads().
+  /// Resolved signing-worker count (>= 1); see rdfalign::ResolveThreads().
   size_t threads = 1;
   /// Minimum worklist width before the worker pool engages.
   size_t parallel_min_round = 4096;
 };
-
-/// Maps RefinementOptions::threads to a concrete worker count: 0 becomes
-/// one worker per hardware thread, anything else is used as given (min 1).
-size_t ResolveThreads(size_t requested);
 
 // Colors live in a monotonically growing (non-dense) id space; ids are never
 // reused, so a color identifies one class for the whole engine lifetime.

@@ -34,8 +34,8 @@ struct NTriplesParseStats {
 /// Parses N-Triples text into an RDF graph. A shared `dict` lets two files
 /// destined for alignment live in one label space; pass nullptr for a fresh
 /// dictionary. On error, the Status message includes the 1-based line.
-/// `threads` > 1 parallelizes the final edge sort and CSR index build
-/// (bit-identical to the serial result); parsing itself stays serial.
+/// `threads` > 1 parallelizes the final edge sort (bit-identical to the
+/// serial result); parsing and the CSR index build stay serial.
 Result<TripleGraph> ParseNTriplesString(std::string_view text,
                                         std::shared_ptr<Dictionary> dict,
                                         NTriplesParseStats* stats = nullptr,

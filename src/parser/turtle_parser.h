@@ -25,8 +25,8 @@ namespace rdfalign {
 
 /// Parses Turtle text into an RDF graph; see header comment for the
 /// supported subset. Shares `dict` across versions like the N-Triples
-/// parser. `threads` parallelizes the final edge sort and CSR index
-/// build, bit-identical to the serial result.
+/// parser. `threads` parallelizes the final edge sort, bit-identical to
+/// the serial result; parsing and the CSR index build stay serial.
 Result<TripleGraph> ParseTurtleString(std::string_view text,
                                       std::shared_ptr<Dictionary> dict,
                                       size_t threads = 1);

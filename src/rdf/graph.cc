@@ -1,129 +1,12 @@
 #include "rdf/graph.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 
 #include "util/hash.h"
 #include "util/thread_pool.h"
 
 namespace rdfalign {
-namespace {
-
-// Below this many triples the chunk bookkeeping costs more than it saves;
-// the parallel path also needs at least two chunks to matter.
-constexpr size_t kCsrParallelMinTriples = 1 << 15;
-// Triples per chunk in the counting/scatter passes.
-constexpr size_t kCsrTripleGrain = 1 << 15;
-// Nodes per chunk in the per-slice dedup and gather passes.
-constexpr size_t kCsrNodeGrain = 1 << 14;
-
-// The chunked twin of the serial BuildCsrArrays body. Determinism: the
-// forward CSR is a positionwise transform of the sorted triple list; the
-// reverse CSR's counting pass uses relaxed atomic additions (sums do not
-// depend on order), the scatter fills each node slice in arbitrary order,
-// and the per-slice sort+unique erases that order again — so every output
-// array is bit-identical to the serial pass for any thread count.
-void BuildCsrArraysParallel(std::span<const Triple> triples, size_t n,
-                            std::vector<uint64_t>* out_offsets_p,
-                            std::vector<PredicateObject>* out_pairs_p,
-                            std::vector<uint64_t>* in_offsets_p,
-                            std::vector<NodeId>* in_subjects_p,
-                            size_t threads) {
-  const size_t m = triples.size();
-  std::vector<uint64_t>& out_offsets = *out_offsets_p;
-  out_offsets.resize(n + 1);
-  std::vector<PredicateObject>& out_pairs = *out_pairs_p;
-  out_pairs.resize(m);
-  // Forward CSR. The triple list is sorted by (s, p, o), so triple i *is*
-  // position i of out_pairs, and out_offsets[v] — the index of the first
-  // triple whose subject is >= v — is determined at each subject change:
-  // triple i with previous subject ps writes i into every v in (ps, s].
-  // Those ranges are disjoint across i (hence across chunks) and cover
-  // [0, last subject]; the tail (last subject, n] is m.
-  ParallelChunks(m, threads, kCsrTripleGrain,
-                 [&](size_t, size_t begin, size_t end) {
-                   for (size_t i = begin; i < end; ++i) {
-                     const Triple& t = triples[i];
-                     out_pairs[i] = PredicateObject{t.p, t.o};
-                     const NodeId ps = i == 0 ? 0 : triples[i - 1].s;
-                     if (i == 0 || t.s != ps) {
-                       const NodeId lo = i == 0 ? 0 : ps + 1;
-                       for (NodeId v = lo; v <= t.s; ++v) out_offsets[v] = i;
-                     }
-                   }
-                 });
-  const size_t tail_from = m == 0 ? 0 : triples[m - 1].s + 1;
-  std::fill(out_offsets.begin() + static_cast<ptrdiff_t>(tail_from),
-            out_offsets.end(), m);
-  // Reverse CSR: count both roles with relaxed atomic increments, prefix
-  // sum, scatter under atomic per-node cursors, then sort and deduplicate
-  // each node's slice and gather the survivors into the exact-size array.
-  std::vector<uint64_t>& in_offsets = *in_offsets_p;
-  in_offsets.assign(n + 1, 0);
-  ParallelChunks(m, threads, kCsrTripleGrain,
-                 [&](size_t, size_t begin, size_t end) {
-                   for (size_t i = begin; i < end; ++i) {
-                     const Triple& t = triples[i];
-                     std::atomic_ref<uint64_t>(in_offsets[t.p + 1])
-                         .fetch_add(1, std::memory_order_relaxed);
-                     std::atomic_ref<uint64_t>(in_offsets[t.o + 1])
-                         .fetch_add(1, std::memory_order_relaxed);
-                   }
-                 });
-  for (size_t i = 0; i < n; ++i) {
-    in_offsets[i + 1] += in_offsets[i];
-  }
-  std::vector<NodeId> raw(in_offsets[n]);
-  {
-    std::vector<uint64_t> cursor(in_offsets.begin(), in_offsets.end() - 1);
-    ParallelChunks(m, threads, kCsrTripleGrain,
-                   [&](size_t, size_t begin, size_t end) {
-                     for (size_t i = begin; i < end; ++i) {
-                       const Triple& t = triples[i];
-                       raw[std::atomic_ref<uint64_t>(cursor[t.p])
-                               .fetch_add(1, std::memory_order_relaxed)] = t.s;
-                       raw[std::atomic_ref<uint64_t>(cursor[t.o])
-                               .fetch_add(1, std::memory_order_relaxed)] = t.s;
-                     }
-                   });
-  }
-  std::vector<uint64_t> lens(n);
-  ParallelChunks(n, threads, kCsrNodeGrain,
-                 [&](size_t, size_t begin, size_t end) {
-                   for (size_t v = begin; v < end; ++v) {
-                     auto first =
-                         raw.begin() + static_cast<ptrdiff_t>(in_offsets[v]);
-                     auto last = raw.begin() +
-                                 static_cast<ptrdiff_t>(in_offsets[v + 1]);
-                     std::sort(first, last);
-                     lens[v] =
-                         static_cast<uint64_t>(std::unique(first, last) - first);
-                   }
-                 });
-  std::vector<uint64_t> final_offsets(n + 1);
-  final_offsets[0] = 0;
-  for (size_t v = 0; v < n; ++v) {
-    final_offsets[v + 1] = final_offsets[v] + lens[v];
-  }
-  std::vector<NodeId>& in_subjects = *in_subjects_p;
-  in_subjects.resize(final_offsets[n]);
-  in_subjects.shrink_to_fit();
-  ParallelChunks(
-      n, threads, kCsrNodeGrain, [&](size_t, size_t begin, size_t end) {
-        for (size_t v = begin; v < end; ++v) {
-          std::copy(raw.begin() + static_cast<ptrdiff_t>(in_offsets[v]),
-                    raw.begin() +
-                        static_cast<ptrdiff_t>(in_offsets[v] + lens[v]),
-                    in_subjects.begin() +
-                        static_cast<ptrdiff_t>(final_offsets[v]));
-        }
-      });
-  in_offsets.swap(final_offsets);
-}
-
-}  // namespace
-
 uint64_t TripleGraph::LabelKey(TermKind kind, LexId lex) {
   return (static_cast<uint64_t>(kind) << 32) | lex;
 }
@@ -145,7 +28,7 @@ Result<TripleGraph> TripleGraph::FromParts(std::shared_ptr<Dictionary> dict,
   // unique sorted permutation for any thread count.
   ParallelSort(triples, threads);
   triples.erase(std::unique(triples.begin(), triples.end()), triples.end());
-  g.BuildIndexes(std::move(triples), threads);
+  g.BuildIndexes(std::move(triples));
   if (validate_rdf) {
     RDFALIGN_RETURN_IF_ERROR(g.ValidateRdf());
   }
@@ -173,14 +56,7 @@ void TripleGraph::BuildCsrArrays(std::span<const Triple> triples,
                                  std::vector<uint64_t>* out_offsets_p,
                                  std::vector<PredicateObject>* out_pairs_p,
                                  std::vector<uint64_t>* in_offsets_p,
-                                 std::vector<NodeId>* in_subjects_p,
-                                 size_t threads) {
-  threads = EffectiveLanes(threads);
-  if (threads > 1 && triples.size() >= kCsrParallelMinTriples) {
-    BuildCsrArraysParallel(triples, num_nodes, out_offsets_p, out_pairs_p,
-                           in_offsets_p, in_subjects_p, threads);
-    return;
-  }
+                                 std::vector<NodeId>* in_subjects_p) {
   const size_t n = num_nodes;
   std::vector<uint64_t>& out_offsets = *out_offsets_p;
   out_offsets.assign(n + 1, 0);
@@ -247,13 +123,13 @@ void TripleGraph::BuildCsrArrays(std::span<const Triple> triples,
   }
 }
 
-void TripleGraph::BuildIndexes(std::vector<Triple> triples, size_t threads) {
+void TripleGraph::BuildIndexes(std::vector<Triple> triples) {
   std::vector<uint64_t> out_offsets;
   std::vector<PredicateObject> out_pairs;
   std::vector<uint64_t> in_offsets;
   std::vector<NodeId> in_subjects;
   BuildCsrArrays(triples, labels_.size(), &out_offsets, &out_pairs,
-                 &in_offsets, &in_subjects, threads);
+                 &in_offsets, &in_subjects);
   triples_ = SharedArray<Triple>(std::move(triples));
   out_offsets_ = SharedArray<uint64_t>(std::move(out_offsets));
   out_pairs_ = SharedArray<PredicateObject>(std::move(out_pairs));

@@ -50,9 +50,9 @@ class TripleGraph {
   /// the disjoint-union constructor rely on that). Sorts and deduplicates
   /// edges and builds the out-index. When `validate_rdf` is set, checks the
   /// RDF positional constraints (literals only as objects, predicates never
-  /// blank or literal). `threads` > 1 sorts the edges and builds the CSR
-  /// indexes on the shared pool; the result is bit-identical to threads=1
-  /// (see docs/parallelism.md).
+  /// blank or literal). `threads` > 1 sorts the edges on the shared pool
+  /// (ParallelSort); the CSR indexes are built serially. The result is
+  /// bit-identical to threads=1 (see docs/parallelism.md).
   static Result<TripleGraph> FromParts(std::shared_ptr<Dictionary> dict,
                                        std::vector<NodeLabel> labels,
                                        std::vector<Triple> triples,
@@ -79,17 +79,16 @@ class TripleGraph {
   /// This is the single CSR constructor shared by graph building and the
   /// delta store's patch replay (src/store/delta.cc), so a graph spliced
   /// from pre-sorted runs is bit-identical to one built from scratch.
-  /// Triple node ids must be < num_nodes. `threads` > 1 runs the counting,
-  /// scatter, and per-slice dedup passes as chunked kernels on the shared
-  /// pool; every array comes out bit-identical to the threads=1 (legacy
-  /// serial) path for any thread count.
+  /// Triple node ids must be < num_nodes. The build is one serial counting
+  /// pass per index: a chunked build has to sort every reverse slice it
+  /// scatters out of order, and measured slower at every lane count
+  /// (docs/parallelism.md).
   static void BuildCsrArrays(std::span<const Triple> sorted_triples,
                              size_t num_nodes,
                              std::vector<uint64_t>* out_offsets,
                              std::vector<PredicateObject>* out_pairs,
                              std::vector<uint64_t>* in_offsets,
-                             std::vector<NodeId>* in_subjects,
-                             size_t threads = 1);
+                             std::vector<NodeId>* in_subjects);
 
   size_t NumNodes() const { return labels_.size(); }
   size_t NumEdges() const { return triples_.size(); }
@@ -181,7 +180,7 @@ class TripleGraph {
   };
   std::shared_ptr<LabelIndex> label_index_;
 
-  void BuildIndexes(std::vector<Triple> triples, size_t threads = 1);
+  void BuildIndexes(std::vector<Triple> triples);
   NodeId FindNode(TermKind kind, std::string_view lexical) const;
   Status ValidateRdf() const;
   static uint64_t LabelKey(TermKind kind, LexId lex);
@@ -236,8 +235,8 @@ class GraphBuilder {
 
   /// Finalizes into an immutable TripleGraph. `validate_rdf` rejects graphs
   /// violating RDF positional constraints. The builder is consumed.
-  /// `threads` parallelizes the edge sort and index build (bit-identical
-  /// to the serial result).
+  /// `threads` parallelizes the edge sort (bit-identical to the serial
+  /// result).
   Result<TripleGraph> Build(bool validate_rdf = true, size_t threads = 1);
 
  private:

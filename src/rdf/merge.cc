@@ -6,17 +6,16 @@ namespace rdfalign {
 
 namespace {
 
-constexpr size_t kMergeParallelMin = 1 << 15;
+// Elements per chunk of the shifted copies.
 constexpr size_t kMergeGrain = 1 << 15;
 
-// Writes `a` followed by `b` shifted into out (already sized): each chunk
-// is a positionwise transform of disjoint output ranges, so the bytes are
-// identical for any thread count.
+// `a` followed by `b` shifted: each chunk is a positionwise transform of
+// a disjoint output range, so the bytes are identical for any thread
+// count.
 template <typename T, typename ShiftFn>
-void ParallelConcatShift(std::span<const T> a, std::span<const T> b,
-                         const ShiftFn& shift, size_t threads,
-                         std::vector<T>& out) {
-  out.resize(a.size() + b.size());
+std::vector<T> ConcatShift(std::span<const T> a, std::span<const T> b,
+                           const ShiftFn& shift, size_t threads) {
+  std::vector<T> out(a.size() + b.size());
   ParallelChunks(a.size(), threads, kMergeGrain,
                  [&](size_t, size_t begin, size_t end) {
                    std::copy(a.begin() + begin, a.begin() + end,
@@ -28,6 +27,7 @@ void ParallelConcatShift(std::span<const T> a, std::span<const T> b,
                      out[a.size() + i] = shift(b[i]);
                    }
                  });
+  return out;
 }
 
 /// Concatenates two CSR offset arrays: g2's offsets continue after g1's
@@ -55,8 +55,6 @@ Result<CombinedGraph> CombinedGraph::Build(const TripleGraph& g1,
   }
   const NodeId n1 = static_cast<NodeId>(g1.NumNodes());
   const NodeId n2 = static_cast<NodeId>(g2.NumNodes());
-  threads = EffectiveLanes(threads);
-  if (g1.NumEdges() + g2.NumEdges() < kMergeParallelMin) threads = 1;
 
   std::vector<NodeLabel> labels;
   labels.reserve(n1 + n2);
@@ -69,53 +67,19 @@ Result<CombinedGraph> CombinedGraph::Build(const TripleGraph& g1,
   // per node for both CSR indexes: source slices reference only source
   // nodes, shifted target slices only target nodes, and in-slice order is
   // preserved by adding the constant offset.
-  std::vector<Triple> triples;
-  if (threads > 1) {
-    ParallelConcatShift<Triple>(
-        g1.triples(), g2.triples(),
-        [n1](const Triple& t) {
-          return Triple{t.s + n1, t.p + n1, t.o + n1};
-        },
-        threads, triples);
-  } else {
-    triples.reserve(g1.NumEdges() + g2.NumEdges());
-    triples.insert(triples.end(), g1.triples().begin(), g1.triples().end());
-    for (const Triple& t : g2.triples()) {
-      triples.push_back(Triple{t.s + n1, t.p + n1, t.o + n1});
-    }
-  }
-
-  std::vector<PredicateObject> out_pairs;
-  if (threads > 1) {
-    ParallelConcatShift<PredicateObject>(
-        g1.OutPairs(), g2.OutPairs(),
-        [n1](const PredicateObject& po) {
-          return PredicateObject{po.p + n1, po.o + n1};
-        },
-        threads, out_pairs);
-  } else {
-    out_pairs.reserve(g1.OutPairs().size() + g2.OutPairs().size());
-    out_pairs.insert(out_pairs.end(), g1.OutPairs().begin(),
-                     g1.OutPairs().end());
-    for (const PredicateObject& po : g2.OutPairs()) {
-      out_pairs.push_back(PredicateObject{po.p + n1, po.o + n1});
-    }
-  }
-
-  std::vector<NodeId> in_subjects;
-  if (threads > 1) {
-    ParallelConcatShift<NodeId>(
-        g1.InSubjects(), g2.InSubjects(),
-        [n1](NodeId s) { return static_cast<NodeId>(s + n1); }, threads,
-        in_subjects);
-  } else {
-    in_subjects.reserve(g1.InSubjects().size() + g2.InSubjects().size());
-    in_subjects.insert(in_subjects.end(), g1.InSubjects().begin(),
-                       g1.InSubjects().end());
-    for (const NodeId s : g2.InSubjects()) {
-      in_subjects.push_back(s + n1);
-    }
-  }
+  std::vector<Triple> triples = ConcatShift<Triple>(
+      g1.triples(), g2.triples(),
+      [n1](const Triple& t) { return Triple{t.s + n1, t.p + n1, t.o + n1}; },
+      threads);
+  std::vector<PredicateObject> out_pairs = ConcatShift<PredicateObject>(
+      g1.OutPairs(), g2.OutPairs(),
+      [n1](const PredicateObject& po) {
+        return PredicateObject{po.p + n1, po.o + n1};
+      },
+      threads);
+  std::vector<NodeId> in_subjects = ConcatShift<NodeId>(
+      g1.InSubjects(), g2.InSubjects(),
+      [n1](NodeId s) { return static_cast<NodeId>(s + n1); }, threads);
 
   CombinedGraph out;
   out.graph_ = TripleGraph::FromIndexedParts(

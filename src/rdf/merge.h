@@ -29,8 +29,8 @@ class CombinedGraph {
   /// CSR indexes are plain concatenations (with the id offset applied) —
   /// no re-sort, re-dedup, or re-index. Bit-identical to re-indexing from
   /// scratch through TripleGraph::FromParts.
-  /// `threads` > 1 runs the shifted copies as chunked positionwise
-  /// transforms on the shared pool — same bytes for any thread count.
+  /// The shifted copies are chunked positionwise transforms; `threads` > 1
+  /// runs them on the shared pool — same bytes for any thread count.
   static Result<CombinedGraph> Build(const TripleGraph& g1,
                                      const TripleGraph& g2,
                                      size_t threads = 1);

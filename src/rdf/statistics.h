@@ -25,10 +25,10 @@ struct GraphStatistics {
   double avg_out_degree = 0.0;
 };
 
-/// Computes statistics in one pass over the graph. `threads` > 1 runs the
-/// flag and accumulation passes as chunked kernels whose thread-local
-/// partial counters are merged in chunk order — every counter comes out
-/// bit-identical to the serial (threads=1) pass.
+/// Computes statistics in one pass over the triples and one over the
+/// nodes, both chunked, with per-chunk counters merged in chunk order.
+/// `threads` > 1 runs the chunks on the shared pool; every counter is
+/// bit-identical for any thread count.
 GraphStatistics ComputeStatistics(const TripleGraph& g, size_t threads = 1);
 
 }  // namespace rdfalign

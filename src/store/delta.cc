@@ -379,9 +379,9 @@ Result<TripleGraph> ApplyFromContainer(const TripleGraph& base,
   RDFALIGN_RETURN_IF_ERROR(ValidateLayout(c, name));
   const DeltaHeader header = c.HeaderAs<DeltaHeader>();
   const bool fc = header.version == kDeltaFormatVersionFrontCoded;
-  const size_t threads = ResolveThreads(options.threads);
   if (options.verify_checksums) {
-    RDFALIGN_RETURN_IF_ERROR(VerifySectionChecksums(c, threads, name));
+    RDFALIGN_RETURN_IF_ERROR(
+        VerifySectionChecksums(c, ResolveThreads(options.threads), name));
   }
 
   // Base binding: the delta applies to exactly one graph. Count or
@@ -621,7 +621,7 @@ Result<TripleGraph> ApplyFromContainer(const TripleGraph& base,
   std::vector<uint64_t> in_offsets;
   std::vector<NodeId> in_subjects;
   TripleGraph::BuildCsrArrays(triples, nn, &out_offsets, &out_pairs,
-                              &in_offsets, &in_subjects, threads);
+                              &in_offsets, &in_subjects);
 
   if (stats != nullptr) {
     stats->file_bytes = c.file_size;

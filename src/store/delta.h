@@ -70,9 +70,10 @@ struct DeltaApplyOptions {
   /// Verify the per-section checksums. Structural validation runs
   /// regardless (same policy as SnapshotLoadOptions).
   bool verify_checksums = true;
-  /// Worker threads for section checksum verification and the CSR rebuild
-  /// (0 = one per hardware thread). The replayed graph is bit-identical
-  /// for any value; 1 keeps everything on the calling thread.
+  /// Worker threads for section checksum verification (0 = one per
+  /// hardware thread); the CSR rebuild is serial. The replayed graph is
+  /// bit-identical for any value; 1 keeps everything on the calling
+  /// thread.
   size_t threads = 1;
 };
 

@@ -169,25 +169,4 @@ void ThreadPool::WorkChunks(size_t my_lane, size_t num_lanes,
   }
 }
 
-void ParallelChunks(size_t n, size_t threads, size_t grain,
-                    const std::function<void(size_t chunk, size_t begin,
-                                             size_t end)>& body) {
-  const size_t chunks = PlanChunks(n, grain);
-  if (chunks == 0) return;
-  // Lanes beyond the hardware only add scheduling overhead to a chunked
-  // loop; the decomposition (and thus the result) never depends on the
-  // lane count, so the clamp is invisible except in wall clock. Raw
-  // ThreadPool::Run stays unclamped for callers that want real lanes.
-  threads = EffectiveLanes(threads);
-  if (threads <= 1 || chunks == 1) {
-    for (size_t c = 0; c < chunks; ++c) {
-      body(c, ChunkBound(n, chunks, c), ChunkBound(n, chunks, c + 1));
-    }
-    return;
-  }
-  ThreadPool::Instance().Run(chunks, threads, [&](size_t c) {
-    body(c, ChunkBound(n, chunks, c), ChunkBound(n, chunks, c + 1));
-  });
-}
-
 }  // namespace rdfalign

@@ -122,37 +122,42 @@ inline size_t ChunkBound(size_t n, size_t chunks, size_t c) {
 }
 
 /// Runs body(chunk, begin, end) over the deterministic decomposition of
-/// [0, n). With threads <= 1 (or a single chunk) the chunks run inline on
-/// the caller, in ascending order.
-void ParallelChunks(size_t n, size_t threads, size_t grain,
-                    const std::function<void(size_t chunk, size_t begin,
-                                             size_t end)>& body);
+/// [0, n). This is the one place that decides whether a kernel runs on
+/// the pool: a plan with a single chunk, or one lane, runs inline on the
+/// caller in ascending chunk order. A kernel therefore writes one chunked
+/// body; it needs no serial twin and no size floor of its own.
+template <typename Body>
+void ParallelChunks(size_t n, size_t threads, size_t grain, const Body& body) {
+  const size_t chunks = PlanChunks(n, grain);
+  // Lanes beyond the hardware only add scheduling overhead to a chunked
+  // loop; the decomposition (and thus the result) never depends on the
+  // lane count, so the clamp is invisible except in wall clock. Raw
+  // ThreadPool::Run stays unclamped for callers that want real lanes.
+  const size_t lanes = chunks <= 1 ? 1 : EffectiveLanes(threads);
+  if (lanes <= 1) {
+    for (size_t c = 0; c < chunks; ++c) {
+      body(c, ChunkBound(n, chunks, c), ChunkBound(n, chunks, c + 1));
+    }
+    return;
+  }
+  ThreadPool::Instance().Run(chunks, lanes, [&](size_t c) {
+    body(c, ChunkBound(n, chunks, c), ChunkBound(n, chunks, c + 1));
+  });
+}
 
 /// Chunk-ordered reduction: map(chunk, begin, end) fills one slot per
-/// chunk in parallel, then fold(acc, slot) combines the slots in
+/// chunk through ParallelChunks, then fold(acc, slot) combines the slots in
 /// ascending chunk order — the fixed-order convention that makes the
 /// result independent of the thread count even for non-commutative folds.
 template <typename T, typename Map, typename Fold>
 T ChunkedReduce(size_t n, size_t threads, size_t grain, T init,
                 const Map& map, const Fold& fold) {
-  const size_t chunks = PlanChunks(n, grain);
-  if (chunks == 0) return init;
-  // Same hardware clamp as ParallelChunks: slots and fold order depend
-  // only on the chunk plan, never on the lane count.
-  threads = EffectiveLanes(threads);
-  if (threads <= 1 || chunks == 1) {
-    T acc = std::move(init);
-    for (size_t c = 0; c < chunks; ++c) {
-      fold(acc, map(c, ChunkBound(n, chunks, c), ChunkBound(n, chunks, c + 1)));
-    }
-    return acc;
-  }
-  std::vector<T> slots(chunks);
-  ThreadPool::Instance().Run(chunks, threads, [&](size_t c) {
-    slots[c] = map(c, ChunkBound(n, chunks, c), ChunkBound(n, chunks, c + 1));
+  std::vector<T> slots(PlanChunks(n, grain));
+  ParallelChunks(n, threads, grain, [&](size_t c, size_t begin, size_t end) {
+    slots[c] = map(c, begin, end);
   });
   T acc = std::move(init);
-  for (size_t c = 0; c < chunks; ++c) fold(acc, std::move(slots[c]));
+  for (T& slot : slots) fold(acc, std::move(slot));
   return acc;
 }
 

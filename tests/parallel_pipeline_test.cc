@@ -1,13 +1,14 @@
 // Bit-identity of every parallel pipeline kernel across thread counts:
-// CSR index builds, graph statistics, the disjoint union, alignment stats,
-// the alignment-driven delta, the overlap matcher, and delta-chain replay
-// must produce byte-identical outputs (and identical counters) for
-// threads in {1, 2, 3, 4, 8} and across repeated runs — the same contract
-// the refinement suites pin for the worklist engine.
+// graph building (the parallel edge sort), graph statistics, the disjoint
+// union, alignment stats, the alignment-driven delta, the overlap matcher,
+// and delta-chain replay must produce byte-identical outputs (and
+// identical counters) for threads in {1, 2, 3, 4, 8} and across repeated
+// runs — the same contract the refinement suites pin for the worklist
+// engine.
 //
-// The graphs here are deliberately sized above the kernels' serial-
-// fallback thresholds (>= 2^15 edges) so the parallel paths genuinely
-// engage; each check asserts that precondition.
+// The graphs here are deliberately sized so that every chunked kernel
+// (grain 2^15) splits its input into at least two chunks, which is what
+// puts the work on the pool; each check asserts that precondition.
 
 #include <algorithm>
 #include <cstdint>
@@ -33,10 +34,11 @@
 namespace rdfalign {
 namespace {
 
-constexpr size_t kParallelFloor = size_t{1} << 15;
+// One element more than a 2^15-element chunk: at least two chunks.
+constexpr size_t kTwoChunks = (size_t{1} << 15) + 1;
 const size_t kThreadCounts[] = {2, 3, 4, 8};
 
-/// A random RDF graph big enough to clear every parallel threshold.
+/// A random RDF graph whose edges split into at least two chunks.
 TripleGraph BigRandomGraph(uint64_t seed,
                            std::shared_ptr<Dictionary> dict = nullptr) {
   testing::RandomGraphOptions options;
@@ -47,7 +49,7 @@ TripleGraph BigRandomGraph(uint64_t seed,
   options.predicates = 40;
   options.seed = seed * 977 + 13;
   TripleGraph g = testing::RandomGraph(options, std::move(dict));
-  EXPECT_GE(g.NumEdges(), kParallelFloor);  // parallel paths must engage
+  EXPECT_GE(g.NumEdges(), kTwoChunks);  // at least two chunks
   return g;
 }
 
@@ -57,34 +59,6 @@ TripleGraph BigRandomGraph(uint64_t seed,
     return ::testing::AssertionFailure() << what << " differ";
   }
   return ::testing::AssertionSuccess();
-}
-
-TEST(ParallelPipelineCsr, BuildCsrArraysBitIdentical) {
-  const TripleGraph g = BigRandomGraph(1);
-  std::vector<uint64_t> out_offsets_1;
-  std::vector<PredicateObject> out_pairs_1;
-  std::vector<uint64_t> in_offsets_1;
-  std::vector<NodeId> in_subjects_1;
-  TripleGraph::BuildCsrArrays(g.triples(), g.NumNodes(), &out_offsets_1,
-                              &out_pairs_1, &in_offsets_1, &in_subjects_1,
-                              /*threads=*/1);
-  for (size_t threads : kThreadCounts) {
-    for (int repeat = 0; repeat < 2; ++repeat) {
-      std::vector<uint64_t> out_offsets;
-      std::vector<PredicateObject> out_pairs;
-      std::vector<uint64_t> in_offsets;
-      std::vector<NodeId> in_subjects;
-      TripleGraph::BuildCsrArrays(g.triples(), g.NumNodes(), &out_offsets,
-                                  &out_pairs, &in_offsets, &in_subjects,
-                                  threads);
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " repeat=" + std::to_string(repeat));
-      EXPECT_EQ(out_offsets, out_offsets_1);
-      EXPECT_EQ(out_pairs, out_pairs_1);
-      EXPECT_EQ(in_offsets, in_offsets_1);
-      EXPECT_EQ(in_subjects, in_subjects_1);
-    }
-  }
 }
 
 TEST(ParallelPipelineCsr, FromPartsBitIdentical) {
@@ -149,7 +123,7 @@ TEST(ParallelPipelineAlign, AlignmentStatsAndDeltaBitIdentical) {
   const TripleGraph g1 = BigRandomGraph(6, dict);
   const TripleGraph g2 = BigRandomGraph(7, dict);
   const CombinedGraph cg = testing::Combine(g1, g2);
-  ASSERT_GE(cg.graph().NumEdges(), kParallelFloor);
+  ASSERT_GE(cg.graph().NumEdges(), kTwoChunks);
   const Partition p = HybridPartition(cg);
 
   const std::vector<ClassSides> sides_1 = ComputeClassSides(cg, p, 1);
@@ -255,7 +229,7 @@ TEST(ParallelPipelineReplay, DeltaChainReplayBitIdentical) {
   base_options.seed = 4242;
   const std::vector<TripleGraph> chain =
       testing::RandomEvolvingChain(4242, /*versions=*/3, base_options);
-  ASSERT_GE(chain[0].NumEdges(), kParallelFloor);
+  ASSERT_GE(chain[0].NumEdges(), kTwoChunks);
 
   std::vector<std::string> delta_images;
   for (size_t v = 1; v < chain.size(); ++v) {
