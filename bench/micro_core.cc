@@ -8,6 +8,7 @@
 #include "core/hungarian.h"
 #include "core/overlap.h"
 #include "core/refinement.h"
+#include "core/worklist_engine.h"
 #include "gen/efo_gen.h"
 #include "gen/textgen.h"
 #include "rdf/merge.h"
@@ -73,9 +74,10 @@ void BM_RefineFixpoint(benchmark::State& state) {
 }
 BENCHMARK(BM_RefineFixpoint)->Arg(100)->Arg(400)->Arg(2000);
 
-// range(0): EFO initial classes; range(1): signing threads.
-// parallel_min_round is lowered so the pool engages at micro-bench scale
-// too.
+// range(0): EFO initial classes; range(1): signing threads. The first
+// round signs every node of the pair, several internal::kSignGrain chunks
+// at 2000 classes, so threads > 1 sign it on the pool; a pair that fits
+// one chunk is reported as an error instead of timed.
 void BM_RefineFixpointParallel(benchmark::State& state) {
   gen::EfoOptions options;
   options.initial_classes = state.range(0);
@@ -86,9 +88,12 @@ void BM_RefineFixpointParallel(benchmark::State& state) {
   const TripleGraph& g = cg.graph();
   std::vector<NodeId> all(g.NumNodes());
   for (NodeId i = 0; i < g.NumNodes(); ++i) all[i] = i;
+  if (all.size() <= internal::kSignGrain) {
+    state.SkipWithError("first round fits one signing chunk");
+    return;
+  }
   RefinementOptions engine;
   engine.threads = state.range(1);
-  engine.parallel_min_round = 512;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         BisimRefineFixpoint(g, LabelPartition(g), all, nullptr, engine));

@@ -4,7 +4,7 @@
 #include <cassert>
 #include <unordered_map>
 
-#include "core/alignment.h"
+#include "core/hybrid.h"
 #include "core/worklist_engine.h"
 #include "util/hash.h"
 
@@ -161,21 +161,13 @@ Partition ContextualRefineFixpoint(const TripleGraph& g, Partition initial,
   config.mediation = &mediation;
   config.predicate_only = &predicate_only;
   config.threads = options.threads;
-  config.parallel_min_round = options.parallel_min_round;
   return internal::RunWorklistFixpoint(g, initial, x, config, stats);
 }
 
 ContextualHybridInputs BuildContextualHybridInputs(const CombinedGraph& cg) {
   const TripleGraph& g = cg.graph();
   Partition base = TrivialPartition(g);
-  std::vector<NodeId> x = UnalignedNonLiterals(cg, base);
-  {
-    std::vector<uint8_t> in_x(g.NumNodes(), 0);
-    for (NodeId n : x) in_x[n] = 1;
-    for (NodeId n = 0; n < g.NumNodes(); ++n) {
-      if (g.IsBlank(n) && !in_x[n]) x.push_back(n);
-    }
-  }
+  std::vector<NodeId> x = HybridRefinableSet(cg, base);
   std::vector<uint8_t> predicate_only(g.NumNodes(), 0);
   for (NodeId n : PredicateOnlyUris(g)) predicate_only[n] = 1;
   return ContextualHybridInputs{BlankColors(base, x), std::move(x),

@@ -26,6 +26,12 @@ Partition HybridPartition(const CombinedGraph& cg,
                           RefinementStats* stats = nullptr,
                           const RefinementOptions& options = {});
 
+/// The hybrid refinable set X: UN(base) (ascending), then every blank node
+/// not already in it (ascending). Shared with the predicate-aware hybrid
+/// (core/context.h), which refines the same X.
+std::vector<NodeId> HybridRefinableSet(const CombinedGraph& cg,
+                                       const Partition& base);
+
 /// Computes λ_Hybrid starting from an arbitrary base partition (used by the
 /// equivalence property test and by callers that already computed Deblank).
 Partition HybridPartitionFrom(const CombinedGraph& cg, const Partition& base,

@@ -37,7 +37,6 @@ Partition RefineFixpointImpl(const TripleGraph& g, const Partition& initial,
   internal::WorklistConfig config;
   config.predicate_mask = mask;
   config.threads = options.threads;
-  config.parallel_min_round = options.parallel_min_round;
   return internal::RunWorklistFixpoint(g, initial, x, config, stats);
 }
 

@@ -15,10 +15,10 @@
 // out-neighbor whose color changed in the previous round are re-signed;
 // every other node keeps its color with zero work. Signatures are consed
 // through a 64-bit hash into a shared arena with collision verification, so
-// steady-state rounds perform no per-node heap allocation. Large rounds —
-// the first round especially, which signs all of X — can be signed by a
-// worker pool (RefinementOptions::threads) with a deterministic merge that
-// keeps the partition bit-identical across thread counts. See
+// steady-state rounds perform no per-node heap allocation. Wide rounds —
+// the first round especially, which signs all of X — are signed in chunks
+// on the shared pool (RefinementOptions::threads) with a deterministic
+// merge that keeps the partition bit-identical across thread counts. See
 // docs/refinement.md for the invariants.
 //
 // The one-step functions (BisimRefineStep, BisimRefineStepKeyed) are the
@@ -40,14 +40,10 @@ namespace rdfalign {
 struct RefinementOptions {
   /// Signing workers for wide refinement rounds. 1 = sequential (default);
   /// 0 = one worker per hardware thread.
-  /// Any setting yields a bit-identical partition: workers sign into
-  /// thread-local arenas and a single deterministic merge conses the
-  /// signatures in worklist order.
+  /// Any setting yields a bit-identical partition: rounds are signed in
+  /// fixed-width chunks (internal::kSignGrain) and a single deterministic
+  /// merge conses the signatures in worklist order.
   size_t threads = 1;
-  /// Minimum worklist width before the worker pool engages; narrower
-  /// rounds are signed inline (thread spawn would dominate). Tests lower
-  /// this to force the parallel path on small graphs.
-  size_t parallel_min_round = 4096;
 };
 
 /// Telemetry of a refinement run.

@@ -15,13 +15,14 @@
 //    predicate-only nodes mediating it (MediationIndex::
 //    MediatingPredicates).
 //
-//  * **Parallel signing.** Rounds at least `parallel_min_round` nodes wide
-//    are signed by `threads` workers into thread-local arenas; a
-//    deterministic sequential merge then conses the prebuilt signatures in
-//    worklist order — the exact order the sequential path uses — so the
-//    resulting partition is bit-identical for every thread count. Signing
-//    only reads shared state (colors, graph, indexes); all writes happen in
-//    the merge. See docs/refinement.md.
+//  * **Chunked signing.** A round's worklist is cut into `kSignGrain`-wide
+//    chunks by ParallelChunks (a plan that depends on the round width
+//    only) and each chunk is signed into its own slab, on the shared pool
+//    when `threads` > 1; one serial merge then conses the slabs in chunk
+//    order, which is worklist order, so the resulting partition is
+//    bit-identical for every thread count. Signing only reads shared
+//    state (colors, graph, indexes); all writes happen in the merge. See
+//    docs/refinement.md.
 //
 //  * **Graph abstraction + re-entry.** The engine is a template over the
 //    graph type: it needs only `NumNodes()`, `Out(n)` (a range of
@@ -79,9 +80,12 @@ struct WorklistConfig {
   const std::vector<uint8_t>* predicate_only = nullptr;
   /// Resolved signing-worker count (>= 1); see rdfalign::ResolveThreads().
   size_t threads = 1;
-  /// Minimum worklist width before the worker pool engages.
-  size_t parallel_min_round = 4096;
 };
+
+/// Worklist entries per signing chunk. A round at most this wide is one
+/// chunk and is signed inline; a wider round splits into ParallelChunks'
+/// plan for its width, whatever the thread count.
+inline constexpr size_t kSignGrain = 4096;
 
 // Colors live in a monotonically growing (non-dense) id space; ids are never
 // reused, so a color identifies one class for the whole engine lifetime.
@@ -90,8 +94,8 @@ struct WorklistConfig {
 // the previous round (out-neighbors via Graph::In, plus mediating
 // predicate-only nodes via MediationIndex::MediatingPredicates under
 // contextual refinement). Dirty nodes of one class are grouped by signature
-// through an allocation-free cons table: the signature is built in a reused
-// scratch buffer, keyed by its 64-bit hash, and verified word-for-word
+// through an allocation-free cons table: the signature is built in its
+// chunk's reused slab, keyed by its 64-bit hash, and verified word-for-word
 // against the round arena on hash hits.
 //
 // Split rule for a class c with d dirty members out of s total:
@@ -254,27 +258,31 @@ class WorklistEngine {
     ColorId new_color;
   };
 
-  // Per-worker output of a parallel signing pass: the signatures of one
-  // contiguous worklist chunk, concatenated, plus per-node lengths and
-  // hashes. Workers only ever touch their own slab.
-  struct WorkerSlab {
+  // The signatures of one contiguous worklist chunk, concatenated, plus
+  // per-node lengths and hashes. A chunk only ever touches its own slab.
+  struct SignSlab {
     std::vector<uint32_t> words;
     std::vector<uint32_t> lens;
     std::vector<uint64_t> hashes;
-    size_t signature_bytes = 0;
-    // Scratch reused across the chunk's nodes.
-    std::vector<uint64_t> pair_scratch;
-    std::vector<uint32_t> sig_scratch;
+    std::vector<uint64_t> pairs;  // scratch reused across the chunk's nodes
   };
 
-  // Builds the signature of `node` w.r.t. the current colors into `sig`:
+  // Appends the signature of `node` w.r.t. the current colors to `words`:
   // [own color, (hi,lo) of each distinct out-pair, ascending], plus — for
   // predicate-only nodes under contextual refinement — a mediation section
   // [separator, (hi,lo) of each distinct (λ(s), λ(o)) mediated pair].
-  // Reads only shared immutable round state, so it is safe to run from the
-  // signing workers.
-  void BuildSignatureInto(NodeId node, std::vector<uint64_t>& pairs,
-                          std::vector<uint32_t>& sig) const {
+  // Reads only shared immutable round state, so chunks may run it
+  // concurrently.
+  void AppendSignature(NodeId node, std::vector<uint64_t>& pairs,
+                       std::vector<uint32_t>& words) const {
+    auto append_pairs = [&] {
+      std::sort(pairs.begin(), pairs.end());
+      pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+      for (uint64_t pair : pairs) {
+        words.push_back(UnpackHi(pair));
+        words.push_back(UnpackLo(pair));
+      }
+    };
     pairs.clear();
     for (const PredicateObject& po : g_.Out(node)) {
       if (cfg_.predicate_mask != nullptr && !(*cfg_.predicate_mask)[po.p]) {
@@ -282,27 +290,16 @@ class WorklistEngine {
       }
       pairs.push_back(PackPair(colors_[po.p], colors_[po.o]));
     }
-    std::sort(pairs.begin(), pairs.end());
-    pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
-    sig.clear();
-    sig.push_back(colors_[node]);
-    for (uint64_t pair : pairs) {
-      sig.push_back(UnpackHi(pair));
-      sig.push_back(UnpackLo(pair));
-    }
+    words.push_back(colors_[node]);
+    append_pairs();
     if (cfg_.mediation != nullptr && (*cfg_.predicate_only)[node]) {
-      sig.push_back(kMediationSeparator);
+      words.push_back(kMediationSeparator);
       pairs.clear();
       // MediationIndex reuses PredicateObject as a (subject, object) pair.
       for (const PredicateObject& so : cfg_.mediation->Mediated(node)) {
         pairs.push_back(PackPair(colors_[so.p], colors_[so.o]));
       }
-      std::sort(pairs.begin(), pairs.end());
-      pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
-      for (uint64_t pair : pairs) {
-        sig.push_back(UnpackHi(pair));
-        sig.push_back(UnpackLo(pair));
-      }
+      append_pairs();
     }
   }
 
@@ -340,74 +337,50 @@ class WorklistEngine {
     }
   }
 
+  // Signs the worklist chunk by chunk into slabs (pure reads of shared
+  // state, private writes), then conses the prebuilt signatures on one
+  // thread in chunk order. The chunk plan depends only on the round width
+  // and chunk order is worklist order, so group ids, fresh-color
+  // allocation order, and hence the partition are the same for every
+  // thread count and every schedule.
   void SignDirtyNodes() {
+    const size_t n = dirty_.size();
+    const size_t chunks = PlanChunks(n, kSignGrain);
+    if (slabs_.size() < chunks) slabs_.resize(chunks);
+    ParallelChunks(n, cfg_.threads, kSignGrain,
+                   [this](size_t c, size_t begin, size_t end) {
+                     SignSlab& slab = slabs_[c];
+                     slab.words.clear();
+                     slab.lens.clear();
+                     slab.hashes.clear();
+                     for (size_t i = begin; i < end; ++i) {
+                       const size_t start = slab.words.size();
+                       AppendSignature(dirty_[i], slab.pairs, slab.words);
+                       const size_t len = slab.words.size() - start;
+                       slab.lens.push_back(static_cast<uint32_t>(len));
+                       slab.hashes.push_back(
+                           HashU32Span(slab.words.data() + start, len));
+                     }
+                   });
     size_t cap = 16;
-    while (cap < dirty_.size() * 2) cap <<= 1;
+    while (cap < n * 2) cap <<= 1;
     table_.assign(cap, kNoGroup);
     groups_.clear();
     round_arena_.clear();
-    group_of_.resize(dirty_.size());
-    if (cfg_.threads > 1 && dirty_.size() >= cfg_.parallel_min_round) {
-      SignDirtyNodesParallel(cap - 1);
-      return;
-    }
-    for (size_t i = 0; i < dirty_.size(); ++i) {
-      const NodeId node = dirty_[i];
-      BuildSignatureInto(node, pairs_, sig_buf_);
-      signature_bytes_ += sig_buf_.size() * sizeof(uint32_t);
-      const uint64_t hash = HashU32Span(sig_buf_.data(), sig_buf_.size());
-      group_of_[i] =
-          ConsGroup(sig_buf_.data(), static_cast<uint32_t>(sig_buf_.size()),
-                    hash, cap - 1);
-      ++class_dirty_[node_color(i)];
-    }
-  }
-
-  // Parallel signing: contiguous worklist chunks are signed concurrently
-  // into per-worker slabs (pure reads of shared state, private writes),
-  // then a single thread conses the prebuilt signatures in ascending
-  // worklist order — exactly the sequential consing order, so group ids,
-  // fresh-color allocation order, and hence the final partition are
-  // bit-identical to a 1-thread run regardless of scheduling.
-  void SignDirtyNodesParallel(size_t table_mask) {
-    const size_t workers =
-        std::min(cfg_.threads, dirty_.size());  // never an empty chunk
-    slabs_.resize(workers);
-    const size_t per = (dirty_.size() + workers - 1) / workers;
-    // One slab per chunk, same contiguous chunking as the old per-call
-    // std::thread spawn — only the execution moved to the shared pool, so
-    // short incremental rounds stop paying a thread create/join each.
-    ThreadPool::Instance().Run(workers, workers, [this, per](size_t w) {
-      WorkerSlab& slab = slabs_[w];
-      slab.words.clear();
-      slab.lens.clear();
-      slab.hashes.clear();
-      slab.signature_bytes = 0;
-      const size_t begin = std::min(dirty_.size(), w * per);
-      const size_t end = std::min(dirty_.size(), begin + per);
-      for (size_t i = begin; i < end; ++i) {
-        BuildSignatureInto(dirty_[i], slab.pair_scratch, slab.sig_scratch);
-        slab.signature_bytes += slab.sig_scratch.size() * sizeof(uint32_t);
-        slab.hashes.push_back(
-            HashU32Span(slab.sig_scratch.data(), slab.sig_scratch.size()));
-        slab.lens.push_back(static_cast<uint32_t>(slab.sig_scratch.size()));
-        slab.words.insert(slab.words.end(), slab.sig_scratch.begin(),
-                          slab.sig_scratch.end());
-      }
-    });
+    group_of_.resize(n);
     size_t i = 0;
-    for (size_t w = 0; w < workers; ++w) {
-      const WorkerSlab& slab = slabs_[w];
+    for (size_t c = 0; c < chunks; ++c) {
+      const SignSlab& slab = slabs_[c];
       size_t offset = 0;
       for (size_t k = 0; k < slab.lens.size(); ++k, ++i) {
         group_of_[i] = ConsGroup(slab.words.data() + offset, slab.lens[k],
-                                 slab.hashes[k], table_mask);
+                                 slab.hashes[k], cap - 1);
         offset += slab.lens[k];
         ++class_dirty_[node_color(i)];
       }
-      signature_bytes_ += slab.signature_bytes;
+      signature_bytes_ += slab.words.size() * sizeof(uint32_t);
     }
-    assert(i == dirty_.size());
+    assert(i == n);
   }
 
   ColorId node_color(size_t dirty_index) const {
@@ -535,11 +508,7 @@ class WorklistEngine {
   std::vector<ColorId> touched_;       // classes with dirty members
   std::vector<uint32_t> class_head_;   // per-color group chain head
   std::vector<uint32_t> class_dirty_;  // per-color dirty member count
-  std::vector<WorkerSlab> slabs_;      // per-worker signing output
-
-  // Per-node scratch for the sequential path.
-  std::vector<uint64_t> pairs_;
-  std::vector<uint32_t> sig_buf_;
+  std::vector<SignSlab> slabs_;        // per-chunk signing output
 
   size_t signature_bytes_ = 0;
 };

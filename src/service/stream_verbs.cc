@@ -243,6 +243,17 @@ Status AcquirePair(GraphSource* source, const std::string& path_a,
   return Status::OK();
 }
 
+/// The argument check of push, stats and close: no positionals, and only
+/// --json.
+bool NoArguments(const Args& args, const std::string& sub,
+                 std::string* message) {
+  if (!args.positional().empty()) {
+    *message = "rdfalign stream: " + sub + " takes no arguments";
+    return false;
+  }
+  return args.OnlyKnown({"json"}, message);
+}
+
 }  // namespace
 
 VerbResult HandleStreamVerb(const std::vector<std::string>& tokens,
@@ -346,9 +357,7 @@ VerbResult HandleStreamVerb(const std::vector<std::string>& tokens,
   StreamSession& sess = **session;
 
   if (sub == "push") {
-    if (!args.positional().empty() || !args.OnlyKnown({"json"}, &message)) {
-      return UsageFailure(message);
-    }
+    if (!NoArguments(args, sub, &message)) return UsageFailure(message);
     Result<store::UpdateBatch> batch =
         store::DecodeUpdateBatch(fragment, "stream push");
     if (!batch.ok()) {
@@ -426,17 +435,13 @@ VerbResult HandleStreamVerb(const std::vector<std::string>& tokens,
   }
 
   if (sub == "stats") {
-    if (!args.positional().empty() || !args.OnlyKnown({"json"}, &message)) {
-      return UsageFailure(message);
-    }
+    if (!NoArguments(args, sub, &message)) return UsageFailure(message);
     result.output = args.Has("json") ? StatsToJson(sess) : StatsToText(sess);
     return result;
   }
 
   if (sub == "close") {
-    if (!args.positional().empty() || !args.OnlyKnown({"json"}, &message)) {
-      return UsageFailure(message);
-    }
+    if (!NoArguments(args, sub, &message)) return UsageFailure(message);
     result.output = args.Has("json") ? CloseToJson(sess) : CloseToText(sess);
     session->reset();
     return result;

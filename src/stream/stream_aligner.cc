@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <map>
+#include <ranges>
 
 #include "core/deblank.h"
 #include "util/thread_pool.h"
@@ -36,6 +37,28 @@ void DropCommonPairs(std::vector<LabeledPair>* removed,
   prune(added);
 }
 
+/// Every (source, target) pair of one engine color among the live nodes in
+/// `nodes`, grouped by ascending color.
+template <class Nodes>
+std::vector<std::pair<NodeId, NodeId>> SameColorPairs(
+    const DynamicGraph& g, const internal::WorklistEngine<DynamicGraph>& e,
+    const Nodes& nodes) {
+  std::map<ColorId, std::pair<std::vector<NodeId>, std::vector<NodeId>>>
+      by_color;
+  for (NodeId n : nodes) {
+    if (g.IsDead(n)) continue;
+    auto& sides = by_color[e.ColorOf(n)];
+    (g.InSource(n) ? sides.first : sides.second).push_back(n);
+  }
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  for (const auto& [color, sides] : by_color) {
+    for (NodeId src : sides.first) {
+      for (NodeId tgt : sides.second) pairs.emplace_back(src, tgt);
+    }
+  }
+  return pairs;
+}
+
 }  // namespace
 
 Result<std::unique_ptr<StreamAligner>> StreamAligner::Open(
@@ -66,7 +89,6 @@ Result<std::unique_ptr<StreamAligner>> StreamAligner::Open(
 
   internal::WorklistConfig cfg;
   cfg.threads = threads;
-  cfg.parallel_min_round = options.parallel_min_round;
   s->engine_ = std::make_unique<Engine>(*s->graph_, initial, x, cfg);
   s->engine_->RunInPlace(&s->open_stats_);
   s->open_stats_.initial_classes = initial.NumColors();
@@ -98,23 +120,11 @@ LabeledPair StreamAligner::MakePair(NodeId src, NodeId tgt) const {
 }
 
 std::vector<std::pair<NodeId, NodeId>> StreamAligner::BlankPairs() const {
-  const DynamicGraph& g = *graph_;
   // Blank colors never coincide with non-blank colors (the initial
   // partitions separate them and fresh colors are only handed to blank
   // splits or fresh labels), so restricting to blank_nodes_ is exact.
-  std::map<ColorId, std::pair<std::vector<NodeId>, std::vector<NodeId>>>
-      by_color;
-  for (NodeId b : blank_nodes_) {
-    if (g.IsDead(b)) continue;
-    auto& sides = by_color[engine_->ColorOf(b)];
-    (g.InSource(b) ? sides.first : sides.second).push_back(b);
-  }
-  std::vector<std::pair<NodeId, NodeId>> pairs;
-  for (const auto& [color, sides] : by_color) {
-    for (NodeId src : sides.first) {
-      for (NodeId tgt : sides.second) pairs.emplace_back(src, tgt);
-    }
-  }
+  std::vector<std::pair<NodeId, NodeId>> pairs =
+      SameColorPairs(*graph_, *engine_, blank_nodes_);
   std::sort(pairs.begin(), pairs.end());
   return pairs;
 }
@@ -322,19 +332,11 @@ Result<StreamBatchResult> StreamAligner::Apply(
 }
 
 std::vector<LabeledPair> StreamAligner::CurrentPairs() const {
-  const DynamicGraph& g = *graph_;
-  std::map<ColorId, std::pair<std::vector<NodeId>, std::vector<NodeId>>>
-      by_color;
-  for (NodeId n = 0; n < g.NumNodes(); ++n) {
-    if (g.IsDead(n)) continue;
-    auto& sides = by_color[engine_->ColorOf(n)];
-    (g.InSource(n) ? sides.first : sides.second).push_back(n);
-  }
+  const auto all_nodes =
+      std::views::iota(NodeId{0}, static_cast<NodeId>(graph_->NumNodes()));
   std::vector<LabeledPair> pairs;
-  for (const auto& [color, sides] : by_color) {
-    for (NodeId src : sides.first) {
-      for (NodeId tgt : sides.second) pairs.push_back(MakePair(src, tgt));
-    }
+  for (const auto& [src, tgt] : SameColorPairs(*graph_, *engine_, all_nodes)) {
+    pairs.push_back(MakePair(src, tgt));
   }
   std::sort(pairs.begin(), pairs.end());
   return pairs;
@@ -350,7 +352,6 @@ Result<StreamCheckResult> StreamAligner::CheckBatchEquivalence(
   if (options_.method == AlignMethod::kDeblank) {
     RefinementOptions ropt;
     ropt.threads = options_.threads;
-    ropt.parallel_min_round = options_.parallel_min_round;
     batch_partition = DeblankPartition(bcg, nullptr, ropt);
   } else {
     batch_partition = TrivialPartition(bcg.graph());

@@ -95,7 +95,6 @@ struct StreamOptions {
   AlignMethod method = AlignMethod::kDeblank;
   /// Signing workers for resumed refinement rounds (0 = hardware threads).
   size_t threads = 1;
-  size_t parallel_min_round = 4096;
 };
 
 /// Summary of a batch-equivalence check.

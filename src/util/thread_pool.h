@@ -46,8 +46,9 @@ size_t ResolveThreads(size_t requested);
 /// plans never see the lane count, so kernels gating their parallel
 /// layout on this produce the same bytes — it only spares a single-core
 /// box the scheduling and scratch cost of lanes that cannot help. Raw
-/// ThreadPool::Run is deliberately not clamped (the worklist engine and
-/// the pool tests field every requested lane).
+/// ThreadPool::Run is deliberately not clamped (the pool tests field
+/// every requested lane); every kernel reaches the pool through
+/// ParallelChunks or ParallelSort, which clamp.
 size_t EffectiveLanes(size_t threads);
 
 /// The process-wide pool. All parallel kernels share it via Instance().

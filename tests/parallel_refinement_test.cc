@@ -1,8 +1,8 @@
-// Determinism of the parallel first-round signing path: the worklist
-// engine must produce bit-identical partitions and telemetry for every
-// signing-thread count and across repeated runs. The tests force
-// parallel_min_round = 1 so the worker pool engages even on test-sized
-// graphs (production keeps a high threshold so narrow rounds stay inline).
+// Determinism of chunked signing: the worklist engine must produce
+// bit-identical partitions and telemetry for every signing-thread count and
+// across repeated runs. The graphs are sized so the first round spans
+// several internal::kSignGrain chunks, which is what puts the pool to work
+// at threads > 1; every test asserts that width.
 
 #include <gtest/gtest.h>
 
@@ -12,15 +12,17 @@
 #include "core/context.h"
 #include "core/hybrid.h"
 #include "core/refinement.h"
+#include "core/worklist_engine.h"
 #include "test_util.h"
 
 namespace rdfalign {
 namespace {
 
+using internal::kSignGrain;
+
 RefinementOptions Par(size_t threads) {
   RefinementOptions options;
   options.threads = threads;
-  options.parallel_min_round = 1;  // engage the pool on tiny graphs
   return options;
 }
 
@@ -30,24 +32,35 @@ std::vector<NodeId> AllNodes(const TripleGraph& g) {
   return all;
 }
 
+// Random-graph shape with about 14k nodes: a first round over all of them
+// is four signing chunks.
+testing::RandomGraphOptions WideOptions(uint64_t seed) {
+  testing::RandomGraphOptions options;
+  options.seed = seed;
+  options.uris = 4000 + seed % 15 * 40;
+  options.literals = 2000 + seed % 7 * 30;
+  options.blanks = 8000 + seed % 10 * 50;
+  options.edges = 24000 + seed % 80 * 100;
+  options.predicates = 2 + seed % 5;
+  return options;
+}
+
+void ExpectWideFirstRound(const RefinementStats& stats) {
+  ASSERT_FALSE(stats.dirty_per_iteration.empty());
+  EXPECT_GT(stats.dirty_per_iteration.front(), 3 * kSignGrain);
+}
+
 class ParallelDeterminismProperty
     : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ParallelDeterminismProperty, ThreadCountsProduceIdenticalPartitions) {
-  const uint64_t seed = GetParam();
-  testing::RandomGraphOptions options;
-  options.seed = seed * 131;
-  options.uris = 10 + seed % 15;
-  options.literals = 5 + seed % 7;
-  options.blanks = 4 + seed % 10;
-  options.edges = 30 + seed % 80;
-  options.predicates = 2 + seed % 5;
-  TripleGraph g = testing::RandomGraph(options);
+  TripleGraph g = testing::RandomGraph(WideOptions(GetParam() * 131));
   const std::vector<NodeId> all = AllNodes(g);
 
   RefinementStats base_stats;
   Partition base =
       BisimRefineFixpoint(g, LabelPartition(g), all, &base_stats, Par(1));
+  ExpectWideFirstRound(base_stats);
 
   for (size_t threads : {2u, 3u, 4u, 8u}) {
     RefinementStats stats;
@@ -66,23 +79,18 @@ TEST_P(ParallelDeterminismProperty, ThreadCountsProduceIdenticalPartitions) {
 
 TEST_P(ParallelDeterminismProperty, KeyedAndContextualAcrossThreadCounts) {
   const uint64_t seed = GetParam();
-  testing::RandomGraphOptions options;
-  options.seed = seed * 613;
-  options.uris = 9 + seed % 9;
-  options.literals = 4 + seed % 6;
-  options.blanks = 3 + seed % 8;
-  options.edges = 25 + seed % 70;
-  options.predicates = 2 + seed % 6;
-  TripleGraph g = testing::RandomGraph(options);
+  TripleGraph g = testing::RandomGraph(WideOptions(seed * 613));
   const std::vector<NodeId> all = AllNodes(g);
 
   std::vector<uint8_t> mask(g.NumNodes(), 0);
   for (const Triple& t : g.triples()) {
     if ((g.LexicalId(t.p) + seed) % 2 == 0) mask[t.p] = 1;
   }
+  RefinementStats keyed_stats;
   Partition keyed1 =
-      BisimRefineFixpointKeyed(g, LabelPartition(g), all, mask, nullptr,
+      BisimRefineFixpointKeyed(g, LabelPartition(g), all, mask, &keyed_stats,
                                Par(1));
+  ExpectWideFirstRound(keyed_stats);
 
   std::vector<uint8_t> predicate_only(g.NumNodes(), 0);
   for (NodeId n : PredicateOnlyUris(g)) predicate_only[n] = 1;
@@ -107,9 +115,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ParallelDeterminismProperty,
                          ::testing::Range<uint64_t>(1, 21));
 
 TEST(ParallelRefinementTest, RepeatedRunsAreStable) {
-  auto [g1, g2] = testing::RandomEvolvingPair(7);
+  auto [g1, g2] = testing::RandomEvolvingPair(7, WideOptions(7));
   CombinedGraph cg = testing::Combine(g1, g2);
-  Partition first = HybridPartition(cg, nullptr, Par(4));
+  RefinementStats stats;
+  Partition first = HybridPartition(cg, &stats, Par(4));
+  ExpectWideFirstRound(stats);
   for (int run = 0; run < 4; ++run) {
     Partition again = HybridPartition(cg, nullptr, Par(4));
     EXPECT_EQ(again.colors(), first.colors()) << "run " << run;
@@ -120,11 +130,12 @@ TEST(ParallelRefinementTest, RepeatedRunsAreStable) {
 }
 
 TEST(ParallelRefinementTest, AutoThreadCountMatchesSequential) {
-  TripleGraph g = testing::Fig2Graph();
+  TripleGraph g = testing::RandomGraph(WideOptions(5));
   const std::vector<NodeId> all = AllNodes(g);
   RefinementStats stats;
   Partition auto_threads =
       BisimRefineFixpoint(g, LabelPartition(g), all, &stats, Par(0));
+  ExpectWideFirstRound(stats);
   Partition sequential =
       BisimRefineFixpoint(g, LabelPartition(g), all, nullptr, Par(1));
   EXPECT_EQ(auto_threads.colors(), sequential.colors());
@@ -133,23 +144,25 @@ TEST(ParallelRefinementTest, AutoThreadCountMatchesSequential) {
 }
 
 TEST(ParallelRefinementTest, FirstRoundTimingIsReported) {
-  auto [g1, g2] = testing::RandomEvolvingPair(3);
+  auto [g1, g2] = testing::RandomEvolvingPair(3, WideOptions(3));
   CombinedGraph cg = testing::Combine(g1, g2);
   RefinementStats stats;
   HybridPartition(cg, &stats, Par(2));
+  ExpectWideFirstRound(stats);
   EXPECT_GE(stats.first_round_ms, 0.0);
   EXPECT_EQ(stats.threads_used, 2u);
   EXPECT_GT(stats.signature_bytes, 0u);
 }
 
-TEST(ParallelRefinementTest, HighThresholdKeepsSigningInline) {
-  // Default parallel_min_round is far above test-graph sizes: requesting
-  // threads must not change anything when every round is narrow.
+TEST(ParallelRefinementTest, NarrowRoundsAreOneInlineChunk) {
+  // Every round of a test-sized graph fits one chunk, so requesting
+  // threads must not change anything.
   TripleGraph g = testing::Fig2Graph();
   const std::vector<NodeId> all = AllNodes(g);
-  RefinementOptions wide;
-  wide.threads = 8;  // default parallel_min_round stays 4096
-  Partition p = BisimRefineFixpoint(g, LabelPartition(g), all, nullptr, wide);
+  RefinementStats stats;
+  Partition p = BisimRefineFixpoint(g, LabelPartition(g), all, &stats, Par(8));
+  ASSERT_FALSE(stats.dirty_per_iteration.empty());
+  EXPECT_LE(stats.dirty_per_iteration.front(), kSignGrain);
   Partition q = BisimRefineFixpoint(g, LabelPartition(g), all);
   EXPECT_EQ(p.colors(), q.colors());
 }

@@ -416,8 +416,8 @@ TEST(OverlapMatchByteIdentityTest, EmptyAndDegenerateInputs) {
 // One fig16-size category pair (scale 1) run through every non-refinement
 // phase — merge, partition ops on the hybrid partition, overlap match over
 // the unaligned non-literals, statistics and delta — each checked against
-// the oracle. It is above the kernels' 1 << 15 parallel floor, so the
-// merge is also checked with the pool engaged.
+// the oracle. It is wider than the merge's 1 << 15 chunk grain, so the
+// four-thread merge runs several chunks on the pool.
 TEST(GeneratedPipelineEquivalence, CategoryPairEveryPhase) {
   gen::CategoryChain chain = gen::CategoryChain::Generate(
       gen::CategoryOptions::FromScale(1.0, /*versions=*/2, /*seed=*/5));

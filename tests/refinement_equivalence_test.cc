@@ -17,6 +17,7 @@
 #include "core/bisim.h"
 #include "core/context.h"
 #include "core/refinement.h"
+#include "core/worklist_engine.h"
 #include "gen/category_gen.h"
 #include "gen/efo_gen.h"
 #include "test_util.h"
@@ -316,22 +317,31 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ContextualEvolvingPairEquivalence,
                          ::testing::Range<uint64_t>(1, 13));
 
 // Generated version pairs at the shapes of the paper's scalability
-// (category, Fig. 16) and EFO (Fig. 9) experiments, at fig16's scale-1
-// size: the random graphs above are small, and only graphs this large take
-// the parallel signing path with production-sized rounds. Full
-// bisimulation from the label partition, the deblank restriction, and the
-// predicate-aware hybrid shape, each on one signing thread and on four
-// with the pool forced on, against one oracle run.
+// (category, Fig. 16, at scale 3, the smallest whole scale whose
+// contextual X is wider than one chunk) and EFO (Fig. 9) experiments: the
+// random graphs above are small, and only graphs this large have first
+// rounds wider than one signing chunk (internal::kSignGrain), the ones the
+// pool runs at threads > 1. Full bisimulation from the label
+// partition, the deblank restriction, and the predicate-aware hybrid
+// shape, each on one signing thread and on four, against one oracle run.
+// ExpectEngineMatches pins each first round to |X|, so |X| > kSignGrain
+// means the four-thread run signs several chunks concurrently.
 void ExpectGeneratedPairMatchesOracle(const CombinedGraph& cg) {
   const TripleGraph& g = cg.graph();
   const RefinementOptions serial;
-  const RefinementOptions parallel{.threads = 4, .parallel_min_round = 256};
-  ExpectMatchesStepOracle(g, LabelPartition(g), AllNodes(g), nullptr,
+  const RefinementOptions parallel{.threads = 4};
+  const std::vector<NodeId> all = AllNodes(g);
+  const std::vector<NodeId> blanks = g.NodesOfKind(TermKind::kBlank);
+  ASSERT_GT(all.size(), internal::kSignGrain);
+  if (!blanks.empty()) {
+    ASSERT_GT(blanks.size(), internal::kSignGrain);
+  }
+  ExpectMatchesStepOracle(g, LabelPartition(g), all, nullptr,
                           {serial, parallel});
-  ExpectMatchesStepOracle(g, LabelPartition(g),
-                          g.NodesOfKind(TermKind::kBlank), nullptr,
+  ExpectMatchesStepOracle(g, LabelPartition(g), blanks, nullptr,
                           {serial, parallel});
   ContextualHybridInputs in = BuildContextualHybridInputs(cg);
+  ASSERT_GT(in.x.size(), internal::kSignGrain);
   size_t predicate_only = 0;
   for (uint8_t flag : in.predicate_only) predicate_only += flag;
   EXPECT_GT(predicate_only, 0u) << "mediation never exercised";
@@ -341,7 +351,7 @@ void ExpectGeneratedPairMatchesOracle(const CombinedGraph& cg) {
 
 TEST(GeneratedChainEquivalence, CategoryChainPair) {
   gen::CategoryChain chain = gen::CategoryChain::Generate(
-      gen::CategoryOptions::FromScale(1.0, /*versions=*/2, /*seed=*/5));
+      gen::CategoryOptions::FromScale(3.0, /*versions=*/2, /*seed=*/5));
   ExpectGeneratedPairMatchesOracle(
       testing::Combine(chain.Version(0), chain.Version(1)));
 }

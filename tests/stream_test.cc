@@ -16,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "gen/efo_gen.h"
 #include "store/update_fragment.h"
 #include "test_util.h"
 
@@ -485,36 +486,75 @@ TEST(StreamTest, OpenReportsTheBatchClassCount) {
   }
 }
 
+// Replaces the literal object of `count` (blank subject, literal object)
+// triples of `g`, starting at the `first`-th such triple (one per subject),
+// with a fresh literal tagged `tag` and the edit's index.
+TripleGraph EditBlankLiterals(const TripleGraph& g, size_t first,
+                              size_t count, const std::string& tag) {
+  std::vector<NodeLabel> labels = g.labels();
+  std::vector<Triple> triples(g.triples().begin(), g.triples().end());
+  NodeId last_subject = kInvalidNode;
+  size_t seen = 0;
+  for (Triple& t : triples) {
+    if (!g.IsBlank(t.s) || !g.IsLiteral(t.o) || t.s == last_subject) continue;
+    last_subject = t.s;
+    if (seen++ < first) continue;
+    if (seen > first + count) break;
+    const std::string lex = std::string(g.Lexical(t.o)) + " [" + tag + "." +
+                            std::to_string(seen) + "]";
+    labels.push_back({TermKind::kLiteral, g.dict_ptr()->Intern(lex)});
+    t.o = static_cast<NodeId>(labels.size() - 1);
+  }
+  return std::move(TripleGraph::FromParts(g.dict_ptr(), std::move(labels),
+                                          std::move(triples), true))
+      .value();
+}
+
 // Thread count must not change anything the session reports — same pairs,
-// same deltas, same class count at every step. (Also the TSan target: the
-// sanitizer job runs *Stream* with threads > 1.)
+// same deltas, same class count at every step — on an EFO-like version
+// whose live blanks, the reset region of every push below, span several
+// signing chunks (internal::kSignGrain), so threads = 4 re-signs them on
+// the pool. (Also the TSan target: the sanitizer job runs *Stream*.)
 TEST(StreamTest, ThreadCountIsBitIdentical) {
-  for (uint64_t seed = 40; seed < 44; ++seed) {
-    testing::RandomGraphOptions big;
-    big.uris = 24;
-    big.blanks = 16;
-    big.edges = 90;
-    std::vector<TripleGraph> chain =
-        testing::RandomEvolvingChain(seed, 4, big);
+  gen::EfoOptions options;
+  options.initial_classes = 5000;
+  options.versions = 1;
+  options.seed = 3;
+  const gen::EfoChain chain = gen::EfoChain::Generate(options);
+  const TripleGraph& v0 = chain.Version(0);
+  const size_t live_blanks = 2 * v0.CountOfKind(TermKind::kBlank);
+  ASSERT_GT(live_blanks, 3 * internal::kSignGrain);
 
-    StreamOptions serial;
-    serial.threads = 1;
-    StreamOptions parallel;
-    parallel.threads = 4;
-    parallel.parallel_min_round = 1;  // force the pool on tiny rounds
-    std::unique_ptr<StreamAligner> a = OpenOrDie(chain[0], chain[0], serial);
-    std::unique_ptr<StreamAligner> b =
-        OpenOrDie(chain[0], chain[0], parallel);
-    EXPECT_EQ(a->CurrentPairs(), b->CurrentPairs());
+  StreamOptions serial;
+  serial.threads = 1;
+  StreamOptions parallel;
+  parallel.threads = 4;
+  std::unique_ptr<StreamAligner> a = OpenOrDie(v0, v0, serial);
+  std::unique_ptr<StreamAligner> b = OpenOrDie(v0, v0, parallel);
+  EXPECT_EQ(a->CurrentPairs(), b->CurrentPairs());
+  EXPECT_EQ(a->NumColorsAllocated(), b->NumColorsAllocated());
 
-    for (size_t v = 1; v < chain.size(); ++v) {
-      StreamBatchResult ra = ApplyStep(a.get(), chain[v - 1], chain[v], v);
-      StreamBatchResult rb = ApplyStep(b.get(), chain[v - 1], chain[v], v);
-      EXPECT_EQ(ra.added_pairs, rb.added_pairs) << "seed " << seed;
-      EXPECT_EQ(ra.removed_pairs, rb.removed_pairs) << "seed " << seed;
-      EXPECT_EQ(a->CurrentPairs(), b->CurrentPairs()) << "seed " << seed;
-    }
-    EXPECT_EQ(a->NumColorsAllocated(), b->NumColorsAllocated());
+  // Edit 20 blank literals, edit 20 more on top, then restore all 40.
+  std::vector<TripleGraph> versions;
+  versions.push_back(EditBlankLiterals(v0, 0, 20, "edit 1"));
+  versions.push_back(EditBlankLiterals(versions[0], 20, 20, "edit 2"));
+  const TripleGraph* prev = &v0;
+  for (size_t v = 0; v <= versions.size(); ++v) {
+    const TripleGraph& next = v < versions.size() ? versions[v] : v0;
+    StreamBatchResult ra = ApplyStep(a.get(), *prev, next, v + 1);
+    StreamBatchResult rb = ApplyStep(b.get(), *prev, next, v + 1);
+    ASSERT_TRUE(ra.refined) << "push " << v;
+    EXPECT_GE(ra.dirty_total, live_blanks) << "push " << v;
+    EXPECT_EQ(ra.dirty_total, rb.dirty_total) << "push " << v;
+    EXPECT_EQ(ra.iterations, rb.iterations) << "push " << v;
+    EXPECT_EQ(ra.added_pairs, rb.added_pairs) << "push " << v;
+    EXPECT_EQ(ra.removed_pairs, rb.removed_pairs) << "push " << v;
+    EXPECT_EQ(a->CurrentPairs(), b->CurrentPairs()) << "push " << v;
+    EXPECT_EQ(a->NumColorsAllocated(), b->NumColorsAllocated())
+        << "push " << v;
+    ExpectEquivalent(*a, v0, next);
+    ExpectEquivalent(*b, v0, next);
+    prev = &next;
   }
 }
 

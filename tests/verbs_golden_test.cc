@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <regex>
 #include <string>
 #include <utility>
@@ -28,6 +29,7 @@
 #include "service/client.h"
 #include "service/protocol.h"
 #include "service/server.h"
+#include "service/stream_verbs.h"
 #include "service/verbs.h"
 #include "store/update_fragment.h"
 
@@ -1062,6 +1064,34 @@ TEST_F(VerbsGoldenDaemonTest, StreamSessionStatsAndEnvelopes) {
   }
   std::remove(u1.c_str());
   std::remove(u2.c_str());
+}
+
+// push, stats and close take no positional argument: a stray one is a
+// usage error with an arity message, and a stray flag is reported as
+// such. Neither closes the session.
+TEST(VerbsGoldenTest, StreamNoArgumentSubcommandErrors) {
+  struct Case {
+    std::vector<std::string> tokens;
+    std::string error;
+  };
+  const Case cases[] = {
+      {{"stream", "push", "extra"}, "rdfalign stream: push takes no arguments"},
+      {{"stream", "stats", "extra", "--json"},
+       "rdfalign stream: stats takes no arguments"},
+      {{"stream", "close", "a", "b"},
+       "rdfalign stream: close takes no arguments"},
+      {{"stream", "close", "--frob"}, "rdfalign: unknown flag --frob"},
+  };
+  for (const Case& c : cases) {
+    // An open session; the argument check runs before the aligner is used.
+    auto session = std::make_unique<StreamSession>();
+    const VerbResult r =
+        HandleStreamVerb(c.tokens, "", &session, nullptr, nullptr);
+    EXPECT_EQ(r.exit_code, 2) << c.error;
+    EXPECT_TRUE(r.usage_error) << c.error;
+    EXPECT_EQ(r.error, c.error);
+    EXPECT_NE(session, nullptr) << c.error;
+  }
 }
 
 }  // namespace
