@@ -399,6 +399,34 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(0.35, 0.65, 0.9),
                        ::testing::Bool()));
 
+// 1200 A-side nodes span five of the probe's 256-node chunks, so the
+// four-thread run folds several chunks from the pool. Both thread counts
+// must reproduce the oracle's edges, order, distances and counters.
+TEST(OverlapMatchByteIdentityTest, MultiChunkProbeMatchesOracle) {
+  DualFixture f = MakeDualFixture(7, 1200, 0.5);
+  auto sigma = [&](size_t ai, size_t bi) {
+    return NormalizedEditDistance(f.a_text[ai], f.b_text[bi]);
+  };
+  for (bool paper_prefix : {false, true}) {
+    OverlapMatchOptions options;
+    options.paper_prefix = paper_prefix;
+    OverlapMatchStats oracle_stats;
+    BipartiteMatching oracle_h =
+        oracle::OverlapMatch(f.a_nodes, f.b_nodes, f.a_vec, f.b_vec, 0.65,
+                             sigma, options, &oracle_stats);
+    ASSERT_GT(oracle_h.edges.size(), 256u);
+    for (size_t threads : {1, 4}) {
+      SCOPED_TRACE("paper_prefix=" + std::to_string(paper_prefix) +
+                   " threads=" + std::to_string(threads));
+      OverlapMatchStats stats;
+      BipartiteMatching h =
+          OverlapMatch(f.a_nodes, f.b_nodes, f.a_csr, f.b_csr, 0.65, sigma,
+                       options, &stats, threads);
+      ExpectMatchingsIdentical(h, stats, oracle_h, oracle_stats);
+    }
+  }
+}
+
 TEST(OverlapMatchByteIdentityTest, EmptyAndDegenerateInputs) {
   DualFixture f = MakeDualFixture(9, 5, 0.0);
   auto zero = [](size_t, size_t) { return 0.0; };

@@ -1094,5 +1094,49 @@ TEST(VerbsGoldenTest, StreamNoArgumentSubcommandErrors) {
   }
 }
 
+TEST(VerbsGoldenTest, StreamPositionalSubcommandErrors) {
+  struct Case {
+    std::vector<std::string> tokens;
+    bool session_open;  // check needs a session; open and resume refuse one
+    std::string error;
+  };
+  const Case cases[] = {
+      {{"stream", "open"}, false,
+       "rdfalign stream: open expects <source> <target>"},
+      {{"stream", "open", "a"}, false,
+       "rdfalign stream: open expects <source> <target>"},
+      {{"stream", "open", "a", "b", "c"}, false,
+       "rdfalign stream: open expects <source> <target>"},
+      // The positional count is checked before the flags.
+      {{"stream", "open", "a", "--frob"}, false,
+       "rdfalign stream: open expects <source> <target>"},
+      {{"stream", "open", "a", "b", "--frob"}, false,
+       "rdfalign: unknown flag --frob"},
+      {{"stream", "resume"}, false, "rdfalign stream: resume expects <token>"},
+      {{"stream", "resume", "t", "u"}, false,
+       "rdfalign stream: resume expects <token>"},
+      {{"stream", "resume", "--threads=2"}, false,
+       "rdfalign stream: resume expects <token>"},
+      {{"stream", "resume", "t", "--threads=2"}, false,
+       "rdfalign: unknown flag --threads"},
+      {{"stream", "check"}, true,
+       "rdfalign stream: check expects <final-target>"},
+      {{"stream", "check", "a", "b", "--method=deblank"}, true,
+       "rdfalign stream: check expects <final-target>"},
+      {{"stream", "check", "a", "--method=deblank"}, true,
+       "rdfalign: unknown flag --method"},
+  };
+  for (const Case& c : cases) {
+    auto session =
+        c.session_open ? std::make_unique<StreamSession>() : nullptr;
+    const VerbResult r =
+        HandleStreamVerb(c.tokens, "", &session, nullptr, nullptr);
+    EXPECT_EQ(r.exit_code, 2) << c.error;
+    EXPECT_TRUE(r.usage_error) << c.error;
+    EXPECT_EQ(r.error, c.error);
+    EXPECT_EQ(session != nullptr, c.session_open) << c.error;
+  }
+}
+
 }  // namespace
 }  // namespace rdfalign::service
