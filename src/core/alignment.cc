@@ -5,7 +5,6 @@
 
 #include "core/side_keys.h"
 #include "util/hash.h"
-#include "util/scratch.h"
 #include "util/thread_pool.h"
 
 namespace rdfalign {
@@ -106,11 +105,8 @@ EdgeAlignmentStats ComputeEdgeAlignment(const CombinedGraph& cg,
                                         const Partition& p, size_t threads) {
   const TripleGraph& g = cg.graph();
 
-  // Scratch key buffers persist across calls: the figure benches and the
-  // archive workloads call this once per version pair, and the buffers
-  // reach a steady size after the first pair.
-  static thread_local std::vector<TripleKey> set_a;
-  static thread_local std::vector<TripleKey> set_b;
+  std::vector<TripleKey> set_a;
+  std::vector<TripleKey> set_b;
 
   // Pass 1: count label-identical non-blank edges present on both sides —
   // these are "edges using precisely the same identifiers" and are counted
@@ -146,8 +142,6 @@ EdgeAlignmentStats ComputeEdgeAlignment(const CombinedGraph& cg,
   size_t aligned = CountMembersIn(set_a, set_b) + CountMembersIn(set_b, set_a);
   // Merged edges are aligned on both sides by construction; count them once.
   aligned -= merged;
-  TrimScratch(set_a);
-  TrimScratch(set_b);
 
   EdgeAlignmentStats stats;
   stats.total_edges = cg.e1() + cg.e2() - merged;

@@ -4,7 +4,6 @@
 #include <unordered_map>
 
 #include "core/side_keys.h"
-#include "util/scratch.h"
 #include "util/thread_pool.h"
 
 namespace rdfalign {
@@ -25,9 +24,8 @@ RdfDelta ComputeDelta(const CombinedGraph& cg, const Partition& p,
     uint64_t idx;  // triple index; CSR offsets are 64-bit, so follow suit
     auto operator<=>(const KeyIdx&) const = default;
   };
-  static thread_local std::vector<KeyIdx> src;
-  static thread_local std::vector<KeyIdx> tgt;
-  static thread_local std::vector<uint8_t> changed;  // per-triple verdict
+  std::vector<KeyIdx> src;
+  std::vector<KeyIdx> tgt;
   internal::BuildSideKeys(
       cg, threads,
       [&](const Triple& t, size_t i) {
@@ -40,7 +38,7 @@ RdfDelta ComputeDelta(const CombinedGraph& cg, const Partition& p,
   // A source run of cs edges and a target run of ct edges with one key
   // match min(cs, ct) pairs: the first min source edges are unchanged, the
   // rest deleted; the first min target edges are unchanged, the rest added.
-  changed.assign(triples.size(), 0);
+  std::vector<uint8_t> changed(triples.size(), 0);  // per-triple verdict
   size_t i = 0;
   size_t j = 0;
   while (i < src.size() || j < tgt.size()) {
@@ -70,19 +68,14 @@ RdfDelta ComputeDelta(const CombinedGraph& cg, const Partition& p,
     (cg.InSource(triples[t].s) ? delta.deleted : delta.added)
         .push_back(triples[t]);
   }
-  TrimScratch(src);
-  TrimScratch(tgt);
-  TrimScratch(changed);
 
   // Renames: classes holding URI nodes of both sides with differing labels.
   // Counting-sort CSRs over the dense colors, one per side; classes are
   // visited in ascending color order (deterministic, unlike the old
   // unordered_map walk — rename order within a class is unchanged).
   const size_t num_colors = p.NumColors();
-  static thread_local std::vector<uint32_t> src_off;
-  static thread_local std::vector<uint32_t> tgt_off;
-  src_off.assign(num_colors + 1, 0);
-  tgt_off.assign(num_colors + 1, 0);
+  std::vector<uint32_t> src_off(num_colors + 1, 0);
+  std::vector<uint32_t> tgt_off(num_colors + 1, 0);
   for (NodeId n = 0; n < g.NumNodes(); ++n) {
     if (!g.IsUri(n)) continue;
     ++(cg.InSource(n) ? src_off : tgt_off)[p.ColorOf(n) + 1];
@@ -91,15 +84,11 @@ RdfDelta ComputeDelta(const CombinedGraph& cg, const Partition& p,
     src_off[c + 1] += src_off[c];
     tgt_off[c + 1] += tgt_off[c];
   }
-  static thread_local std::vector<NodeId> src_uris;
-  static thread_local std::vector<NodeId> tgt_uris;
-  src_uris.resize(src_off[num_colors]);
-  tgt_uris.resize(tgt_off[num_colors]);
+  std::vector<NodeId> src_uris(src_off[num_colors]);
+  std::vector<NodeId> tgt_uris(tgt_off[num_colors]);
   {
-    static thread_local std::vector<uint32_t> src_cur;
-    static thread_local std::vector<uint32_t> tgt_cur;
-    src_cur.assign(src_off.begin(), src_off.end() - 1);
-    tgt_cur.assign(tgt_off.begin(), tgt_off.end() - 1);
+    std::vector<uint32_t> src_cur(src_off.begin(), src_off.end() - 1);
+    std::vector<uint32_t> tgt_cur(tgt_off.begin(), tgt_off.end() - 1);
     for (NodeId n = 0; n < g.NumNodes(); ++n) {
       if (!g.IsUri(n)) continue;
       const ColorId c = p.ColorOf(n);
@@ -122,8 +111,6 @@ RdfDelta ComputeDelta(const CombinedGraph& cg, const Partition& p,
       }
     }
   }
-  TrimScratch(src_uris);
-  TrimScratch(tgt_uris);
   return delta;
 }
 

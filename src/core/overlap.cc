@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/scratch.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -47,21 +46,14 @@ BipartiteMatching OverlapMatch(
     if (stats != nullptr) *stats = local;
     return h;
   }
-  // Lanes beyond the cores cannot help, and the probe path allocates
-  // per-chunk stamp arrays that are not worth it for an effectively
-  // serial run. Edges and counters are chunk-order folded either way,
-  // so the clamp is invisible in the output.
-  threads = EffectiveLanes(threads);
-
   // Lines 1-6: inverted index Inv over B's objects, as a counting-sort CSR:
   // (object, bi) pairs sorted by object, then run boundaries. Postings of
   // one object keep ascending bi — the same order the hash-map index's
   // insertion produced — and freq[o] is the run length.
   WallTimer index_timer;
-  static thread_local std::vector<std::pair<uint64_t, uint32_t>> postings;
-  static thread_local std::vector<uint64_t> inv_objects;  // distinct, sorted
-  static thread_local std::vector<uint64_t> inv_offsets;  // runs in postings
-  postings.clear();
+  std::vector<std::pair<uint64_t, uint32_t>> postings;
+  std::vector<uint64_t> inv_objects;  // distinct, sorted
+  std::vector<uint64_t> inv_offsets;  // runs in postings
   postings.reserve(b_char.TotalItems());
   for (uint32_t bi = 0; bi < b_nodes.size(); ++bi) {
     for (uint64_t o : b_char[bi]) {
@@ -71,8 +63,6 @@ BipartiteMatching OverlapMatch(
   // (object, bi) pairs are distinct (characterizing sets are deduplicated),
   // so their total order has one sorted permutation for any thread count.
   ParallelSort(postings, threads);
-  inv_objects.clear();
-  inv_offsets.clear();
   for (size_t i = 0; i < postings.size();) {
     size_t j = i;
     while (j < postings.size() && postings[j].first == postings[i].first) ++j;
@@ -81,18 +71,11 @@ BipartiteMatching OverlapMatch(
     i = j;
   }
   inv_offsets.push_back(postings.size());
-  // Plain references to this thread's index: the probe bodies below may
-  // run on pool workers, where naming the thread_local directly would
-  // resolve to the *worker's* (empty) instance.
-  const std::vector<std::pair<uint64_t, uint32_t>>& postings_ref = postings;
-  const std::vector<uint64_t>& inv_objects_ref = inv_objects;
-  const std::vector<uint64_t>& inv_offsets_ref = inv_offsets;
   // Index of o's posting run, or SIZE_MAX when o indexes nothing.
   auto find_run = [&](uint64_t o) -> size_t {
-    auto it = std::lower_bound(inv_objects_ref.begin(), inv_objects_ref.end(),
-                               o);
-    if (it == inv_objects_ref.end() || *it != o) return SIZE_MAX;
-    return static_cast<size_t>(it - inv_objects_ref.begin());
+    auto it = std::lower_bound(inv_objects.begin(), inv_objects.end(), o);
+    if (it == inv_objects.end() || *it != o) return SIZE_MAX;
+    return static_cast<size_t>(it - inv_objects.begin());
   };
   local.index_ms = index_timer.ElapsedMillis();
 
@@ -106,109 +89,85 @@ BipartiteMatching OverlapMatch(
     size_t run;
     auto operator<=>(const ProbeObject&) const = default;
   };
-  // One A-side node's probes. All mutable state (the per-B visited stamp
-  // that deduplicates the candidate set C, the probe-order scratch, the
-  // counters, the emitted edges) is passed in so the parallel path can hand
-  // each chunk its own copies; per node the body is identical either way.
-  auto probe_node = [&](uint32_t ai, std::vector<uint32_t>& stamp,
-                        uint32_t& round, std::vector<ProbeObject>& objects,
-                        OverlapMatchStats& st, std::vector<MatchEdge>& edges) {
-    const std::span<const uint64_t> chars = a_char[ai];
-    if (chars.empty()) return;
-    const size_t k = chars.size();
+  // Chunks of ascending ai are independent (the stamp/round dedup resets
+  // per node). Each chunk owns its per-B visited stamp, probe-order
+  // scratch, counters and edges; folding the chunks in chunk order gives
+  // the same counters and edge order for any thread count.
+  struct ProbeChunk {
+    OverlapMatchStats st;
+    std::vector<MatchEdge> edges;
+  };
+  constexpr size_t kProbeGrain = 256;
+  std::vector<ProbeChunk> parts(PlanChunks(a_nodes.size(), kProbeGrain));
+  auto probe_chunk = [&](size_t c, size_t begin, size_t end) {
+    OverlapMatchStats& st = parts[c].st;
+    std::vector<MatchEdge>& edges = parts[c].edges;
+    std::vector<uint32_t> stamp(b_nodes.size(), 0);
+    uint32_t round = 0;
+    std::vector<ProbeObject> objects;
+    for (uint32_t ai = static_cast<uint32_t>(begin); ai < end; ++ai) {
+      const std::span<const uint64_t> chars = a_char[ai];
+      if (chars.empty()) continue;
+      const size_t k = chars.size();
 
-    // Line 11: objects of char(n) ordered by ascending frequency (the rare,
-    // discriminating objects first).
-    objects.clear();
-    for (uint64_t o : chars) {
-      const size_t run = find_run(o);
-      const uint64_t freq =
-          run == SIZE_MAX ? 0 : inv_offsets_ref[run + 1] - inv_offsets_ref[run];
-      objects.push_back(ProbeObject{freq, o, run});
-    }
-    std::sort(objects.begin(), objects.end());
+      // Line 11: objects of char(n) ordered by ascending frequency (the
+      // rare, discriminating objects first).
+      objects.clear();
+      for (uint64_t o : chars) {
+        const size_t run = find_run(o);
+        const uint64_t freq =
+            run == SIZE_MAX ? 0 : inv_offsets[run + 1] - inv_offsets[run];
+        objects.push_back(ProbeObject{freq, o, run});
+      }
+      std::sort(objects.begin(), objects.end());
 
-    // Line 12: the prefix that must contain a shared object of any node
-    // with overlap >= θ (see header comment).
-    const size_t paper_len = static_cast<size_t>(
-        std::ceil(static_cast<double>(k) * theta));
-    size_t prefix_len = paper_len;
-    if (!options.paper_prefix) {
-      const size_t theta_k = static_cast<size_t>(
+      // Line 12: the prefix that must contain a shared object of any node
+      // with overlap >= θ (see header comment).
+      const size_t paper_len = static_cast<size_t>(
           std::ceil(static_cast<double>(k) * theta));
-      const size_t sound_len = k >= theta_k ? k - theta_k + 1 : 1;
-      prefix_len = std::max(paper_len, sound_len);
-    }
-    prefix_len = std::min(prefix_len, k);
+      size_t prefix_len = paper_len;
+      if (!options.paper_prefix) {
+        const size_t theta_k = static_cast<size_t>(
+            std::ceil(static_cast<double>(k) * theta));
+        const size_t sound_len = k >= theta_k ? k - theta_k + 1 : 1;
+        prefix_len = std::max(paper_len, sound_len);
+      }
+      prefix_len = std::min(prefix_len, k);
 
-    // Lines 12-15: gather candidates sharing a prefix object, screen by
-    // overlap.
-    ++round;
-    for (size_t i = 0; i < prefix_len; ++i) {
-      if (objects[i].run == SIZE_MAX) continue;
-      const size_t run_begin = inv_offsets_ref[objects[i].run];
-      const size_t run_end = inv_offsets_ref[objects[i].run + 1];
-      for (size_t r = run_begin; r < run_end; ++r) {
-        const uint32_t bi = postings_ref[r].second;
-        ++st.candidates_probed;
-        if (stamp[bi] == round) continue;
-        stamp[bi] = round;
-        ++st.overlap_checked;
-        if (OverlapMeasure(chars, b_char[bi]) < theta) continue;
-        // Lines 16-19: verify with the distance function.
-        ++st.sigma_checked;
-        double d = sigma(ai, bi);
-        if (d < theta) {
-          edges.push_back(MatchEdge{a_nodes[ai], b_nodes[bi], d});
-          ++st.matched;
+      // Lines 12-15: gather candidates sharing a prefix object, screen by
+      // overlap.
+      ++round;
+      for (size_t i = 0; i < prefix_len; ++i) {
+        if (objects[i].run == SIZE_MAX) continue;
+        const size_t run_begin = inv_offsets[objects[i].run];
+        const size_t run_end = inv_offsets[objects[i].run + 1];
+        for (size_t r = run_begin; r < run_end; ++r) {
+          const uint32_t bi = postings[r].second;
+          ++st.candidates_probed;
+          if (stamp[bi] == round) continue;
+          stamp[bi] = round;
+          ++st.overlap_checked;
+          if (OverlapMeasure(chars, b_char[bi]) < theta) continue;
+          // Lines 16-19: verify with the distance function.
+          ++st.sigma_checked;
+          double d = sigma(ai, bi);
+          if (d < theta) {
+            edges.push_back(MatchEdge{a_nodes[ai], b_nodes[bi], d});
+            ++st.matched;
+          }
         }
       }
     }
   };
-
-  constexpr size_t kProbeGrain = 256;
-  const size_t probe_chunks = PlanChunks(a_nodes.size(), kProbeGrain);
-  if (threads > 1 && probe_chunks > 1) {
-    // Chunks of ascending ai are independent (the stamp/round dedup resets
-    // per node); folding per-chunk counters and edge buffers in chunk order
-    // reproduces the serial counters and edge order exactly.
-    struct ProbeChunk {
-      OverlapMatchStats st;
-      std::vector<MatchEdge> edges;
-    };
-    std::vector<ProbeChunk> parts(probe_chunks);
-    ParallelChunks(a_nodes.size(), threads, kProbeGrain,
-                   [&](size_t c, size_t begin, size_t end) {
-                     ProbeChunk& part = parts[c];
-                     std::vector<uint32_t> stamp(b_nodes.size(), 0);
-                     std::vector<ProbeObject> objects;
-                     uint32_t round = 0;
-                     for (size_t ai = begin; ai < end; ++ai) {
-                       probe_node(static_cast<uint32_t>(ai), stamp, round,
-                                  objects, part.st, part.edges);
-                     }
-                   });
-    for (ProbeChunk& part : parts) {
-      local.candidates_probed += part.st.candidates_probed;
-      local.overlap_checked += part.st.overlap_checked;
-      local.sigma_checked += part.st.sigma_checked;
-      local.matched += part.st.matched;
-      h.edges.insert(h.edges.end(), part.edges.begin(), part.edges.end());
-    }
-  } else {
-    static thread_local std::vector<uint32_t> stamp;
-    static thread_local std::vector<ProbeObject> objects;
-    stamp.assign(b_nodes.size(), 0);
-    uint32_t round = 0;
-    for (uint32_t ai = 0; ai < a_nodes.size(); ++ai) {
-      probe_node(ai, stamp, round, objects, local, h.edges);
-    }
-    TrimScratch(stamp);
+  ParallelChunks(a_nodes.size(), threads, kProbeGrain, probe_chunk);
+  for (ProbeChunk& part : parts) {
+    local.candidates_probed += part.st.candidates_probed;
+    local.overlap_checked += part.st.overlap_checked;
+    local.sigma_checked += part.st.sigma_checked;
+    local.matched += part.st.matched;
+    h.edges.insert(h.edges.end(), part.edges.begin(), part.edges.end());
   }
   local.probe_ms = probe_timer.ElapsedMillis();
-  TrimScratch(postings);
-  TrimScratch(inv_objects);
-  TrimScratch(inv_offsets);
   if (stats != nullptr) *stats = local;
   return h;
 }

@@ -130,7 +130,7 @@ struct OverlapMatchStats {
 /// ascending chunk order); the matching edges, their order, and every
 /// counter in `stats` are bit-identical for any thread count. `sigma` must
 /// then be safe to call concurrently on distinct pairs (the built-in σ
-/// functions only read shared state and use thread_local scratch).
+/// functions only read shared state).
 BipartiteMatching OverlapMatch(
     const std::vector<NodeId>& a_nodes, const std::vector<NodeId>& b_nodes,
     const CharacterizingSets& a_char, const CharacterizingSets& b_char,

@@ -40,15 +40,18 @@ struct KeyedEdge {
   }
 };
 
-void CollectKeyedEdges(const TripleGraph& g, const WeightedPartition& xi,
-                       NodeId n, std::vector<KeyedEdge>& out) {
-  out.clear();
+std::vector<KeyedEdge> CollectKeyedEdges(const TripleGraph& g,
+                                         const WeightedPartition& xi,
+                                         NodeId n) {
+  std::vector<KeyedEdge> out;
+  out.reserve(g.OutDegree(n));
   for (const PredicateObject& po : g.Out(n)) {
     out.push_back(KeyedEdge{PackPair(xi.partition.ColorOf(po.p),
                                      xi.partition.ColorOf(po.o)),
                             xi.weight[po.p], xi.weight[po.o]});
   }
   std::sort(out.begin(), out.end());
+  return out;
 }
 
 /// Streams the word set of a literal into `sets` (Algorithm 2's `split`,
@@ -83,10 +86,8 @@ double SigmaNonLiteral(const TripleGraph& g, const WeightedPartition& xi,
   const size_t f = std::max(deg_n, deg_m);
   if (f == 0) return 0.0;
 
-  static thread_local std::vector<KeyedEdge> en;
-  static thread_local std::vector<KeyedEdge> em;
-  CollectKeyedEdges(g, xi, n, en);
-  CollectKeyedEdges(g, xi, m, em);
+  const std::vector<KeyedEdge> en = CollectKeyedEdges(g, xi, n);
+  const std::vector<KeyedEdge> em = CollectKeyedEdges(g, xi, m);
 
   // Two-pointer merge over color-key runs; within one run both sides are
   // weight-sorted, so rank coupling is the optimal same-color assignment.

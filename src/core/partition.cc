@@ -4,7 +4,6 @@
 #include <unordered_map>
 
 #include "util/hash.h"
-#include "util/scratch.h"
 
 namespace rdfalign {
 
@@ -31,11 +30,9 @@ Partition Partition::FromColors(std::vector<ColorId> colors) {
   ColorId max_color = 0;
   for (ColorId c : p.colors_) max_color = std::max(max_color, c);
   if (RemapFitsFlatTable(max_color, n)) {
-    // One flat pass; the scratch table persists across calls so the
-    // refinement loop's per-round renumbering allocates nothing in steady
-    // state.
-    static thread_local std::vector<ColorId> remap;
-    remap.assign(static_cast<size_t>(max_color) + 1, kInvalidColor);
+    // One flat pass over a first-occurrence remap table.
+    std::vector<ColorId> remap(static_cast<size_t>(max_color) + 1,
+                               kInvalidColor);
     ColorId next = 0;
     for (ColorId& c : p.colors_) {
       ColorId& slot = remap[c];
@@ -43,7 +40,6 @@ Partition Partition::FromColors(std::vector<ColorId> colors) {
       c = slot;
     }
     p.num_colors_ = next;
-    TrimScratch(remap);
   } else {
     // Sparse ids (e.g. hand-crafted adversarial partitions): hash remap.
     std::unordered_map<ColorId, ColorId> renumber;
@@ -63,10 +59,8 @@ bool Partition::Equivalent(const Partition& a, const Partition& b) {
   if (a.NumColors() != b.NumColors()) return false;
   // Check that the color-to-color correspondence is a bijection. Both color
   // vectors are dense, so the two direction maps are flat arrays.
-  static thread_local std::vector<ColorId> a_to_b;
-  static thread_local std::vector<ColorId> b_to_a;
-  a_to_b.assign(a.NumColors(), kInvalidColor);
-  b_to_a.assign(b.NumColors(), kInvalidColor);
+  std::vector<ColorId> a_to_b(a.NumColors(), kInvalidColor);
+  std::vector<ColorId> b_to_a(b.NumColors(), kInvalidColor);
   for (size_t i = 0; i < a.NumNodes(); ++i) {
     const ColorId ca = a.colors_[i];
     const ColorId cb = b.colors_[i];
@@ -75,8 +69,6 @@ bool Partition::Equivalent(const Partition& a, const Partition& b) {
     if (b_to_a[cb] == kInvalidColor) b_to_a[cb] = ca;
     else if (b_to_a[cb] != ca) return false;
   }
-  TrimScratch(a_to_b);
-  TrimScratch(b_to_a);
   return true;
 }
 
@@ -84,8 +76,7 @@ bool Partition::IsFinerOrEqual(const Partition& fine,
                                const Partition& coarse) {
   if (fine.NumNodes() != coarse.NumNodes()) return false;
   // Each fine class must map into exactly one coarse class.
-  static thread_local std::vector<ColorId> fine_to_coarse;
-  fine_to_coarse.assign(fine.NumColors(), kInvalidColor);
+  std::vector<ColorId> fine_to_coarse(fine.NumColors(), kInvalidColor);
   for (size_t i = 0; i < fine.NumNodes(); ++i) {
     ColorId& slot = fine_to_coarse[fine.colors_[i]];
     if (slot == kInvalidColor) slot = coarse.colors_[i];
@@ -102,12 +93,10 @@ PartitionClasses Partition::Classes() const {
     out.offsets[c + 1] += out.offsets[c];
   }
   out.members.resize(colors_.size());
-  static thread_local std::vector<uint64_t> cursor;
-  cursor.assign(out.offsets.begin(), out.offsets.end() - 1);
+  std::vector<uint64_t> cursor(out.offsets.begin(), out.offsets.end() - 1);
   for (NodeId i = 0; i < colors_.size(); ++i) {
     out.members[cursor[colors_[i]]++] = i;
   }
-  TrimScratch(cursor);
   return out;
 }
 
@@ -121,14 +110,14 @@ bool LabelTableFitsFlat(const TripleGraph& g) {
   return g.dict().size() <= 4 * g.NumNodes() + 1024;
 }
 
-/// Hash-keyed coloring for the dictionary >> graph case; same
-/// first-occurrence color assignment as the flat path.
-template <typename KeyFn>
-Partition HashLabelColors(const TripleGraph& g, bool blanks_singleton,
-                          KeyFn key_of) {
+/// First-occurrence coloring by (kind, lex) label: `slot_of(i)` is the
+/// color slot of node i's label, kInvalidColor until the label is first
+/// seen. All blanks share one color, or each gets its own when
+/// `blanks_singleton`.
+template <typename SlotFn>
+Partition ColorByLabel(const TripleGraph& g, bool blanks_singleton,
+                       SlotFn slot_of) {
   std::vector<ColorId> colors(g.NumNodes());
-  std::unordered_map<uint64_t, ColorId> by_label;
-  by_label.reserve(g.NumNodes());
   ColorId next = 0;
   ColorId blank_color = kInvalidColor;
   for (NodeId i = 0; i < g.NumNodes(); ++i) {
@@ -141,69 +130,41 @@ Partition HashLabelColors(const TripleGraph& g, bool blanks_singleton,
       }
       continue;
     }
-    auto [it, inserted] = by_label.emplace(key_of(i), next);
-    if (inserted) ++next;
-    colors[i] = it->second;
+    ColorId& slot = slot_of(i);
+    if (slot == kInvalidColor) slot = next++;
+    colors[i] = slot;
   }
   return Partition::FromColors(std::move(colors));
+}
+
+Partition LabelColors(const TripleGraph& g, bool blanks_singleton) {
+  if (LabelTableFitsFlat(g)) {
+    // Lexical ids are dense, so the (kind, lex) -> color map is a flat
+    // table with one stripe per non-blank term kind.
+    const size_t terms = g.dict().size();
+    std::vector<ColorId> by_label(2 * terms, kInvalidColor);
+    return ColorByLabel(g, blanks_singleton, [&](NodeId i) -> ColorId& {
+      return by_label[static_cast<size_t>(g.KindOf(i)) * terms +
+                      g.LexicalId(i)];
+    });
+  }
+  std::unordered_map<uint64_t, ColorId> by_label;
+  by_label.reserve(g.NumNodes());
+  return ColorByLabel(g, blanks_singleton, [&](NodeId i) -> ColorId& {
+    const uint64_t key =
+        (static_cast<uint64_t>(g.KindOf(i)) << 33) | g.LexicalId(i);
+    return by_label.try_emplace(key, kInvalidColor).first->second;
+  });
 }
 
 }  // namespace
 
 Partition LabelPartition(const TripleGraph& g) {
-  auto key_of = [&](NodeId i) {
-    return (static_cast<uint64_t>(g.KindOf(i)) << 33) | g.LexicalId(i);
-  };
-  if (!LabelTableFitsFlat(g)) {
-    return HashLabelColors(g, /*blanks_singleton=*/false, key_of);
-  }
-  std::vector<ColorId> colors(g.NumNodes());
-  // Lexical ids are dense, so the (kind, lex) -> color map is a flat table
-  // with one stripe per non-blank term kind. All blanks share one color.
-  const size_t terms = g.dict().size();
-  static thread_local std::vector<ColorId> by_label;
-  by_label.assign(2 * terms, kInvalidColor);
-  ColorId next = 0;
-  ColorId blank_color = kInvalidColor;
-  for (NodeId i = 0; i < g.NumNodes(); ++i) {
-    if (g.IsBlank(i)) {
-      if (blank_color == kInvalidColor) blank_color = next++;
-      colors[i] = blank_color;
-      continue;
-    }
-    ColorId& slot =
-        by_label[static_cast<size_t>(g.KindOf(i)) * terms + g.LexicalId(i)];
-    if (slot == kInvalidColor) slot = next++;
-    colors[i] = slot;
-  }
-  TrimScratch(by_label);
-  return Partition::FromColors(std::move(colors));
+  return LabelColors(g, /*blanks_singleton=*/false);
 }
 
 Partition TrivialPartition(const TripleGraph& g) {
-  auto key_of = [&](NodeId i) {
-    return (static_cast<uint64_t>(g.KindOf(i)) << 33) | g.LexicalId(i);
-  };
-  if (!LabelTableFitsFlat(g)) {
-    return HashLabelColors(g, /*blanks_singleton=*/true, key_of);
-  }
-  std::vector<ColorId> colors(g.NumNodes());
-  const size_t terms = g.dict().size();
-  static thread_local std::vector<ColorId> by_label;
-  by_label.assign(2 * terms, kInvalidColor);  // URIs and literals only
-  ColorId next = 0;
-  for (NodeId i = 0; i < g.NumNodes(); ++i) {
-    if (g.IsBlank(i)) {
-      colors[i] = next++;  // singleton class per blank node
-      continue;
-    }
-    ColorId& slot =
-        by_label[static_cast<size_t>(g.KindOf(i)) * terms + g.LexicalId(i)];
-    if (slot == kInvalidColor) slot = next++;
-    colors[i] = slot;
-  }
-  TrimScratch(by_label);
-  return Partition::FromColors(std::move(colors));
+  return LabelColors(g, /*blanks_singleton=*/true);
 }
 
 }  // namespace rdfalign
