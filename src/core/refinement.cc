@@ -40,10 +40,11 @@ Partition RefineFixpointImpl(const TripleGraph& g, const Partition& initial,
   return internal::RunWorklistFixpoint(g, initial, x, config, stats);
 }
 
-}  // namespace
-
-Partition BisimRefineStep(const TripleGraph& g, const Partition& p,
-                          const std::vector<NodeId>& x) {
+// Shared one-step reference (Definition 3): `mask == nullptr` keeps every
+// out-pair, otherwise only pairs whose predicate the mask marks.
+Partition RefineStepImpl(const TripleGraph& g, const Partition& p,
+                         const std::vector<NodeId>& x,
+                         const std::vector<uint8_t>* mask) {
   const size_t n = g.NumNodes();
   assert(p.NumNodes() == n);
 
@@ -65,6 +66,7 @@ Partition BisimRefineStep(const TripleGraph& g, const Partition& p,
       // Gather the out-neighborhood color pairs as a *set* (eq. 1).
       pairs.clear();
       for (const PredicateObject& po : g.Out(node)) {
+        if (mask != nullptr && !(*mask)[po.p]) continue;  // non-key attribute
         pairs.push_back(PackPair(p.ColorOf(po.p), p.ColorOf(po.o)));
       }
       std::sort(pairs.begin(), pairs.end());
@@ -79,6 +81,13 @@ Partition BisimRefineStep(const TripleGraph& g, const Partition& p,
     next[node] = ConsSignature(cons, std::vector<uint32_t>(sig));
   }
   return Partition::FromColors(std::move(next));
+}
+
+}  // namespace
+
+Partition BisimRefineStep(const TripleGraph& g, const Partition& p,
+                          const std::vector<NodeId>& x) {
+  return RefineStepImpl(g, p, x, nullptr);
 }
 
 Partition BisimRefineFixpoint(const TripleGraph& g, Partition initial,
@@ -114,39 +123,7 @@ std::vector<uint8_t> BuildPredicateMask(
 Partition BisimRefineStepKeyed(const TripleGraph& g, const Partition& p,
                                const std::vector<NodeId>& x,
                                const std::vector<uint8_t>& predicate_mask) {
-  const size_t n = g.NumNodes();
-  assert(p.NumNodes() == n);
-  std::vector<uint8_t> in_x(n, 0);
-  for (NodeId node : x) in_x[node] = 1;
-
-  SignatureMap cons;
-  cons.reserve(n);
-  std::vector<ColorId> next(n);
-  std::vector<uint32_t> sig;
-  std::vector<uint64_t> pairs;
-  for (NodeId node = 0; node < n; ++node) {
-    sig.clear();
-    if (!in_x[node]) {
-      sig.push_back(kKeepTag);
-      sig.push_back(p.ColorOf(node));
-    } else {
-      pairs.clear();
-      for (const PredicateObject& po : g.Out(node)) {
-        if (!predicate_mask[po.p]) continue;  // non-key attribute: ignored
-        pairs.push_back(PackPair(p.ColorOf(po.p), p.ColorOf(po.o)));
-      }
-      std::sort(pairs.begin(), pairs.end());
-      pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
-      sig.push_back(kRecolorTag);
-      sig.push_back(p.ColorOf(node));
-      for (uint64_t pair : pairs) {
-        sig.push_back(UnpackHi(pair));
-        sig.push_back(UnpackLo(pair));
-      }
-    }
-    next[node] = ConsSignature(cons, std::vector<uint32_t>(sig));
-  }
-  return Partition::FromColors(std::move(next));
+  return RefineStepImpl(g, p, x, &predicate_mask);
 }
 
 Partition BisimRefineFixpointKeyed(const TripleGraph& g, Partition initial,
