@@ -1,5 +1,6 @@
 #include "service/stream_verbs.h"
 
+#include <initializer_list>
 #include <utility>
 
 #include "rdf/term.h"
@@ -243,15 +244,18 @@ Status AcquirePair(GraphSource* source, const std::string& path_a,
   return Status::OK();
 }
 
-/// The argument check of push, stats and close: no positionals, and only
-/// --json.
-bool NoArguments(const Args& args, const std::string& sub,
-                 std::string* message) {
-  if (!args.positional().empty()) {
-    *message = "rdfalign stream: " + sub + " takes no arguments";
+/// The argument check of every subcommand: exactly `positionals`
+/// positional arguments (else "rdfalign stream: " + `usage`), then only
+/// the `known` flags.
+bool CheckArguments(const Args& args, size_t positionals,
+                    const std::string& usage,
+                    std::initializer_list<const char*> known,
+                    std::string* message) {
+  if (args.positional().size() != positionals) {
+    *message = "rdfalign stream: " + usage;
     return false;
   }
-  return args.OnlyKnown({"json"}, message);
+  return args.OnlyKnown(known, message);
 }
 
 }  // namespace
@@ -277,11 +281,8 @@ VerbResult HandleStreamVerb(const std::vector<std::string>& tokens,
       return PlainFailure(
           1, "rdfalign stream: a session is already open on this connection");
     }
-    if (args.positional().size() != 2) {
-      return UsageFailure(
-          "rdfalign stream: open expects <source> <target>");
-    }
-    if (!args.OnlyKnown(
+    if (!CheckArguments(
+            args, 2, "open expects <source> <target>",
             {"method", "threads", "mmap", "json", "no-verify-checksums"},
             &message)) {
       return UsageFailure(message);
@@ -329,11 +330,9 @@ VerbResult HandleStreamVerb(const std::vector<std::string>& tokens,
       return PlainFailure(
           1, "rdfalign stream: a session is already open on this connection");
     }
-    if (args.positional().size() != 1 ||
-        !args.OnlyKnown({"json"}, &message)) {
-      return UsageFailure(message.empty()
-                              ? "rdfalign stream: resume expects <token>"
-                              : message);
+    if (!CheckArguments(args, 1, "resume expects <token>", {"json"},
+                        &message)) {
+      return UsageFailure(message);
     }
     const std::string& token = args.positional()[0];
     std::unique_ptr<StreamSession> claimed =
@@ -357,7 +356,10 @@ VerbResult HandleStreamVerb(const std::vector<std::string>& tokens,
   StreamSession& sess = **session;
 
   if (sub == "push") {
-    if (!NoArguments(args, sub, &message)) return UsageFailure(message);
+    if (!CheckArguments(args, 0, sub + " takes no arguments", {"json"},
+                        &message)) {
+      return UsageFailure(message);
+    }
     Result<store::UpdateBatch> batch =
         store::DecodeUpdateBatch(fragment, "stream push");
     if (!batch.ok()) {
@@ -405,13 +407,10 @@ VerbResult HandleStreamVerb(const std::vector<std::string>& tokens,
   }
 
   if (sub == "check") {
-    if (args.positional().size() != 1 ||
-        !args.OnlyKnown({"json", "threads", "mmap", "no-verify-checksums"},
+    if (!CheckArguments(args, 1, "check expects <final-target>",
+                        {"json", "threads", "mmap", "no-verify-checksums"},
                         &message)) {
-      return UsageFailure(message.empty()
-                              ? "rdfalign stream: check expects "
-                                "<final-target>"
-                              : message);
+      return UsageFailure(message);
     }
     CommonOptions common = sess.common;
     if (!ParseCommonFlags(args, "stream", &common, &message)) {
@@ -435,13 +434,19 @@ VerbResult HandleStreamVerb(const std::vector<std::string>& tokens,
   }
 
   if (sub == "stats") {
-    if (!NoArguments(args, sub, &message)) return UsageFailure(message);
+    if (!CheckArguments(args, 0, sub + " takes no arguments", {"json"},
+                        &message)) {
+      return UsageFailure(message);
+    }
     result.output = args.Has("json") ? StatsToJson(sess) : StatsToText(sess);
     return result;
   }
 
   if (sub == "close") {
-    if (!NoArguments(args, sub, &message)) return UsageFailure(message);
+    if (!CheckArguments(args, 0, sub + " takes no arguments", {"json"},
+                        &message)) {
+      return UsageFailure(message);
+    }
     result.output = args.Has("json") ? CloseToJson(sess) : CloseToText(sess);
     session->reset();
     return result;
