@@ -8,6 +8,7 @@
 #include "core/alignment.h"
 #include "core/deblank.h"
 #include "core/hybrid.h"
+#include "pipeline_oracle.h"
 #include "test_util.h"
 
 namespace rdfalign {
@@ -67,9 +68,10 @@ TEST(HybridTest, TrivialStartYieldsSamePartitionOnFig3) {
   // §3.4: "Using λTrivial instead of λDeblank above yields the same result."
   auto [g1, g2] = testing::Fig3Graphs();
   auto cg = testing::Combine(g1, g2);
-  Partition from_deblank = HybridPartitionFrom(cg, DeblankPartition(cg));
+  Partition from_deblank =
+      oracle::HybridPartitionFromBase(cg, DeblankPartition(cg));
   Partition from_trivial =
-      HybridPartitionFrom(cg, TrivialPartition(cg.graph()));
+      oracle::HybridPartitionFromBase(cg, TrivialPartition(cg.graph()));
   EXPECT_EQ(AlignSet(cg, from_deblank), AlignSet(cg, from_trivial));
 }
 
@@ -93,8 +95,9 @@ TEST_P(MethodHierarchyProperty, AlignmentsFormAHierarchy) {
 TEST_P(MethodHierarchyProperty, TrivialAndDeblankStartsAgree) {
   auto [g1, g2] = testing::RandomEvolvingPair(GetParam());
   auto cg = testing::Combine(g1, g2);
-  Partition a = HybridPartitionFrom(cg, DeblankPartition(cg));
-  Partition b = HybridPartitionFrom(cg, TrivialPartition(cg.graph()));
+  Partition a = oracle::HybridPartitionFromBase(cg, DeblankPartition(cg));
+  Partition b =
+      oracle::HybridPartitionFromBase(cg, TrivialPartition(cg.graph()));
   EXPECT_EQ(AlignSet(cg, a), AlignSet(cg, b)) << "seed " << GetParam();
 }
 

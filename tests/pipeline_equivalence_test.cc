@@ -17,10 +17,12 @@
 #include <gtest/gtest.h>
 
 #include "core/alignment.h"
+#include "core/deblank.h"
 #include "core/delta.h"
 #include "core/edit_distance.h"
 #include "core/hybrid.h"
 #include "core/overlap_align.h"
+#include "core/worklist_engine.h"
 #include "gen/category_gen.h"
 #include "gen/efo_gen.h"
 #include "gen/textgen.h"
@@ -29,6 +31,7 @@
 #include "util/random.h"
 #include "util/string_util.h"
 #include "pipeline_oracle.h"
+#include "test_util.h"
 
 namespace rdfalign {
 namespace {
@@ -595,6 +598,54 @@ TEST(GeneratedPipelineEquivalence, EfoPairWithBlanksAcrossChunks) {
       ExpectNodeStatsMatchOracle(cg, p, threads);
     }
   }
+}
+
+// λ_Hybrid against §3.4's "from any base" definition: the production
+// HybridPartition must equal the oracle started from λ_Deblank and from
+// λ_Trivial — colors, iteration count and class count — at 1 and 4 signing
+// threads.
+void ExpectHybridMatchesOracle(const CombinedGraph& cg) {
+  const Partition bases[] = {DeblankPartition(cg),
+                             TrivialPartition(cg.graph())};
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    RefinementStats stats;
+    const Partition hybrid = HybridPartition(cg, &stats, {threads});
+    for (const Partition& base : bases) {
+      RefinementStats want_stats;
+      const Partition want =
+          oracle::HybridPartitionFromBase(cg, base, &want_stats, {threads});
+      EXPECT_EQ(hybrid.colors(), want.colors());
+      EXPECT_EQ(stats.iterations, want_stats.iterations);
+      EXPECT_EQ(stats.final_classes, want_stats.final_classes);
+    }
+  }
+}
+
+TEST(GeneratedPipelineEquivalence, HybridMatchesDeblankStartOracle) {
+  {
+    SCOPED_TRACE("Fig3");
+    auto [g1, g2] = testing::Fig3Graphs();
+    ExpectHybridMatchesOracle(testing::Combine(g1, g2));
+  }
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    SCOPED_TRACE("RandomEvolvingPair seed=" + std::to_string(seed));
+    auto [g1, g2] = testing::RandomEvolvingPair(seed);
+    ExpectHybridMatchesOracle(testing::Combine(g1, g2));
+  }
+  // The blank-bearing EFO pair of EfoPairWithBlanksAcrossChunks: its hybrid
+  // X spans more than one signing chunk, so round one is signed in chunks.
+  gen::EfoOptions options;
+  options.initial_classes = 2500;
+  options.versions = 2;
+  options.seed = 7;
+  const gen::EfoChain chain = gen::EfoChain::Generate(options);
+  const CombinedGraph cg =
+      CombinedGraph::Build(chain.Version(0), chain.Version(1)).value();
+  ASSERT_GT(UnalignedNonLiterals(cg, TrivialPartition(cg.graph())).size(),
+            internal::kSignGrain);
+  SCOPED_TRACE("EFO 2500 classes seed=7");
+  ExpectHybridMatchesOracle(cg);
 }
 
 // The full overlap alignment (word interning through Dictionary, streamed

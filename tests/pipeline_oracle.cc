@@ -146,6 +146,29 @@ Partition TrivialPartition(const TripleGraph& g) {
   return Partition::FromColors(std::move(colors));
 }
 
+Partition HybridPartitionFromBase(const CombinedGraph& cg,
+                                  const Partition& base,
+                                  RefinementStats* stats,
+                                  const RefinementOptions& options) {
+  // Including the already-aligned blanks re-derives their deblank colors
+  // inside the refinement, which realizes the paper's structured-color
+  // semantics: a previously unaligned node whose unfolding coincides with
+  // an aligned blank's derivation tree lands in that blank's class (colors
+  // are built in one color space). It also makes the choice of base
+  // partition irrelevant beyond its aligned/unaligned verdicts, which is
+  // why starting from λ_Trivial or λ_Deblank yields the same partition
+  // (§3.4).
+  const TripleGraph& g = cg.graph();
+  std::vector<NodeId> x = UnalignedNonLiterals(cg, base);
+  std::vector<uint8_t> in_x(g.NumNodes(), 0);
+  for (NodeId n : x) in_x[n] = 1;
+  for (NodeId n = 0; n < g.NumNodes(); ++n) {
+    if (g.IsBlank(n) && !in_x[n]) x.push_back(n);
+  }
+  Partition blanked = BlankColors(base, x);
+  return BisimRefineFixpoint(g, std::move(blanked), x, stats, options);
+}
+
 EdgeAlignmentStats ComputeEdgeAlignment(const CombinedGraph& cg,
                                         const Partition& p) {
   const TripleGraph& g = cg.graph();

@@ -21,6 +21,7 @@
 #include "core/enrich.h"
 #include "core/overlap.h"
 #include "core/partition.h"
+#include "core/refinement.h"
 #include "rdf/merge.h"
 #include "rdf/statistics.h"
 #include "util/result.h"
@@ -53,6 +54,16 @@ Result<TripleGraph> ReindexedUnion(const TripleGraph& g1,
 /// The old hash-keyed label partitions.
 Partition LabelPartition(const TripleGraph& g);
 Partition TrivialPartition(const TripleGraph& g);
+
+/// λ_Hybrid from an arbitrary base partition, as §3.4 defines it:
+/// BisimRefine*_X(Blank(base, X)) with X = UN(base) (ascending), then every
+/// blank node not already in it (ascending). The production HybridPartition
+/// starts from λ_Trivial, where every blank is already in UN; this is the
+/// "from any base" reference it is tested against.
+Partition HybridPartitionFromBase(const CombinedGraph& cg,
+                                  const Partition& base,
+                                  RefinementStats* stats = nullptr,
+                                  const RefinementOptions& options = {});
 
 /// The old hash-set edge-alignment statistics.
 EdgeAlignmentStats ComputeEdgeAlignment(const CombinedGraph& cg,
