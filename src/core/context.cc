@@ -1,12 +1,9 @@
 #include "core/context.h"
 
 #include <algorithm>
-#include <cassert>
-#include <unordered_map>
 
-#include "core/hybrid.h"
+#include "core/alignment.h"
 #include "core/worklist_engine.h"
-#include "util/hash.h"
 
 namespace rdfalign {
 
@@ -87,68 +84,14 @@ MediationIndex::MediationIndex(const TripleGraph& g) {
   }
 }
 
-namespace {
-
-constexpr uint32_t kKeepTag = 0;
-constexpr uint32_t kRecolorTag = 1;
-// The separator is shared with the worklist engine so the reference step
-// and the engine delimit the mediation section identically.
-constexpr uint32_t kMediationSeparator = internal::kMediationSeparator;
-
-using SignatureMap =
-    std::unordered_map<std::vector<uint32_t>, ColorId, U32VectorHash>;
-
-}  // namespace
-
 Partition ContextualRefineStep(const TripleGraph& g, const Partition& p,
                                const std::vector<NodeId>& x,
                                const MediationIndex& mediation,
                                const std::vector<uint8_t>& predicate_only) {
-  const size_t n = g.NumNodes();
-  assert(p.NumNodes() == n);
-  std::vector<uint8_t> in_x(n, 0);
-  for (NodeId node : x) in_x[node] = 1;
-
-  SignatureMap cons;
-  cons.reserve(n);
-  std::vector<ColorId> next(n);
-  std::vector<uint32_t> sig;
-  std::vector<uint64_t> packed;
-
-  auto append_pairs = [&](std::span<const PredicateObject> pairs) {
-    packed.clear();
-    for (const PredicateObject& po : pairs) {
-      packed.push_back(PackPair(p.ColorOf(po.p), p.ColorOf(po.o)));
-    }
-    std::sort(packed.begin(), packed.end());
-    packed.erase(std::unique(packed.begin(), packed.end()), packed.end());
-    for (uint64_t v : packed) {
-      sig.push_back(UnpackHi(v));
-      sig.push_back(UnpackLo(v));
-    }
-  };
-
-  for (NodeId node = 0; node < n; ++node) {
-    sig.clear();
-    if (!in_x[node]) {
-      sig.push_back(kKeepTag);
-      sig.push_back(p.ColorOf(node));
-    } else {
-      sig.push_back(kRecolorTag);
-      sig.push_back(p.ColorOf(node));
-      append_pairs(g.Out(node));
-      if (predicate_only[node]) {
-        // The mediation signature: colors of (subject, object) pairs of the
-        // triples this node mediates, separated from the out-signature.
-        sig.push_back(kMediationSeparator);
-        append_pairs(mediation.Mediated(node));
-      }
-    }
-    auto [it, inserted] = cons.try_emplace(std::vector<uint32_t>(sig),
-                                           static_cast<ColorId>(cons.size()));
-    next[node] = it->second;
-  }
-  return Partition::FromColors(std::move(next));
+  internal::WorklistConfig config;
+  config.mediation = &mediation;
+  config.predicate_only = &predicate_only;
+  return internal::RefineStepReference(g, p, x, config);
 }
 
 Partition ContextualRefineFixpoint(const TripleGraph& g, Partition initial,
@@ -167,7 +110,7 @@ Partition ContextualRefineFixpoint(const TripleGraph& g, Partition initial,
 ContextualHybridInputs BuildContextualHybridInputs(const CombinedGraph& cg) {
   const TripleGraph& g = cg.graph();
   Partition base = TrivialPartition(g);
-  std::vector<NodeId> x = HybridRefinableSet(cg, base);
+  std::vector<NodeId> x = UnalignedNonLiterals(cg, base);
   std::vector<uint8_t> predicate_only(g.NumNodes(), 0);
   for (NodeId n : PredicateOnlyUris(g)) predicate_only[n] = 1;
   return ContextualHybridInputs{BlankColors(base, x), std::move(x),

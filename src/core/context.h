@@ -80,7 +80,7 @@ Partition ContextualRefineFixpoint(const TripleGraph& g, Partition initial,
                                    const RefinementOptions& options = {});
 
 /// The prepared inputs of the predicate-aware hybrid alignment: the
-/// blanked base partition, the refinable set (unaligned non-literals plus
+/// blanked base partition, the refinable set UN(λ_Trivial) (which holds
 /// every blank), the predicate-only flags, and the mediation index.
 struct ContextualHybridInputs {
   Partition blanked;

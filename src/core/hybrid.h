@@ -7,10 +7,15 @@
 // color and lets bisimulation refinement re-derive their identity from
 // their contents:
 //
-//   λ_Hybrid = BisimRefine*_{UN(λ_Deblank)}(Blank(λ_Deblank, UN(λ_Deblank)))
+//   λ_Hybrid = BisimRefine*_{UN(λ_Trivial)}(Blank(λ_Trivial, UN(λ_Trivial)))
 //
-// Starting from λ_Trivial instead of λ_Deblank yields the same partition
-// (noted in §3.4 and verified by a property test).
+// The paper writes the definition over λ_Deblank and notes in §3.4 that
+// "using λTrivial instead of λDeblank above yields the same result". Under
+// λ_Trivial every blank is a singleton class, hence unaligned, so X
+// already holds every blank and refinement re-derives the deblank colors
+// of the blanks inside the same color space. One fixpoint suffices: no
+// deblank pass runs first. tests/pipeline_oracle's HybridPartitionFromBase
+// is the "from any base" definition this is tested against.
 
 #ifndef RDFALIGN_CORE_HYBRID_H_
 #define RDFALIGN_CORE_HYBRID_H_
@@ -25,18 +30,6 @@ namespace rdfalign {
 Partition HybridPartition(const CombinedGraph& cg,
                           RefinementStats* stats = nullptr,
                           const RefinementOptions& options = {});
-
-/// The hybrid refinable set X: UN(base) (ascending), then every blank node
-/// not already in it (ascending). Shared with the predicate-aware hybrid
-/// (core/context.h), which refines the same X.
-std::vector<NodeId> HybridRefinableSet(const CombinedGraph& cg,
-                                       const Partition& base);
-
-/// Computes λ_Hybrid starting from an arbitrary base partition (used by the
-/// equivalence property test and by callers that already computed Deblank).
-Partition HybridPartitionFrom(const CombinedGraph& cg, const Partition& base,
-                              RefinementStats* stats = nullptr,
-                              const RefinementOptions& options = {});
 
 }  // namespace rdfalign
 

@@ -40,11 +40,13 @@ Partition RefineFixpointImpl(const TripleGraph& g, const Partition& initial,
   return internal::RunWorklistFixpoint(g, initial, x, config, stats);
 }
 
-// Shared one-step reference (Definition 3): `mask == nullptr` keeps every
-// out-pair, otherwise only pairs whose predicate the mask marks.
-Partition RefineStepImpl(const TripleGraph& g, const Partition& p,
-                         const std::vector<NodeId>& x,
-                         const std::vector<uint8_t>* mask) {
+}  // namespace
+
+namespace internal {
+
+Partition RefineStepReference(const TripleGraph& g, const Partition& p,
+                              const std::vector<NodeId>& x,
+                              const WorklistConfig& config) {
   const size_t n = g.NumNodes();
   assert(p.NumNodes() == n);
 
@@ -57,25 +59,38 @@ Partition RefineStepImpl(const TripleGraph& g, const Partition& p,
 
   std::vector<uint32_t> sig;
   std::vector<uint64_t> pairs;
+  // Appends the color pairs of `edges` as a *set* (eq. 1), keeping only
+  // pairs whose predicate `mask` marks when it is non-null.
+  auto append_pairs = [&](std::span<const PredicateObject> edges,
+                          const std::vector<uint8_t>* mask) {
+    pairs.clear();
+    for (const PredicateObject& po : edges) {
+      if (mask != nullptr && !(*mask)[po.p]) continue;  // non-key attribute
+      pairs.push_back(PackPair(p.ColorOf(po.p), p.ColorOf(po.o)));
+    }
+    std::sort(pairs.begin(), pairs.end());
+    pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+    for (uint64_t pair : pairs) {
+      sig.push_back(UnpackHi(pair));
+      sig.push_back(UnpackLo(pair));
+    }
+  };
+
   for (NodeId node = 0; node < n; ++node) {
     sig.clear();
     if (!in_x[node]) {
       sig.push_back(kKeepTag);
       sig.push_back(p.ColorOf(node));
     } else {
-      // Gather the out-neighborhood color pairs as a *set* (eq. 1).
-      pairs.clear();
-      for (const PredicateObject& po : g.Out(node)) {
-        if (mask != nullptr && !(*mask)[po.p]) continue;  // non-key attribute
-        pairs.push_back(PackPair(p.ColorOf(po.p), p.ColorOf(po.o)));
-      }
-      std::sort(pairs.begin(), pairs.end());
-      pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
       sig.push_back(kRecolorTag);
       sig.push_back(p.ColorOf(node));
-      for (uint64_t pair : pairs) {
-        sig.push_back(UnpackHi(pair));
-        sig.push_back(UnpackLo(pair));
+      append_pairs(g.Out(node), config.predicate_mask);
+      if (config.mediation != nullptr && (*config.predicate_only)[node]) {
+        // The mediation signature: colors of the (subject, object) pairs
+        // of the triples this node mediates, after the out-signature.
+        // MediationIndex reuses PredicateObject as a (subject, object) pair.
+        sig.push_back(kMediationSeparator);
+        append_pairs(config.mediation->Mediated(node), nullptr);
       }
     }
     next[node] = ConsSignature(cons, std::vector<uint32_t>(sig));
@@ -83,11 +98,11 @@ Partition RefineStepImpl(const TripleGraph& g, const Partition& p,
   return Partition::FromColors(std::move(next));
 }
 
-}  // namespace
+}  // namespace internal
 
 Partition BisimRefineStep(const TripleGraph& g, const Partition& p,
                           const std::vector<NodeId>& x) {
-  return RefineStepImpl(g, p, x, nullptr);
+  return internal::RefineStepReference(g, p, x, internal::WorklistConfig{});
 }
 
 Partition BisimRefineFixpoint(const TripleGraph& g, Partition initial,
@@ -123,7 +138,9 @@ std::vector<uint8_t> BuildPredicateMask(
 Partition BisimRefineStepKeyed(const TripleGraph& g, const Partition& p,
                                const std::vector<NodeId>& x,
                                const std::vector<uint8_t>& predicate_mask) {
-  return RefineStepImpl(g, p, x, &predicate_mask);
+  internal::WorklistConfig config;
+  config.predicate_mask = &predicate_mask;
+  return internal::RefineStepReference(g, p, x, config);
 }
 
 Partition BisimRefineFixpointKeyed(const TripleGraph& g, Partition initial,

@@ -64,8 +64,8 @@ namespace internal {
 
 /// Separates the out-pair section of a signature from the mediation-pair
 /// section. Colors are dense and monotonically allocated, so they can never
-/// reach this value on any realistic graph; the reference
-/// ContextualRefineStep relies on the same property.
+/// reach this value on any realistic graph; the reference step
+/// (RefineStepReference) relies on the same property.
 inline constexpr uint32_t kMediationSeparator = 0xfffffffe;
 
 /// What the worklist engine signs and how.
@@ -81,6 +81,16 @@ struct WorklistConfig {
   /// Resolved signing-worker count (>= 1); see rdfalign::ResolveThreads().
   size_t threads = 1;
 };
+
+/// The Definition 3 reference step for the signature shape `config`
+/// describes (its `threads` is ignored): every node of X is recolored by
+/// its full signature, every other node keeps its color, and the
+/// signatures are consed through a hash map. BisimRefineStep,
+/// BisimRefineStepKeyed and ContextualRefineStep are this body; the engine
+/// below is tested against it. No production path calls it.
+Partition RefineStepReference(const TripleGraph& g, const Partition& p,
+                              const std::vector<NodeId>& x,
+                              const WorklistConfig& config);
 
 /// Worklist entries per signing chunk. A round at most this wide is one
 /// chunk and is signed inline; a wider round splits into ParallelChunks'
