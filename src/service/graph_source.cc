@@ -1,6 +1,5 @@
 #include "service/graph_source.h"
 
-#include <cstring>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -9,19 +8,11 @@
 #include "parser/turtle_parser.h"
 #include "store/delta.h"
 #include "store/snapshot.h"
+#include "util/string_util.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace rdfalign::service {
-
-namespace {
-
-bool HasSuffix(const std::string& s, const char* suffix) {
-  size_t n = std::strlen(suffix);
-  return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
-}
-
-}  // namespace
 
 uint64_t LoadedGraphBytes(const TripleGraph& g) {
   const Dictionary& dict = g.dict();
@@ -58,7 +49,7 @@ Result<LoadedGraphRef> LoadGraphFile(const std::string& path,
     options.verify_checksums = common.verify_checksums;
     RDFALIGN_ASSIGN_OR_RETURN(loaded->graph,
                               store::LoadSnapshot(path, nullptr, options));
-  } else if (HasSuffix(path, ".ttl")) {
+  } else if (EndsWith(path, ".ttl")) {
     loaded->kind = "turtle";
     RDFALIGN_ASSIGN_OR_RETURN(loaded->graph,
                               ParseTurtleFile(path, nullptr, workers));
@@ -129,6 +120,19 @@ TripleGraph RebindGraph(const LoadedGraphRef& src,
                                    g.OutPairs().size()),
       SharedArray<uint64_t>(src, g.InOffsets().data(), g.InOffsets().size()),
       SharedArray<NodeId>(src, g.InSubjects().data(), g.InSubjects().size()));
+}
+
+Result<TripleGraph> AcquireRebound(GraphSource* source,
+                                   const std::string& path,
+                                   const CommonOptions& common,
+                                   const std::shared_ptr<Dictionary>& dict,
+                                   uint64_t* hits, uint64_t* misses,
+                                   std::string* kind) {
+  RDFALIGN_ASSIGN_OR_RETURN(AcquiredGraph g,
+                            source->Acquire(path, common, false));
+  ++*(g.cache_hit ? hits : misses);
+  if (kind != nullptr) *kind = g.loaded->kind;
+  return RebindGraph(g.loaded, dict);
 }
 
 }  // namespace rdfalign::service

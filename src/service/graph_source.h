@@ -10,11 +10,11 @@
 // Every acquired graph carries its own private Dictionary (a cached graph
 // is shared by many concurrent requests and a Dictionary is not
 // thread-safe to grow). Verbs that need several graphs in one label space
-// — align, diff, archive — rebind each acquired graph into a
-// request-local shared dictionary with RebindGraph: the triple list and
-// all four CSR arrays are adopted as zero-copy pinned views (the pin
-// keeps the cache entry alive even if it is evicted mid-request) and only
-// the label column is rewritten. Rebinding interns terms in ascending
+// — align, diff, patch, archive, stream — rebind each acquired graph into
+// a request-local shared dictionary (AcquireRebound, over RebindGraph):
+// the triple list and all four CSR arrays are adopted as zero-copy pinned
+// views (the pin keeps the cache entry alive even if it is evicted
+// mid-request) and only the label column is rewritten. Rebinding interns terms in ascending
 // source-id order, which makes the resulting LexId assignment — and hence
 // every downstream report — byte-identical to the historical
 // load-both-into-one-dictionary CLI path.
@@ -102,6 +102,17 @@ uint64_t LoadedGraphBytes(const TripleGraph& g);
 /// the source is evicted from any cache.
 TripleGraph RebindGraph(const LoadedGraphRef& src,
                         const std::shared_ptr<Dictionary>& dict);
+
+/// The verb step for a graph that joins a request's label space: acquires
+/// `path` from `source`, counts the cache hit or miss into `*hits` or
+/// `*misses`, and rebinds the graph into `dict`. When `kind` is non-null
+/// it receives the loaded graph's kind.
+Result<TripleGraph> AcquireRebound(GraphSource* source,
+                                   const std::string& path,
+                                   const CommonOptions& common,
+                                   const std::shared_ptr<Dictionary>& dict,
+                                   uint64_t* hits, uint64_t* misses,
+                                   std::string* kind = nullptr);
 
 }  // namespace rdfalign::service
 

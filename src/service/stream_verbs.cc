@@ -236,10 +236,9 @@ Status AcquirePair(GraphSource* source, const std::string& path_a,
                    TripleGraph* a, TripleGraph* b, VerbResult* result) {
   auto dict = std::make_shared<Dictionary>();
   for (const auto& [path, out] : {std::pair{&path_a, a}, {&path_b, b}}) {
-    RDFALIGN_ASSIGN_OR_RETURN(AcquiredGraph g,
-                              source->Acquire(*path, common, false));
-    ++(g.cache_hit ? result->cache_hits : result->cache_misses);
-    *out = RebindGraph(g.loaded, dict);
+    RDFALIGN_ASSIGN_OR_RETURN(
+        *out, AcquireRebound(source, *path, common, dict, &result->cache_hits,
+                             &result->cache_misses));
   }
   return Status::OK();
 }

@@ -21,11 +21,6 @@ namespace rdfalign::service {
 
 namespace {
 
-bool HasSuffix(const std::string& s, const char* suffix) {
-  const size_t n = std::char_traits<char>::length(suffix);
-  return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
-}
-
 /// Aligner options from a parsed request: the raw thread count (0 = all
 /// hardware threads is the engine's convention); the Aligner wires it into
 /// every phase.
@@ -38,11 +33,7 @@ AlignerOptions MakeAlignerOptions(AlignMethod method,
 }
 
 void CountAcquire(const AcquiredGraph& g, uint64_t* hits, uint64_t* misses) {
-  if (g.cache_hit) {
-    ++*hits;
-  } else {
-    ++*misses;
-  }
+  ++*(g.cache_hit ? hits : misses);
 }
 
 /// The `"a": {"path": ..., "kind": ..., "nodes": N, "triples": N` head of
@@ -97,7 +88,7 @@ Status RunBuild(const BuildRequest& req, BuildResponse* resp) {
   WallTimer parse_timer;
   Result<TripleGraph> graph = Status::Internal("unreachable");
   if (req.format == "turtle" ||
-      (req.format == "auto" && HasSuffix(req.input, ".ttl"))) {
+      (req.format == "auto" && EndsWith(req.input, ".ttl"))) {
     graph = ParseTurtleFile(req.input, nullptr, workers);
   } else {
     graph = ParseNTriplesFile(req.input, nullptr, nullptr, workers);
@@ -317,21 +308,19 @@ Status RunAlign(const AlignRequest& req, AlignResponse* resp) {
   auto dict = std::make_shared<Dictionary>();
   WallTimer load_a_timer;
   RDFALIGN_ASSIGN_OR_RETURN(
-      AcquiredGraph a, req.source->Acquire(req.path_a, req.common, false));
-  CountAcquire(a, &resp->cache_hits, &resp->cache_misses);
-  TripleGraph ga = RebindGraph(a.loaded, dict);
+      TripleGraph ga,
+      AcquireRebound(req.source, req.path_a, req.common, dict,
+                     &resp->cache_hits, &resp->cache_misses, &resp->kind_a));
   resp->load_a_ms = load_a_timer.ElapsedMillis();
-  resp->kind_a = a.loaded->kind;
   resp->nodes_a = ga.NumNodes();
   resp->triples_a = ga.NumEdges();
 
   WallTimer load_b_timer;
   RDFALIGN_ASSIGN_OR_RETURN(
-      AcquiredGraph bg, req.source->Acquire(req.path_b, req.common, false));
-  CountAcquire(bg, &resp->cache_hits, &resp->cache_misses);
-  TripleGraph gb = RebindGraph(bg.loaded, dict);
+      TripleGraph gb,
+      AcquireRebound(req.source, req.path_b, req.common, dict,
+                     &resp->cache_hits, &resp->cache_misses, &resp->kind_b));
   resp->load_b_ms = load_b_timer.ElapsedMillis();
-  resp->kind_b = bg.loaded->kind;
   resp->nodes_b = gb.NumNodes();
   resp->triples_b = gb.NumEdges();
 
@@ -422,20 +411,18 @@ Status RunDiff(const DiffRequest& req, DiffResponse* resp) {
 
   auto dict = std::make_shared<Dictionary>();
   RDFALIGN_ASSIGN_OR_RETURN(
-      AcquiredGraph base,
-      req.source->Acquire(req.path_base, req.common, false));
-  CountAcquire(base, &resp->cache_hits, &resp->cache_misses);
-  TripleGraph gbase = RebindGraph(base.loaded, dict);
-  resp->kind_base = base.loaded->kind;
+      TripleGraph gbase,
+      AcquireRebound(req.source, req.path_base, req.common, dict,
+                     &resp->cache_hits, &resp->cache_misses,
+                     &resp->kind_base));
   resp->nodes_base = gbase.NumNodes();
   resp->triples_base = gbase.NumEdges();
 
   RDFALIGN_ASSIGN_OR_RETURN(
-      AcquiredGraph next,
-      req.source->Acquire(req.path_next, req.common, false));
-  CountAcquire(next, &resp->cache_hits, &resp->cache_misses);
-  TripleGraph gnext = RebindGraph(next.loaded, dict);
-  resp->kind_next = next.loaded->kind;
+      TripleGraph gnext,
+      AcquireRebound(req.source, req.path_next, req.common, dict,
+                     &resp->cache_hits, &resp->cache_misses,
+                     &resp->kind_next));
   resp->nodes_next = gnext.NumNodes();
   resp->triples_next = gnext.NumEdges();
 
@@ -513,12 +500,11 @@ Status RunPatch(const PatchRequest& req, PatchResponse* resp) {
   auto dict = std::make_shared<Dictionary>();
   WallTimer load_timer;
   RDFALIGN_ASSIGN_OR_RETURN(
-      AcquiredGraph base,
-      req.source->Acquire(req.path_base, req.common, false));
-  CountAcquire(base, &resp->cache_hits, &resp->cache_misses);
-  TripleGraph gbase = RebindGraph(base.loaded, dict);
+      TripleGraph gbase,
+      AcquireRebound(req.source, req.path_base, req.common, dict,
+                     &resp->cache_hits, &resp->cache_misses,
+                     &resp->kind_base));
   resp->load_ms = load_timer.ElapsedMillis();
-  resp->kind_base = base.loaded->kind;
   resp->nodes_base = gbase.NumNodes();
   resp->triples_base = gbase.NumEdges();
 
@@ -586,10 +572,10 @@ Status RunArchive(const ArchiveRequest& req, ArchiveResponse* resp) {
   VersionArchive archive(options);
   WallTimer append_timer;
   for (const std::string& path : req.versions) {
-    RDFALIGN_ASSIGN_OR_RETURN(AcquiredGraph g,
-                              req.source->Acquire(path, req.common, false));
-    CountAcquire(g, &resp->cache_hits, &resp->cache_misses);
-    TripleGraph graph = RebindGraph(g.loaded, dict);
+    RDFALIGN_ASSIGN_OR_RETURN(
+        TripleGraph graph,
+        AcquireRebound(req.source, path, req.common, dict, &resp->cache_hits,
+                       &resp->cache_misses));
     RDFALIGN_RETURN_IF_ERROR(archive.Append(graph).status());
   }
   resp->append_ms = append_timer.ElapsedMillis();
