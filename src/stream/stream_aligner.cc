@@ -69,8 +69,8 @@ Result<std::unique_ptr<StreamAligner>> StreamAligner::Open(
     return Status::NotSupported(
         "streaming supports methods 'trivial' and 'deblank'; method '" +
         std::string(AlignMethodToString(options.method)) +
-        "' derives its refinable set from a completed deblank pass and has "
-        "no incremental form yet");
+        "' refines the unaligned non-literals of the trivial alignment, "
+        "a set that label edits move, and has no incremental form yet");
   }
   const size_t threads = ResolveThreads(options.threads);
   std::unique_ptr<StreamAligner> s(new StreamAligner(options));

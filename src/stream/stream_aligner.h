@@ -22,9 +22,11 @@
 //    "characterizing set" exact-maintenance alternative (Luo et al.,
 //    arXiv:1210.0748) is named future work in docs/stream.md.
 //
-// Supported methods: kTrivial and kDeblank. kHybrid and above derive their
-// refinable set X from a completed deblank pass, which has no incremental
-// form here yet.
+// Supported methods: kTrivial and kDeblank. kHybrid and above refine
+// X = UN(λ_Trivial): every blank plus each non-literal whose label occurs
+// on one side only. X is a function of labels, so an edit can move nodes
+// into or out of it (and they would have to be re-blanked); that has no
+// incremental form here yet.
 //
 // Batch-equivalence contract: after any update sequence, the live
 // partition and the cumulatively applied alignment-pair deltas are
