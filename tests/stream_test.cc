@@ -16,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/deblank.h"
 #include "gen/efo_gen.h"
 #include "store/update_fragment.h"
 #include "test_util.h"
@@ -555,6 +556,132 @@ TEST(StreamTest, ThreadCountIsBitIdentical) {
     ExpectEquivalent(*a, v0, next);
     ExpectEquivalent(*b, v0, next);
     prev = &next;
+  }
+}
+
+// The oracle for alignment deltas, independent of the stream aligner: the
+// same-colour (source, target) pairs of the batch λ_Deblank partition of
+// (source, target), by label, sorted.
+std::vector<LabeledPair> BatchPairs(const TripleGraph& source,
+                                    const TripleGraph& target) {
+  const CombinedGraph cg = testing::Combine(source, target);
+  const Partition p = DeblankPartition(cg);
+  const TripleGraph& g = cg.graph();
+  std::vector<std::vector<NodeId>> src_of(p.NumColors());
+  std::vector<std::vector<NodeId>> tgt_of(p.NumColors());
+  for (NodeId n = 0; n < g.NumNodes(); ++n) {
+    (cg.InSource(n) ? src_of : tgt_of)[p.ColorOf(n)].push_back(n);
+  }
+  std::vector<LabeledPair> pairs;
+  for (size_t c = 0; c < src_of.size(); ++c) {
+    for (NodeId s : src_of[c]) {
+      for (NodeId t : tgt_of[c]) {
+        pairs.push_back(LabeledPair{g.KindOf(s), g.KindOf(t),
+                                    std::string(g.Lexical(s)),
+                                    std::string(g.Lexical(t))});
+      }
+    }
+  }
+  std::sort(pairs.begin(), pairs.end());
+  return pairs;
+}
+
+std::vector<LabeledPair> Minus(const std::vector<LabeledPair>& a,
+                               const std::vector<LabeledPair>& b) {
+  std::vector<LabeledPair> out;
+  std::set_difference(a.begin(), a.end(), b.begin(), b.end(),
+                      std::back_inserter(out));
+  return out;
+}
+
+// Pushes `versions` in order onto a session opened on (source, source) and
+// checks every push against the batch oracle: CurrentPairs() equals the
+// batch pairs of (source, version), and the push's removed/added pairs are
+// exactly the set differences of the batch pairs before and after it.
+// `expected[0]` holds the batch pairs at open, `expected[v + 1]` those
+// after `versions[v]`.
+void ExpectDeltasMatchBatchPairs(
+    const TripleGraph& source, const std::vector<const TripleGraph*>& versions,
+    const std::vector<std::vector<LabeledPair>>& expected,
+    const StreamOptions& options, const std::string& what) {
+  std::unique_ptr<StreamAligner> aligner =
+      OpenOrDie(source, source, options);
+  ASSERT_EQ(aligner->CurrentPairs(), expected[0]) << what << " at open";
+  const TripleGraph* prev = &source;
+  for (size_t v = 0; v < versions.size(); ++v) {
+    const TripleGraph& next = *versions[v];
+    const StreamBatchResult r = ApplyStep(aligner.get(), *prev, next, v + 1);
+    const std::vector<LabeledPair>& before = expected[v];
+    const std::vector<LabeledPair>& after = expected[v + 1];
+    EXPECT_EQ(aligner->CurrentPairs(), after) << what << " push " << v;
+    EXPECT_EQ(r.removed_pairs, Minus(before, after)) << what << " push " << v;
+    EXPECT_EQ(r.added_pairs, Minus(after, before)) << what << " push " << v;
+    prev = &next;
+  }
+}
+
+std::vector<std::vector<LabeledPair>> ExpectedPairs(
+    const TripleGraph& source,
+    const std::vector<const TripleGraph*>& versions) {
+  std::vector<std::vector<LabeledPair>> expected;
+  expected.push_back(BatchPairs(source, source));
+  for (const TripleGraph* v : versions) {
+    expected.push_back(BatchPairs(source, *v));
+  }
+  return expected;
+}
+
+// Every push's delta against the batch oracle. The random chains rename
+// every blank at each step, so blanks are created and retired; the EFO
+// session's live blanks span several signing chunks and run at threads 1
+// and 4.
+TEST(StreamTest, PushDeltasMatchBatchPairs) {
+  for (uint64_t seed = 0; seed < 24; ++seed) {
+    const std::vector<TripleGraph> chain =
+        testing::RandomEvolvingChain(seed, 4);
+    std::vector<const TripleGraph*> versions;
+    for (size_t v = 1; v < chain.size(); ++v) versions.push_back(&chain[v]);
+    ExpectDeltasMatchBatchPairs(chain[0], versions,
+                                ExpectedPairs(chain[0], versions), {},
+                                "seed " + std::to_string(seed));
+  }
+
+  gen::EfoOptions options;
+  options.initial_classes = 5000;
+  options.versions = 1;
+  options.seed = 3;
+  const gen::EfoChain efo = gen::EfoChain::Generate(options);
+  const TripleGraph& v0 = efo.Version(0);
+  ASSERT_GT(2 * v0.CountOfKind(TermKind::kBlank), 3 * internal::kSignGrain);
+  const TripleGraph edit1 = EditBlankLiterals(v0, 0, 20, "edit 1");
+  const TripleGraph edit2 = EditBlankLiterals(edit1, 20, 20, "edit 2");
+  const std::vector<const TripleGraph*> versions = {&edit1, &edit2, &v0};
+  const std::vector<std::vector<LabeledPair>> expected =
+      ExpectedPairs(v0, versions);
+  for (size_t threads : {1, 4}) {
+    StreamOptions stream_options;
+    stream_options.threads = threads;
+    ExpectDeltasMatchBatchPairs(v0, versions, expected, stream_options,
+                                "efo threads " + std::to_string(threads));
+  }
+}
+
+// A long edit/restore session stays equivalent to the batch aligner.
+TEST(StreamTest, LongSessionStaysEquivalent) {
+  gen::EfoOptions options;
+  options.initial_classes = 300;
+  options.versions = 1;
+  options.seed = 5;
+  const gen::EfoChain efo = gen::EfoChain::Generate(options);
+  const TripleGraph& v0 = efo.Version(0);
+  std::unique_ptr<StreamAligner> aligner = OpenOrDie(v0, v0);
+  constexpr size_t kPushes = 40;
+  for (size_t k = 0; k < kPushes; k += 2) {
+    const TripleGraph edited =
+        EditBlankLiterals(v0, 3 * k, 5, "edit " + std::to_string(k));
+    ASSERT_TRUE(ApplyStep(aligner.get(), v0, edited, k + 1).refined);
+    ASSERT_TRUE(ApplyStep(aligner.get(), edited, v0, k + 2).refined);
+    if ((k + 2) % 8 == 0) ExpectEquivalent(*aligner, v0, v0);
   }
 }
 
