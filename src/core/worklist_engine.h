@@ -33,12 +33,14 @@
 //    historical partitions bit for bit. A StreamAligner instead keeps one
 //    engine alive across update batches: between Run calls it may append
 //    nodes (AppendNode), allocate fresh colors (AllocateColor), reset the
-//    color of affected nodes (OverrideColor), grow or shrink the refinable
-//    set (SetInX), seed the worklist (SeedDirty), and resume the fixpoint
-//    with RunInPlace — the persistent cons state (stored class anchors,
-//    class sizes, monotone color allocation) carries over, so resumed
-//    rounds cost only the dirty region. See docs/stream.md for how the
-//    reset discipline keeps resumed fixpoints equal to batch recomputation.
+//    color of affected nodes (OverrideColor), retire dead nodes
+//    (RetireNode), grow or shrink the refinable set (SetInX), seed the
+//    worklist (SeedDirty), renumber the colors densely (CompactColors),
+//    and resume the fixpoint with RunInPlace — the persistent cons state
+//    (stored class anchors, class sizes, monotone color allocation)
+//    carries over, so resumed rounds cost only the dirty region. See
+//    docs/stream.md for how the reset discipline keeps resumed fixpoints
+//    equal to batch recomputation.
 //
 // This header is shared by core/refinement.cc, core/context.cc, and
 // src/stream/; it is not part of the public API surface.
@@ -63,9 +65,11 @@ namespace rdfalign {
 namespace internal {
 
 /// Separates the out-pair section of a signature from the mediation-pair
-/// section. Colors are dense and monotonically allocated, so they can never
-/// reach this value on any realistic graph; the reference step
-/// (RefineStepReference) relies on the same property.
+/// section. Color ids are allocated upward from the initial partition's
+/// dense ids (and a stream session compacts them back to dense, see
+/// WorklistEngine::CompactColors), so they can never reach this value on
+/// any realistic graph; the reference step (RefineStepReference) relies on
+/// the same property.
 inline constexpr uint32_t kMediationSeparator = 0xfffffffe;
 
 /// What the worklist engine signs and how.
@@ -97,8 +101,11 @@ Partition RefineStepReference(const TripleGraph& g, const Partition& p,
 /// plan for its width, whatever the thread count.
 inline constexpr size_t kSignGrain = 4096;
 
-// Colors live in a monotonically growing (non-dense) id space; ids are never
-// reused, so a color identifies one class for the whole engine lifetime.
+// Colors live in a monotonically growing (non-dense) id space; within a
+// Run an id is never reused, so a color identifies one class. The one
+// exception is CompactColors, which only a stream session calls, between
+// Runs, right after its reset has emptied every refined class: it renumbers
+// the non-empty classes densely in ascending order.
 // Each round re-signs only the dirty nodes — initially the seeded worklist,
 // afterwards the nodes whose signature can mention a color that changed in
 // the previous round (out-neighbors via Graph::In, plus mediating
@@ -222,6 +229,42 @@ class WorklistEngine {
     colors_[n] = c;
   }
 
+  /// Takes a retired node out of its class and out of X; its color reads
+  /// kInvalidColor from then on. Must not be called mid-Run.
+  void RetireNode(NodeId n) {
+    --class_size_[colors_[n]];
+    colors_[n] = kInvalidColor;
+    in_x_[n] = 0;
+  }
+
+  /// Renumbers the non-empty classes densely, in ascending id order, and
+  /// drops the emptied colors and the stored anchor arena. Ascending order
+  /// keeps every sorted signature sorted, so later rounds group, split and
+  /// allocate exactly as they would have without it. Precondition
+  /// (asserted): between Runs, and no non-empty class carries a stored
+  /// anchor — a stream session calls it right after its reset, when every
+  /// refined class has been emptied onto one fresh color. Batch refinement
+  /// never calls it.
+  void CompactColors() {
+    std::vector<ColorId> remap(next_color_, kInvalidColor);
+    ColorId next = 0;
+    for (ColorId c = 0; c < next_color_; ++c) {
+      if (class_size_[c] == 0) continue;
+      assert(class_sig_[c].len == kNoStoredSig);
+      class_size_[next] = class_size_[c];
+      remap[c] = next++;
+    }
+    for (ColorId& c : colors_) {
+      if (c != kInvalidColor) c = remap[c];
+    }
+    next_color_ = next;
+    class_size_.resize(next);
+    class_sig_.assign(next, StoredSig{});
+    class_head_.assign(next, kNoGroup);
+    class_dirty_.assign(next, 0);
+    store_.clear();
+  }
+
   /// Adds or removes `n` from the refinable set X.
   void SetInX(NodeId n, bool in_x) { in_x_[n] = in_x ? 1 : 0; }
   bool InX(NodeId n) const { return in_x_[n] != 0; }
@@ -237,6 +280,9 @@ class WorklistEngine {
   }
 
   size_t NumTrackedNodes() const { return colors_.size(); }
+
+  /// Number of nodes carrying color `c`.
+  uint32_t ClassSize(ColorId c) const { return class_size_[c]; }
 
   /// Number of non-empty classes, in O(colors allocated).
   size_t NumClasses() const {

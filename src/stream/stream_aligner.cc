@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
-#include <ranges>
 
 #include "core/deblank.h"
 #include "util/thread_pool.h"
@@ -13,7 +11,7 @@ namespace rdfalign::stream {
 
 namespace {
 
-uint64_t RegistryKey(TermKind kind, LexId lex) {
+uint64_t LabelKey(TermKind kind, LexId lex) {
   return (static_cast<uint64_t>(kind) << 32) | lex;
 }
 
@@ -37,26 +35,52 @@ void DropCommonPairs(std::vector<LabeledPair>* removed,
   prune(added);
 }
 
-/// Every (source, target) pair of one engine color among the live nodes in
-/// `nodes`, grouped by ascending color.
-template <class Nodes>
-std::vector<std::pair<NodeId, NodeId>> SameColorPairs(
-    const DynamicGraph& g, const internal::WorklistEngine<DynamicGraph>& e,
-    const Nodes& nodes) {
-  std::map<ColorId, std::pair<std::vector<NodeId>, std::vector<NodeId>>>
-      by_color;
-  for (NodeId n : nodes) {
-    if (g.IsDead(n)) continue;
-    auto& sides = by_color[e.ColorOf(n)];
-    (g.InSource(n) ? sides.first : sides.second).push_back(n);
+/// A node filed under a class, with one more color to compare pairs by.
+struct Member {
+  ColorId cls;
+  NodeId node;
+  ColorId other;
+  bool operator<(const Member& m) const {
+    return cls != m.cls ? cls < m.cls : node < m.node;
   }
-  std::vector<std::pair<NodeId, NodeId>> pairs;
-  for (const auto& [color, sides] : by_color) {
-    for (NodeId src : sides.first) {
-      for (NodeId tgt : sides.second) pairs.emplace_back(src, tgt);
+};
+
+/// The members of `members` whose class's members do not all carry one
+/// `other` color (kInvalidColor counts as different from everything).
+/// `marks` is per-class scratch, all kInvalidColor on entry and on return.
+std::vector<Member> MixedClasses(const std::vector<Member>& members,
+                                 std::vector<ColorId>& marks) {
+  constexpr ColorId kMixed = kInvalidColor - 1;
+  for (const Member& m : members) {
+    ColorId& mark = marks[m.cls];
+    const bool differs = mark != kInvalidColor && mark != m.other;
+    mark = m.other == kInvalidColor || differs ? kMixed : m.other;
+  }
+  std::vector<Member> mixed;
+  for (const Member& m : members) {
+    if (marks[m.cls] == kMixed) mixed.push_back(m);
+  }
+  for (const Member& m : members) marks[m.cls] = kInvalidColor;
+  return mixed;
+}
+
+/// Sorts `members` into one run per class and calls emit(src, tgt) for
+/// every (source, target) pair within a run that `keep(src, tgt)` accepts.
+template <class Keep, class Emit>
+void CrossClasses(const DynamicGraph& g, std::vector<Member>& members,
+                  Keep keep, Emit emit) {
+  std::sort(members.begin(), members.end());
+  for (size_t i = 0, j = 0; i < members.size(); i = j) {
+    size_t mid = i;  // source ids precede target ids
+    for (j = i; j < members.size() && members[j].cls == members[i].cls; ++j) {
+      if (g.InSource(members[j].node)) mid = j + 1;
+    }
+    for (size_t a = i; a < mid; ++a) {
+      for (size_t b = mid; b < j; ++b) {
+        if (keep(members[a], members[b])) emit(members[a].node, members[b].node);
+      }
     }
   }
-  return pairs;
 }
 
 }  // namespace
@@ -94,20 +118,11 @@ Result<std::unique_ptr<StreamAligner>> StreamAligner::Open(
   s->open_stats_.initial_classes = initial.NumColors();
   s->open_stats_.final_classes = s->engine_->NumClasses();
 
-  // Persistent registry + the static source-side structures.
-  for (NodeId n = 0; n < base.NumNodes(); ++n) {
-    if (base.KindOf(n) == TermKind::kBlank) {
-      s->blank_nodes_.push_back(n);
-      continue;
-    }
-    // All nodes with one label share one initial color under both
-    // methods' initial partitions, so later occurrences overwrite with
-    // the same value.
-    s->label_color_[RegistryKey(base.KindOf(n), base.LexicalId(n))] =
-        s->engine_->ColorOf(n);
-    if (g.InSource(n)) {
-      s->src_nonblank_by_color_[s->engine_->ColorOf(n)].push_back(n);
-    }
+  s->blank_nodes_ = base.NodesOfKind(TermKind::kBlank);
+  s->src_by_label_.reserve(g.n1());
+  for (NodeId n = 0; n < g.n1(); ++n) {
+    s->src_by_label_.emplace(LabelKey(base.KindOf(n), base.LexicalId(n)),
+                             n);
   }
   return s;
 }
@@ -119,21 +134,65 @@ LabeledPair StreamAligner::MakePair(NodeId src, NodeId tgt) const {
                      std::string(g.Lexical(tgt))};
 }
 
-std::vector<std::pair<NodeId, NodeId>> StreamAligner::BlankPairs() const {
-  // Blank colors never coincide with non-blank colors (the initial
-  // partitions separate them and fresh colors are only handed to blank
-  // splits or fresh labels), so restricting to blank_nodes_ is exact.
-  std::vector<std::pair<NodeId, NodeId>> pairs =
-      SameColorPairs(*graph_, *engine_, blank_nodes_);
-  std::sort(pairs.begin(), pairs.end());
-  return pairs;
+std::vector<StreamAligner::BlankCell> StreamAligner::LiveBlankCells() const {
+  std::vector<BlankCell> cells;
+  cells.reserve(blank_nodes_.size());
+  for (NodeId b : blank_nodes_) {
+    if (graph_->IsLive(b)) cells.push_back({b, engine_->ColorOf(b)});
+  }
+  return cells;
 }
 
-void StreamAligner::AppendStaticPartners(NodeId tgt, ColorId color,
-                                         std::vector<LabeledPair>* out) const {
-  auto it = src_nonblank_by_color_.find(color);
-  if (it == src_nonblank_by_color_.end()) return;
-  for (NodeId src : it->second) out->push_back(MakePair(src, tgt));
+void StreamAligner::AppendCellDelta(const std::vector<BlankCell>& before,
+                                    ColorId old_colors,
+                                    StreamBatchResult* res) {
+  // Blank colors never coincide with non-blank colors (the initial
+  // partitions separate them and fresh colors are only handed to blank
+  // splits or fresh labels), and every blank live now was live in
+  // `before`, so the blank cells alone carry the whole blank delta.
+  const Engine& e = *engine_;
+  class_mark_.resize(
+      std::max<size_t>({class_mark_.size(), old_colors, e.next_color()}),
+      kInvalidColor);
+  std::vector<Member> by_old, by_new;
+  by_old.reserve(before.size());
+  by_new.reserve(before.size());
+  for (const BlankCell& c : before) {
+    const ColorId now = e.ColorOf(c.node);  // kInvalidColor once retired
+    by_old.push_back({c.old, c.node, now});
+    if (now != kInvalidColor) by_new.push_back({now, c.node, c.old});
+  }
+  auto emit_to = [this](std::vector<LabeledPair>* out) {
+    return [this, out](NodeId src, NodeId tgt) {
+      out->push_back(MakePair(src, tgt));
+    };
+  };
+  // An old class whose members all survive into one new class keeps every
+  // pair; one that split or lost a member loses the pairs whose ends no
+  // longer share a color.
+  std::vector<Member> broken = MixedClasses(by_old, class_mark_);
+  CrossClasses(
+      *graph_, broken,
+      [](const Member& src, const Member& tgt) {
+        return src.other == kInvalidColor || src.other != tgt.other;
+      },
+      emit_to(&res->removed_pairs));
+  // A new class whose members all come from one old class makes no pair;
+  // one fed by several makes the pairs whose ends came from different old
+  // classes.
+  std::vector<Member> joined = MixedClasses(by_new, class_mark_);
+  CrossClasses(
+      *graph_, joined,
+      [](const Member& src, const Member& tgt) {
+        return src.other != tgt.other;
+      },
+      emit_to(&res->added_pairs));
+}
+
+NodeId StreamAligner::SourceNodeOf(NodeId n) const {
+  const auto it =
+      src_by_label_.find(LabelKey(graph_->KindOf(n), graph_->LexicalId(n)));
+  return it != src_by_label_.end() ? it->second : kInvalidNode;
 }
 
 Result<StreamBatchResult> StreamAligner::Apply(
@@ -176,16 +235,13 @@ Result<StreamBatchResult> StreamAligner::Apply(
       blank_nodes_.push_back(n);
       blank_affected = true;
     } else {
-      const uint64_t key = RegistryKey(r.kind, g.LexicalId(n));
-      auto it = label_color_.find(key);
-      ColorId color;
-      if (it != label_color_.end()) {
-        color = it->second;  // rejoin the label's class (possibly emptied)
-      } else {
-        color = engine_->AllocateColor();
-        label_color_.emplace(key, color);
-      }
-      engine_->AppendNode(color, false);
+      // Join the source's node of this label. Without one, the label's
+      // class is empty (the batch could not create a live target label),
+      // so a fresh singleton is the same partition.
+      const NodeId src = SourceNodeOf(n);
+      engine_->AppendNode(src != kInvalidNode ? engine_->ColorOf(src)
+                                              : engine_->AllocateColor(),
+                          false);
     }
     ++res.new_nodes;
   }
@@ -244,13 +300,17 @@ Result<StreamBatchResult> StreamAligner::Apply(
   if (!deblank) blank_affected = false;
   res.apply_ms = apply_timer.ElapsedMillis();
 
-  // Alignment-delta capture, part 1: pairs as of the *old* coloring.
+  // Alignment-delta capture, part 1: the blank cells of the *old*
+  // coloring, and the label pairs of dying and new non-blanks.
   WallTimer delta_timer;
-  std::vector<std::pair<NodeId, NodeId>> before_blanks;
-  if (blank_affected) before_blanks = BlankPairs();
+  std::vector<BlankCell> before_blanks;
+  const ColorId old_colors = engine_->next_color();
+  if (blank_affected) before_blanks = LiveBlankCells();
   for (NodeId n : dying) {
     if (g.KindOf(n) != TermKind::kBlank) {
-      AppendStaticPartners(n, engine_->ColorOf(n), &res.removed_pairs);
+      if (SourceNodeOf(n) != kInvalidNode) {
+        res.removed_pairs.push_back(MakePair(SourceNodeOf(n), n));
+      }
     } else if (!blank_affected) {
       // A blank retired without any blank's neighborhood changing (it was
       // already isolated): drop its pairs directly; nothing else moves.
@@ -264,8 +324,8 @@ Result<StreamBatchResult> StreamAligner::Apply(
   }
   for (size_t i = 0; i < batch.num_new; ++i) {
     const NodeId n = node_of[i];
-    if (g.KindOf(n) != TermKind::kBlank) {
-      AppendStaticPartners(n, engine_->ColorOf(n), &res.added_pairs);
+    if (g.KindOf(n) != TermKind::kBlank && SourceNodeOf(n) != kInvalidNode) {
+      res.added_pairs.push_back(MakePair(SourceNodeOf(n), n));
     }
   }
   res.delta_ms = delta_timer.ElapsedMillis();
@@ -273,9 +333,7 @@ Result<StreamBatchResult> StreamAligner::Apply(
   // Install the deaths, then resume refinement if any blank was affected.
   for (NodeId n : dying) {
     g.MarkDead(n);
-    if (deblank && g.KindOf(n) == TermKind::kBlank) {
-      engine_->SetInX(n, false);
-    }
+    engine_->RetireNode(n);
     ++res.removed_nodes;
   }
   WallTimer refine_timer;
@@ -295,6 +353,11 @@ Result<StreamBatchResult> StreamAligner::Apply(
       engine_->SeedDirty(b);
     }
     blank_nodes_.swap(live_blanks);  // compact tombstones while we're here
+    // Every refined class is empty now and the reset color has no anchor:
+    // the one point where the colors can be renumbered.
+    if (engine_->next_color() > 2 * engine_->NumClasses()) {
+      engine_->CompactColors();
+    }
     RefinementStats rs;
     engine_->RunInPlace(&rs);
     res.refined = true;
@@ -303,25 +366,10 @@ Result<StreamBatchResult> StreamAligner::Apply(
   }
   res.refine_ms = refine_timer.ElapsedMillis();
 
-  // Alignment-delta capture, part 2: diff the blank pairs across the
-  // resumed refinement.
+  // Alignment-delta capture, part 2: the blank pairs the resumed
+  // refinement broke and made.
   WallTimer delta2_timer;
-  if (blank_affected) {
-    const std::vector<std::pair<NodeId, NodeId>> after_blanks = BlankPairs();
-    std::vector<std::pair<NodeId, NodeId>> gone, born;
-    std::set_difference(before_blanks.begin(), before_blanks.end(),
-                        after_blanks.begin(), after_blanks.end(),
-                        std::back_inserter(gone));
-    std::set_difference(after_blanks.begin(), after_blanks.end(),
-                        before_blanks.begin(), before_blanks.end(),
-                        std::back_inserter(born));
-    for (const auto& [src, tgt] : gone) {
-      res.removed_pairs.push_back(MakePair(src, tgt));
-    }
-    for (const auto& [src, tgt] : born) {
-      res.added_pairs.push_back(MakePair(src, tgt));
-    }
-  }
+  if (blank_affected) AppendCellDelta(before_blanks, old_colors, &res);
   std::sort(res.removed_pairs.begin(), res.removed_pairs.end());
   std::sort(res.added_pairs.begin(), res.added_pairs.end());
   DropCommonPairs(&res.removed_pairs, &res.added_pairs);
@@ -332,13 +380,29 @@ Result<StreamBatchResult> StreamAligner::Apply(
 }
 
 std::vector<LabeledPair> StreamAligner::CurrentPairs() const {
-  const auto all_nodes =
-      std::views::iota(NodeId{0}, static_cast<NodeId>(graph_->NumNodes()));
-  std::vector<LabeledPair> pairs;
-  for (const auto& [src, tgt] : SameColorPairs(*graph_, *engine_, all_nodes)) {
-    pairs.push_back(MakePair(src, tgt));
+  std::vector<Member> members;
+  for (NodeId n = 0; n < graph_->NumNodes(); ++n) {
+    if (graph_->IsLive(n)) members.push_back({engine_->ColorOf(n), n, 0});
   }
+  std::vector<LabeledPair> pairs;
+  CrossClasses(
+      *graph_, members, [](const Member&, const Member&) { return true; },
+      [&](NodeId src, NodeId tgt) { pairs.push_back(MakePair(src, tgt)); });
   std::sort(pairs.begin(), pairs.end());
+  return pairs;
+}
+
+size_t StreamAligner::NumCurrentPairs() const {
+  std::vector<uint32_t> sources(engine_->next_color());
+  std::vector<uint32_t> targets(engine_->next_color());
+  for (NodeId n = 0; n < graph_->NumNodes(); ++n) {
+    if (graph_->IsDead(n)) continue;
+    ++(graph_->InSource(n) ? sources : targets)[engine_->ColorOf(n)];
+  }
+  size_t pairs = 0;
+  for (size_t c = 0; c < sources.size(); ++c) {
+    pairs += static_cast<size_t>(sources[c]) * targets[c];
+  }
   return pairs;
 }
 
@@ -369,14 +433,7 @@ Result<StreamCheckResult> StreamAligner::CheckBatchEquivalence(
         "batch source does not match the stream's source version");
   }
   // Source side: match by label against the frozen stream source.
-  const TripleGraph& sg = g.combined().graph();
-  const Dictionary& dict = sg.dict();
-  std::unordered_map<uint64_t, NodeId> src_by_label;
-  src_by_label.reserve(g.n1());
-  for (NodeId n = 0; n < g.n1(); ++n) {
-    src_by_label.emplace(
-        (static_cast<uint64_t>(sg.KindOf(n)) << 32) | sg.LexicalId(n), n);
-  }
+  const Dictionary& dict = g.combined().graph().dict();
   std::vector<ColorId> remapped(batch_nodes);
   for (NodeId i = 0; i < batch_nodes; ++i) {
     const TermKind kind = bcg.graph().KindOf(i);
@@ -385,9 +442,8 @@ Result<StreamCheckResult> StreamAligner::CheckBatchEquivalence(
     if (bcg.InSource(i)) {
       const LexId id = dict.Find(lex);
       if (id != kInvalidLex) {
-        auto it =
-            src_by_label.find((static_cast<uint64_t>(kind) << 32) | id);
-        if (it != src_by_label.end()) stream_node = it->second;
+        auto it = src_by_label_.find(LabelKey(kind, id));
+        if (it != src_by_label_.end()) stream_node = it->second;
       }
     } else {
       stream_node = g.FindTarget(kind, lex);

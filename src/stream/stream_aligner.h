@@ -5,12 +5,12 @@
 // (store/update_fragment.h) and maintains the alignment partition
 // incrementally:
 //
-//  * Non-blank nodes are classed by label through a persistent registry —
-//    (kind, lexical form) -> engine color — so creating a node whose label
-//    the partition has seen (including the frozen source side) joins the
-//    existing class with zero refinement work, and a genuinely fresh label
-//    allocates a fresh singleton class. Non-blank colors never change:
-//    under both supported methods their classes are fixed by label alone.
+//  * Non-blank nodes are classed by label: under both supported methods
+//    their classes are fixed by label alone and never refine. A created
+//    node whose label the frozen source holds joins that source node's
+//    class with zero refinement work; any other label's class is empty at
+//    that point (a batch cannot create a label live in the target), so the
+//    node opens a fresh singleton class.
 //  * Blank nodes are re-refined only when the batch can actually affect
 //    them: some blank's out-neighborhood changed, or a blank was created.
 //    kDeblank's initial partition has *one* blank class, so the minimal
@@ -21,6 +21,14 @@
 //    and a batch touching no blank skips the engine entirely. The
 //    "characterizing set" exact-maintenance alternative (Luo et al.,
 //    arXiv:1210.0748) is named future work in docs/stream.md.
+//  * The alignment delta is read off class cells: the live blanks' old
+//    colors, snapshotted before the reset, against their colors after the
+//    fixpoint. Only old classes that split or lost a member, and new
+//    classes that gained members from more than one old class, are
+//    crossed into pairs.
+//  * Right after the reset, when dead colors outnumber live ones, the
+//    engine renumbers its colors densely (WorklistEngine::CompactColors),
+//    so a long session's color space and per-color arrays stay bounded.
 //
 // Supported methods: kTrivial and kDeblank. kHybrid and above refine
 // X = UN(λ_Trivial): every blank plus each non-literal whose label occurs
@@ -122,6 +130,8 @@ class StreamAligner {
 
   /// The current alignment as labeled pairs, sorted (see LabeledPair).
   std::vector<LabeledPair> CurrentPairs() const;
+  /// CurrentPairs().size(), without building the pairs.
+  size_t NumCurrentPairs() const;
 
   /// Verifies the live partition against a from-scratch batch alignment of
   /// (batch_source, batch_target) — the final versions after every applied
@@ -133,7 +143,8 @@ class StreamAligner {
 
   const DynamicGraph& graph() const { return *graph_; }
   const StreamOptions& options() const { return options_; }
-  /// Engine-side class count upper bound (includes emptied classes).
+  /// Engine-side class count upper bound (includes emptied classes; at
+  /// most twice the live classes plus one push's allocation).
   size_t NumColorsAllocated() const { return engine_->next_color(); }
   /// Statistics of the open-time initial fixpoint.
   const RefinementStats& open_stats() const { return open_stats_; }
@@ -144,27 +155,36 @@ class StreamAligner {
 
   StreamAligner(const StreamOptions& options) : options_(options) {}
 
+  /// A live blank and its color before a push's reset.
+  struct BlankCell {
+    NodeId node;
+    ColorId old;
+  };
+
   LabeledPair MakePair(NodeId src, NodeId tgt) const;
-  /// All (source blank, target blank) equal-color pairs over live blanks,
-  /// sorted by (src id, tgt id).
-  std::vector<std::pair<NodeId, NodeId>> BlankPairs() const;
-  /// Equal-color source partners of a non-blank node's color.
-  void AppendStaticPartners(NodeId tgt, ColorId color,
-                            std::vector<LabeledPair>* out) const;
+  std::vector<BlankCell> LiveBlankCells() const;
+  /// Appends the blank pairs that stopped and started holding since
+  /// `before`, the live blanks' cells taken before the reset, when the
+  /// engine had allocated `old_colors` colors.
+  void AppendCellDelta(const std::vector<BlankCell>& before,
+                       ColorId old_colors, StreamBatchResult* res);
+  /// The source node with `n`'s label, or kInvalidNode.
+  NodeId SourceNodeOf(NodeId n) const;
 
   StreamOptions options_;
   std::unique_ptr<DynamicGraph> graph_;
   std::unique_ptr<Engine> engine_;
   RefinementStats open_stats_;
 
-  /// Persistent non-blank label registry: (kind, LexId) -> engine color.
-  std::unordered_map<uint64_t, ColorId> label_color_;
-  /// Source-side non-blank members per engine color (source colors are
-  /// fixed for the session).
-  std::unordered_map<ColorId, std::vector<NodeId>> src_nonblank_by_color_;
+  /// The frozen source's nodes by (kind, LexId). Under both methods a
+  /// non-blank class is exactly one label's nodes, so this also finds the
+  /// class a created non-blank joins and its one source partner.
+  std::unordered_map<uint64_t, NodeId> src_by_label_;
   /// Every blank node id ever live (source + target + appended); dead ones
   /// are filtered on use.
   std::vector<NodeId> blank_nodes_;
+  /// AppendCellDelta's per-color marks; all kInvalidColor between pushes.
+  std::vector<ColorId> class_mark_;
   uint64_t batches_applied_ = 0;
 };
 

@@ -666,7 +666,9 @@ TEST(StreamTest, PushDeltasMatchBatchPairs) {
   }
 }
 
-// A long edit/restore session stays equivalent to the batch aligner.
+// A long edit/restore session stays equivalent to the batch aligner, and
+// its color space is compacted along the way instead of growing with every
+// push.
 TEST(StreamTest, LongSessionStaysEquivalent) {
   gen::EfoOptions options;
   options.initial_classes = 300;
@@ -676,13 +678,30 @@ TEST(StreamTest, LongSessionStaysEquivalent) {
   const TripleGraph& v0 = efo.Version(0);
   std::unique_ptr<StreamAligner> aligner = OpenOrDie(v0, v0);
   constexpr size_t kPushes = 40;
+  size_t drops = 0;
+  size_t most_added = 0;  // the largest one-push allocation
+  size_t colors = aligner->NumColorsAllocated();
+  auto count_drop = [&] {
+    const size_t now = aligner->NumColorsAllocated();
+    drops += now < colors;
+    if (now > colors) most_added = std::max(most_added, now - colors);
+    colors = now;
+  };
   for (size_t k = 0; k < kPushes; k += 2) {
     const TripleGraph edited =
         EditBlankLiterals(v0, 3 * k, 5, "edit " + std::to_string(k));
     ASSERT_TRUE(ApplyStep(aligner.get(), v0, edited, k + 1).refined);
+    count_drop();
     ASSERT_TRUE(ApplyStep(aligner.get(), edited, v0, k + 2).refined);
+    count_drop();
     if ((k + 2) % 8 == 0) ExpectEquivalent(*aligner, v0, v0);
   }
+  EXPECT_GE(drops, 2u);
+  // Dead colors never outnumber live ones by more than one push's worth.
+  Result<StreamCheckResult> check = aligner->CheckBatchEquivalence(v0, v0);
+  ASSERT_TRUE(check.ok()) << check.status().ToString();
+  EXPECT_LE(aligner->NumColorsAllocated(), 2 * check->classes + most_added);
+  EXPECT_EQ(aligner->NumCurrentPairs(), aligner->CurrentPairs().size());
 }
 
 }  // namespace
