@@ -75,7 +75,7 @@ std::string OpenToJson(const StreamSession& s) {
       .Int("target_triples", a.graph().NumTargetTriples())
       .Int("iterations", a.open_stats().iterations)
       .Int("classes", a.open_stats().final_classes)
-      .Int("pairs", a.CurrentPairs().size())
+      .Int("pairs", a.NumCurrentPairs())
       .Take();
 }
 
@@ -92,7 +92,7 @@ std::string OpenToText(const StreamSession& s) {
   StrAppendf(&out,
              "  initial fixpoint: %zu iterations, %zu classes, %zu pairs\n",
              a.open_stats().iterations, a.open_stats().final_classes,
-             a.CurrentPairs().size());
+             a.NumCurrentPairs());
   StrAppendf(&out, "  session: %s\n", s.token.c_str());
   return out;
 }

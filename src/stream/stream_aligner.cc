@@ -308,9 +308,8 @@ Result<StreamBatchResult> StreamAligner::Apply(
   if (blank_affected) before_blanks = LiveBlankCells();
   for (NodeId n : dying) {
     if (g.KindOf(n) != TermKind::kBlank) {
-      if (SourceNodeOf(n) != kInvalidNode) {
-        res.removed_pairs.push_back(MakePair(SourceNodeOf(n), n));
-      }
+      const NodeId src = SourceNodeOf(n);
+      if (src != kInvalidNode) res.removed_pairs.push_back(MakePair(src, n));
     } else if (!blank_affected) {
       // A blank retired without any blank's neighborhood changing (it was
       // already isolated): drop its pairs directly; nothing else moves.
@@ -324,9 +323,9 @@ Result<StreamBatchResult> StreamAligner::Apply(
   }
   for (size_t i = 0; i < batch.num_new; ++i) {
     const NodeId n = node_of[i];
-    if (g.KindOf(n) != TermKind::kBlank && SourceNodeOf(n) != kInvalidNode) {
-      res.added_pairs.push_back(MakePair(SourceNodeOf(n), n));
-    }
+    if (g.KindOf(n) == TermKind::kBlank) continue;
+    const NodeId src = SourceNodeOf(n);
+    if (src != kInvalidNode) res.added_pairs.push_back(MakePair(src, n));
   }
   res.delta_ms = delta_timer.ElapsedMillis();
 
