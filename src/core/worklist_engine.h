@@ -34,13 +34,12 @@
 //    engine alive across update batches: between Run calls it may append
 //    nodes (AppendNode), allocate fresh colors (AllocateColor), reset the
 //    color of affected nodes (OverrideColor), retire dead nodes
-//    (RetireNode), grow or shrink the refinable set (SetInX), seed the
-//    worklist (SeedDirty), renumber the colors densely (CompactColors),
-//    and resume the fixpoint with RunInPlace — the persistent cons state
-//    (stored class anchors, class sizes, monotone color allocation)
-//    carries over, so resumed rounds cost only the dirty region. See
-//    docs/stream.md for how the reset discipline keeps resumed fixpoints
-//    equal to batch recomputation.
+//    (RetireNode), seed the worklist (SeedDirty), renumber the colors
+//    densely (CompactColors), and resume the fixpoint with RunInPlace —
+//    the persistent cons state (stored class anchors, class sizes,
+//    monotone color allocation) carries over, so resumed rounds cost only
+//    the dirty region. See docs/stream.md for how the reset discipline
+//    keeps resumed fixpoints equal to batch recomputation.
 //
 // This header is shared by core/refinement.cc, core/context.cc, and
 // src/stream/; it is not part of the public API surface.
@@ -237,14 +236,14 @@ class WorklistEngine {
     in_x_[n] = 0;
   }
 
-  /// Renumbers the non-empty classes densely, in ascending id order, and
-  /// drops the emptied colors and the stored anchor arena. Ascending order
-  /// keeps every sorted signature sorted, so later rounds group, split and
-  /// allocate exactly as they would have without it. Precondition
-  /// (asserted): between Runs, and no non-empty class carries a stored
-  /// anchor — a stream session calls it right after its reset, when every
-  /// refined class has been emptied onto one fresh color. Batch refinement
-  /// never calls it.
+  /// Renumbers the non-empty classes densely, in ascending id order (so
+  /// sorted signature pairs stay sorted), and drops the emptied colors and
+  /// the stored anchor arena. Rounds compare signatures only for equality,
+  /// so later rounds group, split and allocate exactly as they would have
+  /// without it. Precondition (asserted): between Runs, and no non-empty
+  /// class carries a stored anchor — a stream session calls it right after
+  /// its reset, when every refined class has been emptied onto one fresh
+  /// color. Batch refinement never calls it.
   void CompactColors() {
     std::vector<ColorId> remap(next_color_, kInvalidColor);
     ColorId next = 0;
@@ -265,10 +264,6 @@ class WorklistEngine {
     store_.clear();
   }
 
-  /// Adds or removes `n` from the refinable set X.
-  void SetInX(NodeId n, bool in_x) { in_x_[n] = in_x ? 1 : 0; }
-  bool InX(NodeId n) const { return in_x_[n] != 0; }
-
   /// Seeds `n` into the next RunInPlace worklist (idempotent). `n` must be
   /// in X.
   void SeedDirty(NodeId n) {
@@ -280,9 +275,6 @@ class WorklistEngine {
   }
 
   size_t NumTrackedNodes() const { return colors_.size(); }
-
-  /// Number of nodes carrying color `c`.
-  uint32_t ClassSize(ColorId c) const { return class_size_[c]; }
 
   /// Number of non-empty classes, in O(colors allocated).
   size_t NumClasses() const {
