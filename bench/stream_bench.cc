@@ -1,15 +1,18 @@
-// Sustained streaming-update throughput of the StreamAligner (ISSUE 8
-// acceptance bench).
+// Sustained streaming-update throughput of the StreamAligner.
 //
-// At each scale point a category-chain of versions sharing one dictionary
-// is generated, a stream session is opened on version 1 (source == target,
-// the daemon's usual starting state), and every inter-version update batch
-// is applied live:
+// At each scale point two chains of versions sharing one dictionary are
+// generated: a category chain (no blank nodes, so only the label path
+// runs) and an EFO-like chain whose versions are about 5-15% blank nodes
+// (every step re-signs the live blanks). For each, a stream session is
+// opened on version 1 (source == target, the daemon's usual starting
+// state), and every inter-version update batch is applied live:
 //
 //   open     : the initial fixpoint the session pays once;
 //   apply    : BuildUpdateBatch(v, v+1) fed through StreamAligner::Apply —
 //              incremental maintenance plus alignment-delta emission, the
-//              number the updates/sec figure is computed from;
+//              number the updates/sec figure is computed from; its
+//              refine and delta phases are reported per step too, with
+//              the live blank count and the engine's final color count;
 //   realign  : one from-scratch batch alignment of (v1, v_final) for
 //              context — what every step would cost without the
 //              incremental path.
@@ -23,12 +26,14 @@
 // reference run (largest point around a million triples), re-run at tiny
 // scale by the stream_bench_smoke ctest target.
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "bench/harness.h"
 #include "core/aligner.h"
 #include "gen/category_gen.h"
+#include "gen/efo_gen.h"
 #include "store/atomic_writer.h"
 #include "store/update_fragment.h"
 #include "stream/stream_aligner.h"
@@ -39,11 +44,10 @@ using namespace rdfalign;
 
 namespace {
 
+template <class Chain>
 bool RunPoint(bench::Report& report, const bench::ScratchDir& scratch,
-              double scale_point, size_t versions, uint64_t seed,
+              const char* workload, double scale_point, const Chain& chain,
               size_t threads) {
-  const gen::CategoryChain chain = gen::CategoryChain::Generate(
-      gen::CategoryOptions::FromScale(scale_point, versions, seed));
   const TripleGraph& first = chain.Version(0);
   const TripleGraph& last = chain.Version(chain.NumVersions() - 1);
   const size_t batches = chain.NumVersions() - 1;
@@ -67,6 +71,7 @@ bool RunPoint(bench::Report& report, const bench::ScratchDir& scratch,
   // figure — the stream path never writes snapshots) is untimed setup.
   size_t v = 0, updates = 0, fragment_bytes = 0;
   size_t added_pairs = 0, removed_pairs = 0, dirty_total = 0;
+  std::vector<double> refine_ms, delta_ms;
   Result<store::UpdateBatch> batch = Status::Internal("no batch");
   std::string last_image;
   const bench::Timing steps = bench::Time(
@@ -82,6 +87,8 @@ bool RunPoint(bench::Report& report, const bench::ScratchDir& scratch,
         added_pairs += step->added_pairs.size();
         removed_pairs += step->removed_pairs.size();
         dirty_total += step->dirty_total;
+        refine_ms.push_back(step->refine_ms);
+        delta_ms.push_back(step->delta_ms);
         return true;
       },
       [&] {
@@ -138,16 +145,20 @@ bool RunPoint(bench::Report& report, const bench::ScratchDir& scratch,
   // The acceptance gate: the live partition must match the batch path.
   Result<stream::StreamCheckResult> check =
       aligner.CheckBatchEquivalence(first, last);
-  report.Gate(check.ok(), "equivalence at scale " +
-                              bench::Fmt("%g", scale_point) + ": " +
-                              check.status().ToString());
+  report.Gate(check.ok(), std::string("equivalence of ") + workload +
+                              " at scale " + bench::Fmt("%g", scale_point) +
+                              ": " + check.status().ToString());
   const double mean_step_ms = bench::Ratio(steps.total_ms, batches);
   report.Add(
       "points",
       bench::Row()
+          .Str("workload", workload, "workload")
           .Num("scale_point", scale_point, "scale")
           .Int("nodes", last.NumNodes())
           .Int("triples", last.NumEdges(), "triples")
+          .Int("live_blanks", first.CountOfKind(TermKind::kBlank) +
+                                  last.CountOfKind(TermKind::kBlank),
+               "blanks")
           .Int("batches", batches, "batches")
           .Num("open_ms", open_ms, 2)
           .Int("updates", updates)
@@ -158,9 +169,11 @@ bool RunPoint(bench::Report& report, const bench::ScratchDir& scratch,
           .Num("step_p50_ms", steps.p50_ms, 3, "step_p50")
           .Num("step_p95_ms", steps.p95_ms, 3)
           .Num("step_max_ms", steps.max_ms, 3)
+          .Num("refine_p50_ms", Percentile(refine_ms, 0.5), 3, "refine_p50")
+          .Num("delta_p50_ms", Percentile(delta_ms, 0.5), 3, "delta_p50")
           .Int("added_pairs", added_pairs)
           .Int("removed_pairs", removed_pairs)
-          .Int("dirty_resignings", dirty_total)
+          .Int("dirty_resignings", dirty_total, "dirty")
           .Num("realign_ms", realign_ms, 2)
           .Num("realign_speedup", bench::Ratio(realign_ms, mean_step_ms),
                1, "realign")
@@ -170,6 +183,7 @@ bool RunPoint(bench::Report& report, const bench::ScratchDir& scratch,
                bench::Ratio(armed_write.p50_ms, plain_write.p50_ms), 2)
           .Int("live_nodes", check.ok() ? check->live_nodes : 0)
           .Int("classes", check.ok() ? check->classes : 0)
+          .Int("colors_allocated", aligner.NumColorsAllocated())
           .Bool("equivalent", check.ok(), "equal"));
   return true;
 }
@@ -202,8 +216,10 @@ int main(int argc, char** argv) {
       .Int("threads", threads);
   const bench::ScratchDir scratch("rdfalign_stream_bench");
 
-  // Three points up to 4x --scale; the default largest point lands around
-  // a million triples in the final version.
+  // Three points up to 4x --scale. The default largest category point
+  // lands around a million triples in the final version; an EFO point has
+  // 500 classes per unit of scale (12,000 at the default largest point),
+  // and at least 25.
   std::vector<double> scale_points;
   for (double factor : {0.25, 1.0, 4.0}) {
     const double point = scale * factor;
@@ -211,11 +227,30 @@ int main(int argc, char** argv) {
       scale_points.push_back(point);
     }
   }
+  auto fail = [&out](const char* workload, double point) {
+    std::fprintf(stderr,
+                 "stream_bench: FAIL (%s) at scale %g — not writing %s\n",
+                 workload, point, out.c_str());
+    return 1;
+  };
   for (double point : scale_points) {
-    if (!RunPoint(report, scratch, point, versions, seed, threads)) {
-      std::fprintf(stderr, "stream_bench: FAIL at scale %g — not writing %s\n",
-                   point, out.c_str());
-      return 1;
+    const gen::CategoryChain chain = gen::CategoryChain::Generate(
+        gen::CategoryOptions::FromScale(point, versions, seed));
+    if (!RunPoint(report, scratch, "category", point, chain, threads)) {
+      return fail("category", point);
+    }
+  }
+  size_t last_classes = 0;
+  for (double point : scale_points) {
+    gen::EfoOptions efo;
+    efo.initial_classes = std::max<size_t>(25, point * 500);
+    if (efo.initial_classes == last_classes) continue;  // tiny --scale
+    last_classes = efo.initial_classes;
+    efo.versions = versions;
+    efo.seed = seed;
+    if (!RunPoint(report, scratch, "efo", point, gen::EfoChain::Generate(efo),
+                  threads)) {
+      return fail("efo", point);
     }
   }
   return report.Finish(out);
