@@ -71,13 +71,16 @@ void CrossClasses(const DynamicGraph& g, std::vector<Member>& members,
                   Keep keep, Emit emit) {
   std::sort(members.begin(), members.end());
   for (size_t i = 0, j = 0; i < members.size(); i = j) {
+    const ColorId cls = members[i].cls;
     size_t mid = i;  // source ids precede target ids
-    for (j = i; j < members.size() && members[j].cls == members[i].cls; ++j) {
+    for (j = i; j < members.size() && members[j].cls == cls; ++j) {
       if (g.InSource(members[j].node)) mid = j + 1;
     }
     for (size_t a = i; a < mid; ++a) {
       for (size_t b = mid; b < j; ++b) {
-        if (keep(members[a], members[b])) emit(members[a].node, members[b].node);
+        if (keep(members[a], members[b])) {
+          emit(members[a].node, members[b].node);
+        }
       }
     }
   }
