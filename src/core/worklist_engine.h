@@ -65,10 +65,11 @@ namespace internal {
 
 /// Separates the out-pair section of a signature from the mediation-pair
 /// section. Color ids are allocated upward from the initial partition's
-/// dense ids (and a stream session compacts them back to dense, see
-/// WorklistEngine::CompactColors), so they can never reach this value on
-/// any realistic graph; the reference step (RefineStepReference) relies on
-/// the same property.
+/// dense ids (and a stream push that resets blanks compacts them back to
+/// dense, see WorklistEngine::CompactColors), so a batch run can never
+/// reach this value on any realistic graph; the reference step
+/// (RefineStepReference) relies on the same property. A stream session
+/// without such pushes has no guard yet (ROADMAP item 3).
 inline constexpr uint32_t kMediationSeparator = 0xfffffffe;
 
 /// What the worklist engine signs and how.

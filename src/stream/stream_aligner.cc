@@ -300,6 +300,15 @@ Result<StreamBatchResult> StreamAligner::Apply(
     }
     dying.push_back(n);
   }
+  // Two references may carry one label; retiring its node twice would
+  // take it out of its class twice.
+  std::sort(dying.begin(), dying.end());
+  const auto twice = std::adjacent_find(dying.begin(), dying.end());
+  if (twice != dying.end()) {
+    return Status::InvalidArgument(
+        "update retires one node under two references: " +
+        std::string(g.Lexical(*twice)));
+  }
   if (!deblank) blank_affected = false;
   res.apply_ms = apply_timer.ElapsedMillis();
 

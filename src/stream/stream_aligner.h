@@ -28,7 +28,10 @@
 //    crossed into pairs.
 //  * Right after the reset, when dead colors outnumber live ones, the
 //    engine renumbers its colors densely (WorklistEngine::CompactColors),
-//    so a long session's color space and per-color arrays stay bounded.
+//    so a kDeblank session whose pushes reset blanks keeps its color
+//    space and per-color arrays bounded. Pushes without a reset (every
+//    kTrivial push, and kDeblank pushes that only create or retire
+//    labels) never compact; their fresh label colors stay allocated.
 //
 // Supported methods: kTrivial and kDeblank. kHybrid and above refine
 // X = UN(λ_Trivial): every blank plus each non-literal whose label occurs
@@ -143,8 +146,10 @@ class StreamAligner {
 
   const DynamicGraph& graph() const { return *graph_; }
   const StreamOptions& options() const { return options_; }
-  /// Engine-side class count upper bound (includes emptied classes; at
-  /// most twice the live classes plus one push's allocation).
+  /// Engine-side class count upper bound (includes emptied classes).
+  /// Right after a kDeblank push that resets blanks it is at most twice
+  /// the live classes plus that push's allocation; pushes without a reset
+  /// never compact, so it only grows across them.
   size_t NumColorsAllocated() const { return engine_->next_color(); }
   /// Statistics of the open-time initial fixpoint.
   const RefinementStats& open_stats() const { return open_stats_; }

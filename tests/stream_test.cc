@@ -175,6 +175,37 @@ TEST(UpdateFragmentTest, ApplyRejectsUnresolvableReference) {
   EXPECT_FALSE(aligner->Apply(batch).ok());
 }
 
+// A fragment may name one live node under two references; the decoder
+// accepts it (it checks only that the retired indexes ascend), so Apply
+// must refuse to retire that node twice.
+TEST(StreamTest, ApplyRejectsOneNodeRetiredTwice) {
+  for (TermKind kind : {TermKind::kUri, TermKind::kBlank}) {
+    auto dict = std::make_shared<Dictionary>();
+    TripleGraph g = testing::Fig2Graph(dict);
+    std::unique_ptr<StreamAligner> aligner = OpenOrDie(g, g);
+
+    UpdateBatch create;
+    create.nodes.push_back({kind, "ex:lonely"});
+    create.num_new = 1;
+    ASSERT_TRUE(aligner->Apply(create).ok());
+
+    UpdateBatch retire;
+    retire.nodes.push_back({kind, "ex:lonely"});
+    retire.nodes.push_back({kind, "ex:lonely"});
+    retire.num_new = 0;
+    retire.removed_nodes = {0, 1};
+    Result<std::string> bytes = EncodeUpdateBatch(retire);
+    ASSERT_TRUE(bytes.ok()) << bytes.status();
+    Result<UpdateBatch> decoded = DecodeUpdateBatch(*bytes, "t");
+    ASSERT_TRUE(decoded.ok()) << decoded.status();
+    Result<StreamBatchResult> r = aligner->Apply(*decoded);
+    ASSERT_FALSE(r.ok());
+    EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status();
+    EXPECT_NE(r.status().message().find("two references"), std::string::npos)
+        << r.status();
+  }
+}
+
 // --------------------------------------------- dirtiness edge cases
 
 // Adding an isolated node whose label the source knows extends the
