@@ -6,11 +6,13 @@
 // as a binary snapshot — then ingested back three ways:
 //
 //   reparse : ParseNTriplesFile (streaming text parse, the pre-store path)
-//   load    : LoadSnapshot, buffered read + checksum verification
-//   mmap    : LoadSnapshot, mmap + zero-copy CSR adoption, checksums off
-//             (structural validation still runs and touches the whole
-//             file; mmap saves the copy, not the read — see
-//             store/snapshot.h)
+//   load    : LoadSnapshot, buffered read (the daemon's cache)
+//   mmap    : LoadSnapshot, mmap + zero-copy CSR adoption (the one-shot
+//             CLI)
+//
+// Both snapshot loads verify every section checksum and run the full
+// structural validation, so both read the whole file; mmap saves the
+// copy, not the read (see store/snapshot.h).
 //
 // Each snapshot point also reports the bytes of the front-coded
 // dictionary sections and is gated on save -> load -> resave reproducing
@@ -98,7 +100,6 @@ bool RunPoint(bench::Report& report, const bench::ScratchDir& scratch,
   TripleGraph parsed, loaded, mapped;
   store::SnapshotLoadOptions mm;
   mm.use_mmap = true;
-  mm.verify_checksums = false;
   const bench::Timing reparse = bench::Time(runs, 0, [&] {
     return bench::Keep(ParseNTriplesFile(nt_path, nullptr), &parsed);
   });

@@ -96,8 +96,6 @@ bool ParseCommonFlags(const Args& args, const char* cmd, CommonOptions* out,
     return false;
   }
   out->threads = static_cast<size_t>(*threads);
-  out->use_mmap = args.Has("mmap");
-  out->verify_checksums = !args.Has("no-verify-checksums");
   out->json = args.Has("json");
   return true;
 }

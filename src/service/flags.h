@@ -67,15 +67,13 @@ class Args {
 /// dispatcher uses; of the Run* implementations only RunInfo reads it
 /// (the content fingerprint is computed only for the JSON report).
 struct CommonOptions {
-  size_t threads = 1;           ///< 0 = all hardware threads
-  bool use_mmap = false;        ///< map snapshots instead of buffering
-  bool verify_checksums = true; ///< --no-verify-checksums clears this
+  size_t threads = 1;  ///< 0 = all hardware threads
   bool json = false;
 };
 
-/// Parses --threads / --mmap / --json / --no-verify-checksums into `out`. `cmd` names the verb in error messages
-/// ("rdfalign align: ..."). Returns false with the exact legacy message
-/// in `error`.
+/// Parses --threads / --json into `out`. `cmd` names the verb in error
+/// messages ("rdfalign align: ..."). Returns false with the exact legacy
+/// message in `error`.
 bool ParseCommonFlags(const Args& args, const char* cmd, CommonOptions* out,
                       std::string* error);
 

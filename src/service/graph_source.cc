@@ -39,14 +39,14 @@ uint64_t LoadedGraphBytes(const TripleGraph& g) {
 
 Result<LoadedGraphRef> LoadGraphFile(const std::string& path,
                                      const CommonOptions& common,
+                                     SnapshotRead read,
                                      bool need_fingerprint) {
   const size_t workers = ResolveThreads(common.threads);
   auto loaded = std::make_shared<LoadedGraph>();
   if (store::LooksLikeSnapshot(path)) {
-    loaded->kind = common.use_mmap ? "snapshot(mmap)" : "snapshot";
+    loaded->kind = "snapshot";
     store::SnapshotLoadOptions options;
-    options.use_mmap = common.use_mmap;
-    options.verify_checksums = common.verify_checksums;
+    options.use_mmap = read == SnapshotRead::kMapped;
     RDFALIGN_ASSIGN_OR_RETURN(loaded->graph,
                               store::LoadSnapshot(path, nullptr, options));
   } else if (EndsWith(path, ".ttl")) {
@@ -71,8 +71,9 @@ Result<AcquiredGraph> DirectGraphSource::Acquire(const std::string& path,
                                                  bool need_fingerprint) {
   WallTimer timer;
   AcquiredGraph out;
-  RDFALIGN_ASSIGN_OR_RETURN(out.loaded,
-                            LoadGraphFile(path, common, need_fingerprint));
+  RDFALIGN_ASSIGN_OR_RETURN(
+      out.loaded,
+      LoadGraphFile(path, common, SnapshotRead::kMapped, need_fingerprint));
   out.cache_hit = false;
   out.acquire_ms = timer.ElapsedMillis();
   return out;

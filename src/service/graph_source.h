@@ -7,6 +7,9 @@
 //   * SnapshotCache (service/snapshot_cache.h) — the daemon's LRU of
 //     resident graphs keyed by content fingerprint.
 //
+// The source, not the request, decides how a snapshot is read
+// (SnapshotRead): a direct load maps the file, a cached one owns a copy.
+//
 // Every acquired graph carries its own private Dictionary (a cached graph
 // is shared by many concurrent requests and a Dictionary is not
 // thread-safe to grow). Verbs that need several graphs in one label space
@@ -39,7 +42,7 @@ class SnapshotCache;
 /// LoadedGraph after construction.
 struct LoadedGraph {
   TripleGraph graph;
-  std::string kind;            ///< "snapshot" | "snapshot(mmap)" | "ntriples" | "turtle"
+  std::string kind;            ///< "snapshot" | "ntriples" | "turtle"
   uint64_t fingerprint = 0;    ///< store::GraphFingerprint; valid iff has_fingerprint
   bool has_fingerprint = false;
   uint64_t resident_bytes = 0; ///< LoadedGraphBytes estimate
@@ -60,8 +63,8 @@ class GraphSource {
   virtual ~GraphSource() = default;
 
   /// Loads (or fetches) the graph at `path`, sniffing snapshot vs RDF
-  /// text by magic / suffix. `common` supplies threads / mmap / checksum
-  /// policy for an actual load. When `need_fingerprint` is set the
+  /// text by magic / suffix. `common` supplies the parser threads of an
+  /// actual load. When `need_fingerprint` is set the
   /// returned LoadedGraph has its content fingerprint populated (a cache
   /// always has it; a direct load computes it on demand).
   virtual Result<AcquiredGraph> Acquire(const std::string& path,
@@ -80,11 +83,27 @@ class DirectGraphSource : public GraphSource {
                                 bool need_fingerprint) override;
 };
 
+/// How LoadGraphFile reads a snapshot file, chosen by whoever holds the
+/// graph. Section checksums are verified either way.
+enum class SnapshotRead {
+  /// Map the file: no up-front copy. For graphs that die with their
+  /// process (DirectGraphSource, the one-shot CLI). A mapping is only as
+  /// stable as the file under it: truncating the file while the graph
+  /// lives faults the process on its next read.
+  kMapped,
+  /// Read the file into a buffer the graph owns. For graphs that outlive
+  /// a request and are shared by every client (SnapshotCache): no client
+  /// rewriting a file in place can reach a resident graph.
+  kOwned,
+};
+
 /// Loads the graph at `path` into a fresh private dictionary, sniffing
 /// snapshots (by magic), Turtle (suffix .ttl), and N-Triples (default).
-/// Shared by DirectGraphSource and the cache's miss path.
+/// Shared by DirectGraphSource and the cache's miss path; `read` applies
+/// to snapshots only.
 Result<LoadedGraphRef> LoadGraphFile(const std::string& path,
                                      const CommonOptions& common,
+                                     SnapshotRead read,
                                      bool need_fingerprint);
 
 /// Deterministic resident-memory estimate of a loaded graph (labels,

@@ -56,9 +56,10 @@ Result<AcquiredGraph> SnapshotCache::Acquire(const std::string& path,
   }
 
   // Miss: load outside the lock (the fingerprint is always computed —
-  // it is the key).
-  RDFALIGN_ASSIGN_OR_RETURN(LoadedGraphRef loaded,
-                            LoadGraphFile(path, common, true));
+  // it is the key) into bytes the entry owns.
+  RDFALIGN_ASSIGN_OR_RETURN(
+      LoadedGraphRef loaded,
+      LoadGraphFile(path, common, SnapshotRead::kOwned, true));
 
   AcquiredGraph out;
   {

@@ -7,6 +7,10 @@
 // validated against the file's current size and mtime) makes warm
 // lookups stat()-cheap: the graph itself is only read on a miss.
 //
+// An entry owns its bytes (SnapshotRead::kOwned, checksums verified): it
+// outlives the request that loaded it and is shared with every client
+// whose file has its fingerprint, so it must not depend on that file.
+//
 // Capacity is bounded in *resident bytes* (LoadedGraphBytes per entry),
 // not entry count. Eviction is strict LRU and only detaches an entry
 // from the cache — entries are shared_ptrs, and every in-flight request

@@ -280,10 +280,8 @@ VerbResult HandleStreamVerb(const std::vector<std::string>& tokens,
       return PlainFailure(
           1, "rdfalign stream: a session is already open on this connection");
     }
-    if (!CheckArguments(
-            args, 2, "open expects <source> <target>",
-            {"method", "threads", "mmap", "json", "no-verify-checksums"},
-            &message)) {
+    if (!CheckArguments(args, 2, "open expects <source> <target>",
+                        {"method", "threads", "json"}, &message)) {
       return UsageFailure(message);
     }
     auto sess = std::make_unique<StreamSession>();
@@ -407,8 +405,7 @@ VerbResult HandleStreamVerb(const std::vector<std::string>& tokens,
 
   if (sub == "check") {
     if (!CheckArguments(args, 1, "check expects <final-target>",
-                        {"json", "threads", "mmap", "no-verify-checksums"},
-                        &message)) {
+                        {"json", "threads"}, &message)) {
       return UsageFailure(message);
     }
     CommonOptions common = sess.common;

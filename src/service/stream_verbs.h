@@ -2,7 +2,7 @@
 // session over the length-prefixed protocol (docs/stream.md).
 //
 //   stream open <source> <target> [--method=trivial|deblank]
-//          [--threads=N] [--mmap] [--json]
+//          [--threads=N] [--json]
 //   stream push [--json]          (+ ONE extra binary frame: the RDFUPDT1
 //                                  update fragment, store/update_fragment.h)
 //   stream resume <token> [--json]

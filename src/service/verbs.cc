@@ -511,7 +511,6 @@ Status RunPatch(const PatchRequest& req, PatchResponse* resp) {
   WallTimer apply_timer;
   store::DeltaApplyOptions apply_options;
   apply_options.threads = workers;
-  apply_options.verify_checksums = req.common.verify_checksums;
   RDFALIGN_ASSIGN_OR_RETURN(
       TripleGraph next, store::ApplyDelta(gbase, req.path_delta, dict,
                                           apply_options, &resp->stats));
@@ -1017,7 +1016,7 @@ Status UpdatesVerb(const VerbCall& c, VerbResult* result) {
   return Finish(c, st, resp, UpdatesToJson, UpdatesToText, result);
 }
 
-#define COMMON_FLAGS "threads", "mmap", "json", "no-verify-checksums"
+#define COMMON_FLAGS "threads", "json"
 
 constexpr size_t kUnbounded = SIZE_MAX;
 
@@ -1089,18 +1088,18 @@ const char* UsageText() {
       "      print header, sections, and statistics of a snapshot,\n"
       "      delta, archive, or update-fragment file (sniffed by\n"
       "      magic); --json also reports the content fingerprint\n"
-      "  align <a> <b> [--method=M] [--threads=N] [--mmap] [--json]\n"
+      "  align <a> <b> [--method=M] [--threads=N] [--json]\n"
       "      align two graphs (snapshot or RDF text each) and report\n"
       "      methods: trivial deblank hybrid hybrid-contextual overlap\n"
       "      (default hybrid; --threads=0 uses all hardware threads)\n"
       "  diff <base> <next> <out.delta> [--method=M] [--threads=N]\n"
-      "       [--mmap] [--json]\n"
+      "       [--json]\n"
       "      align two versions and write the incremental binary delta\n"
-      "  patch <base> <delta> <out.snap> [--threads=N] [--mmap] [--json]\n"
+      "  patch <base> <delta> <out.snap> [--threads=N] [--json]\n"
       "      reconstruct the next version from base + delta and write it\n"
       "      as a snapshot (exit 2 when the delta does not fit the base)\n"
       "  archive <out.archive> <v1> <v2> ... [--method=M] [--threads=N]\n"
-      "       [--mmap] [--json]\n"
+      "       [--json]\n"
       "      append versions into an interval archive and persist it as\n"
       "      a base snapshot plus a delta chain\n"
       "  gen <out-prefix> [--scale=S] [--versions=K] [--seed=N]\n"
@@ -1109,7 +1108,7 @@ const char* UsageText() {
       "  cache <stats|clear> [--json]\n"
       "      inspect or drop the resident snapshot cache (rdfalignd)\n"
       "  updates <base> <next> <out.upd> [--seq=N] [--threads=N]\n"
-      "       [--mmap] [--json]\n"
+      "       [--json]\n"
       "      write the label-addressed update fragment turning base into\n"
       "      next, for replay against a streaming session (docs/stream.md)\n"
       "  client <host:port|port> <command> [args]\n"
@@ -1123,11 +1122,7 @@ const char* UsageText() {
       "      optionally check batch equivalence against a final snapshot\n"
       "  stats [--json]  (via `rdfalign client <endpoint> stats`)\n"
       "      per-verb request/error counters and latency percentiles of a\n"
-      "      running rdfalignd\n"
-      "\n"
-      "commands that load graphs (info, align, diff, patch, archive,\n"
-      "updates) also accept --no-verify-checksums (skip section checksum\n"
-      "verification on loads; structural validation still runs)\n";
+      "      running rdfalignd\n";
 }
 
 VerbResult ExecuteVerb(const std::vector<std::string>& tokens,

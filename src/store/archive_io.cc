@@ -178,7 +178,7 @@ Result<VersionArchive> LoadArchive(const std::string& path,
       RDFALIGN_ASSIGN_OR_RETURN(
           TripleGraph g,
           LoadSnapshotFromMemory(c.pin, base + sec.offset, sec.size, dict,
-                                 {}, nullptr, name));
+                                 nullptr, name));
       versions.push_back(std::move(g));
     } else {
       RDFALIGN_ASSIGN_OR_RETURN(
@@ -242,7 +242,7 @@ Result<uint64_t> ArchiveBaseFingerprint(const std::string& path) {
   RDFALIGN_ASSIGN_OR_RETURN(auto image, ReadSectionPayload(c, path, 0));
   RDFALIGN_ASSIGN_OR_RETURN(
       TripleGraph base,
-      LoadSnapshotFromMemory(image, image->data(), image->size(), nullptr, {},
+      LoadSnapshotFromMemory(image, image->data(), image->size(), nullptr,
                              nullptr, path + " (section base_snapshot 0)"));
   return GraphFingerprint(base);
 }

@@ -34,42 +34,6 @@ const ContainerFormat kDeltaFormat = {
     },
 };
 
-constexpr uint32_t kInvalidDense = 0xffffffffu;
-
-/// Dense numbering of the dictionary terms a graph's labels reference, in
-/// lexicographic order of the term bytes. Unlike the snapshot writer's
-/// ascending-dictionary-id convention, this order is **canonical in the
-/// graph's content**: the delta writer and the patch replayer resolve
-/// term references identically no matter how either side's dictionary was
-/// populated, so a delta applies to any base holding the right content —
-/// including one materialized by an earlier patch (chained `rdfalign
-/// diff`/`patch` over independently built snapshots).
-struct TermBinding {
-  std::vector<LexId> term_ids;     ///< dense index -> dictionary id
-  std::vector<uint32_t> dense_of;  ///< dictionary id -> dense index
-};
-
-TermBinding BindTerms(const TripleGraph& g) {
-  const Dictionary& dict = g.dict();
-  std::vector<uint8_t> used(dict.size(), 0);
-  for (const NodeLabel& l : g.labels()) {
-    used[l.lex] = 1;
-  }
-  TermBinding b;
-  for (LexId id = 0; id < used.size(); ++id) {
-    if (used[id]) b.term_ids.push_back(id);
-  }
-  // Distinct ids hold distinct strings (the dictionary interns uniquely),
-  // so the order is total and deterministic.
-  std::sort(b.term_ids.begin(), b.term_ids.end(),
-            [&dict](LexId a, LexId c) { return dict.Get(a) < dict.Get(c); });
-  b.dense_of.assign(dict.size(), kInvalidDense);
-  for (size_t j = 0; j < b.term_ids.size(); ++j) {
-    b.dense_of[b.term_ids[j]] = static_cast<uint32_t>(j);
-  }
-  return b;
-}
-
 uint64_t FingerprintWithBinding(const TripleGraph& g, const TermBinding& b) {
   Checksummer c;
   const uint64_t n = g.NumNodes();
@@ -379,10 +343,8 @@ Result<TripleGraph> ApplyFromContainer(const TripleGraph& base,
   RDFALIGN_RETURN_IF_ERROR(ValidateLayout(c, name));
   const DeltaHeader header = c.HeaderAs<DeltaHeader>();
   const bool fc = header.version == kDeltaFormatVersionFrontCoded;
-  if (options.verify_checksums) {
-    RDFALIGN_RETURN_IF_ERROR(
-        VerifySectionChecksums(c, ResolveThreads(options.threads), name));
-  }
+  RDFALIGN_RETURN_IF_ERROR(
+      VerifySectionChecksums(c, ResolveThreads(options.threads), name));
 
   // Base binding: the delta applies to exactly one graph. Count or
   // fingerprint disagreement is a caller error (wrong base), not file

@@ -67,9 +67,6 @@ Status WriteDeltaToStream(const TripleGraph& base, const TripleGraph& next,
                           DeltaWriteStats* stats = nullptr);
 
 struct DeltaApplyOptions {
-  /// Verify the per-section checksums. Structural validation runs
-  /// regardless (same policy as SnapshotLoadOptions).
-  bool verify_checksums = true;
   /// Worker threads for section checksum verification (0 = one per
   /// hardware thread); the CSR rebuild is serial. The replayed graph is
   /// bit-identical for any value; 1 keeps everything on the calling

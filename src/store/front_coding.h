@@ -23,18 +23,60 @@
 //
 // This header holds the pieces shared by all three writers and readers:
 // the restart interval, the prefix/suffix computation, and the geometry
-// validation a loader must run before touching the blob.
+// validation a loader must run before touching the blob; plus the sorted
+// term numbering of a graph that the snapshot and delta writers share.
 
 #ifndef RDFALIGN_STORE_FRONT_CODING_H_
 #define RDFALIGN_STORE_FRONT_CODING_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string_view>
 #include <vector>
 
+#include "rdf/graph.h"
+
 namespace rdfalign::store {
+
+/// TermBinding::dense_of of a dictionary term the graph does not use.
+inline constexpr uint32_t kInvalidDense = 0xffffffffu;
+
+/// Dense numbering of the dictionary terms a graph's labels reference, in
+/// ascending order of their bytes (the front-coding order). A shared
+/// dictionary may hold terms of other graphs; those get no number. The
+/// order is canonical in the graph's content: the delta writer and the
+/// patch replayer resolve term references identically no matter how
+/// either side's dictionary was populated, so a delta applies to any base
+/// holding the right content — including one materialized by an earlier
+/// patch (chained `rdfalign diff`/`patch` over independently built
+/// snapshots).
+struct TermBinding {
+  std::vector<LexId> term_ids;     ///< dense index -> dictionary id
+  std::vector<uint32_t> dense_of;  ///< dictionary id -> dense index
+};
+
+inline TermBinding BindTerms(const TripleGraph& g) {
+  const Dictionary& dict = g.dict();
+  std::vector<uint8_t> used(dict.size(), 0);
+  for (const NodeLabel& l : g.labels()) {
+    used[l.lex] = 1;
+  }
+  TermBinding b;
+  for (LexId id = 0; id < used.size(); ++id) {
+    if (used[id]) b.term_ids.push_back(id);
+  }
+  // Distinct ids hold distinct strings (the dictionary interns uniquely),
+  // so the order is total and deterministic.
+  std::sort(b.term_ids.begin(), b.term_ids.end(),
+            [&dict](LexId a, LexId c) { return dict.Get(a) < dict.Get(c); });
+  b.dense_of.assign(dict.size(), kInvalidDense);
+  for (size_t j = 0; j < b.term_ids.size(); ++j) {
+    b.dense_of[b.term_ids[j]] = static_cast<uint32_t>(j);
+  }
+  return b;
+}
 
 /// Terms between forced whole-term restart points. Small enough that the
 /// worst-case single-term decode touches a handful of entries, large

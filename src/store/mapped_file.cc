@@ -3,22 +3,15 @@
 #include <cerrno>
 #include <cstring>
 
-#if defined(_WIN32)
-// The snapshot store's mmap path is POSIX-only; Open() reports NotSupported.
-#else
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#endif
 
 namespace rdfalign::store {
 
 Result<std::shared_ptr<MappedFile>> MappedFile::Open(
     const std::string& path) {
-#if defined(_WIN32)
-  return Status::NotSupported("mmap snapshot loading is POSIX-only: " + path);
-#else
   int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) {
     return Status::IOError("cannot open file: " + path + ": " +
@@ -46,15 +39,12 @@ Result<std::shared_ptr<MappedFile>> MappedFile::Open(
   // The mapping persists after the descriptor closes.
   ::close(fd);
   return std::shared_ptr<MappedFile>(new MappedFile(data, size));
-#endif
 }
 
 MappedFile::~MappedFile() {
-#if !defined(_WIN32)
   if (data_ != nullptr && size_ > 0) {
     ::munmap(const_cast<unsigned char*>(data_), size_);
   }
-#endif
 }
 
 }  // namespace rdfalign::store

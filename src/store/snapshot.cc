@@ -1,6 +1,5 @@
 #include "store/snapshot.h"
 
-#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstring>
@@ -65,38 +64,22 @@ Status WriteSnapshotToStream(const TripleGraph& g, std::ostream& out,
   const size_t n = g.NumNodes();
   const Dictionary& dict = g.dict();
 
-  // Terms referenced by this graph, renumbered densely in lexicographic
-  // order (the front-coding precondition). A shared dictionary may hold
-  // terms of other graphs; those are not written. Loading a snapshot into
-  // a fresh dictionary interns the terms in file order, so re-saving a
-  // loaded snapshot reproduces it byte for byte.
-  std::vector<uint8_t> used(dict.size(), 0);
-  for (const NodeLabel& l : g.labels()) {
-    used[l.lex] = 1;
-  }
-  std::vector<LexId> term_ids;
-  for (LexId id = 0; id < used.size(); ++id) {
-    if (used[id]) term_ids.push_back(id);
-  }
-  // Distinct ids hold distinct strings, so the order is total.
-  std::sort(term_ids.begin(), term_ids.end(), [&dict](LexId a, LexId b) {
-    return dict.Get(a) < dict.Get(b);
-  });
-  const size_t num_terms = term_ids.size();
-  std::vector<LexId> remap(dict.size(), kInvalidLex);
-  for (size_t j = 0; j < num_terms; ++j) {
-    remap[term_ids[j]] = static_cast<LexId>(j);
-  }
+  // Only the terms this graph references are written, in the sorted
+  // dense numbering. Loading a snapshot into a fresh dictionary interns
+  // the terms in file order, so re-saving a loaded snapshot reproduces it
+  // byte for byte.
+  const TermBinding terms = BindTerms(g);
+  const size_t num_terms = terms.term_ids.size();
 
   // The blob holds each term's suffix tail past its shared prefix,
   // streamed term by term.
   FrontCodedLayout layout = FrontCodeTerms(
-      num_terms, [&](size_t i) { return dict.Get(term_ids[i]); });
+      num_terms, [&](size_t i) { return dict.Get(terms.term_ids[i]); });
   std::vector<uint8_t> kinds(n);
   std::vector<uint32_t> lex(n);
   for (size_t i = 0; i < n; ++i) {
     kinds[i] = static_cast<uint8_t>(g.labels()[i].kind);
-    lex[i] = remap[g.labels()[i].lex];
+    lex[i] = terms.dense_of[g.labels()[i].lex];
   }
 
   SnapshotHeader header{};
@@ -178,7 +161,6 @@ Status ValidateLayout(const Container& c, const std::string& path) {
 /// hold the whole image.
 Result<TripleGraph> LoadFromContainer(const Container& c,
                                       std::shared_ptr<Dictionary> dict,
-                                      const SnapshotLoadOptions& options,
                                       SnapshotLoadStats* stats,
                                       const std::string& path) {
   static_assert(std::endian::native == std::endian::little,
@@ -189,9 +171,7 @@ Result<TripleGraph> LoadFromContainer(const Container& c,
   const uint64_t e = header.num_triples;
   const uint64_t t = header.num_terms;
   const bool fc = header.version == kFormatVersionFrontCoded;
-  if (options.verify_checksums) {
-    RDFALIGN_RETURN_IF_ERROR(VerifySectionChecksums(c, 1, path));
-  }
+  RDFALIGN_RETURN_IF_ERROR(VerifySectionChecksums(c, 1, path));
 
   const auto term_offsets = c.Section<uint64_t>(0);
   const auto blob = c.Section<char>(1);
@@ -341,7 +321,6 @@ Result<TripleGraph> LoadFromContainer(const Container& c,
     stats->file_bytes = c.file_size;
     stats->terms_interned = dict->size() - dict_before;
     stats->identity_term_map = identity;
-    stats->used_mmap = options.use_mmap;
   }
 
   return TripleGraph::FromIndexedParts(
@@ -365,22 +344,19 @@ Result<TripleGraph> LoadSnapshot(const std::string& path,
       ReadContainer(kSnapshotFormat, path,
                     options.use_mmap ? ContainerRead::kMapped
                                      : ContainerRead::kBuffered));
-  return LoadFromContainer(c, std::move(dict), options, stats, path);
+  return LoadFromContainer(c, std::move(dict), stats, path);
 }
 
 Result<TripleGraph> LoadSnapshotFromMemory(std::shared_ptr<const void> pin,
                                            const unsigned char* data,
                                            uint64_t size,
                                            std::shared_ptr<Dictionary> dict,
-                                           const SnapshotLoadOptions& options,
                                            SnapshotLoadStats* stats,
                                            const std::string& name) {
   RDFALIGN_ASSIGN_OR_RETURN(
       const Container c,
       ParseContainer(kSnapshotFormat, std::move(pin), data, size, name));
-  SnapshotLoadOptions in_place = options;
-  in_place.use_mmap = false;  // no file involved; report a buffered load
-  return LoadFromContainer(c, std::move(dict), in_place, stats, name);
+  return LoadFromContainer(c, std::move(dict), stats, name);
 }
 
 Result<SnapshotInfo> ReadSnapshotInfo(const std::string& path) {

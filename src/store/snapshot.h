@@ -53,15 +53,12 @@ Status WriteSnapshotToStream(const TripleGraph& g, std::ostream& out,
 struct SnapshotLoadOptions {
   /// Map the file instead of reading it into a buffer. The CSR arrays are
   /// then backed directly by the page cache with no up-front copy, and a
-  /// warm cache makes repeated loads nearly free. Note: loading is NOT
-  /// lazy — structural validation and term interning read essentially the
-  /// whole file once regardless of this flag or verify_checksums.
+  /// warm cache makes repeated loads nearly free. The graph then depends
+  /// on the file staying as it is: truncating it under a live graph
+  /// faults the process. Loading is NOT lazy either way — checksum
+  /// verification, structural validation and term interning read the
+  /// whole file once.
   bool use_mmap = false;
-  /// Verify the per-section checksums (detects bit rot / torn writes).
-  /// Structural validation — offset monotonicity, id ranges, CSR/triple
-  /// consistency — runs regardless, so disabling this never makes a
-  /// corrupted file memory-unsafe, it only skips content hashing.
-  bool verify_checksums = true;
 };
 
 /// Telemetry of a snapshot load.
@@ -71,10 +68,11 @@ struct SnapshotLoadStats {
   /// True when the snapshot's term ids mapped onto the dictionary
   /// unchanged (always the case for a fresh dictionary).
   bool identity_term_map = false;
-  bool used_mmap = false;
 };
 
-/// Loads a snapshot into a TripleGraph. `dict` is the target dictionary —
+/// Loads a snapshot into a TripleGraph, verifying every section checksum
+/// (bit rot, torn writes) and the structure — offset monotonicity, id
+/// ranges, CSR/triple consistency. `dict` is the target dictionary —
 /// pass nullptr for a fresh one, or the shared dictionary of a graph
 /// already loaded when the two will be aligned. On success the graph's
 /// array storage references the load buffer / mapping (kept alive by the
@@ -90,8 +88,8 @@ Result<TripleGraph> LoadSnapshot(const std::string& path,
 /// messages. All validation of the file-based loader runs.
 Result<TripleGraph> LoadSnapshotFromMemory(
     std::shared_ptr<const void> pin, const unsigned char* data, uint64_t size,
-    std::shared_ptr<Dictionary> dict, const SnapshotLoadOptions& options = {},
-    SnapshotLoadStats* stats = nullptr, const std::string& name = "<memory>");
+    std::shared_ptr<Dictionary> dict, SnapshotLoadStats* stats = nullptr,
+    const std::string& name = "<memory>");
 
 /// Section metadata as reported by `rdfalign info`.
 struct SnapshotSectionInfo {

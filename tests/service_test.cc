@@ -10,6 +10,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <regex>
 #include <string>
 #include <thread>
@@ -19,6 +21,7 @@
 #include "service/graph_source.h"
 #include "service/protocol.h"
 #include "service/verbs.h"
+#include "store/snapshot.h"
 #include "store/update_fragment.h"
 
 namespace rdfalign::service {
@@ -162,6 +165,97 @@ TEST_F(ServiceTest, ErrorsKeepCliExitCodes) {
 
   RemoveChain(prefix);
   std::remove(delta.c_str());
+}
+
+// The cache is shared by every client, so no request chooses how it
+// loads. A mapped entry would fault the daemon once its file is truncated
+// in place and a later request reaches the entry through a byte copy (the
+// fingerprint lookup); the cache owns its bytes instead.
+TEST_F(ServiceTest, RequestFlagsCannotChooseHowTheCacheLoads) {
+  const std::string prefix = ScratchPrefix();
+  const auto [v1, v2] = MakeVersionPair(prefix);
+  const std::string copy = prefix + "_copy.snap";
+  std::filesystem::copy_file(v1, copy,
+                             std::filesystem::copy_options::overwrite_existing);
+  StartServer();
+  Client client = Connect();
+  for (const std::string flag : {"--mmap", "--no-verify-checksums"}) {
+    Result<ClientResponse> resp = client.Call({"align", v1, v2, flag});
+    ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+    ASSERT_EQ(resp->exit_code, 2) << flag;
+    EXPECT_EQ(resp->error, "rdfalign: unknown flag " + flag);
+  }
+
+  Result<ClientResponse> first = client.Call({"align", v1, v2, "--json"});
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_EQ(first->exit_code, 0) << first->error;
+  std::filesystem::resize_file(v1, 0);
+  Result<ClientResponse> again = client.Call({"align", copy, v2, "--json"});
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(again->exit_code, 0) << again->error;
+  std::string body = again->body;
+  for (size_t at; (at = body.find(copy)) != std::string::npos;) {
+    body.replace(at, copy.size(), v1);
+  }
+  EXPECT_EQ(ScrubTimings(body), ScrubTimings(first->body));
+
+  Result<ClientResponse> stats = client.Call({"stats"});
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->exit_code, 0);
+
+  RemoveChain(prefix);
+  std::remove(copy.c_str());
+}
+
+// Section checksums are verified on every load, and no request can turn
+// them off: once a client asked for an unverified load of a corrupted
+// snapshot, the cache would serve it to every later client.
+TEST_F(ServiceTest, CorruptSnapshotIsRefusedOnEveryRequest) {
+  const std::string prefix = ScratchPrefix();
+  const auto [v1, v2] = MakeVersionPair(prefix);
+  Result<store::SnapshotInfo> info = store::ReadSnapshotInfo(v1);
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  const store::SnapshotSectionInfo& blob = info->sections[1];
+  ASSERT_EQ(blob.id, store::SectionId::kTermBlob);
+  ASSERT_GT(blob.size, 0u);
+  {
+    // Raise the last term's last byte, checksums left as they are: the
+    // terms stay strictly ascending, so only the checksum can object.
+    std::fstream file(v1, std::ios::in | std::ios::out | std::ios::binary);
+    const auto at = static_cast<std::streamoff>(blob.offset + blob.size - 1);
+    char byte = 0;
+    file.seekg(at);
+    file.get(byte);
+    file.seekp(at);
+    file.put(static_cast<char>(byte + 1));
+    ASSERT_TRUE(file.good());
+  }
+  StartServer();
+  Client client = Connect();
+  // (Text `info` reads only the header; --json loads the graph.)
+  const std::vector<std::vector<std::string>> requests = {
+      {"info", v1, "--json"},
+      {"align", v1, v2},
+      {"align", v1, v2, "--no-verify-checksums"},
+      {"info", v1, "--json"},
+      {"align", v1, v2},
+      {"updates", v1, v2, prefix + ".rdfu"},
+  };
+  for (const std::vector<std::string>& tokens : requests) {
+    Result<ClientResponse> resp = client.Call(tokens);
+    ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+    if (tokens.back() == "--no-verify-checksums") {
+      EXPECT_EQ(resp->exit_code, 2);
+      EXPECT_EQ(resp->error, "rdfalign: unknown flag --no-verify-checksums");
+      continue;
+    }
+    EXPECT_EQ(resp->exit_code, 1) << tokens[0];
+    EXPECT_NE(resp->error.find("checksum mismatch"), std::string::npos)
+        << tokens[0] << ": " << resp->error;
+  }
+
+  RemoveChain(prefix);
+  std::remove((prefix + ".rdfu").c_str());
 }
 
 TEST_F(ServiceTest, CacheVerbObservesAndClearsResidency) {

@@ -602,31 +602,29 @@ TEST_F(VerbsGoldenDaemonTest, AcceptedFlagSets) {
        {"--format=turtle", "--threads=2", "--json"},
        {"--no-verify-checksums", "--no-dict-compress"}},
       {{"info", "/nonexistent/a.snap"},
-       {"--json", "--threads=2", "--mmap", "--no-verify-checksums"},
-       {"--no-dict-compress"}},
+       {"--json", "--threads=2"},
+       {"--mmap", "--no-verify-checksums", "--no-dict-compress"}},
       {{"align", "/nonexistent/a", "/nonexistent/b"},
-       {"--method=trivial", "--threads=2", "--mmap", "--json",
-        "--no-verify-checksums"},
-       {"--no-dict-compress"}},
+       {"--method=trivial", "--threads=2", "--json"},
+       {"--mmap", "--no-verify-checksums", "--no-dict-compress"}},
       {{"diff", "/nonexistent/a", "/nonexistent/b", "/nonexistent/d"},
-       {"--method=deblank", "--threads=2", "--mmap", "--json",
-        "--no-verify-checksums"},
-       {"--seq=1", "--no-dict-compress"}},
+       {"--method=deblank", "--threads=2", "--json"},
+       {"--seq=1", "--mmap", "--no-verify-checksums", "--no-dict-compress"}},
       {{"patch", "/nonexistent/a", "/nonexistent/d", "/nonexistent/r"},
-       {"--threads=2", "--mmap", "--json", "--no-verify-checksums"},
-       {"--method=hybrid", "--no-dict-compress"}},
+       {"--threads=2", "--json"},
+       {"--method=hybrid", "--mmap", "--no-verify-checksums",
+        "--no-dict-compress"}},
       {{"archive", "/nonexistent/o", "/nonexistent/a", "/nonexistent/b"},
-       {"--method=overlap", "--threads=2", "--mmap", "--json",
-        "--no-verify-checksums"},
-       {"--seq=1", "--no-dict-compress"}},
+       {"--method=overlap", "--threads=2", "--json"},
+       {"--seq=1", "--mmap", "--no-verify-checksums", "--no-dict-compress"}},
       {{"gen", gen_prefix, "--scale=0.01", "--versions=1"},
        {"--scale=0.01", "--versions=1", "--seed=3", "--json"},
        {"--no-verify-checksums"}},
       {{"cache", "stats"}, {"--json"}, {"--no-verify-checksums"}},
       {{"updates", "/nonexistent/a", "/nonexistent/b", "/nonexistent/u"},
-       {"--seq=4", "--threads=2", "--mmap", "--json",
-        "--no-verify-checksums"},
-       {"--method=deblank", "--no-dict-compress"}},
+       {"--seq=4", "--threads=2", "--json"},
+       {"--method=deblank", "--mmap", "--no-verify-checksums",
+        "--no-dict-compress"}},
       {{"stats"}, {"--json"}, {"--threads=1"}},
   };
   for (const FlagCase& c : cases) {

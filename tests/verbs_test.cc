@@ -21,6 +21,7 @@
 
 #include "service/graph_source.h"
 #include "service/snapshot_cache.h"
+#include "service/stream_verbs.h"
 
 namespace rdfalign::service {
 namespace {
@@ -202,6 +203,36 @@ TEST(VerbsTest, ExactFlagErrorMessages) {
     const VerbResult result = RunVerb(c.tokens);
     EXPECT_EQ(result.exit_code, 2) << c.want_error;
     EXPECT_EQ(result.error, c.want_error);
+  }
+}
+
+// How a snapshot is read belongs to the graph source, not the request:
+// --mmap and --no-verify-checksums are unknown flags on every verb that
+// loads graphs, stream open and stream check included.
+TEST(VerbsTest, LoadModeFlagsAreUnknown) {
+  const std::vector<std::vector<std::string>> loads = {
+      {"info", "a"},           {"align", "a", "b"},
+      {"diff", "a", "b", "d"}, {"patch", "a", "d", "r"},
+      {"archive", "o", "a", "b"}, {"updates", "a", "b", "u"}};
+  for (const std::string flag : {"mmap", "no-verify-checksums"}) {
+    const std::string want = "rdfalign: unknown flag --" + flag;
+    for (std::vector<std::string> tokens : loads) {
+      tokens.push_back("--" + flag);
+      const VerbResult result = RunVerb(tokens);
+      EXPECT_EQ(result.exit_code, 2) << tokens[0] << " --" << flag;
+      EXPECT_EQ(result.error, want) << tokens[0];
+    }
+    for (const bool check : {false, true}) {
+      std::vector<std::string> tokens = {"stream", "open", "a", "b"};
+      if (check) tokens = {"stream", "check", "a"};
+      tokens.push_back("--" + flag);
+      auto session = check ? std::make_unique<StreamSession>() : nullptr;
+      const VerbResult r =
+          HandleStreamVerb(tokens, "", &session, nullptr, nullptr);
+      EXPECT_EQ(r.exit_code, 2) << tokens[1] << " --" << flag;
+      EXPECT_TRUE(r.usage_error) << tokens[1] << " --" << flag;
+      EXPECT_EQ(r.error, want) << tokens[1];
+    }
   }
 }
 
