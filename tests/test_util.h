@@ -14,6 +14,7 @@
 
 #include "rdf/graph.h"
 #include "rdf/merge.h"
+#include "store/format.h"
 #include "util/random.h"
 
 namespace rdfalign::testing {
@@ -90,6 +91,51 @@ void PatchSectionWithValidChecksums(Bytes& bytes, size_t section,
                   byte_offset,
               &value, sizeof(value));
   ResealContainer(bytes.data(), bytes.size());
+}
+
+/// Breaks the order of a front-coded (version-2) dictionary without
+/// touching its geometry: the first term at index `first` or later (at
+/// least 1) whose stored prefix is shorter than its predecessor gets the
+/// first byte of its suffix, where the two diverge, lowered to 0x00, so it
+/// now sorts before its predecessor. The image is resealed. The sections
+/// are payload indexes of the suffix offsets, the suffix blob and the
+/// prefix lengths. Returns the index of the broken term, or 0 when no term
+/// qualifies.
+template <typename Bytes>
+size_t BreakFrontCodedOrder(Bytes& bytes, size_t offsets_section,
+                            size_t blob_section, size_t prefix_section,
+                            size_t first = 1) {
+  const auto u64_at = [&bytes](uint64_t pos) {
+    uint64_t v;
+    std::memcpy(&v, bytes.data() + pos, sizeof(v));
+    return v;
+  };
+  const auto u32_at = [&bytes](uint64_t pos) {
+    uint32_t v;
+    std::memcpy(&v, bytes.data() + pos, sizeof(v));
+    return v;
+  };
+  const uint64_t offsets = SectionPayloadOffset(bytes.data(), offsets_section);
+  const uint64_t prefixes = SectionPayloadOffset(bytes.data(), prefix_section);
+  const uint64_t count =
+      u64_at(SectionEntryOffset(bytes.data(), prefix_section) +
+             offsetof(store::SectionEntry, size)) /
+      sizeof(uint32_t);
+  const auto suffix_start = [&](uint64_t i) {
+    return u64_at(offsets + i * sizeof(uint64_t));
+  };
+  const auto length = [&](uint64_t i) {
+    return u32_at(prefixes + i * sizeof(uint32_t)) + suffix_start(i + 1) -
+           suffix_start(i);
+  };
+  for (uint64_t i = first < 1 ? 1 : first; i < count; ++i) {
+    if (u32_at(prefixes + i * sizeof(uint32_t)) < length(i - 1)) {
+      PatchSectionWithValidChecksums(bytes, blob_section, suffix_start(i),
+                                     static_cast<unsigned char>(0x00));
+      return static_cast<size_t>(i);
+    }
+  }
+  return 0;
 }
 
 }  // namespace rdfalign::testing
