@@ -64,8 +64,8 @@ class Args {
 
 /// The options shared by every verb, consolidated out of the former
 /// per-subcommand flag plumbing. `json` selects which renderer the
-/// dispatcher uses; of the Run* implementations only RunInfo reads it
-/// (the content fingerprint is computed only for the JSON report).
+/// dispatcher uses; no Run* implementation reads it, so a verb does the
+/// same work for either report.
 struct CommonOptions {
   size_t threads = 1;  ///< 0 = all hardware threads
   bool json = false;

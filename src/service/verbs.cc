@@ -140,7 +140,7 @@ Status RunInfo(const InfoRequest& req, InfoResponse* resp) {
     resp->kind = "archive";
     RDFALIGN_ASSIGN_OR_RETURN(resp->archive,
                               store::ReadArchiveInfo(req.path));
-    if (req.common.json && resp->archive.num_versions > 0) {
+    if (resp->archive.num_versions > 0) {
       RDFALIGN_ASSIGN_OR_RETURN(resp->fingerprint,
                                 store::ArchiveBaseFingerprint(req.path));
       resp->has_fingerprint = true;
@@ -166,16 +166,15 @@ Status RunInfo(const InfoRequest& req, InfoResponse* resp) {
   resp->kind = "snapshot";
   RDFALIGN_ASSIGN_OR_RETURN(resp->snapshot,
                             store::ReadSnapshotInfo(req.path));
-  if (req.common.json) {
-    // The fingerprint is a property of the graph content, so the graph is
-    // actually loaded — through the daemon's cache this is the resident
-    // fast path, in the CLI a one-shot load.
-    RDFALIGN_ASSIGN_OR_RETURN(
-        AcquiredGraph g, req.source->Acquire(req.path, req.common, true));
-    CountAcquire(g, &resp->cache_hits, &resp->cache_misses);
-    resp->fingerprint = g.loaded->fingerprint;
-    resp->has_fingerprint = true;
-  }
+  // The fingerprint is a property of the graph content, so the graph is
+  // actually loaded, checksums and structure verified, whichever report
+  // is asked for: through the daemon's cache this is the resident fast
+  // path, in the CLI a one-shot load.
+  RDFALIGN_ASSIGN_OR_RETURN(AcquiredGraph g,
+                            req.source->Acquire(req.path, req.common, true));
+  CountAcquire(g, &resp->cache_hits, &resp->cache_misses);
+  resp->fingerprint = g.loaded->fingerprint;
+  resp->has_fingerprint = true;
   return Status::OK();
 }
 

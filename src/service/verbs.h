@@ -66,9 +66,11 @@ std::string BuildToText(const BuildResponse& resp);
 
 // ----------------------------------------------------------------- info
 
-/// With common.json the content fingerprint is reported too (snapshot:
-/// GraphFingerprint of the loaded graph, via `source`; archive: that of
-/// the embedded base snapshot); the plain listing stays header-only.
+/// A snapshot is loaded through `source` and an archive's base snapshot
+/// is read, for the text listing and the JSON report alike, so both fail
+/// on the same files; the JSON report also carries the content
+/// fingerprint (snapshot: GraphFingerprint of the loaded graph; archive:
+/// that of the embedded base snapshot).
 struct InfoRequest {
   std::string path;
   CommonOptions common;

@@ -380,7 +380,9 @@ Result<TripleGraph> ApplyFromContainer(const TripleGraph& base,
       fc ? c.Section<uint32_t>(9) : std::span<const uint32_t>{};
 
   // Structural validation: every array reference checked before use, so a
-  // crafted delta (checksums recomputed) is a Corruption status, never UB.
+  // crafted delta (checksums recomputed) is a Corruption status, never UB,
+  // and all of it before the target dictionary is touched, so a failed
+  // apply interns nothing.
   {
     uint64_t new_seen = 0;
     for (uint64_t j = 0; j < tn; ++j) {
@@ -398,22 +400,13 @@ Result<TripleGraph> ApplyFromContainer(const TripleGraph& base,
       return corrupt("delta new-term count inconsistent with term sources");
     }
   }
-  if (fc) {
-    if (const char* defect = CheckFrontCodedGeometry(
-            new_prefix_lens, new_term_offsets, blob.size(), nullptr)) {
-      return corrupt(defect);
-    }
-  } else if (const char* defect =
-                 CheckRawTermGeometry(new_term_offsets, blob.size())) {
+  TermTable new_terms;
+  if (const char* defect = DecodeTermTable(new_term_offsets, new_prefix_lens,
+                                           fc, blob, &new_terms)) {
     return corrupt(defect);
   }
-  for (uint64_t i = 0; i < nn; ++i) {
-    if (kinds[i] > static_cast<uint8_t>(TermKind::kBlank)) {
-      return corrupt("delta node kind out of range");
-    }
-    if (lex[i] >= tn) {
-      return corrupt("delta node label references term out of range");
-    }
+  if (const char* defect = CheckNodeColumns(kinds, lex, tn)) {
+    return corrupt(defect);
   }
   // Invert the node remap; it must be injective into the base node set.
   std::vector<NodeId> base_to_next(bn, kInvalidNode);
@@ -531,44 +524,16 @@ Result<TripleGraph> ApplyFromContainer(const TripleGraph& base,
   }
 
   // Dictionary: resolve each next-dense (canonical-order) term against
-  // the base dictionary or the delta blob, interning by copy — the delta
-  // buffer is transient — into the target dictionary.
+  // the base dictionary or the delta's new terms, interning by copy — the
+  // delta buffer is transient — into the target dictionary.
   if (dict == nullptr) dict = std::make_shared<Dictionary>();
   const size_t dict_before = dict->size();
   std::vector<LexId> lex_map(tn);
-  {
-    uint64_t new_seen = 0;
-    // Front-coded decode state: the previous decoded new term, kept whole
-    // so the next term's prefix head can be copied from it (swap, never
-    // resize in place — the head is read before it is overwritten).
-    std::string prev_new;
-    std::string cur_new;
-    for (uint64_t j = 0; j < tn; ++j) {
-      const uint32_t src = term_sources[j];
-      std::string_view term;
-      if (src & kNewTermFlag) {
-        const uint64_t suffix_len =
-            new_term_offsets[new_seen + 1] - new_term_offsets[new_seen];
-        if (fc) {
-          const uint32_t plen = new_prefix_lens[new_seen];
-          cur_new.assign(prev_new.data(), plen);
-          cur_new.append(blob.data() + new_term_offsets[new_seen],
-                         suffix_len);
-          if (new_seen > 0 && !(prev_new < cur_new)) {
-            return corrupt("delta front-coded terms not strictly ascending");
-          }
-          std::swap(prev_new, cur_new);
-          term = prev_new;
-        } else {
-          term = std::string_view(blob.data() + new_term_offsets[new_seen],
-                                  suffix_len);
-        }
-        ++new_seen;
-      } else {
-        term = base.dict().Get(base_terms.term_ids[src]);
-      }
-      lex_map[j] = dict->Intern(term);
-    }
+  for (uint64_t j = 0; j < tn; ++j) {
+    const uint32_t src = term_sources[j];
+    lex_map[j] = dict->Intern(
+        src & kNewTermFlag ? new_terms.terms[src & ~kNewTermFlag]
+                           : base.dict().Get(base_terms.term_ids[src]));
   }
   std::vector<NodeLabel> labels(nn);
   for (uint64_t i = 0; i < nn; ++i) {

@@ -1,6 +1,6 @@
 // Front-coded dictionary sections (format version 2 of the snapshot,
-// delta, and update-fragment files), plus the geometry check of the raw
-// version-1 term tables those formats still read.
+// delta, and update-fragment files), plus the raw version-1 term tables
+// those formats still read.
 //
 // The terms of a dictionary section are sorted lexicographically by their
 // raw bytes; consecutive terms then share long prefixes (IRIs share
@@ -16,15 +16,18 @@
 // raw encoding, but its entries now index the *suffix* blob.
 //
 // The decode contract (see docs/store.md "Front-coded dictionary"):
-// restart terms are complete in the blob and stay zero-copy; non-restart
-// terms are materialized (previous term's head + own suffix) into a side
-// arena pinned to the dictionary, so Dictionary::InternPinned remains
-// valid for every term and the mmap fast path survives.
+// restart terms are complete in the blob and stay zero-copy; terms with a
+// shared prefix are materialized (previous term's head + own suffix) into
+// a side arena pinned to the dictionary, so Dictionary::InternPinned
+// remains valid for every term and the mmap fast path survives.
 //
 // This header holds the pieces shared by all three writers and readers:
-// the restart interval, the prefix/suffix computation, and the geometry
-// validation a loader must run before touching the blob; plus the sorted
-// term numbering of a graph that the snapshot and delta writers share.
+// the restart interval and the prefix/suffix computation on the write
+// side; on the read side the one term-table reader (geometry, decode and
+// order, raw or front-coded) and the one node-column check; plus the
+// sorted term numbering of a graph that the snapshot and delta writers
+// share. A loader runs both checks, and every other structural check of
+// its file, before it interns a term or pins a buffer into a dictionary.
 
 #ifndef RDFALIGN_STORE_FRONT_CODING_H_
 #define RDFALIGN_STORE_FRONT_CODING_H_
@@ -32,6 +35,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -123,56 +127,93 @@ FrontCodedLayout FrontCodeTerms(size_t count, GetTerm&& get) {
   return layout;
 }
 
-/// Validates the geometry of a front-coded section before any blob byte
-/// is interpreted: the suffix offsets span the blob monotonically, every
-/// restart has prefix length zero, and every prefix length is bounded by
-/// the previous term's decoded length — so the decode loop below never
-/// reads outside [prev term]. Returns nullptr on success or a static
-/// description of the defect; on success *materialized_bytes is the total
-/// decoded size of the non-restart terms (the side-arena budget).
-inline const char* CheckFrontCodedGeometry(
-    std::span<const uint32_t> prefix_lens,
-    std::span<const uint64_t> suffix_offsets, uint64_t blob_size,
-    uint64_t* materialized_bytes) {
-  const size_t count = prefix_lens.size();
-  if (suffix_offsets.size() != count + 1) {
+/// The terms of a dictionary section, read by DecodeTermTable, in file
+/// order. A version-1 term and a front-coded term with no shared prefix
+/// (every restart term) is a view into the section's blob; any other term
+/// is a view into `arena`. A loader that interns the views pins both.
+struct TermTable {
+  std::vector<std::string_view> terms;
+  std::shared_ptr<const std::vector<char>> arena;  ///< null when unused
+};
+
+/// Reads the term table of a dictionary section: `offsets` and `blob`,
+/// plus `prefix_lens` when `front_coded` (ignored otherwise). Validates
+/// the geometry before any blob byte is interpreted, materializes every
+/// front-coded term stored with a shared prefix into one arena reserved
+/// to its exact size, and proves a front-coded table strictly ascending.
+/// Returns nullptr and fills *out on success, or a static description of
+/// the defect.
+inline const char* DecodeTermTable(std::span<const uint64_t> offsets,
+                                   std::span<const uint32_t> prefix_lens,
+                                   bool front_coded,
+                                   std::span<const char> blob,
+                                   TermTable* out) {
+  // Geometry: the offsets span the blob monotonically, so every suffix
+  // lies inside it; front-coded, every restart has prefix length zero and
+  // every prefix length is bounded by the previous term's decoded length,
+  // so the decode loop below never reads outside its inputs.
+  if (front_coded && offsets.size() != prefix_lens.size() + 1) {
     return "front-coded prefix table does not match the offset table";
   }
-  if (suffix_offsets[0] != 0 || suffix_offsets[count] != blob_size) {
+  if (offsets.empty() || offsets.front() != 0 ||
+      offsets.back() != blob.size()) {
     return "term offset table does not span the term blob";
   }
-  uint64_t arena = 0;
+  std::vector<std::string_view> terms(offsets.size() - 1);
+  uint64_t arena_bytes = 0;  // decoded size of the terms with a prefix
   uint64_t prev_len = 0;
-  for (size_t i = 0; i < count; ++i) {
-    if (suffix_offsets[i] > suffix_offsets[i + 1]) {
-      return "term offsets not monotonic";
-    }
-    const uint64_t suffix_len = suffix_offsets[i + 1] - suffix_offsets[i];
+  for (size_t i = 0; i < terms.size(); ++i) {
+    if (offsets[i] > offsets[i + 1]) return "term offsets not monotonic";
+    if (!front_coded) continue;
     const uint64_t plen = prefix_lens[i];
     if (i % kRestartInterval == 0) {
       if (plen != 0) return "front-coded restart term has a nonzero prefix";
     } else if (plen > prev_len) {
       return "front-coded prefix longer than the previous term";
     }
-    prev_len = plen + suffix_len;
-    if (plen != 0) arena += prev_len;
+    prev_len = plen + (offsets[i + 1] - offsets[i]);
+    if (plen != 0) arena_bytes += prev_len;
   }
-  if (materialized_bytes != nullptr) *materialized_bytes = arena;
+  // Decode. A term with a shared prefix is its predecessor's head plus its
+  // own suffix. The arena is reserved to its exact final size and MUST NOT
+  // reallocate: the views already taken point into it. The predecessor is
+  // always contiguous (a blob view or an arena entry), so its head is one
+  // copy.
+  auto arena = std::make_shared<std::vector<char>>();
+  arena->reserve(arena_bytes);
+  for (size_t i = 0; i < terms.size(); ++i) {
+    const std::string_view suffix(blob.data() + offsets[i],
+                                  offsets[i + 1] - offsets[i]);
+    const uint32_t plen = front_coded ? prefix_lens[i] : 0;
+    if (plen == 0) {
+      terms[i] = suffix;
+    } else {
+      const size_t pos = arena->size();
+      arena->insert(arena->end(), terms[i - 1].data(),
+                    terms[i - 1].data() + plen);
+      arena->insert(arena->end(), suffix.begin(), suffix.end());
+      terms[i] = std::string_view(arena->data() + pos, plen + suffix.size());
+    }
+    if (front_coded && i > 0 && !(terms[i - 1] < terms[i])) {
+      return "front-coded terms not strictly ascending";
+    }
+  }
+  out->terms = std::move(terms);
+  out->arena = arena->empty() ? nullptr : std::move(arena);
   return nullptr;
 }
 
-/// Validates the geometry of a raw (version-1) term table before any blob
-/// byte is interpreted: the offsets span the blob and are monotone, so
-/// every term [offsets[i], offsets[i+1]) lies inside it. Returns nullptr on
-/// success or a static description of the defect.
-inline const char* CheckRawTermGeometry(std::span<const uint64_t> offsets,
-                                        uint64_t blob_size) {
-  if (offsets.empty() || offsets.front() != 0 ||
-      offsets.back() != blob_size) {
-    return "term offset table does not span the term blob";
-  }
-  for (size_t i = 0; i + 1 < offsets.size(); ++i) {
-    if (offsets[i] > offsets[i + 1]) return "term offsets not monotonic";
+/// Checks the node columns that index a term table of `num_terms` terms:
+/// every kind is a TermKind and every term index is in the table. Returns
+/// nullptr on success or a static description of the defect.
+inline const char* CheckNodeColumns(std::span<const uint8_t> kinds,
+                                    std::span<const uint32_t> lex,
+                                    uint64_t num_terms) {
+  for (size_t i = 0; i < kinds.size(); ++i) {
+    if (kinds[i] > static_cast<uint8_t>(TermKind::kBlank)) {
+      return "node kind out of range";
+    }
+    if (lex[i] >= num_terms) return "node label references a missing term";
   }
   return nullptr;
 }

@@ -156,6 +156,78 @@ Status ValidateLayout(const Container& c, const std::string& path) {
   return Status::OK();
 }
 
+/// Proves the triple list and both CSR indexes exactly what
+/// BuildCsrArrays builds for `n` nodes: everything FromIndexedParts
+/// trusts. Returns nullptr on success or a static description of the
+/// defect.
+const char* CheckIndexes(uint64_t n, std::span<const Triple> triples,
+                         std::span<const uint64_t> out_offsets,
+                         std::span<const PredicateObject> out_pairs,
+                         std::span<const uint64_t> in_offsets,
+                         std::span<const NodeId> in_subjects) {
+  // Each offsets array must be proven monotone END TO END before any entry
+  // is used as an index: monotonicity plus the endpoint equality bounds
+  // every entry by the payload length. Interleaving the monotone check with
+  // the per-node consistency loop would let out_offsets = [0, HUGE, ...]
+  // drive reads far past the section before the i=1 check fires.
+  if (out_offsets[0] != 0 || out_offsets[n] != triples.size()) {
+    return "out-index offsets do not span the triple list";
+  }
+  for (uint64_t i = 0; i < n; ++i) {
+    if (out_offsets[i] > out_offsets[i + 1]) {
+      return "out-index offsets not monotonic";
+    }
+  }
+  if (in_offsets[0] != 0 ||
+      in_offsets[n] != static_cast<uint64_t>(in_subjects.size())) {
+    return "in-index offsets do not span the subject list";
+  }
+  for (uint64_t i = 0; i < n; ++i) {
+    if (in_offsets[i] > in_offsets[i + 1]) {
+      return "in-index offsets not monotonic";
+    }
+  }
+  // One pass over the triples, in the order the out-index slices them:
+  // each triple is in range, strictly above its predecessor, in its
+  // subject's out-slice, and found in the in-slices of its predicate and
+  // object. Triples ascend by subject, so every in-slice is met in order:
+  // its cursor must find either the subject it matched last (one subject
+  // reaching a node twice) or the next entry, and at the end every cursor
+  // must stand at its slice's end. The in-index is then exactly the one
+  // BuildCsrArrays builds: per node, the ascending distinct subjects.
+  std::vector<uint64_t> in_cursor(in_offsets.begin(), in_offsets.end() - 1);
+  const auto in_slice_meets = [&](NodeId node, NodeId subject) {
+    uint64_t& k = in_cursor[node];
+    if (k > in_offsets[node] && in_subjects[k - 1] == subject) return true;
+    if (k == in_offsets[node + 1] || in_subjects[k] != subject) return false;
+    ++k;
+    return true;
+  };
+  for (uint64_t i = 0; i < n; ++i) {
+    for (uint64_t k = out_offsets[i]; k < out_offsets[i + 1]; ++k) {
+      const Triple& tr = triples[k];
+      if (tr.s >= n || tr.p >= n || tr.o >= n) {
+        return "triple references node out of range";
+      }
+      if (k > 0 && !(triples[k - 1] < tr)) {
+        return "triples not sorted and deduplicated";
+      }
+      if (tr.s != i || out_pairs[k].p != tr.p || out_pairs[k].o != tr.o) {
+        return "out-index inconsistent with triple list";
+      }
+      if (!in_slice_meets(tr.p, tr.s) || !in_slice_meets(tr.o, tr.s)) {
+        return "in-index inconsistent with triple list";
+      }
+    }
+  }
+  for (uint64_t i = 0; i < n; ++i) {
+    if (in_cursor[i] != in_offsets[i + 1]) {
+      return "in-index inconsistent with triple list";
+    }
+  }
+  return nullptr;
+}
+
 /// The shared body of the file and memory loaders: checksums, structural
 /// validation, dictionary interning, zero-copy array adoption. `c` must
 /// hold the whole image.
@@ -168,7 +240,6 @@ Result<TripleGraph> LoadFromContainer(const Container& c,
   RDFALIGN_RETURN_IF_ERROR(ValidateLayout(c, path));
   const SnapshotHeader header = c.HeaderAs<SnapshotHeader>();
   const uint64_t n = header.num_nodes;
-  const uint64_t e = header.num_triples;
   const uint64_t t = header.num_terms;
   const bool fc = header.version == kFormatVersionFrontCoded;
   RDFALIGN_RETURN_IF_ERROR(VerifySectionChecksums(c, 1, path));
@@ -187,129 +258,42 @@ Result<TripleGraph> LoadFromContainer(const Container& c,
 
   // Structural validation: everything FromIndexedParts trusts. Runs on
   // every load — these invariants are what make a malformed file safe to
-  // reject instead of undefined behavior.
+  // reject instead of undefined behavior — and finishes before the
+  // dictionary is touched, so a failed load interns nothing.
   const auto corrupt = [&path](std::string_view what) {
     return Status::Corruption(std::string(what) + ": " + path);
   };
   if (c.table[8].size % sizeof(NodeId) != 0) {
     return corrupt("in-index subject section misaligned");
   }
-  uint64_t arena_bytes = 0;
-  if (fc) {
-    // Front-coded geometry: offsets span the suffix blob, restarts are
-    // whole terms, prefixes bounded by the previous decoded length — the
-    // decode loop below then never reads outside its inputs.
-    if (const char* defect = CheckFrontCodedGeometry(
-            prefix_lens, term_offsets, blob.size(), &arena_bytes)) {
-      return corrupt(defect);
-    }
-  } else if (const char* defect =
-                 CheckRawTermGeometry(term_offsets, blob.size())) {
+  TermTable terms;
+  if (const char* defect =
+          DecodeTermTable(term_offsets, prefix_lens, fc, blob, &terms)) {
     return corrupt(defect);
   }
-  for (uint64_t i = 0; i < n; ++i) {
-    if (kinds[i] > static_cast<uint8_t>(TermKind::kBlank)) {
-      return corrupt("node kind out of range");
-    }
-    if (lex[i] >= t) {
-      return corrupt("node label references term out of range");
-    }
+  if (const char* defect = CheckNodeColumns(kinds, lex, t)) {
+    return corrupt(defect);
   }
-  for (uint64_t i = 0; i < e; ++i) {
-    const Triple& tr = triples[i];
-    if (tr.s >= n || tr.p >= n || tr.o >= n) {
-      return corrupt("triple references node out of range");
-    }
-    if (i > 0 && !(triples[i - 1] < tr)) {
-      return corrupt("triples not sorted and deduplicated");
-    }
-  }
-  // Each offsets array must be proven monotone END TO END before any entry
-  // is used as an index: monotonicity plus the endpoint equality bounds
-  // every entry by the payload length. Interleaving the monotone check with
-  // the per-node consistency loop would let out_offsets = [0, HUGE, ...]
-  // drive reads far past the section before the i=1 check fires.
-  if (out_offsets[0] != 0 || out_offsets[n] != e) {
-    return corrupt("out-index offsets do not span the triple list");
-  }
-  for (uint64_t i = 0; i < n; ++i) {
-    if (out_offsets[i] > out_offsets[i + 1]) {
-      return corrupt("out-index offsets not monotonic");
-    }
-  }
-  for (uint64_t i = 0; i < n; ++i) {
-    for (uint64_t k = out_offsets[i]; k < out_offsets[i + 1]; ++k) {
-      if (triples[k].s != i || out_pairs[k].p != triples[k].p ||
-          out_pairs[k].o != triples[k].o) {
-        return corrupt("out-index inconsistent with triple list");
-      }
-    }
-  }
-  if (in_offsets[0] != 0 ||
-      in_offsets[n] != static_cast<uint64_t>(in_subjects.size())) {
-    return corrupt("in-index offsets do not span the subject list");
-  }
-  for (uint64_t i = 0; i < n; ++i) {
-    if (in_offsets[i] > in_offsets[i + 1]) {
-      return corrupt("in-index offsets not monotonic");
-    }
-  }
-  for (uint64_t i = 0; i < n; ++i) {
-    for (uint64_t k = in_offsets[i]; k < in_offsets[i + 1]; ++k) {
-      if (in_subjects[k] >= n ||
-          (k > in_offsets[i] && in_subjects[k - 1] >= in_subjects[k])) {
-        return corrupt("in-index subjects malformed");
-      }
-    }
+  if (const char* defect = CheckIndexes(n, triples, out_offsets, out_pairs,
+                                       in_offsets, in_subjects)) {
+    return corrupt(defect);
   }
 
-  // Dictionary: intern each term as a view into the pinned payload. With a
-  // fresh dictionary this assigns ids 0..t-1 in file order (identity map);
-  // with a shared dictionary the ids are remapped transparently.
+  // Dictionary: intern each term as a view into the pinned payload or the
+  // pinned arena. With a fresh dictionary this assigns ids 0..t-1 in file
+  // order (identity map); with a shared dictionary the ids are remapped
+  // transparently.
   if (dict == nullptr) dict = std::make_shared<Dictionary>();
   dict->PinArena(c.pin);
+  if (terms.arena != nullptr) dict->PinArena(terms.arena);
   const size_t dict_before = dict->size();
   dict->Reserve(dict_before + t);
-  std::vector<LexId> remap(t);
+  std::vector<LexId> remap;
+  remap.reserve(t);
   bool identity = true;
-  if (fc) {
-    // Front-coded decode. Restart terms are complete in the blob and stay
-    // zero-copy views; non-restart terms are materialized (previous term's
-    // head + own suffix) into a side arena pinned to the dictionary. The
-    // arena is reserved to its exact final size and MUST NOT reallocate —
-    // views already interned point into it. The previous term is always
-    // contiguous (a blob view or an arena entry), so its head is one copy.
-    auto arena = std::make_shared<std::vector<char>>();
-    arena->reserve(arena_bytes);
-    std::string_view prev;
-    for (uint64_t i = 0; i < t; ++i) {
-      const uint64_t slen = term_offsets[i + 1] - term_offsets[i];
-      const uint32_t plen = prefix_lens[i];
-      std::string_view term;
-      if (plen == 0) {
-        term = std::string_view(blob.data() + term_offsets[i], slen);
-      } else {
-        const size_t pos = arena->size();
-        arena->insert(arena->end(), prev.data(), prev.data() + plen);
-        arena->insert(arena->end(), blob.data() + term_offsets[i],
-                      blob.data() + term_offsets[i] + slen);
-        term = std::string_view(arena->data() + pos, plen + slen);
-      }
-      if (i > 0 && !(prev < term)) {
-        return corrupt("front-coded terms not strictly ascending");
-      }
-      remap[i] = dict->InternPinned(term);
-      identity = identity && remap[i] == i;
-      prev = term;
-    }
-    if (!arena->empty()) dict->PinArena(std::move(arena));
-  } else {
-    for (uint64_t i = 0; i < t; ++i) {
-      std::string_view term(blob.data() + term_offsets[i],
-                            term_offsets[i + 1] - term_offsets[i]);
-      remap[i] = dict->InternPinned(term);
-      identity = identity && remap[i] == i;
-    }
+  for (const std::string_view term : terms.terms) {
+    remap.push_back(dict->InternPinned(term));
+    identity = identity && remap.back() == remap.size() - 1;
   }
 
   std::vector<NodeLabel> labels(n);

@@ -187,7 +187,8 @@ Result<std::string> EncodeUpdateBatch(const UpdateBatch& batch) {
 namespace {
 
 /// Decodes a validated fragment container: section checksums, count
-/// bounds, expected sizes, dictionary geometry, then the batch itself.
+/// bounds, expected sizes, the term table and node columns, then the batch
+/// itself.
 Result<UpdateBatch> DecodeContainer(const Container& c,
                                     const std::string& name) {
   RDFALIGN_RETURN_IF_ERROR(VerifySectionChecksums(c, 1, name));
@@ -223,55 +224,23 @@ Result<UpdateBatch> DecodeContainer(const Container& c,
   const auto blob = c.Section<char>(1);
   const auto prefix_lens =
       fc ? c.Section<uint32_t>(7) : std::span<const uint32_t>{};
-  if (const char* defect =
-          fc ? CheckFrontCodedGeometry(prefix_lens, term_offsets, blob.size(),
-                                       nullptr)
-             : CheckRawTermGeometry(term_offsets, blob.size())) {
+  const auto kinds = c.Section<uint8_t>(2);
+  const auto lex = c.Section<uint32_t>(3);
+  TermTable term_table;
+  const char* defect =
+      DecodeTermTable(term_offsets, prefix_lens, fc, blob, &term_table);
+  if (defect == nullptr) defect = CheckNodeColumns(kinds, lex, terms);
+  if (defect != nullptr) {
     return Status::Corruption(std::string(defect) + ": " + name);
-  }
-  // Front-coded decode: each term is its predecessor's head plus its own
-  // suffix; the geometry check above bounds every prefix length, and the
-  // strict-ascending check rejects crafted non-sorted dictionaries.
-  std::vector<std::string> decoded_terms;
-  if (fc) {
-    decoded_terms.resize(terms);
-    for (uint64_t t = 0; t < terms; ++t) {
-      std::string& cur = decoded_terms[t];
-      const uint32_t plen = prefix_lens[t];
-      const uint64_t suffix_len = term_offsets[t + 1] - term_offsets[t];
-      cur.reserve(plen + suffix_len);
-      if (plen > 0) cur.assign(decoded_terms[t - 1].data(), plen);
-      cur.append(blob.data() + term_offsets[t], suffix_len);
-      if (t > 0 && !(decoded_terms[t - 1] < cur)) {
-        return Status::Corruption(
-            "update front-coded terms not strictly ascending: " + name);
-      }
-    }
   }
 
   UpdateBatch batch;
   batch.sequence = header.sequence;
   batch.num_new = static_cast<uint32_t>(header.num_new_nodes);
   batch.nodes.resize(refs);
-  const auto kinds = c.Section<uint8_t>(2);
-  const auto lex = c.Section<uint32_t>(3);
   for (uint64_t i = 0; i < refs; ++i) {
-    if (kinds[i] > static_cast<uint8_t>(TermKind::kBlank)) {
-      return Status::Corruption("update node kind out of range: " + name);
-    }
-    if (lex[i] >= terms) {
-      return Status::Corruption("update node references a missing term: " +
-                                name);
-    }
     batch.nodes[i].kind = static_cast<TermKind>(kinds[i]);
-    if (fc) {
-      batch.nodes[i].lex = decoded_terms[lex[i]];
-    } else {
-      batch.nodes[i].lex.assign(
-          blob.data() + term_offsets[lex[i]],
-          static_cast<size_t>(term_offsets[lex[i] + 1] -
-                              term_offsets[lex[i]]));
-    }
+    batch.nodes[i].lex = term_table.terms[lex[i]];
   }
   const auto removed_nodes = c.Section<uint32_t>(4);
   batch.removed_nodes.assign(removed_nodes.begin(), removed_nodes.end());

@@ -533,6 +533,32 @@ TEST(DeltaStoreTest, RejectsCraftedFrontCodedPrefixTable) {
   std::remove(path.c_str());
 }
 
+// An apply that fails on the new terms' order leaves the target
+// dictionary as it found it: the base is loaded into a dictionary of its
+// own, which lacks the next version's new terms, so a decoder that
+// interned as it went would already have added the new terms before the
+// defect.
+TEST(DeltaStoreTest, FailedApplyLeavesSharedDictionaryUntouched) {
+  auto [g1, g2] = testing::RandomEvolvingPair(27);
+  const std::string path = TempPath("failed_apply.delta");
+  std::vector<char> bytes = MakeDeltaBytes(g1, g2, path);
+  // Section 1 = new_term_offsets, 2 = new_term_blob, 9 = prefix lengths.
+  ASSERT_GT(testing::BreakFrontCodedOrder(bytes, 1, 2, 9), 0u);
+  WriteFileBytes(path, bytes);
+  const std::string base_path = TempPath("base.snap");
+  ASSERT_TRUE(WriteSnapshot(g1, base_path).ok());
+  auto dict = std::make_shared<Dictionary>();
+  auto base = LoadSnapshot(base_path, dict);
+  ASSERT_TRUE(base.ok()) << base.status();
+  const size_t before = dict->size();
+  auto applied = ApplyDelta(*base, path, dict);
+  ASSERT_FALSE(applied.ok());
+  EXPECT_TRUE(applied.status().IsCorruption()) << applied.status();
+  EXPECT_EQ(dict->size(), before);
+  std::remove(path.c_str());
+  std::remove(base_path.c_str());
+}
+
 // ----------------------------------------------------------------------
 // Archive persistence equivalence (satellite): LoadArchive(SaveArchive(a))
 // preserves stats, entities, interval records, and materialized versions

@@ -232,8 +232,8 @@ TEST_F(ServiceTest, CorruptSnapshotIsRefusedOnEveryRequest) {
   }
   StartServer();
   Client client = Connect();
-  // (Text `info` reads only the header; --json loads the graph.)
   const std::vector<std::vector<std::string>> requests = {
+      {"info", v1},
       {"info", v1, "--json"},
       {"align", v1, v2},
       {"align", v1, v2, "--no-verify-checksums"},

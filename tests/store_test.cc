@@ -18,6 +18,7 @@
 #include "core/refinement.h"
 #include "rdf/merge.h"
 #include "store/format.h"
+#include "store/front_coding.h"
 #include "test_util.h"
 
 namespace rdfalign {
@@ -471,6 +472,93 @@ TEST(SnapshotStoreTest, RejectsCraftedNonAscendingTerms) {
   EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status();
   EXPECT_NE(loaded.status().message().find("ascending"), std::string::npos)
       << loaded.status();
+  std::remove(path.c_str());
+}
+
+// A load that fails on the dictionary's order leaves a shared dictionary
+// as it found it: the defect sits in restart term 16, so a loader that
+// interned while decoding would already hold the 16 terms before it, and
+// the image it pinned.
+TEST(SnapshotStoreTest, FailedLoadLeavesSharedDictionaryUntouched) {
+  const TripleGraph g = testing::RandomGraph({});
+  const std::string path = TempPath("failed_load.snap");
+  ASSERT_TRUE(WriteSnapshot(g, path).ok());
+  std::vector<char> bytes = ReadFileBytes(path);
+  // Section index 0 = suffix offsets, 1 = term_blob, 9 = term_prefix_lens.
+  ASSERT_EQ(testing::BreakFrontCodedOrder(bytes, 0, 1, 9,
+                                          store::kRestartInterval),
+            store::kRestartInterval);
+  WriteFileBytes(path, bytes);
+
+  auto dict = std::make_shared<Dictionary>();
+  const TripleGraph resident = testing::Fig2Graph(dict);
+  const size_t before = dict->size();
+  for (bool mmap : {false, true}) {
+    SnapshotLoadOptions load;
+    load.use_mmap = mmap;
+    auto loaded = LoadSnapshot(path, dict, load);
+    ASSERT_FALSE(loaded.ok()) << "mmap " << mmap;
+    EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status();
+    EXPECT_EQ(dict->size(), before) << "mmap " << mmap;
+  }
+  auto image = std::make_shared<const std::vector<char>>(std::move(bytes));
+  const auto* data = reinterpret_cast<const unsigned char*>(image->data());
+  const uint64_t size = image->size();
+  const std::shared_ptr<const void> pin = std::move(image);
+  auto loaded = store::LoadSnapshotFromMemory(pin, data, size, dict);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status();
+  EXPECT_EQ(dict->size(), before);
+  EXPECT_EQ(pin.use_count(), 1);
+  std::remove(path.c_str());
+}
+
+// An in-index whose entries are in range and ascend in every slice, but
+// which is not the one the triples imply (one subject replaced by a
+// neighbouring id), is rejected: FromIndexedParts trusts the in-index to
+// be exact, and a wrong one silently changes refinement.
+TEST(SnapshotStoreTest, RejectsInIndexThatDisagreesWithTriples) {
+  const TripleGraph g = testing::RandomEvolvingPair(1).first;
+  const std::string path = TempPath("in_index.snap");
+  ASSERT_TRUE(WriteSnapshot(g, path).ok());
+  const std::vector<char> bytes = ReadFileBytes(path);
+  const auto offsets = g.InOffsets();
+  const auto subjects = g.InSubjects();
+  size_t crafted_files = 0;
+  for (NodeId x = 0; x < g.NumNodes() && crafted_files < 8; ++x) {
+    for (uint64_t k = offsets[x]; k < offsets[x + 1]; ++k) {
+      const uint64_t low = k > offsets[x] ? subjects[k - 1] + 1 : 0;
+      const uint64_t high =
+          k + 1 < offsets[x + 1] ? subjects[k + 1] : g.NumNodes();
+      // A neighbouring id that keeps the slice ascending and in range.
+      NodeId other = kInvalidNode;
+      if (subjects[k] + uint64_t{1} < high) {
+        other = subjects[k] + 1;
+      } else if (subjects[k] > low) {
+        other = subjects[k] - 1;
+      } else {
+        continue;
+      }
+      std::vector<char> crafted = bytes;
+      // Section index 8 = in_subjects.
+      testing::PatchSectionWithValidChecksums(crafted, 8, k * sizeof(NodeId),
+                                              other);
+      WriteFileBytes(path, crafted);
+      for (bool mmap : {false, true}) {
+        SnapshotLoadOptions load;
+        load.use_mmap = mmap;
+        auto loaded = LoadSnapshot(path, nullptr, load);
+        ASSERT_FALSE(loaded.ok()) << "node " << x << " entry " << k;
+        EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status();
+        EXPECT_NE(loaded.status().message().find("in-index"),
+                  std::string::npos)
+            << loaded.status();
+      }
+      ++crafted_files;
+      break;
+    }
+  }
+  EXPECT_EQ(crafted_files, 8u);
   std::remove(path.c_str());
 }
 

@@ -22,6 +22,7 @@
 #include "service/graph_source.h"
 #include "service/snapshot_cache.h"
 #include "service/stream_verbs.h"
+#include "store/snapshot.h"
 
 namespace rdfalign::service {
 namespace {
@@ -291,6 +292,44 @@ TEST(VerbsTest, RunFailuresExitOneWithPrefixedStatus) {
   const VerbResult info = RunVerb({"info", "/nonexistent/x"});
   EXPECT_EQ(info.exit_code, 1);
   EXPECT_EQ(info.error.rfind("rdfalign info: ", 0), 0u);
+}
+
+// The text listing loads the snapshot as the JSON report does, so a
+// snapshot that fails its checksums fails either report, from either
+// graph source.
+TEST(VerbsTest, InfoRefusesACorruptSnapshotInEitherReport) {
+  const std::string prefix = ScratchPrefix();
+  const auto [v1, v2] = MakeVersionPair(prefix);
+  Result<store::SnapshotInfo> info = store::ReadSnapshotInfo(v1);
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  const store::SnapshotSectionInfo& blob = info->sections[1];
+  ASSERT_EQ(blob.id, store::SectionId::kTermBlob);
+  ASSERT_GT(blob.size, 0u);
+  {
+    // Raise the last term's last byte, checksums left as they are.
+    std::fstream file(v1, std::ios::in | std::ios::out | std::ios::binary);
+    const auto at = static_cast<std::streamoff>(blob.offset + blob.size - 1);
+    char byte = 0;
+    file.seekg(at);
+    file.get(byte);
+    file.seekp(at);
+    file.put(static_cast<char>(byte + 1));
+    ASSERT_TRUE(file.good());
+  }
+  SnapshotCache cache;
+  DirectGraphSource direct;
+  for (GraphSource* source : {static_cast<GraphSource*>(&direct),
+                              static_cast<GraphSource*>(&cache)}) {
+    for (const bool json : {false, true}) {
+      std::vector<std::string> tokens = {"info", v1};
+      if (json) tokens.push_back("--json");
+      const VerbResult r = RunVerb(tokens, source);
+      EXPECT_EQ(r.exit_code, 1) << "json " << json;
+      EXPECT_NE(r.error.find("checksum mismatch"), std::string::npos)
+          << r.error;
+    }
+  }
+  RemoveChain(prefix);
 }
 
 TEST(VerbsTest, WrongBasePatchIsUsageExitTwo) {
