@@ -35,6 +35,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <span>
 #include <string_view>
@@ -133,14 +134,15 @@ FrontCodedLayout FrontCodeTerms(size_t count, GetTerm&& get) {
 /// is a view into `arena`. A loader that interns the views pins both.
 struct TermTable {
   std::vector<std::string_view> terms;
-  std::shared_ptr<const std::vector<char>> arena;  ///< null when unused
+  std::shared_ptr<const char[]> arena;  ///< null when unused
 };
 
 /// Reads the term table of a dictionary section: `offsets` and `blob`,
 /// plus `prefix_lens` when `front_coded` (ignored otherwise). Validates
 /// the geometry before any blob byte is interpreted, materializes every
-/// front-coded term stored with a shared prefix into one arena reserved
-/// to its exact size, and proves a front-coded table strictly ascending.
+/// front-coded term stored with a shared prefix into one arena allocated
+/// up front at its exact size, and proves a front-coded table strictly
+/// ascending.
 /// Returns nullptr and fills *out on success, or a static description of
 /// the defect.
 inline const char* DecodeTermTable(std::span<const uint64_t> offsets,
@@ -175,12 +177,14 @@ inline const char* DecodeTermTable(std::span<const uint64_t> offsets,
     if (plen != 0) arena_bytes += prev_len;
   }
   // Decode. A term with a shared prefix is its predecessor's head plus its
-  // own suffix. The arena is reserved to its exact final size and MUST NOT
-  // reallocate: the views already taken point into it. The predecessor is
-  // always contiguous (a blob view or an arena entry), so its head is one
-  // copy.
-  auto arena = std::make_shared<std::vector<char>>();
-  arena->reserve(arena_bytes);
+  // own suffix, written at the arena's next free byte. The predecessor is
+  // always contiguous (a blob view or an earlier arena entry), so its head
+  // is one copy.
+  std::shared_ptr<char[]> arena;
+  if (arena_bytes != 0) {
+    arena = std::make_shared_for_overwrite<char[]>(arena_bytes);
+  }
+  char* next = arena.get();
   for (size_t i = 0; i < terms.size(); ++i) {
     const std::string_view suffix(blob.data() + offsets[i],
                                   offsets[i + 1] - offsets[i]);
@@ -188,18 +192,17 @@ inline const char* DecodeTermTable(std::span<const uint64_t> offsets,
     if (plen == 0) {
       terms[i] = suffix;
     } else {
-      const size_t pos = arena->size();
-      arena->insert(arena->end(), terms[i - 1].data(),
-                    terms[i - 1].data() + plen);
-      arena->insert(arena->end(), suffix.begin(), suffix.end());
-      terms[i] = std::string_view(arena->data() + pos, plen + suffix.size());
+      std::memcpy(next, terms[i - 1].data(), plen);
+      std::memcpy(next + plen, suffix.data(), suffix.size());
+      terms[i] = std::string_view(next, plen + suffix.size());
+      next += terms[i].size();
     }
     if (front_coded && i > 0 && !(terms[i - 1] < terms[i])) {
       return "front-coded terms not strictly ascending";
     }
   }
   out->terms = std::move(terms);
-  out->arena = arena->empty() ? nullptr : std::move(arena);
+  out->arena = std::move(arena);
   return nullptr;
 }
 
