@@ -529,11 +529,14 @@ Result<TripleGraph> ApplyFromContainer(const TripleGraph& base,
   if (dict == nullptr) dict = std::make_shared<Dictionary>();
   const size_t dict_before = dict->size();
   std::vector<LexId> lex_map(tn);
+  // New-term references are dense and ordered (checked above), so the new
+  // terms are met in table order.
+  TermReader next_new(new_terms);
   for (uint64_t j = 0; j < tn; ++j) {
     const uint32_t src = term_sources[j];
-    lex_map[j] = dict->Intern(
-        src & kNewTermFlag ? new_terms.terms[src & ~kNewTermFlag]
-                           : base.dict().Get(base_terms.term_ids[src]));
+    lex_map[j] = dict->Intern(src & kNewTermFlag
+                                  ? next_new.Next()
+                                  : base.dict().Get(base_terms.term_ids[src]));
   }
   std::vector<NodeLabel> labels(nn);
   for (uint64_t i = 0; i < nn; ++i) {

@@ -128,13 +128,42 @@ FrontCodedLayout FrontCodeTerms(size_t count, GetTerm&& get) {
   return layout;
 }
 
-/// The terms of a dictionary section, read by DecodeTermTable, in file
-/// order. A version-1 term and a front-coded term with no shared prefix
-/// (every restart term) is a view into the section's blob; any other term
-/// is a view into `arena`. A loader that interns the views pins both.
+/// A dictionary section's term table as DecodeTermTable proved it. A
+/// version-1 term and a front-coded term with no shared prefix (every
+/// restart term) is stored whole in `blob`; any other term is
+/// materialized in `arena`, in file order.
 struct TermTable {
-  std::vector<std::string_view> terms;
-  std::shared_ptr<const char[]> arena;  ///< null when unused
+  std::span<const uint64_t> offsets;
+  std::span<const uint32_t> prefix_lens;  ///< empty for a raw table
+  std::span<const char> blob;
+  std::shared_ptr<const char[]> arena;    ///< null when no term has a prefix
+};
+
+/// Returns the terms of a TermTable in file order, one per Next() call, as
+/// views into its blob or its arena: a loader that interns the views pins
+/// both.
+class TermReader {
+ public:
+  explicit TermReader(const TermTable& table)
+      : table_(table), next_(table.arena.get()) {}
+
+  std::string_view Next() {
+    const std::span<const uint64_t> offsets = table_.offsets;
+    const std::string_view suffix(table_.blob.data() + offsets[i_],
+                                  offsets[i_ + 1] - offsets[i_]);
+    const uint32_t plen =
+        table_.prefix_lens.empty() ? 0 : table_.prefix_lens[i_];
+    ++i_;
+    if (plen == 0) return suffix;
+    const std::string_view term(next_, plen + suffix.size());
+    next_ += term.size();
+    return term;
+  }
+
+ private:
+  const TermTable& table_;
+  size_t i_ = 0;                ///< the term Next() returns
+  const char* next_ = nullptr;  ///< where it starts when materialized
 };
 
 /// Reads the term table of a dictionary section: `offsets` and `blob`,
@@ -142,9 +171,8 @@ struct TermTable {
 /// the geometry before any blob byte is interpreted, materializes every
 /// front-coded term stored with a shared prefix into one arena allocated
 /// up front at its exact size, and proves a front-coded table strictly
-/// ascending.
-/// Returns nullptr and fills *out on success, or a static description of
-/// the defect.
+/// ascending. Returns nullptr and fills *out on success, or a static
+/// description of the defect.
 inline const char* DecodeTermTable(std::span<const uint64_t> offsets,
                                    std::span<const uint32_t> prefix_lens,
                                    bool front_coded,
@@ -161,10 +189,10 @@ inline const char* DecodeTermTable(std::span<const uint64_t> offsets,
       offsets.back() != blob.size()) {
     return "term offset table does not span the term blob";
   }
-  std::vector<std::string_view> terms(offsets.size() - 1);
+  const size_t count = offsets.size() - 1;
   uint64_t arena_bytes = 0;  // decoded size of the terms with a prefix
   uint64_t prev_len = 0;
-  for (size_t i = 0; i < terms.size(); ++i) {
+  for (size_t i = 0; i < count; ++i) {
     if (offsets[i] > offsets[i + 1]) return "term offsets not monotonic";
     if (!front_coded) continue;
     const uint64_t plen = prefix_lens[i];
@@ -176,33 +204,32 @@ inline const char* DecodeTermTable(std::span<const uint64_t> offsets,
     prev_len = plen + (offsets[i + 1] - offsets[i]);
     if (plen != 0) arena_bytes += prev_len;
   }
-  // Decode. A term with a shared prefix is its predecessor's head plus its
-  // own suffix, written at the arena's next free byte. The predecessor is
+  // Decode: a term with a shared prefix is its predecessor's head plus its
+  // own suffix, written where TermReader will find it. The predecessor is
   // always contiguous (a blob view or an earlier arena entry), so its head
   // is one copy.
   std::shared_ptr<char[]> arena;
   if (arena_bytes != 0) {
     arena = std::make_shared_for_overwrite<char[]>(arena_bytes);
   }
-  char* next = arena.get();
-  for (size_t i = 0; i < terms.size(); ++i) {
-    const std::string_view suffix(blob.data() + offsets[i],
-                                  offsets[i + 1] - offsets[i]);
-    const uint32_t plen = front_coded ? prefix_lens[i] : 0;
-    if (plen == 0) {
-      terms[i] = suffix;
-    } else {
-      std::memcpy(next, terms[i - 1].data(), plen);
-      std::memcpy(next + plen, suffix.data(), suffix.size());
-      terms[i] = std::string_view(next, plen + suffix.size());
-      next += terms[i].size();
+  char* write = arena.get();
+  if (!front_coded) prefix_lens = {};
+  *out = TermTable{offsets, prefix_lens, blob, std::move(arena)};
+  TermReader reader(*out);
+  std::string_view prev;
+  for (size_t i = 0; i < count; ++i) {
+    if (const uint32_t plen = front_coded ? prefix_lens[i] : 0; plen != 0) {
+      const uint64_t suffix_len = offsets[i + 1] - offsets[i];
+      std::memcpy(write, prev.data(), plen);
+      std::memcpy(write + plen, blob.data() + offsets[i], suffix_len);
+      write += plen + suffix_len;
     }
-    if (front_coded && i > 0 && !(terms[i - 1] < terms[i])) {
+    const std::string_view term = reader.Next();
+    if (front_coded && i > 0 && !(prev < term)) {
       return "front-coded terms not strictly ascending";
     }
+    prev = term;
   }
-  out->terms = std::move(terms);
-  out->arena = std::move(arena);
   return nullptr;
 }
 

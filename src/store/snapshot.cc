@@ -288,12 +288,12 @@ Result<TripleGraph> LoadFromContainer(const Container& c,
   if (terms.arena != nullptr) dict->PinArena(terms.arena);
   const size_t dict_before = dict->size();
   dict->Reserve(dict_before + t);
-  std::vector<LexId> remap;
-  remap.reserve(t);
+  std::vector<LexId> remap(t);
   bool identity = true;
-  for (const std::string_view term : terms.terms) {
-    remap.push_back(dict->InternPinned(term));
-    identity = identity && remap.back() == remap.size() - 1;
+  TermReader reader(terms);
+  for (uint64_t i = 0; i < t; ++i) {
+    remap[i] = dict->InternPinned(reader.Next());
+    identity = identity && remap[i] == i;
   }
 
   std::vector<NodeLabel> labels(n);

@@ -233,6 +233,10 @@ Result<UpdateBatch> DecodeContainer(const Container& c,
   if (defect != nullptr) {
     return Status::Corruption(std::string(defect) + ": " + name);
   }
+  // Node references index the terms in any order.
+  std::vector<std::string_view> forms(terms);
+  TermReader reader(term_table);
+  for (std::string_view& form : forms) form = reader.Next();
 
   UpdateBatch batch;
   batch.sequence = header.sequence;
@@ -240,7 +244,7 @@ Result<UpdateBatch> DecodeContainer(const Container& c,
   batch.nodes.resize(refs);
   for (uint64_t i = 0; i < refs; ++i) {
     batch.nodes[i].kind = static_cast<TermKind>(kinds[i]);
-    batch.nodes[i].lex = term_table.terms[lex[i]];
+    batch.nodes[i].lex = forms[lex[i]];
   }
   const auto removed_nodes = c.Section<uint32_t>(4);
   batch.removed_nodes.assign(removed_nodes.begin(), removed_nodes.end());
