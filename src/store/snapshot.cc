@@ -191,16 +191,17 @@ const char* CheckIndexes(uint64_t n, std::span<const Triple> triples,
   // each triple is in range, strictly above its predecessor, in its
   // subject's out-slice, and found in the in-slices of its predicate and
   // object. Triples ascend by subject, so every in-slice is met in order:
-  // its cursor must find either the subject it matched last (one subject
-  // reaching a node twice) or the next entry, and at the end every cursor
-  // must stand at its slice's end. The in-index is then exactly the one
-  // BuildCsrArrays builds: per node, the ascending distinct subjects.
-  std::vector<uint64_t> in_cursor(in_offsets.begin(), in_offsets.end() - 1);
+  // a subject must be either the entry its node matched last (one subject
+  // reaching a node twice) or the next one, and at the end every node must
+  // have matched its whole slice. The in-index is then exactly the one
+  // BuildCsrArrays builds: per node, the ascending distinct subjects. A
+  // count fits in 32 bits: the subjects a node matches ascend below n.
+  std::vector<uint32_t> in_matched(n, 0);
   const auto in_slice_meets = [&](NodeId node, NodeId subject) {
-    uint64_t& k = in_cursor[node];
-    if (k > in_offsets[node] && in_subjects[k - 1] == subject) return true;
+    const uint64_t k = in_offsets[node] + in_matched[node];
+    if (in_matched[node] > 0 && in_subjects[k - 1] == subject) return true;
     if (k == in_offsets[node + 1] || in_subjects[k] != subject) return false;
-    ++k;
+    ++in_matched[node];
     return true;
   };
   for (uint64_t i = 0; i < n; ++i) {
@@ -221,7 +222,7 @@ const char* CheckIndexes(uint64_t n, std::span<const Triple> triples,
     }
   }
   for (uint64_t i = 0; i < n; ++i) {
-    if (in_cursor[i] != in_offsets[i + 1]) {
+    if (in_offsets[i] + in_matched[i] != in_offsets[i + 1]) {
       return "in-index inconsistent with triple list";
     }
   }
