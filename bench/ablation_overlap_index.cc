@@ -14,6 +14,7 @@
 #include "bench/harness.h"
 #include "core/edit_distance.h"
 #include "core/overlap.h"
+#include "core/overlap_brute_force.h"
 #include "gen/textgen.h"
 #include "util/random.h"
 #include "util/string_util.h"

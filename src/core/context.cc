@@ -84,16 +84,6 @@ MediationIndex::MediationIndex(const TripleGraph& g) {
   }
 }
 
-Partition ContextualRefineStep(const TripleGraph& g, const Partition& p,
-                               const std::vector<NodeId>& x,
-                               const MediationIndex& mediation,
-                               const std::vector<uint8_t>& predicate_only) {
-  internal::WorklistConfig config;
-  config.mediation = &mediation;
-  config.predicate_only = &predicate_only;
-  return internal::RefineStepReference(g, p, x, config);
-}
-
 Partition ContextualRefineFixpoint(const TripleGraph& g, Partition initial,
                                    const std::vector<NodeId>& x,
                                    const MediationIndex& mediation,

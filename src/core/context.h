@@ -58,20 +58,13 @@ class MediationIndex {
   std::vector<NodeId> rev_predicates_;
 };
 
-/// One contextual refinement step: nodes in X are recolored by the usual
-/// out-neighborhood signature, and nodes in X that are predicate-only URIs
-/// additionally carry their mediation signature.
-/// The reference the contextual fixpoint engine is tested against; no
-/// production path calls it.
-Partition ContextualRefineStep(const TripleGraph& g, const Partition& p,
-                               const std::vector<NodeId>& x,
-                               const MediationIndex& mediation,
-                               const std::vector<uint8_t>& predicate_only);
-
-/// Fixpoint of the contextual step on the worklist engine: only dirty nodes
-/// are re-signed, with dirtiness following both the out-neighborhood
-/// (TripleGraph::In) and the mediation index. RefinementOptions::threads
-/// signs wide rounds in parallel, bit-identically for every thread count.
+/// Contextual refinement to its fixpoint, on the worklist engine: nodes in
+/// X are recolored by the usual out-neighborhood signature, and nodes in X
+/// that are predicate-only URIs additionally carry their mediation
+/// signature. Only dirty nodes are re-signed, with dirtiness following both
+/// the out-neighborhood (TripleGraph::In) and the mediation index.
+/// RefinementOptions::threads signs wide rounds in parallel, bit-identically
+/// for every thread count.
 Partition ContextualRefineFixpoint(const TripleGraph& g, Partition initial,
                                    const std::vector<NodeId>& x,
                                    const MediationIndex& mediation,

@@ -139,13 +139,6 @@ BipartiteMatching OverlapMatch(
     const OverlapMatchOptions& options = {},
     OverlapMatchStats* stats = nullptr, size_t threads = 1);
 
-/// Reference oracle for tests: brute-force all pairs with the same
-/// screening (overlap >= θ, then σ < θ). O(|A|·|B|).
-BipartiteMatching OverlapMatchBruteForce(
-    const std::vector<NodeId>& a_nodes, const std::vector<NodeId>& b_nodes,
-    const CharacterizingSets& a_char, const CharacterizingSets& b_char,
-    double theta, const std::function<double(size_t, size_t)>& sigma);
-
 }  // namespace rdfalign
 
 #endif  // RDFALIGN_CORE_OVERLAP_H_

@@ -22,9 +22,10 @@
 // docs/refinement.md for the invariants.
 //
 // The one-step functions (BisimRefineStep, BisimRefineStepKeyed) are the
-// direct transcription of Definition 3 and stay as the reference the
-// engine is tested against: iterating a step until the class count stops
-// changing yields the engine's fixpoint, bit for bit.
+// direct transcription of Definition 3. No production path calls them, so
+// they live with the test oracles (tests/pipeline_oracle.h): iterating a
+// step until the class count stops changing yields the engine's fixpoint,
+// bit for bit.
 
 #ifndef RDFALIGN_CORE_REFINEMENT_H_
 #define RDFALIGN_CORE_REFINEMENT_H_
@@ -71,13 +72,6 @@ struct RefinementStats {
   }
 };
 
-/// One-step refinement BisimRefine_X(λ): recolors exactly the nodes in X by
-/// signature; all other nodes keep their class. X entries must be valid node
-/// ids of `g`. The Definition 3 reference the fixpoint engine is tested
-/// against; no production path calls it.
-Partition BisimRefineStep(const TripleGraph& g, const Partition& p,
-                          const std::vector<NodeId>& x);
-
 /// Fixpoint refinement BisimRefine*_X(λ) (Definition 4): applies the step
 /// until the partition stabilizes, on the worklist engine.
 Partition BisimRefineFixpoint(const TripleGraph& g, Partition initial,
@@ -106,13 +100,8 @@ Partition BlankColors(const Partition& p, const std::vector<NodeId>& x);
 std::vector<uint8_t> BuildPredicateMask(
     const TripleGraph& g, const std::vector<std::string>& predicate_uris);
 
-/// One-step keyed refinement: as BisimRefineStep, but only out-pairs whose
-/// predicate node is marked in `predicate_mask` enter the signature.
-Partition BisimRefineStepKeyed(const TripleGraph& g, const Partition& p,
-                               const std::vector<NodeId>& x,
-                               const std::vector<uint8_t>& predicate_mask);
-
-/// Fixpoint of the keyed step, on the worklist engine.
+/// Fixpoint refinement that signs only out-pairs whose predicate node is
+/// marked in `predicate_mask`, on the worklist engine.
 Partition BisimRefineFixpointKeyed(const TripleGraph& g, Partition initial,
                                    const std::vector<NodeId>& x,
                                    const std::vector<uint8_t>& predicate_mask,

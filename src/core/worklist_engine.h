@@ -67,9 +67,9 @@ namespace internal {
 /// section. Color ids are allocated upward from the initial partition's
 /// dense ids (and a stream push that resets blanks compacts them back to
 /// dense, see WorklistEngine::CompactColors), so a batch run can never
-/// reach this value on any realistic graph; the reference step
-/// (RefineStepReference) relies on the same property. A stream session
-/// without such pushes has no guard yet (ROADMAP item 3).
+/// reach this value on any realistic graph; the Definition 3 reference
+/// step (tests/pipeline_oracle.h) relies on the same property. A stream
+/// session without such pushes has no guard yet (ROADMAP item 3).
 inline constexpr uint32_t kMediationSeparator = 0xfffffffe;
 
 /// What the worklist engine signs and how.
@@ -85,16 +85,6 @@ struct WorklistConfig {
   /// Resolved signing-worker count (>= 1); see rdfalign::ResolveThreads().
   size_t threads = 1;
 };
-
-/// The Definition 3 reference step for the signature shape `config`
-/// describes (its `threads` is ignored): every node of X is recolored by
-/// its full signature, every other node keeps its color, and the
-/// signatures are consed through a hash map. BisimRefineStep,
-/// BisimRefineStepKeyed and ContextualRefineStep are this body; the engine
-/// below is tested against it. No production path calls it.
-Partition RefineStepReference(const TripleGraph& g, const Partition& p,
-                              const std::vector<NodeId>& x,
-                              const WorklistConfig& config);
 
 /// Worklist entries per signing chunk. A round at most this wide is one
 /// chunk and is signed inline; a wider round splits into ParallelChunks'

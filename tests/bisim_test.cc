@@ -5,6 +5,7 @@
 #include <map>
 #include <set>
 
+#include "pipeline_oracle.h"
 #include "test_util.h"
 
 namespace rdfalign {

@@ -5,6 +5,7 @@
 #include <set>
 
 #include "core/edit_distance.h"
+#include "core/overlap_brute_force.h"
 #include "gen/textgen.h"
 #include "util/random.h"
 

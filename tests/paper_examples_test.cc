@@ -10,6 +10,7 @@
 #include "core/deblank.h"
 #include "core/hybrid.h"
 #include "core/sigma_edit.h"
+#include "pipeline_oracle.h"
 #include "test_util.h"
 
 namespace rdfalign {

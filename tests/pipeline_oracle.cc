@@ -1,6 +1,7 @@
 #include "pipeline_oracle.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <map>
 #include <set>
@@ -460,3 +461,168 @@ BipartiteMatching OverlapMatch(
 }
 
 }  // namespace rdfalign::oracle
+
+namespace rdfalign {
+
+namespace {
+
+// Signature tags keep recolored nodes in a different key space from kept
+// nodes: recolor_λ(n) is a structured pair and can never equal a plain kept
+// color (see §3.2 eq. 1-2).
+constexpr uint32_t kKeepTag = 0;
+constexpr uint32_t kRecolorTag = 1;
+
+using SignatureMap =
+    std::unordered_map<std::vector<uint32_t>, ColorId, U32VectorHash>;
+
+ColorId ConsSignature(SignatureMap& cons, std::vector<uint32_t>&& sig) {
+  auto [it, inserted] =
+      cons.try_emplace(std::move(sig), static_cast<ColorId>(cons.size()));
+  return it->second;
+}
+
+bool SameLabel(const TripleGraph& g, NodeId n, NodeId m) {
+  if (g.KindOf(n) != g.KindOf(m)) return false;
+  if (g.IsBlank(n)) return true;  // all blanks share the label ⊥b
+  return g.LexicalId(n) == g.LexicalId(m);
+}
+
+/// One direction of Definition 2: every out-pair of n can be simulated by
+/// some out-pair of m within `rel`.
+bool Simulates(const TripleGraph& g,
+               const std::set<std::pair<NodeId, NodeId>>& rel, NodeId n,
+               NodeId m) {
+  for (const PredicateObject& a : g.Out(n)) {
+    bool matched = false;
+    for (const PredicateObject& b : g.Out(m)) {
+      if (rel.count({a.p, b.p}) > 0 && rel.count({a.o, b.o}) > 0) {
+        matched = true;
+        break;
+      }
+    }
+    if (!matched) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
+namespace internal {
+
+Partition RefineStepReference(const TripleGraph& g, const Partition& p,
+                              const std::vector<NodeId>& x,
+                              const WorklistConfig& config) {
+  const size_t n = g.NumNodes();
+  assert(p.NumNodes() == n);
+
+  std::vector<uint8_t> in_x(n, 0);
+  for (NodeId node : x) in_x[node] = 1;
+
+  SignatureMap cons;
+  cons.reserve(n);
+  std::vector<ColorId> next(n);
+
+  std::vector<uint32_t> sig;
+  std::vector<uint64_t> pairs;
+  // Appends the color pairs of `edges` as a *set* (eq. 1), keeping only
+  // pairs whose predicate `mask` marks when it is non-null.
+  auto append_pairs = [&](std::span<const PredicateObject> edges,
+                          const std::vector<uint8_t>* mask) {
+    pairs.clear();
+    for (const PredicateObject& po : edges) {
+      if (mask != nullptr && !(*mask)[po.p]) continue;  // non-key attribute
+      pairs.push_back(PackPair(p.ColorOf(po.p), p.ColorOf(po.o)));
+    }
+    std::sort(pairs.begin(), pairs.end());
+    pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+    for (uint64_t pair : pairs) {
+      sig.push_back(UnpackHi(pair));
+      sig.push_back(UnpackLo(pair));
+    }
+  };
+
+  for (NodeId node = 0; node < n; ++node) {
+    sig.clear();
+    if (!in_x[node]) {
+      sig.push_back(kKeepTag);
+      sig.push_back(p.ColorOf(node));
+    } else {
+      sig.push_back(kRecolorTag);
+      sig.push_back(p.ColorOf(node));
+      append_pairs(g.Out(node), config.predicate_mask);
+      if (config.mediation != nullptr && (*config.predicate_only)[node]) {
+        // The mediation signature: colors of the (subject, object) pairs
+        // of the triples this node mediates, after the out-signature.
+        // MediationIndex reuses PredicateObject as a (subject, object) pair.
+        sig.push_back(kMediationSeparator);
+        append_pairs(config.mediation->Mediated(node), nullptr);
+      }
+    }
+    next[node] = ConsSignature(cons, std::vector<uint32_t>(sig));
+  }
+  return Partition::FromColors(std::move(next));
+}
+
+}  // namespace internal
+
+Partition BisimRefineStep(const TripleGraph& g, const Partition& p,
+                          const std::vector<NodeId>& x) {
+  return internal::RefineStepReference(g, p, x, internal::WorklistConfig{});
+}
+
+Partition BisimRefineStepKeyed(const TripleGraph& g, const Partition& p,
+                               const std::vector<NodeId>& x,
+                               const std::vector<uint8_t>& predicate_mask) {
+  internal::WorklistConfig config;
+  config.predicate_mask = &predicate_mask;
+  return internal::RefineStepReference(g, p, x, config);
+}
+
+Partition ContextualRefineStep(const TripleGraph& g, const Partition& p,
+                               const std::vector<NodeId>& x,
+                               const MediationIndex& mediation,
+                               const std::vector<uint8_t>& predicate_only) {
+  internal::WorklistConfig config;
+  config.mediation = &mediation;
+  config.predicate_only = &predicate_only;
+  return internal::RefineStepReference(g, p, x, config);
+}
+
+std::vector<std::pair<NodeId, NodeId>> MaximalBisimulationBruteForce(
+    const TripleGraph& g) {
+  const NodeId n = static_cast<NodeId>(g.NumNodes());
+  std::set<std::pair<NodeId, NodeId>> rel;
+  for (NodeId a = 0; a < n; ++a) {
+    for (NodeId b = 0; b < n; ++b) {
+      if (SameLabel(g, a, b)) rel.emplace(a, b);
+    }
+  }
+  // Greatest fixpoint: repeatedly delete pairs violating either direction.
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (auto it = rel.begin(); it != rel.end();) {
+      auto [a, b] = *it;
+      if (!Simulates(g, rel, a, b) || !Simulates(g, rel, b, a)) {
+        it = rel.erase(it);
+        changed = true;
+      } else {
+        ++it;
+      }
+    }
+  }
+  return {rel.begin(), rel.end()};
+}
+
+bool IsBisimulation(const TripleGraph& g,
+                    const std::vector<std::pair<NodeId, NodeId>>& relation) {
+  std::set<std::pair<NodeId, NodeId>> rel(relation.begin(), relation.end());
+  for (const auto& [a, b] : rel) {
+    if (!SameLabel(g, a, b)) return false;
+    if (!Simulates(g, rel, a, b)) return false;
+    if (!Simulates(g, rel, b, a)) return false;
+  }
+  return true;
+}
+
+}  // namespace rdfalign

@@ -7,6 +7,12 @@
 // them on random, non-contiguous, adversarial, and generated inputs. Do
 // not "optimize" them: their value is being a faithful, obviously correct
 // copy of the old semantics.
+//
+// The second half holds the paper's own definitions, which no production
+// path calls: the Definition 3 one-step refinement (plain, keyed and
+// contextual; tests/refinement_equivalence_test.cc iterates it against the
+// worklist engine) and the Definition 2 brute-force maximal bisimulation.
+// They keep the names they had in the library, in namespace rdfalign.
 
 #ifndef RDFALIGN_TESTS_PIPELINE_ORACLE_H_
 #define RDFALIGN_TESTS_PIPELINE_ORACLE_H_
@@ -17,11 +23,13 @@
 #include <vector>
 
 #include "core/alignment.h"
+#include "core/context.h"
 #include "core/delta.h"
 #include "core/enrich.h"
 #include "core/overlap.h"
 #include "core/partition.h"
 #include "core/refinement.h"
+#include "core/worklist_engine.h"
 #include "rdf/merge.h"
 #include "rdf/statistics.h"
 #include "util/result.h"
@@ -103,5 +111,53 @@ BipartiteMatching OverlapMatch(
     OverlapMatchStats* stats = nullptr);
 
 }  // namespace rdfalign::oracle
+
+namespace rdfalign {
+
+namespace internal {
+
+/// The Definition 3 reference step for the signature shape `config`
+/// describes (its `threads` is ignored): every node of X is recolored by
+/// its full signature, every other node keeps its color, and the
+/// signatures are consed through a hash map. BisimRefineStep,
+/// BisimRefineStepKeyed and ContextualRefineStep are this body; the
+/// worklist engine is tested against it.
+Partition RefineStepReference(const TripleGraph& g, const Partition& p,
+                              const std::vector<NodeId>& x,
+                              const WorklistConfig& config);
+
+}  // namespace internal
+
+/// One-step refinement BisimRefine_X(λ): recolors exactly the nodes in X by
+/// signature; all other nodes keep their class. X entries must be valid node
+/// ids of `g`.
+Partition BisimRefineStep(const TripleGraph& g, const Partition& p,
+                          const std::vector<NodeId>& x);
+
+/// One-step keyed refinement: as BisimRefineStep, but only out-pairs whose
+/// predicate node is marked in `predicate_mask` enter the signature.
+Partition BisimRefineStepKeyed(const TripleGraph& g, const Partition& p,
+                               const std::vector<NodeId>& x,
+                               const std::vector<uint8_t>& predicate_mask);
+
+/// One contextual refinement step: nodes in X are recolored by the usual
+/// out-neighborhood signature, and nodes in X that are predicate-only URIs
+/// additionally carry their mediation signature.
+Partition ContextualRefineStep(const TripleGraph& g, const Partition& p,
+                               const std::vector<NodeId>& x,
+                               const MediationIndex& mediation,
+                               const std::vector<uint8_t>& predicate_only);
+
+/// The maximal bisimulation by iterated removal of violating pairs from the
+/// same-label relation. O(V²·E).
+std::vector<std::pair<NodeId, NodeId>> MaximalBisimulationBruteForce(
+    const TripleGraph& g);
+
+/// Checks Definition 2 directly: is `relation` (as a set of pairs) a
+/// bisimulation on G?
+bool IsBisimulation(const TripleGraph& g,
+                    const std::vector<std::pair<NodeId, NodeId>>& relation);
+
+}  // namespace rdfalign
 
 #endif  // RDFALIGN_TESTS_PIPELINE_ORACLE_H_

@@ -20,6 +20,7 @@
 #include "core/worklist_engine.h"
 #include "gen/category_gen.h"
 #include "gen/efo_gen.h"
+#include "pipeline_oracle.h"
 #include "test_util.h"
 
 namespace rdfalign {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "pipeline_oracle.h"
 #include "test_util.h"
 
 namespace rdfalign {
