@@ -128,9 +128,11 @@ OverlapAlignResult OverlapAlign(const CombinedGraph& cg,
   const TripleGraph& g = cg.graph();
   OverlapAlignResult result;
 
-  // Line 1: ξ0 = (λ_Hybrid, 0).
-  WeightedPartition xi =
-      MakeZeroWeighted(hybrid != nullptr ? *hybrid : HybridPartition(cg));
+  // Line 1: ξ0 = (λ_Hybrid, 0), signed on Propagate's lanes.
+  WeightedPartition xi = MakeZeroWeighted(
+      hybrid != nullptr
+          ? *hybrid
+          : HybridPartition(cg, nullptr, options.propagate.refinement));
 
   // Lines 2-4: match unaligned literals by word sets + edit distance.
   WallTimer literal_index_timer;

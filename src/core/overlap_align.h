@@ -28,7 +28,8 @@ struct OverlapAlignOptions {
   /// Similarity threshold θ (Fig. 15 sweeps this; 0.65 maximizes exact
   /// matches in the paper's GtoPdb study).
   double theta = 0.65;
-  /// Weight-propagation stabilization.
+  /// Weight-propagation stabilization; its `refinement` also signs the
+  /// λ_Hybrid base when OverlapAlign computes it.
   PropagateOptions propagate;
   /// Safety cap on enrichment rounds.
   size_t max_rounds = 100;
@@ -75,7 +76,8 @@ void AppendOutColorSet(const TripleGraph& g, const WeightedPartition& xi,
 
 /// Runs Algorithm 2 on the combined graph. When `hybrid` is non-null it is
 /// used as the ξ0 base partition (callers that already computed λ_Hybrid
-/// avoid recomputation); otherwise λ_Hybrid is computed internally.
+/// avoid recomputation); otherwise λ_Hybrid is computed internally, on
+/// the lanes of `options.propagate.refinement`.
 OverlapAlignResult OverlapAlign(const CombinedGraph& cg,
                                 const OverlapAlignOptions& options = {},
                                 const Partition* hybrid = nullptr);

@@ -1,10 +1,10 @@
 // Bit-identity of every parallel pipeline kernel across thread counts:
 // graph building (the parallel edge sort), graph statistics, the disjoint
 // union, alignment stats, the alignment-driven delta, the overlap matcher,
-// and delta-chain replay must produce byte-identical outputs (and
-// identical counters) for threads in {1, 2, 3, 4, 8} and across repeated
-// runs — the same contract the refinement suites pin for the worklist
-// engine.
+// the overlap method end to end, and delta-chain replay must produce
+// byte-identical outputs (and identical counters) for threads in
+// {1, 2, 3, 4, 8} and across repeated runs — the same contract the
+// refinement suites pin for the worklist engine.
 //
 // The graphs here are deliberately sized so that every chunked kernel
 // (grain 2^15) splits its input into at least two chunks, which is what
@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <random>
 #include <sstream>
@@ -25,6 +26,8 @@
 #include "core/delta.h"
 #include "core/hybrid.h"
 #include "core/overlap.h"
+#include "core/worklist_engine.h"
+#include "gen/efo_gen.h"
 #include "rdf/merge.h"
 #include "rdf/statistics.h"
 #include "store/delta.h"
@@ -214,6 +217,48 @@ TEST(ParallelPipelineOverlap, OverlapMatchEdgesAndCountersBitIdentical) {
       }
     }
   }
+}
+
+// The overlap method end to end through the Aligner (λ_Hybrid, every
+// Propagate fixpoint, both matchers and the stats) at 1 and 4 threads, on
+// the blank-bearing 2500-class EFO pair whose hybrid X spans several
+// signing chunks.
+TEST(ParallelPipelineOverlap, AlignerOverlapBitIdenticalAcrossThreads) {
+  gen::EfoOptions options;
+  options.initial_classes = 2500;
+  options.versions = 2;
+  options.seed = 7;
+  const gen::EfoChain chain = gen::EfoChain::Generate(options);
+  const CombinedGraph cg =
+      CombinedGraph::Build(chain.Version(0), chain.Version(1)).value();
+  ASSERT_GT(UnalignedNonLiterals(cg, TrivialPartition(cg.graph())).size(),
+            internal::kSignGrain);
+
+  auto align = [&cg](size_t threads) {
+    AlignerOptions aligner_options;
+    aligner_options.method = AlignMethod::kOverlap;
+    aligner_options.refinement.threads = threads;
+    return Aligner(aligner_options).AlignCombined(cg);
+  };
+  const AlignmentOutcome base = align(1);
+  const AlignmentOutcome par = align(4);
+  EXPECT_EQ(par.partition.colors(), base.partition.colors());
+  ASSERT_EQ(base.weights.size(), cg.graph().NumNodes());
+  ASSERT_EQ(par.weights.size(), base.weights.size());
+  EXPECT_EQ(std::memcmp(par.weights.data(), base.weights.data(),
+                        base.weights.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(par.edge_stats.total_edges, base.edge_stats.total_edges);
+  EXPECT_EQ(par.edge_stats.aligned_edges, base.edge_stats.aligned_edges);
+  EXPECT_EQ(par.node_stats.aligned_classes, base.node_stats.aligned_classes);
+  EXPECT_EQ(par.node_stats.aligned_source_nodes,
+            base.node_stats.aligned_source_nodes);
+  EXPECT_EQ(par.node_stats.aligned_target_nodes,
+            base.node_stats.aligned_target_nodes);
+  EXPECT_EQ(par.node_stats.unaligned_source_nodes,
+            base.node_stats.unaligned_source_nodes);
+  EXPECT_EQ(par.node_stats.unaligned_target_nodes,
+            base.node_stats.unaligned_target_nodes);
 }
 
 TEST(ParallelPipelineReplay, DeltaChainReplayBitIdentical) {
