@@ -174,7 +174,9 @@ OverlapAlignResult OverlapAlign(const CombinedGraph& cg,
   result.round_stats.push_back(h0_stats);
 
   // Lines 5-12: enrich, propagate, match non-literals; repeat until dry.
-  for (size_t round = 1; round <= options.max_rounds; ++round) {
+  // A safety cap on the enrichment rounds.
+  constexpr size_t kMaxRounds = 100;
+  for (size_t round = 1; round <= kMaxRounds; ++round) {
     WallTimer enrich_timer;
     xi = Propagate(cg, Enrich(xi, h), options.propagate);
     result.enrich_ms += enrich_timer.ElapsedMillis();

@@ -31,8 +31,6 @@ struct OverlapAlignOptions {
   /// Weight-propagation stabilization; its `refinement` also signs the
   /// λ_Hybrid base when OverlapAlign computes it.
   PropagateOptions propagate;
-  /// Safety cap on enrichment rounds.
-  size_t max_rounds = 100;
   /// Candidate-generation variant (see overlap.h).
   OverlapMatchOptions match;
   /// Worker threads for the postings sorts, candidate probing, and class

@@ -47,7 +47,9 @@ WeightedPartition WeightedBisimRefineFixpoint(const TripleGraph& g,
   // first; the weight iteration then runs to its own (least) fixpoint.
   xi.partition = BisimRefineFixpoint(g, std::move(xi.partition), x, stats,
                                      options.refinement);
-  for (size_t iter = 0; iter < options.max_weight_iterations; ++iter) {
+  // A safety cap on weight iterations after the partition stabilizes.
+  constexpr size_t kMaxWeightIterations = 1000;
+  for (size_t iter = 0; iter < kMaxWeightIterations; ++iter) {
     double delta = ReweightStep(g, x, xi.weight);
     if (delta < options.epsilon) break;
   }

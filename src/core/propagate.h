@@ -29,8 +29,6 @@ namespace rdfalign {
 struct PropagateOptions {
   /// Weight-stabilization tolerance ε.
   double epsilon = 1e-4;
-  /// Safety cap on weight iterations after the partition stabilizes.
-  size_t max_weight_iterations = 1000;
   /// Engine selection for the color fixpoint.
   RefinementOptions refinement;
 };
