@@ -2,6 +2,8 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <span>
+#include <type_traits>
 #include <utility>
 
 #include "core/delta.h"
@@ -19,9 +21,25 @@
 
 namespace rdfalign::service {
 
+/// One decoded command line: the positionals, the common flags, and the
+/// values the row's hook parsed. Each verb's run function reads it
+/// directly, and only its own fields.
+struct VerbCall {
+  const char* verb;
+  const std::vector<std::string>& positional;
+  CommonOptions common;
+  GraphSource* source;
+  AlignMethod method = AlignMethod::kHybrid;  ///< --method
+  std::string format = "auto";                ///< build --format
+  long long versions = 2;                     ///< gen --versions
+  double scale = 1.0;                         ///< gen --scale
+  long long seed = 5;                         ///< gen --seed
+  long long sequence = 1;                     ///< updates --seq
+};
+
 namespace {
 
-/// Aligner options from a parsed request: the raw thread count (0 = all
+/// Aligner options from a decoded call: the raw thread count (0 = all
 /// hardware threads is the engine's convention); the Aligner wires it into
 /// every phase.
 AlignerOptions MakeAlignerOptions(AlignMethod method,
@@ -80,18 +98,22 @@ void SectionsText(std::string* out, const std::vector<Section>& sections,
 
 // ---------------------------------------------------------------- build
 
-Status RunBuild(const BuildRequest& req, BuildResponse* resp) {
-  const size_t workers = ResolveThreads(req.common.threads);
-  resp->output = req.output;
+namespace {
+
+Status RunBuild(const VerbCall& c, BuildResponse* resp) {
+  const std::string& input = c.positional[0];
+  const std::string& output = c.positional[1];
+  const size_t workers = ResolveThreads(c.common.threads);
+  resp->output = output;
   resp->threads = workers;
 
   WallTimer parse_timer;
   Result<TripleGraph> graph = Status::Internal("unreachable");
-  if (req.format == "turtle" ||
-      (req.format == "auto" && EndsWith(req.input, ".ttl"))) {
-    graph = ParseTurtleFile(req.input, nullptr, workers);
+  if (c.format == "turtle" ||
+      (c.format == "auto" && EndsWith(input, ".ttl"))) {
+    graph = ParseTurtleFile(input, nullptr, workers);
   } else {
-    graph = ParseNTriplesFile(req.input, nullptr, nullptr, workers);
+    graph = ParseNTriplesFile(input, nullptr, nullptr, workers);
   }
   RDFALIGN_RETURN_IF_ERROR(graph.status());
   resp->parse_ms = parse_timer.ElapsedMillis();
@@ -99,10 +121,12 @@ Status RunBuild(const BuildRequest& req, BuildResponse* resp) {
   resp->triples = graph->NumEdges();
 
   WallTimer write_timer;
-  RDFALIGN_RETURN_IF_ERROR(store::WriteSnapshot(*graph, req.output));
+  RDFALIGN_RETURN_IF_ERROR(store::WriteSnapshot(*graph, output));
   resp->write_ms = write_timer.ElapsedMillis();
   return Status::OK();
 }
+
+}  // namespace
 
 std::string BuildToJson(const BuildResponse& r) {
   return JsonBuf()
@@ -127,30 +151,33 @@ std::string BuildToText(const BuildResponse& r) {
 
 // ----------------------------------------------------------------- info
 
-Status RunInfo(const InfoRequest& req, InfoResponse* resp) {
-  resp->path = req.path;
-  if (store::LooksLikeDelta(req.path)) {
+namespace {
+
+Status RunInfo(const VerbCall& c, InfoResponse* resp) {
+  const std::string& path = c.positional[0];
+  resp->path = path;
+  if (store::LooksLikeDelta(path)) {
     resp->kind = "delta";
-    RDFALIGN_ASSIGN_OR_RETURN(resp->delta, store::ReadDeltaInfo(req.path));
+    RDFALIGN_ASSIGN_OR_RETURN(resp->delta, store::ReadDeltaInfo(path));
     resp->has_fingerprint = true;
     resp->fingerprint = resp->delta.base_fingerprint;
     return Status::OK();
   }
-  if (store::LooksLikeArchive(req.path)) {
+  if (store::LooksLikeArchive(path)) {
     resp->kind = "archive";
     RDFALIGN_ASSIGN_OR_RETURN(resp->archive,
-                              store::ReadArchiveInfo(req.path));
+                              store::ReadArchiveInfo(path));
     if (resp->archive.num_versions > 0) {
       RDFALIGN_ASSIGN_OR_RETURN(resp->fingerprint,
-                                store::ArchiveBaseFingerprint(req.path));
+                                store::ArchiveBaseFingerprint(path));
       resp->has_fingerprint = true;
     }
     return Status::OK();
   }
-  if (store::LooksLikeUpdateFile(req.path)) {
+  if (store::LooksLikeUpdateFile(path)) {
     resp->kind = "update";
     RDFALIGN_ASSIGN_OR_RETURN(const store::UpdateBatch batch,
-                              store::ReadUpdateFile(req.path));
+                              store::ReadUpdateFile(path));
     resp->update.sequence = batch.sequence;
     resp->update.refs = batch.nodes.size();
     resp->update.new_nodes = batch.num_new;
@@ -158,25 +185,27 @@ Status RunInfo(const InfoRequest& req, InfoResponse* resp) {
     resp->update.removed_triples = batch.removed.size();
     resp->update.added_triples = batch.added.size();
     std::error_code ec;
-    const auto size = std::filesystem::file_size(req.path, ec);
+    const auto size = std::filesystem::file_size(path, ec);
     resp->update.file_bytes = ec ? 0 : static_cast<uint64_t>(size);
     return Status::OK();
   }
   // Snapshot, or the error path for files that are no store format at all.
   resp->kind = "snapshot";
   RDFALIGN_ASSIGN_OR_RETURN(resp->snapshot,
-                            store::ReadSnapshotInfo(req.path));
+                            store::ReadSnapshotInfo(path));
   // The fingerprint is a property of the graph content, so the graph is
   // actually loaded, checksums and structure verified, whichever report
   // is asked for: through the daemon's cache this is the resident fast
   // path, in the CLI a one-shot load.
   RDFALIGN_ASSIGN_OR_RETURN(AcquiredGraph g,
-                            req.source->Acquire(req.path, req.common, true));
+                            c.source->Acquire(path, c.common, true));
   CountAcquire(g, &resp->cache_hits, &resp->cache_misses);
   resp->fingerprint = g.loaded->fingerprint;
   resp->has_fingerprint = true;
   return Status::OK();
 }
+
+}  // namespace
 
 std::string InfoToJson(const InfoResponse& r) {
   JsonBuf b;
@@ -293,13 +322,17 @@ std::string InfoToText(const InfoResponse& r) {
 
 // ---------------------------------------------------------------- align
 
-Status RunAlign(const AlignRequest& req, AlignResponse* resp) {
-  const AlignerOptions options = MakeAlignerOptions(req.method, req.common);
-  const size_t workers = ResolveThreads(req.common.threads);
-  resp->method = req.method;
+namespace {
+
+Status RunAlign(const VerbCall& c, AlignResponse* resp) {
+  const std::string& path_a = c.positional[0];
+  const std::string& path_b = c.positional[1];
+  const AlignerOptions options = MakeAlignerOptions(c.method, c.common);
+  const size_t workers = ResolveThreads(c.common.threads);
+  resp->method = c.method;
   resp->threads = workers;
-  resp->path_a = req.path_a;
-  resp->path_b = req.path_b;
+  resp->path_a = path_a;
+  resp->path_b = path_b;
 
   // One shared dictionary puts both versions in a single label space; the
   // acquired graphs (possibly cache-resident, each with a private
@@ -308,7 +341,7 @@ Status RunAlign(const AlignRequest& req, AlignResponse* resp) {
   WallTimer load_a_timer;
   RDFALIGN_ASSIGN_OR_RETURN(
       TripleGraph ga,
-      AcquireRebound(req.source, req.path_a, req.common, dict,
+      AcquireRebound(c.source, path_a, c.common, dict,
                      &resp->cache_hits, &resp->cache_misses, &resp->kind_a));
   resp->load_a_ms = load_a_timer.ElapsedMillis();
   resp->nodes_a = ga.NumNodes();
@@ -317,7 +350,7 @@ Status RunAlign(const AlignRequest& req, AlignResponse* resp) {
   WallTimer load_b_timer;
   RDFALIGN_ASSIGN_OR_RETURN(
       TripleGraph gb,
-      AcquireRebound(req.source, req.path_b, req.common, dict,
+      AcquireRebound(c.source, path_b, c.common, dict,
                      &resp->cache_hits, &resp->cache_misses, &resp->kind_b));
   resp->load_b_ms = load_b_timer.ElapsedMillis();
   resp->nodes_b = gb.NumNodes();
@@ -332,6 +365,8 @@ Status RunAlign(const AlignRequest& req, AlignResponse* resp) {
   resp->refinement = o.refinement;
   return Status::OK();
 }
+
+}  // namespace
 
 std::string AlignToJson(const AlignResponse& r) {
   JsonBuf b;
@@ -399,19 +434,24 @@ std::string AlignToText(const AlignResponse& r) {
 
 // ----------------------------------------------------------------- diff
 
-Status RunDiff(const DiffRequest& req, DiffResponse* resp) {
-  const AlignerOptions options = MakeAlignerOptions(req.method, req.common);
-  const size_t workers = ResolveThreads(req.common.threads);
-  resp->method = req.method;
+namespace {
+
+Status RunDiff(const VerbCall& c, DiffResponse* resp) {
+  const std::string& path_base = c.positional[0];
+  const std::string& path_next = c.positional[1];
+  const std::string& path_out = c.positional[2];
+  const AlignerOptions options = MakeAlignerOptions(c.method, c.common);
+  const size_t workers = ResolveThreads(c.common.threads);
+  resp->method = c.method;
   resp->threads = workers;
-  resp->path_base = req.path_base;
-  resp->path_next = req.path_next;
-  resp->path_out = req.path_out;
+  resp->path_base = path_base;
+  resp->path_next = path_next;
+  resp->path_out = path_out;
 
   auto dict = std::make_shared<Dictionary>();
   RDFALIGN_ASSIGN_OR_RETURN(
       TripleGraph gbase,
-      AcquireRebound(req.source, req.path_base, req.common, dict,
+      AcquireRebound(c.source, path_base, c.common, dict,
                      &resp->cache_hits, &resp->cache_misses,
                      &resp->kind_base));
   resp->nodes_base = gbase.NumNodes();
@@ -419,7 +459,7 @@ Status RunDiff(const DiffRequest& req, DiffResponse* resp) {
 
   RDFALIGN_ASSIGN_OR_RETURN(
       TripleGraph gnext,
-      AcquireRebound(req.source, req.path_next, req.common, dict,
+      AcquireRebound(c.source, path_next, c.common, dict,
                      &resp->cache_hits, &resp->cache_misses,
                      &resp->kind_next));
   resp->nodes_next = gnext.NumNodes();
@@ -435,10 +475,12 @@ Status RunDiff(const DiffRequest& req, DiffResponse* resp) {
 
   WallTimer write_timer;
   RDFALIGN_RETURN_IF_ERROR(
-      store::WriteDelta(gbase, gnext, map, req.path_out, &resp->stats));
+      store::WriteDelta(gbase, gnext, map, path_out, &resp->stats));
   resp->write_ms = write_timer.ElapsedMillis();
   return Status::OK();
 }
+
+}  // namespace
 
 std::string DiffToJson(const DiffResponse& r) {
   JsonBuf b;
@@ -489,18 +531,23 @@ std::string DiffToText(const DiffResponse& r) {
 
 // ---------------------------------------------------------------- patch
 
-Status RunPatch(const PatchRequest& req, PatchResponse* resp) {
-  const size_t workers = ResolveThreads(req.common.threads);
+namespace {
+
+Status RunPatch(const VerbCall& c, PatchResponse* resp) {
+  const std::string& path_base = c.positional[0];
+  const std::string& path_delta = c.positional[1];
+  const std::string& path_out = c.positional[2];
+  const size_t workers = ResolveThreads(c.common.threads);
   resp->threads = workers;
-  resp->path_base = req.path_base;
-  resp->path_delta = req.path_delta;
-  resp->path_out = req.path_out;
+  resp->path_base = path_base;
+  resp->path_delta = path_delta;
+  resp->path_out = path_out;
 
   auto dict = std::make_shared<Dictionary>();
   WallTimer load_timer;
   RDFALIGN_ASSIGN_OR_RETURN(
       TripleGraph gbase,
-      AcquireRebound(req.source, req.path_base, req.common, dict,
+      AcquireRebound(c.source, path_base, c.common, dict,
                      &resp->cache_hits, &resp->cache_misses,
                      &resp->kind_base));
   resp->load_ms = load_timer.ElapsedMillis();
@@ -511,17 +558,19 @@ Status RunPatch(const PatchRequest& req, PatchResponse* resp) {
   store::DeltaApplyOptions apply_options;
   apply_options.threads = workers;
   RDFALIGN_ASSIGN_OR_RETURN(
-      TripleGraph next, store::ApplyDelta(gbase, req.path_delta, dict,
+      TripleGraph next, store::ApplyDelta(gbase, path_delta, dict,
                                           apply_options, &resp->stats));
   resp->apply_ms = apply_timer.ElapsedMillis();
   resp->nodes = next.NumNodes();
   resp->triples = next.NumEdges();
 
   WallTimer write_timer;
-  RDFALIGN_RETURN_IF_ERROR(store::WriteSnapshot(next, req.path_out));
+  RDFALIGN_RETURN_IF_ERROR(store::WriteSnapshot(next, path_out));
   resp->write_ms = write_timer.ElapsedMillis();
   return Status::OK();
 }
+
+}  // namespace
 
 std::string PatchToJson(const PatchResponse& r) {
   JsonBuf b;
@@ -558,21 +607,24 @@ std::string PatchToText(const PatchResponse& r) {
 
 // -------------------------------------------------------------- archive
 
-Status RunArchive(const ArchiveRequest& req, ArchiveResponse* resp) {
-  const AlignerOptions options = MakeAlignerOptions(req.method, req.common);
-  const size_t workers = ResolveThreads(req.common.threads);
-  resp->method = req.method;
+namespace {
+
+Status RunArchive(const VerbCall& c, ArchiveResponse* resp) {
+  const std::string& path_out = c.positional[0];
+  const AlignerOptions options = MakeAlignerOptions(c.method, c.common);
+  const size_t workers = ResolveThreads(c.common.threads);
+  resp->method = c.method;
   resp->threads = workers;
-  resp->path_out = req.path_out;
+  resp->path_out = path_out;
 
   // One shared dictionary across the whole chain (the Append invariant).
   auto dict = std::make_shared<Dictionary>();
   VersionArchive archive(options);
   WallTimer append_timer;
-  for (const std::string& path : req.versions) {
+  for (const std::string& path : std::span(c.positional).subspan(1)) {
     RDFALIGN_ASSIGN_OR_RETURN(
         TripleGraph graph,
-        AcquireRebound(req.source, path, req.common, dict, &resp->cache_hits,
+        AcquireRebound(c.source, path, c.common, dict, &resp->cache_hits,
                        &resp->cache_misses));
     RDFALIGN_RETURN_IF_ERROR(archive.Append(graph).status());
   }
@@ -580,11 +632,13 @@ Status RunArchive(const ArchiveRequest& req, ArchiveResponse* resp) {
 
   WallTimer save_timer;
   RDFALIGN_RETURN_IF_ERROR(
-      store::SaveArchive(archive, req.path_out, &resp->save_stats));
+      store::SaveArchive(archive, path_out, &resp->save_stats));
   resp->save_ms = save_timer.ElapsedMillis();
   resp->stats = archive.Stats();
   return Status::OK();
 }
+
+}  // namespace
 
 std::string ArchiveToJson(const ArchiveResponse& r) {
   return JsonBuf()
@@ -625,20 +679,25 @@ std::string ArchiveToText(const ArchiveResponse& r) {
 
 // ------------------------------------------------------------------ gen
 
-Status RunGen(const GenRequest& req, GenResponse* resp) {
-  resp->prefix = req.prefix;
+namespace {
+
+Status RunGen(const VerbCall& c, GenResponse* resp) {
+  const std::string& prefix = c.positional[0];
+  resp->prefix = prefix;
   gen::CategoryOptions options = gen::CategoryOptions::FromScale(
-      req.scale, static_cast<size_t>(req.versions),
-      static_cast<uint64_t>(req.seed));
+      c.scale, static_cast<size_t>(c.versions),
+      static_cast<uint64_t>(c.seed));
   gen::CategoryChain chain = gen::CategoryChain::Generate(options);
   for (size_t v = 0; v < chain.NumVersions(); ++v) {
-    const std::string path = req.prefix + std::to_string(v + 1) + ".nt";
+    const std::string path = prefix + std::to_string(v + 1) + ".nt";
     RDFALIGN_RETURN_IF_ERROR(WriteNTriplesFile(chain.Version(v), path));
     resp->files.push_back(GenFileInfo{path, chain.Version(v).NumNodes(),
                                       chain.Version(v).NumEdges()});
   }
   return Status::OK();
 }
+
+}  // namespace
 
 std::string GenToJson(const GenResponse& r) {
   JsonBuf b;
@@ -664,14 +723,17 @@ std::string GenToText(const GenResponse& r) {
 
 // ---------------------------------------------------------------- cache
 
-Status RunCache(const CacheRequest& req, CacheResponse* resp) {
-  resp->action = req.action;
-  SnapshotCache* cache = req.source ? req.source->cache() : nullptr;
+namespace {
+
+Status RunCache(const VerbCall& c, CacheResponse* resp) {
+  const std::string& action = c.positional[0];
+  resp->action = action;
+  SnapshotCache* cache = c.source ? c.source->cache() : nullptr;
   if (cache == nullptr) {
     return Status::InvalidArgument(
         "no resident snapshot cache (the cache verb needs rdfalignd)");
   }
-  if (req.action == "clear") {
+  if (action == "clear") {
     resp->dropped_entries = cache->stats().entries;
     cache->Clear();
   } else {
@@ -680,6 +742,8 @@ Status RunCache(const CacheRequest& req, CacheResponse* resp) {
   resp->stats = cache->stats();
   return Status::OK();
 }
+
+}  // namespace
 
 std::string CacheToJson(const CacheResponse& r) {
   JsonBuf b;
@@ -741,17 +805,22 @@ std::string CacheToText(const CacheResponse& r) {
 
 // -------------------------------------------------------------- updates
 
-Status RunUpdates(const UpdatesRequest& req, UpdatesResponse* resp) {
-  resp->path_base = req.path_base;
-  resp->path_next = req.path_next;
-  resp->path_out = req.path_out;
+namespace {
+
+Status RunUpdates(const VerbCall& c, UpdatesResponse* resp) {
+  const std::string& path_base = c.positional[0];
+  const std::string& path_next = c.positional[1];
+  const std::string& path_out = c.positional[2];
+  resp->path_base = path_base;
+  resp->path_next = path_next;
+  resp->path_out = path_out;
 
   // No shared-dictionary rebind here: BuildUpdateBatch matches nodes by
   // (kind, lexical form) strings, so each graph's private dictionary is
   // exactly what it needs.
   RDFALIGN_ASSIGN_OR_RETURN(
       AcquiredGraph base,
-      req.source->Acquire(req.path_base, req.common, false));
+      c.source->Acquire(path_base, c.common, false));
   CountAcquire(base, &resp->cache_hits, &resp->cache_misses);
   resp->kind_base = base.loaded->kind;
   resp->nodes_base = base.loaded->graph.NumNodes();
@@ -759,7 +828,7 @@ Status RunUpdates(const UpdatesRequest& req, UpdatesResponse* resp) {
 
   RDFALIGN_ASSIGN_OR_RETURN(
       AcquiredGraph next,
-      req.source->Acquire(req.path_next, req.common, false));
+      c.source->Acquire(path_next, c.common, false));
   CountAcquire(next, &resp->cache_hits, &resp->cache_misses);
   resp->kind_next = next.loaded->kind;
   resp->nodes_next = next.loaded->graph.NumNodes();
@@ -769,7 +838,7 @@ Status RunUpdates(const UpdatesRequest& req, UpdatesResponse* resp) {
   RDFALIGN_ASSIGN_OR_RETURN(
       store::UpdateBatch batch,
       store::BuildUpdateBatch(base.loaded->graph, next.loaded->graph,
-                              static_cast<uint64_t>(req.sequence)));
+                              static_cast<uint64_t>(c.sequence)));
   resp->build_ms = build_timer.ElapsedMillis();
   resp->refs = batch.nodes.size();
   resp->new_nodes = batch.num_new;
@@ -783,10 +852,12 @@ Status RunUpdates(const UpdatesRequest& req, UpdatesResponse* resp) {
                             store::EncodeUpdateBatch(batch));
   resp->file_bytes = bytes.size();
   RDFALIGN_RETURN_IF_ERROR(store::AtomicWriteFile(
-      req.path_out, bytes.data(), bytes.size(), "update fragment"));
+      path_out, bytes.data(), bytes.size(), "update fragment"));
   resp->write_ms = write_timer.ElapsedMillis();
   return Status::OK();
 }
+
+}  // namespace
 
 std::string UpdatesToJson(const UpdatesResponse& r) {
   JsonBuf b;
@@ -834,21 +905,6 @@ std::string UpdatesToText(const UpdatesResponse& r) {
 }
 
 // ------------------------------------------------------------- dispatch
-
-/// One decoded command line: the positionals, the common flags, and the
-/// values the row's hook parsed (each verb reads only its own).
-struct VerbCall {
-  const char* verb;
-  const std::vector<std::string>& positional;
-  CommonOptions common;
-  GraphSource* source;
-  AlignMethod method = AlignMethod::kHybrid;  ///< --method
-  std::string format = "auto";                ///< build --format
-  long long versions = 2;                     ///< gen --versions
-  double scale = 1.0;                         ///< gen --scale
-  long long seed = 5;                         ///< gen --seed
-  long long sequence = 1;                     ///< updates --seq
-};
 
 namespace {
 
@@ -924,95 +980,28 @@ bool SeqHook(const Args& args, VerbCall* call, std::string* error) {
   return true;
 }
 
-// ---- runs: build the request, run, render.
+// ---- runs: run, render.
 
-/// Renders `resp` as the call asked (only on success) and hands its cache
-/// counters to the verb result.
-template <typename Response>
-Status Finish(const VerbCall& call, const Status& st, const Response& resp,
-              std::string (*to_json)(const Response&),
-              std::string (*to_text)(const Response&), VerbResult* result) {
+/// Runs one verb, renders its response as the call asked (only on
+/// success), and hands its cache counters to the verb result.
+template <typename Response, Status (*Run)(const VerbCall&, Response*),
+          std::string (*ToJson)(const Response&),
+          std::string (*ToText)(const Response&)>
+Status Finish(const VerbCall& call, VerbResult* result) {
+  Response resp;
+  const Status st = Run(call, &resp);
   if constexpr (requires { resp.cache_hits; }) {
     result->cache_hits = resp.cache_hits;
     result->cache_misses = resp.cache_misses;
   }
   if (st.ok()) {
-    result->output = call.common.json ? to_json(resp) : to_text(resp);
+    result->output = call.common.json ? ToJson(resp) : ToText(resp);
+  } else if constexpr (std::is_same_v<Response, GenResponse>) {
+    // Versions written before a failure are still listed (the historical
+    // CLI printed them as it went).
+    if (!call.common.json) result->output = ToText(resp);
   }
   return st;
-}
-
-Status BuildVerb(const VerbCall& c, VerbResult* result) {
-  BuildResponse resp;
-  const Status st = RunBuild(
-      {c.positional[0], c.positional[1], c.format, c.common}, &resp);
-  return Finish(c, st, resp, BuildToJson, BuildToText, result);
-}
-
-Status InfoVerb(const VerbCall& c, VerbResult* result) {
-  InfoResponse resp;
-  const Status st = RunInfo({c.positional[0], c.common, c.source}, &resp);
-  return Finish(c, st, resp, InfoToJson, InfoToText, result);
-}
-
-Status AlignVerb(const VerbCall& c, VerbResult* result) {
-  AlignResponse resp;
-  const Status st = RunAlign(
-      {c.positional[0], c.positional[1], c.method, c.common, c.source},
-      &resp);
-  return Finish(c, st, resp, AlignToJson, AlignToText, result);
-}
-
-Status DiffVerb(const VerbCall& c, VerbResult* result) {
-  DiffResponse resp;
-  const Status st = RunDiff({c.positional[0], c.positional[1],
-                             c.positional[2], c.method, c.common, c.source},
-                            &resp);
-  return Finish(c, st, resp, DiffToJson, DiffToText, result);
-}
-
-Status PatchVerb(const VerbCall& c, VerbResult* result) {
-  PatchResponse resp;
-  const Status st = RunPatch(
-      {c.positional[0], c.positional[1], c.positional[2], c.common,
-       c.source},
-      &resp);
-  return Finish(c, st, resp, PatchToJson, PatchToText, result);
-}
-
-Status ArchiveVerb(const VerbCall& c, VerbResult* result) {
-  ArchiveResponse resp;
-  const Status st = RunArchive(
-      {c.positional[0],
-       std::vector<std::string>(c.positional.begin() + 1, c.positional.end()),
-       c.method, c.common, c.source},
-      &resp);
-  return Finish(c, st, resp, ArchiveToJson, ArchiveToText, result);
-}
-
-Status GenVerb(const VerbCall& c, VerbResult* result) {
-  GenResponse resp;
-  const Status st = RunGen(
-      {c.positional[0], c.versions, c.scale, c.seed, c.common}, &resp);
-  // Versions written before a failure are still listed (the historical
-  // CLI printed them as it went).
-  if (!st.ok() && !c.common.json) result->output = GenToText(resp);
-  return Finish(c, st, resp, GenToJson, GenToText, result);
-}
-
-Status CacheVerb(const VerbCall& c, VerbResult* result) {
-  CacheResponse resp;
-  const Status st = RunCache({c.positional[0], c.common, c.source}, &resp);
-  return Finish(c, st, resp, CacheToJson, CacheToText, result);
-}
-
-Status UpdatesVerb(const VerbCall& c, VerbResult* result) {
-  UpdatesResponse resp;
-  const Status st = RunUpdates({c.positional[0], c.positional[1],
-                                c.positional[2], c.sequence, c.common,
-                                c.source},
-                               &resp);
-  return Finish(c, st, resp, UpdatesToJson, UpdatesToText, result);
 }
 
 #define COMMON_FLAGS "threads", "json"
@@ -1025,24 +1014,33 @@ constexpr size_t kUnbounded = SIZE_MAX;
 const VerbSpec kVerbs[] = {
     {"build", VerbScope::kAnywhere, 2, 2,
      {"format", "threads", "json"},
-     FormatHook, true, false, false, false, BuildVerb},
+     FormatHook, true, false, false, false,
+     Finish<BuildResponse, RunBuild, BuildToJson, BuildToText>},
     {"info", VerbScope::kAnywhere, 1, 1, {COMMON_FLAGS},
-     nullptr, false, true, true, false, InfoVerb},
+     nullptr, false, true, true, false,
+     Finish<InfoResponse, RunInfo, InfoToJson, InfoToText>},
     {"align", VerbScope::kAnywhere, 2, 2, {"method", COMMON_FLAGS},
-     MethodHook, false, true, true, false, AlignVerb},
+     MethodHook, false, true, true, false,
+     Finish<AlignResponse, RunAlign, AlignToJson, AlignToText>},
     {"diff", VerbScope::kAnywhere, 3, 3, {"method", COMMON_FLAGS},
-     MethodHook, false, true, false, false, DiffVerb},
+     MethodHook, false, true, false, false,
+     Finish<DiffResponse, RunDiff, DiffToJson, DiffToText>},
     {"patch", VerbScope::kAnywhere, 3, 3, {COMMON_FLAGS},
-     nullptr, false, true, false, true, PatchVerb},
+     nullptr, false, true, false, true,
+     Finish<PatchResponse, RunPatch, PatchToJson, PatchToText>},
     {"archive", VerbScope::kAnywhere, 2, kUnbounded, {"method", COMMON_FLAGS},
-     MethodHook, false, true, false, false, ArchiveVerb},
+     MethodHook, false, true, false, false,
+     Finish<ArchiveResponse, RunArchive, ArchiveToJson, ArchiveToText>},
     {"gen", VerbScope::kAnywhere, 1, 1, {"scale", "versions", "seed", "json"},
-     GenHook, false, false, false, false, GenVerb},
+     GenHook, false, false, false, false,
+     Finish<GenResponse, RunGen, GenToJson, GenToText>},
     // cache reaches the resident cache through the source.
     {"cache", VerbScope::kAnywhere, 1, 1, {"json"},
-     CacheHook, false, true, true, false, CacheVerb},
+     CacheHook, false, true, true, false,
+     Finish<CacheResponse, RunCache, CacheToJson, CacheToText>},
     {"updates", VerbScope::kAnywhere, 3, 3, {"seq", COMMON_FLAGS},
-     SeqHook, false, true, false, false, UpdatesVerb},
+     SeqHook, false, true, false, false,
+     Finish<UpdatesResponse, RunUpdates, UpdatesToJson, UpdatesToText>},
     {"stats", VerbScope::kDaemonStats, 0, 0, {"json"},
      nullptr, false, false, true, false, nullptr},
     // stream checks each subcommand's arguments itself (stream_verbs.cc).

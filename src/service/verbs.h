@@ -1,18 +1,20 @@
-// The verb layer: every rdfalign operation as a pure request/response
-// function, shared verbatim by the `rdfalign` CLI and the `rdfalignd`
-// daemon (the api redesign invariant: tools/*.cc hold no verb logic).
+// The verb layer: every rdfalign operation, shared verbatim by the
+// `rdfalign` CLI and the `rdfalignd` daemon (the api redesign invariant:
+// tools/*.cc hold no verb logic).
 //
-// Each verb is two pieces here plus one row in the verb table:
+// Each verb is its response and two renderings here, plus a run function
+// and one row in the verb table in verbs.cc:
 //
-//   * Status RunX(const XRequest&, XResponse*)     — the operation; file
-//     graphs are obtained through the request's GraphSource (direct loads
-//     in the CLI, the resident SnapshotCache in the daemon),
 //   * XToJson / XToText(const XResponse&)          — the two renderings.
 //     The JSON renderer writes through the one JsonBuf writer
 //     (service/json.h) and doubles as the daemon's wire format.
-//   * its VerbSpec row (verbs.cc): name, positional arity, accepted flags,
-//     the hook that parses its own flags, whether it acquires graphs,
-//     whether a retry is safe, and the function that runs and renders it.
+//   * Status RunX(const VerbCall&, XResponse*)     — the operation,
+//     file-local, reading the decoded command line directly; file graphs
+//     are obtained through the call's GraphSource (direct loads in the
+//     CLI, the resident SnapshotCache in the daemon).
+//   * its VerbSpec row: name, positional arity, accepted flags, the hook
+//     that parses its own flags, whether it acquires graphs, whether a
+//     retry is safe, and the function that runs and renders it.
 //
 // ExecuteVerb decodes one tokenized command line against that table —
 // both front ends call it, so dispatch, flag checks, error prefixes, and
@@ -44,13 +46,6 @@ namespace rdfalign::service {
 
 // ---------------------------------------------------------------- build
 
-struct BuildRequest {
-  std::string input;
-  std::string output;
-  std::string format = "auto";  ///< auto | ntriples | turtle
-  CommonOptions common;
-};
-
 struct BuildResponse {
   std::string output;
   size_t nodes = 0;
@@ -60,22 +55,10 @@ struct BuildResponse {
   size_t threads = 0;  ///< resolved worker count
 };
 
-Status RunBuild(const BuildRequest& req, BuildResponse* resp);
 std::string BuildToJson(const BuildResponse& resp);
 std::string BuildToText(const BuildResponse& resp);
 
 // ----------------------------------------------------------------- info
-
-/// A snapshot is loaded through `source` and an archive's base snapshot
-/// is read, for the text listing and the JSON report alike, so both fail
-/// on the same files; the JSON report also carries the content
-/// fingerprint (snapshot: GraphFingerprint of the loaded graph; archive:
-/// that of the embedded base snapshot).
-struct InfoRequest {
-  std::string path;
-  CommonOptions common;
-  GraphSource* source = nullptr;
-};
 
 /// Header-level summary of a streaming update fragment
 /// (store/update_fragment.h), reported by `info` on .rdfu files.
@@ -89,6 +72,11 @@ struct UpdateFragmentSummary {
   uint64_t file_bytes = 0;
 };
 
+/// A snapshot is loaded through the call's GraphSource and an archive's
+/// base snapshot is read, for the text listing and the JSON report alike,
+/// so both fail on the same files; the JSON report also carries the
+/// content fingerprint (snapshot: GraphFingerprint of the loaded graph;
+/// archive: that of the embedded base snapshot).
 struct InfoResponse {
   std::string path;
   std::string kind;  ///< "snapshot" | "delta" | "archive" | "update"
@@ -102,19 +90,10 @@ struct InfoResponse {
   uint64_t cache_misses = 0;
 };
 
-Status RunInfo(const InfoRequest& req, InfoResponse* resp);
 std::string InfoToJson(const InfoResponse& resp);
 std::string InfoToText(const InfoResponse& resp);
 
 // ---------------------------------------------------------------- align
-
-struct AlignRequest {
-  std::string path_a;
-  std::string path_b;
-  AlignMethod method = AlignMethod::kHybrid;
-  CommonOptions common;
-  GraphSource* source = nullptr;
-};
 
 struct AlignResponse {
   AlignMethod method = AlignMethod::kHybrid;
@@ -133,20 +112,10 @@ struct AlignResponse {
   uint64_t cache_misses = 0;
 };
 
-Status RunAlign(const AlignRequest& req, AlignResponse* resp);
 std::string AlignToJson(const AlignResponse& resp);
 std::string AlignToText(const AlignResponse& resp);
 
 // ----------------------------------------------------------------- diff
-
-struct DiffRequest {
-  std::string path_base;
-  std::string path_next;
-  std::string path_out;
-  AlignMethod method = AlignMethod::kHybrid;
-  CommonOptions common;
-  GraphSource* source = nullptr;
-};
 
 struct DiffResponse {
   AlignMethod method = AlignMethod::kHybrid;
@@ -163,19 +132,10 @@ struct DiffResponse {
   uint64_t cache_misses = 0;
 };
 
-Status RunDiff(const DiffRequest& req, DiffResponse* resp);
 std::string DiffToJson(const DiffResponse& resp);
 std::string DiffToText(const DiffResponse& resp);
 
 // ---------------------------------------------------------------- patch
-
-struct PatchRequest {
-  std::string path_base;
-  std::string path_delta;
-  std::string path_out;
-  CommonOptions common;
-  GraphSource* source = nullptr;
-};
 
 struct PatchResponse {
   size_t threads = 0;
@@ -192,19 +152,10 @@ struct PatchResponse {
   uint64_t cache_misses = 0;
 };
 
-Status RunPatch(const PatchRequest& req, PatchResponse* resp);
 std::string PatchToJson(const PatchResponse& resp);
 std::string PatchToText(const PatchResponse& resp);
 
 // -------------------------------------------------------------- archive
-
-struct ArchiveRequest {
-  std::string path_out;
-  std::vector<std::string> versions;
-  AlignMethod method = AlignMethod::kHybrid;
-  CommonOptions common;
-  GraphSource* source = nullptr;
-};
 
 struct ArchiveResponse {
   AlignMethod method = AlignMethod::kHybrid;
@@ -218,19 +169,10 @@ struct ArchiveResponse {
   uint64_t cache_misses = 0;
 };
 
-Status RunArchive(const ArchiveRequest& req, ArchiveResponse* resp);
 std::string ArchiveToJson(const ArchiveResponse& resp);
 std::string ArchiveToText(const ArchiveResponse& resp);
 
 // ------------------------------------------------------------------ gen
-
-struct GenRequest {
-  std::string prefix;
-  long long versions = 2;
-  double scale = 1.0;
-  long long seed = 5;
-  CommonOptions common;
-};
 
 struct GenFileInfo {
   std::string path;
@@ -246,26 +188,18 @@ struct GenResponse {
   std::vector<GenFileInfo> files;
 };
 
-Status RunGen(const GenRequest& req, GenResponse* resp);
 std::string GenToJson(const GenResponse& resp);
 std::string GenToText(const GenResponse& resp);
 
 // ---------------------------------------------------------------- cache
 
-struct CacheRequest {
-  std::string action;  ///< "stats" | "clear"
-  CommonOptions common;
-  GraphSource* source = nullptr;
-};
-
 struct CacheResponse {
-  std::string action;
+  std::string action;        ///< "stats" | "clear"
   SnapshotCacheStats stats;  ///< after the action
   std::vector<SnapshotCacheEntryInfo> entries;  ///< "stats" only, MRU first
   uint64_t dropped_entries = 0;                 ///< "clear" only
 };
 
-Status RunCache(const CacheRequest& req, CacheResponse* resp);
 std::string CacheToJson(const CacheResponse& resp);
 std::string CacheToText(const CacheResponse& resp);
 
@@ -274,15 +208,6 @@ std::string CacheToText(const CacheResponse& resp);
 /// `rdfalign updates <base> <next> <out.upd>`: the stateless producer for
 /// the streaming pipeline — compute the label-addressed update fragment
 /// (store/update_fragment.h, docs/stream.md) turning `base` into `next`.
-struct UpdatesRequest {
-  std::string path_base;
-  std::string path_next;
-  std::string path_out;
-  long long sequence = 1;  ///< producer batch number (--seq)
-  CommonOptions common;
-  GraphSource* source = nullptr;
-};
-
 struct UpdatesResponse {
   std::string path_base, kind_base;
   std::string path_next, kind_next;
@@ -302,7 +227,6 @@ struct UpdatesResponse {
   uint64_t cache_misses = 0;
 };
 
-Status RunUpdates(const UpdatesRequest& req, UpdatesResponse* resp);
 std::string UpdatesToJson(const UpdatesResponse& resp);
 std::string UpdatesToText(const UpdatesResponse& resp);
 
